@@ -1,33 +1,56 @@
 """Planar Birkhoff billiard map in oriented-line coordinates (p, phi).
 
 A line is stored as its normal angle phi and signed distance p; it meets
-the table iff -h(phi+pi) < p < h(phi).  The map is implemented twice:
-geometrically (locate the chord, reflect across the tangent) and
-variationally through the generating function
+the table iff -h(phi+pi) < p < h(phi).  Its chord ends where
+
+    f(psi) = <x(psi), e_phi> - p = h cos(psi-phi) - h' sin(psi-phi) - p
+
+vanishes, x(psi) being the boundary point with outward normal angle psi.
+Since f'(psi) = rho(psi) sin(phi - psi), f is monotone on [phi, phi+pi],
+which holds the forward endpoint, and on [phi+pi, phi+2pi], which holds the
+backward one, and its values at the ends are h(phi) - p and -h(phi+pi) - p.
+Each endpoint is found by Newton steps inside its exact bracket, falling
+back to bisection when a step would leave the bracket or stalls.
+
+The map is implemented twice: geometrically (locate the chord, reflect
+across the tangent, which sends the normal angle phi to 2 psi_fwd - phi)
+and variationally through the generating function
 
     S(phi1, phi2) = 2 h((phi1+phi2)/2) sin((phi2-phi1)/2),
 
-whose mixed derivative S12 = rho(mid)*sin(alpha)/2 > 0 is the twist.
-The strip functional integral of (S11+2*S12+S22) against the invariant
-measure S12 dphi1 dphi2 collapses, after reduction, to a weighted sum of
-squares of Fourier coefficients of h; both routes are provided.
+whose mixed derivative S12 = rho(mid)*sin(alpha)/2 > 0 is the twist; the
+next line solves p1 = -dS/dphi1, a residual decreasing in phi2 over
+(phi1, phi1+2pi) with derivative -S12, by the same safeguarded Newton.
+Both solvers take arrays of lines and advance them in lock-step; the
+scalar functions are wrappers around a batch of one.  The strip functional
+integral of (S11+2*S12+S22) against the invariant measure S12 dphi1 dphi2
+collapses, after reduction, to a weighted sum of squares of Fourier
+coefficients of h; both routes are provided.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (ConvergenceFailure, DegenerateChord, NoIntersection,
                      TangentLine)
-from .support_geometry import GutkinTable, SupportCurve, boundary_point, eval_support
+from .support_geometry import GutkinTable, SupportCurve, eval_support
 
 TWO_PI = 2 * math.pi
-BRACKETS = 64
-PSI_TOL = 1e-13
+PSI_TOL = 1e-14
+NEWTON_CAP = 100
 MIN_CHORD_ANGLE = 1e-6
+HALF_TURNS = np.array([[0.0], [math.pi]])
+# a residual below this fraction of the size of its terms is at the rounding floor
+NOISE_REL = 8 * np.finfo(float).eps
+
+# per-line status of a batched solve; each failure maps to the error the
+# scalar wrappers raise
+SOLVED, MISSES, ZERO_LENGTH, NEAR_TANGENT, NOT_CONVERGED = range(5)
 
 
 @dataclass(frozen=True)
@@ -49,6 +72,16 @@ class ChordData:
     angle_fwd: float
 
 
+class Chords(NamedTuple):
+    """Chords of a batch of lines, one entry per line; valid where status == SOLVED."""
+
+    psi_back: np.ndarray
+    psi_fwd: np.ndarray
+    angle_back: np.ndarray
+    angle_fwd: np.ndarray
+    status: np.ndarray
+
+
 @dataclass(frozen=True)
 class Strip:
     """Angle strip 0 < delta1 < delta2 <= pi/2 on the phase cylinder."""
@@ -62,26 +95,25 @@ class Strip:
                              f"got ({self.delta1}, {self.delta2})")
 
 
-def _direction(phi: float) -> np.ndarray:
-    # travel direction: normal angle rotated by +pi/2 (counterclockwise
-    # circulation; on the circle the map is phi -> phi + 2*delta)
-    return np.array([-math.sin(phi), math.cos(phi)])
-
-
-def _normal(phi: float) -> np.ndarray:
-    return np.array([math.cos(phi), math.sin(phi)])
-
-
-def line_intersects(curve: SupportCurve, line: OrientedLine2D) -> bool:
-    return (line.p < curve.h(line.phi)
-            and line.p > -curve.h(line.phi + math.pi))
+def _raise_for_status(status: int, line: OrientedLine2D):
+    """Raise the error a batched solve reported for one line, if any."""
+    if status == MISSES:
+        raise NoIntersection(f"line (p={line.p:g}, phi={line.phi:g}) "
+                             "misses the table")
+    if status == ZERO_LENGTH:
+        raise TangentLine("zero-length chord")
+    if status == NEAR_TANGENT:
+        raise TangentLine("near-tangent chord")
+    if status == NOT_CONVERGED:
+        raise ConvergenceFailure("safeguarded Newton did not converge")
 
 
 def generating_value(curve: SupportCurve, phi1: float, phi2: float) -> float:
     d = phi2 - phi1
     if not 0.0 < d < TWO_PI:
         raise DegenerateChord(f"phi2 - phi1 = {d:g} outside (0, 2*pi)")
-    return 2.0 * float(curve.h(0.5 * (phi1 + phi2))) * math.sin(0.5 * d)
+    h, _, _ = eval_support(curve, 0.5 * (phi1 + phi2))
+    return 2.0 * h * math.sin(0.5 * d)
 
 
 def generating_second_derivs(curve: SupportCurve, phi1: float, phi2: float):
@@ -97,118 +129,153 @@ def generating_second_derivs(curve: SupportCurve, phi1: float, phi2: float):
     return float(s11), float(s12), float(s22)
 
 
-def _boundary_intersections(curve: SupportCurve, line: OrientedLine2D):
-    """Gauss parameters of the two intersections of the line with the boundary.
+def _lines(p, phi):
+    """Lines as flat float arrays, phi reduced to [0, 2*pi)."""
+    phi = np.ravel(np.asarray(phi, dtype=float))
+    return np.ravel(np.asarray(p, dtype=float)), np.mod(phi, TWO_PI)
 
-    f(psi) = <x(psi), e_phi> - p has exactly two sign changes on a strictly
-    convex boundary; each is bracketed on a uniform grid and bisected.
+
+def _brackets(curve: SupportCurve, p, phi):
+    """f at both bracket ends, (h(phi) - p, -h(phi+pi) - p), the starting
+    offset of the forward endpoint from phi, and the lines that miss.
+
+    The start fits the circle c + r cos(psi - phi) to the two end values,
+    which is exact when the table is a circle.
     """
-    e = _normal(line.phi)
-    psi_grid = np.linspace(0.0, TWO_PI, BRACKETS, endpoint=False)
-    f = boundary_point(curve, psi_grid) @ e - line.p
-    # exact zeros count as positive so a grid point on the boundary chord
-    # endpoint yields exactly one flip, not two
-    pos = f >= 0
-    flips = np.nonzero(pos != np.roll(pos, -1))[0]
-    if flips.size < 2:
-        if not line_intersects(curve, line):
-            raise NoIntersection(f"line (p={line.p:g}, phi={line.phi:g}) "
-                                 "misses the table")
-        raise TangentLine("chord degenerates to a tangency")
-    roots = []
-    step = TWO_PI / BRACKETS
-    for i in flips[:2]:
-        lo, hi = psi_grid[i], psi_grid[i] + step
-        pos_lo = bool(pos[i])
-        while hi - lo > PSI_TOL:
-            mid = 0.5 * (lo + hi)
-            fm = float(boundary_point(curve, mid) @ e) - line.p
-            if (fm >= 0) == pos_lo:
-                lo = mid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    return roots
+    h, _, _ = eval_support(curve, phi + HALF_TURNS)
+    f_lo, f_hi = h[0] - p, -h[1] - p
+    misses = ~((f_lo > 0) & (f_hi < 0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_start = np.clip((f_lo + f_hi) / (f_hi - f_lo), -1.0, 1.0)
+    return np.arccos(np.where(misses, 0.0, cos_start)), misses
+
+
+def _newton(evaluate, lo, hi, x, done):
+    """Root of a decreasing g with g(lo) > 0 > g(hi), elementwise over arrays.
+
+    ``evaluate(x)`` returns (g, g', noise, state): a point counts as solved
+    when |g| is at its rounding floor ``noise`` or the Newton step from it is
+    below PSI_TOL, or when its bracket is narrower than PSI_TOL.  A step that
+    would leave the bracket, or is longer than half the step before last,
+    is replaced by bisection.  Points in ``done`` stay where they are.
+    Returns (x, state at x, solved).
+    """
+    lo, hi, x = np.array(lo), np.array(hi), np.array(x)
+    done = np.array(done)
+    step_old = step = hi - lo
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(NEWTON_CAP):
+            g, dg, noise, state = evaluate(x)
+            size = np.abs(g)
+            done |= (size <= noise) | (size < PSI_TOL * np.abs(dg)) | (hi - lo < PSI_TOL)
+            if done.all():
+                break
+            live = ~done
+            right = g > 0
+            np.copyto(lo, x, where=live & right)
+            np.copyto(hi, x, where=live & ~right)
+            newton = x - g / dg
+            bisect = (~((lo < newton) & (newton < hi))
+                      | (np.abs(newton - x) > 0.5 * np.abs(step_old)))
+            nxt = np.where(bisect, 0.5 * (lo + hi), newton)
+            np.copyto(nxt, x, where=done)
+            step_old, step = step, nxt - x
+            x = nxt
+    return x, state, done
+
+
+def solve_chords(curve: SupportCurve, p, phi) -> Chords:
+    """Chords of the lines (p, phi), equal-size arrays or scalars, solved in lock-step.
+
+    Endpoints are Gauss parameters in [0, 2*pi); the incidence angle at an
+    endpoint psi is the angle between the line and the tangent there,
+    min(b, pi - b) for b = psi - phi reduced mod pi.
+    """
+    p, phi = _lines(p, phi)
+    start, misses = _brackets(curve, p, phi)
+    # row 0: forward endpoint in [phi, phi+pi], where f decreases; row 1:
+    # backward endpoint in [phi+pi, phi+2pi], where f increases, solved as -f
+    sign = np.array([[1.0], [-1.0]])
+
+    def evaluate(psi):
+        h, hp, hpp = eval_support(curve, psi)
+        b = psi - phi
+        cb, sb = np.cos(b), np.sin(b)
+        noise = NOISE_REL * (np.abs(h) + np.abs(hp) + np.abs(p))
+        # state: position of the endpoint along the travel direction
+        return sign * (h * cb - hp * sb - p), -sign * (h + hpp) * sb, noise, h * sb + hp * cb
+
+    lo = phi + HALF_TURNS
+    psi, along, solved = _newton(evaluate, lo, lo + math.pi,
+                                 np.array([phi + start, phi + TWO_PI - start]),
+                                 np.array([misses, misses]))
+    b_fwd, b_back = psi[0] - phi, psi[1] - phi
+    angle_fwd = np.minimum(b_fwd, math.pi - b_fwd)
+    angle_back = np.minimum(b_back - math.pi, TWO_PI - b_back)
+    # later assignments take precedence
+    status = np.full(p.shape, SOLVED)
+    status[np.minimum(angle_back, angle_fwd) < MIN_CHORD_ANGLE] = NEAR_TANGENT
+    status[along[0] - along[1] < 1e-12] = ZERO_LENGTH
+    status[~(solved[0] & solved[1])] = NOT_CONVERGED
+    status[misses] = MISSES
+    return Chords(np.mod(psi[1], TWO_PI), np.mod(psi[0], TWO_PI),
+                  angle_back, angle_fwd, status)
+
+
+def _outgoing(curve: SupportCurve, phi, psi_fwd):
+    """(p, phi) after reflecting lines of normal angle phi at the boundary
+    points psi_fwd: the mirror law sends phi to 2 psi_fwd - phi."""
+    h, hp, _ = eval_support(curve, psi_fwd)
+    b = psi_fwd - phi
+    return h * np.cos(b) + hp * np.sin(b), np.mod(2.0 * psi_fwd - phi, TWO_PI)
 
 
 def chord_incidence_angles(curve: SupportCurve, line: OrientedLine2D) -> ChordData:
     """Locate the chord of a line and its incidence angles at both endpoints."""
-    r1, r2 = _boundary_intersections(curve, line)
-    x1 = boundary_point(curve, r1)
-    x2 = boundary_point(curve, r2)
-    d = _direction(line.phi)
-    if (x2 - x1) @ d < 0:
-        r1, r2 = r2, r1
-        x1, x2 = x2, x1
-    chord = x2 - x1
-    ln = np.linalg.norm(chord)
-    if ln < 1e-12:
-        raise TangentLine("zero-length chord")
-    u = chord / ln
-    ang_back = math.asin(min(1.0, abs(float(u @ _normal(r1)))))
-    ang_fwd = math.asin(min(1.0, abs(float(u @ _normal(r2)))))
-    if min(ang_back, ang_fwd) < MIN_CHORD_ANGLE:
-        raise TangentLine("near-tangent chord")
-    return ChordData(line=line, psi_back=float(r1), psi_fwd=float(r2),
-                     angle_back=ang_back, angle_fwd=ang_fwd)
+    c = solve_chords(curve, line.p, line.phi)
+    _raise_for_status(c.status[0], line)
+    return ChordData(line=line, psi_back=float(c.psi_back[0]), psi_fwd=float(c.psi_fwd[0]),
+                     angle_back=float(c.angle_back[0]), angle_fwd=float(c.angle_fwd[0]))
 
 
 def reflect_geometric(curve: SupportCurve, line: OrientedLine2D):
-    """One bounce by direct ray reflection; returns (next line, chord data)."""
+    """One bounce by reflection at the forward endpoint; returns (next line, chord data)."""
     chord = chord_incidence_angles(curve, line)
-    x2 = boundary_point(curve, chord.psi_fwd)
-    nu = _normal(chord.psi_fwd)
-    d = _direction(line.phi)
-    d2 = d - 2.0 * float(d @ nu) * nu
-    # normal angle of the outgoing line: direction rotated by -pi/2
-    phi2 = math.atan2(-d2[0], d2[1]) % TWO_PI
-    p2 = float(x2 @ _normal(phi2))
-    return OrientedLine2D(p2, phi2), chord
+    p2, phi2 = _outgoing(curve, np.array([line.phi]), np.array([chord.psi_fwd]))
+    return OrientedLine2D(p2[0], phi2[0]), chord
+
+
+def solve_variational(curve: SupportCurve, p, phi):
+    """Next lines (p2, phi2, status) of the lines (p, phi) by the generating
+    function: phi2 solves p = h(mid) cos(alpha) - h'(mid) sin(alpha), with
+    mid = (phi+phi2)/2 and alpha = (phi2-phi)/2, and p2 = +dS/dphi2."""
+    p, phi = _lines(p, phi)
+    start, misses = _brackets(curve, p, phi)
+
+    def evaluate(phi2):
+        alpha = 0.5 * (phi2 - phi)
+        h, hp, hpp = eval_support(curve, phi + alpha)
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        r = h * ca - hp * sa - p
+        noise = NOISE_REL * (np.abs(h) + np.abs(hp) + np.abs(p))
+        return r, -0.5 * (h + hpp) * sa, noise, h * ca + hp * sa
+
+    phi2, p2, solved = _newton(evaluate, phi, phi + TWO_PI, phi + 2.0 * start, misses)
+    status = np.where(misses, MISSES, np.where(solved, SOLVED, NOT_CONVERGED))
+    return p2, np.mod(phi2, TWO_PI), status
 
 
 def reflect_variational(curve: SupportCurve, line: OrientedLine2D) -> OrientedLine2D:
     """One bounce by solving p1 = -dS/dphi1 for phi2; twist makes it unique."""
-    if not line_intersects(curve, line):
-        raise NoIntersection(f"line (p={line.p:g}, phi={line.phi:g}) "
-                             "misses the table")
-    phi1, p1 = line.phi, line.p
-
-    def residual(phi2):
-        mid, alpha = 0.5 * (phi1 + phi2), 0.5 * (phi2 - phi1)
-        h, hp, _ = eval_support(curve, mid)
-        return float(h) * math.cos(alpha) - float(hp) * math.sin(alpha) - p1
-
-    lo, hi = phi1 + 1e-12, phi1 + TWO_PI - 1e-12
-    flo = residual(lo)
-    if flo < 0 or residual(hi) > 0:
-        raise ConvergenceFailure("monotone residual lost its bracket")
-    # bisect to a safe neighborhood, then Newton (d residual/d phi2 = -S12)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    phi2 = 0.5 * (lo + hi)
-    for _ in range(50):
-        s11, s12, s22 = generating_second_derivs(curve, phi1, phi2)
-        step = residual(phi2) / s12
-        phi2 += step
-        if abs(step) < 1e-14:
-            break
-    else:
-        raise ConvergenceFailure("Newton refinement did not converge")
-    mid, alpha = 0.5 * (phi1 + phi2), 0.5 * (phi2 - phi1)
-    h, hp, _ = eval_support(curve, mid)
-    p2 = float(h) * math.cos(alpha) + float(hp) * math.sin(alpha)
-    return OrientedLine2D(p2, phi2)
+    p2, phi2, status = solve_variational(curve, line.p, line.phi)
+    _raise_for_status(status[0], line)
+    return OrientedLine2D(p2[0], phi2[0])
 
 
 def constant_angle_line(curve: SupportCurve, delta: float, psi: float) -> OrientedLine2D:
     """Line leaving the boundary point x(psi) at angle delta with the tangent."""
     h, hp, _ = eval_support(curve, psi)
-    return OrientedLine2D(float(h) * math.cos(delta) + float(hp) * math.sin(delta),
-                          psi + delta)
+    return OrientedLine2D(h * math.cos(delta) + hp * math.sin(delta), psi + delta)
 
 
 def verify_constant_angle(table_or_curve, delta: float, grid_size: int = 360) -> float:
@@ -217,11 +284,15 @@ def verify_constant_angle(table_or_curve, delta: float, grid_size: int = 360) ->
         raise ValueError("grid_size must be >= 8")
     curve = (table_or_curve.curve if isinstance(table_or_curve, GutkinTable)
              else table_or_curve)
-    worst = 0.0
-    for psi in np.linspace(0.0, TWO_PI, grid_size, endpoint=False):
-        chord = chord_incidence_angles(curve, constant_angle_line(curve, delta, psi))
-        worst = max(worst, abs(chord.angle_fwd - delta))
-    return worst
+    psi = np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
+    h, hp, _ = eval_support(curve, psi)
+    p = h * math.cos(delta) + hp * math.sin(delta)
+    c = solve_chords(curve, p, psi + delta)
+    failed = np.flatnonzero(c.status != SOLVED)
+    if failed.size:
+        i = failed[0]
+        _raise_for_status(c.status[i], OrientedLine2D(p[i], psi[i] + delta))
+    return float(np.max(np.abs(c.angle_fwd - delta)))
 
 
 def orbit(curve: SupportCurve, line0: OrientedLine2D, steps: int):
@@ -233,6 +304,29 @@ def orbit(curve: SupportCurve, line0: OrientedLine2D, steps: int):
         lines.append(nxt)
         chords.append(chord)
     return lines, chords
+
+
+def orbits(curve: SupportCurve, p0, phi0, steps: int):
+    """Iterate the geometric map on many lines in lock-step.
+
+    Returns (p, phi, ok): arrays of shape (steps+1, lines) and the mask of
+    orbits that completed every bounce.  A line whose chord solve fails
+    stops there, as ``orbit`` would raise; its later rows are not defined.
+    """
+    p, phi = _lines(p0, phi0)
+    ps = np.full((steps + 1, p.size), np.nan)
+    phis = np.full((steps + 1, p.size), np.nan)
+    ps[0], phis[0] = p, phi
+    ok = np.ones(p.size, dtype=bool)
+    for step in range(steps):
+        live = np.flatnonzero(ok)
+        c = solve_chords(curve, ps[step, live], phis[step, live])
+        good = c.status == SOLVED
+        ok[live[~good]] = False
+        live = live[good]
+        ps[step + 1, live], phis[step + 1, live] = _outgoing(curve, phis[step, live],
+                                                             c.psi_fwd[good])
+    return ps, phis, ok
 
 
 def rigidity_integral(curve: SupportCurve, strip: Strip, quad_order: int = 32,

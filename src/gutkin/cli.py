@@ -1,8 +1,10 @@
 """Command-line front end: reproducible experiments emitting CSV/JSON/SVG.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input.  All angles
-are radians.  The environment variable GUTKIN_SEED overrides the default
-seed 0 for randomized sweeps.
+Exit codes: 0 success, 1 verification failure, 2 invalid input (a bad
+flag value, an unreadable or malformed table or spec, an output path that
+is a directory, or a line the map cannot follow).  All angles are radians.
+The environment variable GUTKIN_SEED overrides the default seed 0 for
+randomized sweeps.
 """
 
 from __future__ import annotations
@@ -120,24 +122,20 @@ def cmd_orbit(args) -> int:
 def cmd_phase_portrait(args) -> int:
     curve, _ = _load_curve(args.table)
     h_min = min(curve.h(np.linspace(0, 2 * math.pi, 1024, endpoint=False)))
-    rows = []
-    orbit_id = 0
-    for pf in np.linspace(-0.9, 0.9, args.p_grid):
-        for phi0 in np.linspace(0.0, 2 * math.pi, args.phi_grid, endpoint=False):
-            line = b2.OrientedLine2D(pf * h_min, phi0)
-            try:
-                lines, _ = b2.orbit(curve, line, args.steps)
-            except GutkinError:
-                continue
-            for step, ln in enumerate(lines):
-                rows.append([orbit_id, step, ln.p, ln.phi])
-            orbit_id += 1
+    pf, phi0 = np.meshgrid(np.linspace(-0.9, 0.9, args.p_grid),
+                           np.linspace(0.0, 2 * math.pi, args.phi_grid, endpoint=False),
+                           indexing="ij")
+    # all starting lines advance together; an orbit that fails is dropped
+    ps, phis, ok = b2.orbits(curve, (pf * h_min).ravel(), phi0.ravel(), args.steps)
+    rows = [[orbit_id, step, p, phi]
+            for orbit_id, i in enumerate(np.flatnonzero(ok))
+            for step, (p, phi) in enumerate(zip(ps[:, i], phis[:, i]))]
     if args.out:
         _write_csv(args.out, ["orbit", "step", "p", "phi"], rows)
     if args.svg:
         arr = np.array([[r[3], r[2]] for r in rows])
         _write_svg(args.svg, arr[:, 0], arr[:, 1])
-    _emit(args, {"orbits": orbit_id, "points": len(rows)})
+    _emit(args, {"orbits": int(ok.sum()), "points": len(rows)})
     return 0
 
 
@@ -158,15 +156,31 @@ def _parse_vec(text: str) -> np.ndarray:
     return np.array([float(t) for t in text.split(",")])
 
 
-def cmd_ellipsoid(args) -> int:
-    with open(args.spec, encoding="utf-8") as f:
+def _load_spec(path) -> tuple[int, np.ndarray]:
+    """(d, A) from an ellipsoid spec; a malformed spec raises ValueError."""
+    with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    d = int(doc["d"])
-    q = bnd.Quadric(np.array(doc["A"], dtype=float).reshape(d, d))
+    if not isinstance(doc, dict) or "d" not in doc or "A" not in doc:
+        raise ValueError(f"spec {path} needs the keys 'd' and 'A'")
+    d = doc["d"]
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValueError(f"spec 'd' must be a positive integer, got {d!r}")
+    A = np.asarray(doc["A"], dtype=float)
+    if A.size != d * d:
+        raise ValueError(f"spec 'A' must hold d*d = {d * d} entries, got {A.size}")
+    return d, A.reshape(d, d)
+
+
+def cmd_ellipsoid(args) -> int:
+    d, A = _load_spec(args.spec)
     if d > 16:
         print("dimension capped at 16 for the CLI", file=sys.stderr)
         return 2
-    if args.n and args.m:
+    if (args.n is None) != (args.m is None):
+        print("--n and --m must be given together", file=sys.stderr)
+        return 2
+    q = bnd.Quadric(A)
+    if args.n is not None:
         line = bnd.OrientedLineND(_parse_vec(args.n) / np.linalg.norm(_parse_vec(args.n)),
                                   _parse_vec(args.m))
     else:
@@ -186,10 +200,11 @@ def cmd_ellipsoid(args) -> int:
 
 
 def cmd_gradient_check(args) -> int:
-    with open(args.spec, encoding="utf-8") as f:
-        doc = json.load(f)
-    d = int(doc["d"])
-    q = bnd.Quadric(np.array(doc["A"], dtype=float).reshape(d, d))
+    if args.pairs < 1:
+        print("--pairs must be at least 1", file=sys.stderr)
+        return 2
+    d, A = _load_spec(args.spec)
+    q = bnd.Quadric(A)
     rng = np.random.default_rng(_seed())
     worst = 0.0
     done = 0
@@ -317,9 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for flag in ("out", "svg"):
+        path = getattr(args, flag, None)
+        if path is not None and os.path.isdir(path):
+            print(f"error: --{flag} {path} is a directory", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
-    except (GutkinError, IndexError, ValueError, FileNotFoundError) as exc:
+    except (GutkinError, IndexError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,6 @@ from .errors import InvalidHarmonic, NonClosedCurve, NonConvex
 
 CONVEXITY_GRID = 4096
 CLOSURE_TOL = 1e-12
-ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,17 +64,39 @@ class TrigPolynomial:
         return float(self.cos_coeffs[k - 1]), float(self.sin_coeffs[k - 1])
 
 
+def _radius_samples(h: TrigPolynomial) -> np.ndarray:
+    """rho = h'' + h at the CONVEXITY_GRID angles 2 pi j / N, by one inverse FFT.
+
+    The grid grows past CONVEXITY_GRID only when the degree would alias on it.
+    """
+    k = np.arange(1, h.cos_coeffs.size + 1)
+    size = max(CONVEXITY_GRID, 2 * k.size + 2)
+    spectrum = np.zeros(size // 2 + 1, dtype=complex)
+    spectrum[0] = size * h.constant
+    spectrum[1:k.size + 1] = 0.5 * size * (1 - k * k) * (h.cos_coeffs - 1j * h.sin_coeffs)
+    return np.fft.irfft(spectrum, size)
+
+
 @dataclass(frozen=True)
 class SupportCurve:
-    """Planar convex body given by its supporting function h."""
+    """Planar convex body given by its supporting function h.
+
+    The harmonics of h are cached as complex coefficients: column j of
+    ``_coeffs`` holds (i k)^j (a_k - i b_k), so that the j-th derivative of
+    h - h_0 is Re sum_k _coeffs[k, j] e^{i k phi}.
+    """
 
     h: TrigPolynomial
     rho_min: float = field(init=False)
+    _k: np.ndarray = field(init=False, repr=False, compare=False)
+    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = np.linspace(0.0, 2 * np.pi, CONVEXITY_GRID, endpoint=False)
-        rho = self.h.derivative().derivative()(grid) + self.h(grid)
-        object.__setattr__(self, "rho_min", float(rho.min()))
+        k = np.arange(1, self.h.cos_coeffs.size + 1, dtype=float)
+        c = self.h.cos_coeffs - 1j * self.h.sin_coeffs
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_coeffs", np.stack([c, 1j * k * c, -k * k * c], axis=1))
+        object.__setattr__(self, "rho_min", float(_radius_samples(self.h).min()))
 
     @property
     def is_convex(self) -> bool:
@@ -99,10 +119,18 @@ def circle(radius: float = 1.0) -> SupportCurve:
 
 
 def eval_support(curve: SupportCurve, phi) -> tuple:
-    """(h, h', h'') at phi, by exact term-wise differentiation."""
-    h = curve.h
-    hp = h.derivative()
-    return h(phi), hp(phi), hp.derivative()(phi)
+    """(h, h', h'') at phi, a scalar or an array, from one table of e^{i k phi}.
+
+    Each value depends only on its own phi, so a point gets the same bits
+    whatever array it is evaluated in.
+    """
+    phi = np.asarray(phi, dtype=float)
+    waves = np.exp(1j * np.multiply.outer(phi, curve._k))
+    h, hp, hpp = np.einsum("...k,kj->j...", waves, curve._coeffs).real
+    h = h + curve.h.constant
+    if phi.ndim == 0:
+        return float(h), float(hp), float(hpp)
+    return h, hp, hpp
 
 
 def curvature_radius(curve: SupportCurve, phi):
@@ -141,57 +169,28 @@ def support_from_radius(rho: TrigPolynomial) -> SupportCurve:
     return curve
 
 
-def _gutkin_equation(delta: float, n: int) -> float:
-    return math.tan(n * delta) - n * math.tan(delta)
-
-
 def solve_gutkin_angles(n: int) -> list[float]:
-    """All nonzero roots of tan(n*delta) = n*tan(delta) in (0, pi/2).
+    """All nonzero roots of tan(n*delta) = n*tan(delta) in (0, pi/2), ascending.
 
-    In t = tan(delta) the equation becomes a polynomial (numerator of
-    tan(n*delta) minus n*t times its denominator) with a trivial t^3
-    factor; the remaining positive roots are polished by Newton on the
-    transcendental form.
+    g(d) = tan(n d) - n tan(d) runs from -inf to +inf on each branch
+    ((2j-1) pi/2n, (2j+1) pi/2n) of tan(n d), j = 1..floor(n/2)-1, and has one
+    root there; all branches are bisected together down to adjacent floats.
+    These branches lie below pi/2; the branch j = 0 holds only the trivial
+    root 0.
     """
     if not isinstance(n, (int, np.integer)) or n < 4:
         raise InvalidHarmonic(f"need integer n >= 4, got {n!r}")
-    # tan(n d) = P(t)/Q(t) from Im/Re of (1 + i t)^n.
-    P = np.zeros(n + 1)
-    Q = np.zeros(n + 1)
-    for j in range(n + 1):
-        c = math.comb(n, j)
-        if j % 2 == 0:
-            Q[j] = c * (-1) ** (j // 2)
-        else:
-            P[j] = c * (-1) ** ((j - 1) // 2)
-    # P(t) - n t Q(t), coefficients by ascending power; strip the t^3 factor.
-    poly = np.zeros(n + 2)
-    poly[: n + 1] += P
-    poly[1:] -= n * Q
-    assert np.allclose(poly[:3], 0.0)
-    reduced = poly[3:]
-    roots = np.roots(reduced[::-1])
-    ts = sorted(float(r.real) for r in roots
-                if abs(r.imag) < 1e-9 and r.real > 1e-9)
-    out = []
-    for t in ts:
-        delta = math.atan(t)
-        for _ in range(60):
-            f = _gutkin_equation(delta, n)
-            df = n / math.cos(n * delta) ** 2 - n / math.cos(delta) ** 2
-            step = f / df
-            delta -= step
-            if abs(step) < ROOT_TOL / 10:
-                break
-        if 0.0 < delta < math.pi / 2 and abs(_gutkin_equation(delta, n)) < 1e-10:
-            out.append(delta)
-    out = sorted(out)
-    expected = n // 2 - 1
-    if len(out) != expected:
-        warnings.warn(
-            f"n={n}: found {len(out)} roots, expected floor(n/2)-1 = {expected}",
-            stacklevel=2)
-    return out
+    j = np.arange(1, n // 2)
+    lo = (2 * j - 1) * (math.pi / (2 * n))
+    hi = (2 * j + 1) * (math.pi / (2 * n))
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            return [float(d) for d in mid]
+        above = np.tan(n * mid) > n * np.tan(mid)
+        hi = np.where(live & above, mid, hi)
+        lo = np.where(live & ~above, mid, lo)
 
 
 def build_gutkin_table(n: int, root_index: int, a0: float, an: float) -> GutkinTable:
@@ -233,13 +232,19 @@ def table_to_dict(curve: SupportCurve, gutkin: GutkinTable | None = None) -> dic
 
 
 def table_from_dict(doc: dict) -> tuple[SupportCurve, dict | None]:
-    harmonics = doc.get("harmonics", [])
-    deg = max((int(e["k"]) for e in harmonics), default=0)
-    a = np.zeros(deg)
-    b = np.zeros(deg)
-    for e in harmonics:
-        a[int(e["k"]) - 1] = float(e.get("cos", 0.0))
-        b[int(e["k"]) - 1] = float(e.get("sin", 0.0))
+    """Inverse of table_to_dict; a malformed document raises ValueError."""
+    if not isinstance(doc, dict) or "a0" not in doc:
+        raise ValueError("table needs the key 'a0'")
+    try:
+        harmonics = doc.get("harmonics", [])
+        deg = max((int(e["k"]) for e in harmonics), default=0)
+        a = np.zeros(deg)
+        b = np.zeros(deg)
+        for e in harmonics:
+            a[int(e["k"]) - 1] = float(e.get("cos", 0.0))
+            b[int(e["k"]) - 1] = float(e.get("sin", 0.0))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed table harmonics: {exc!r}") from None
     return SupportCurve(TrigPolynomial(float(doc["a0"]), a, b)), doc.get("gutkin")
 
 

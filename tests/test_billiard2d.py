@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gutkin.billiard2d import (ChordData, OrientedLine2D, Strip,
+from gutkin import billiard2d
+from gutkin.billiard2d import (MISSES, SOLVED, ChordData, OrientedLine2D, Strip,
                                chord_incidence_angles, constant_angle_line,
                                generating_second_derivs, generating_value,
-                               orbit, reflect_geometric, reflect_variational,
+                               orbit, orbits, reflect_geometric, reflect_variational,
                                rigidity_integral, rigidity_integral_closed,
+                               solve_chords, solve_variational,
                                verify_constant_angle)
-from gutkin.errors import DegenerateChord, NoIntersection
+from gutkin.errors import ConvergenceFailure, DegenerateChord, NoIntersection
 from gutkin.support_geometry import (SupportCurve, TrigPolynomial,
                                      build_gutkin_table, circle)
 
@@ -153,6 +155,17 @@ class TestReflectVariational:
             assert abs(geo.p - var.p) < 1e-9
             assert angle_diff(geo.phi, var.phi) < 1e-9
 
+    @pytest.mark.parametrize("delta", [2e-3, 0.01, 0.045])
+    def test_matches_geometric_near_tangent(self, gutkin5, delta):
+        # lines leaving the boundary at a small angle delta to the tangent
+        for psi in np.linspace(0, TWO_PI, 12, endpoint=False):
+            line = constant_angle_line(gutkin5.curve, delta, psi)
+            geo, chord = reflect_geometric(gutkin5.curve, line)
+            var = reflect_variational(gutkin5.curve, line)
+            assert chord.angle_back == pytest.approx(delta, abs=1e-10)
+            assert abs(geo.p - var.p) < 1e-9
+            assert angle_diff(geo.phi, var.phi) < 1e-9
+
     def test_exact_form_consistency(self, gutkin5):
         # p1 = -d1 S and p2 = +d2 S along geometrically computed chords
         curve = gutkin5.curve
@@ -188,6 +201,16 @@ class TestChordIncidence:
         assert abs(chord.angle_back - gutkin5.delta) < 1e-8
         assert abs(chord.angle_fwd - gutkin5.delta) < 1e-8
 
+    def test_near_tangent_circle(self):
+        # near-tangent: the chord spans only 0.089 rad of Gauss parameter
+        chord = chord_incidence_angles(circle(1.0), OrientedLine2D(0.999, 0.05))
+        assert chord.angle_back == pytest.approx(math.acos(0.999), abs=1e-12)
+        assert chord.angle_fwd == pytest.approx(math.acos(0.999), abs=1e-12)
+
+    def test_tangent_line_misses(self):
+        with pytest.raises(NoIntersection):
+            chord_incidence_angles(circle(1.0), OrientedLine2D(1.0, 0.3))
+
     def test_endpoints_on_line(self, gutkin5):
         from gutkin.support_geometry import boundary_point
         line = OrientedLine2D(0.23, 2.1)
@@ -218,8 +241,9 @@ class TestConstantAngleLine:
 
 
 class TestVerifyConstantAngle:
-    def test_circle(self):
-        assert verify_constant_angle(circle(1.0), 0.7, 360) < 1e-12
+    @pytest.mark.parametrize("delta", [0.7, 0.02, 2e-3])
+    def test_circle(self, delta):
+        assert verify_constant_angle(circle(1.0), delta, 360) < 1e-12
 
     def test_gutkin_at_root(self, gutkin5):
         assert verify_constant_angle(gutkin5, gutkin5.delta, 360) < 1e-8
@@ -289,3 +313,53 @@ class TestRigidity:
     def test_strip_validation(self):
         with pytest.raises(ValueError):
             Strip(1.0, 0.5)
+
+
+class TestBatchedSolves:
+    """A batch of lines gives, bit for bit, what the scalar wrappers give."""
+
+    @pytest.fixture(scope="class")
+    def lines(self, gutkin5):
+        rng = np.random.default_rng(17)
+        phi = rng.uniform(0, TWO_PI, 40)
+        p = rng.uniform(-0.95, 0.95, 40)
+        p[:8] = gutkin5.curve.h(phi[:8]) * (1 - 10.0 ** -rng.uniform(2, 9, 8))
+        p[8] = 1.5  # misses
+        return p, phi
+
+    def test_chords(self, gutkin5, lines):
+        batch = solve_chords(gutkin5.curve, *lines)
+        assert batch.status[8] == MISSES
+        for i, (p, phi) in enumerate(zip(*lines)):
+            if batch.status[i] != SOLVED:
+                with pytest.raises(NoIntersection):
+                    chord_incidence_angles(gutkin5.curve, OrientedLine2D(p, phi))
+                continue
+            chord = chord_incidence_angles(gutkin5.curve, OrientedLine2D(p, phi))
+            assert (chord.psi_back, chord.psi_fwd, chord.angle_back, chord.angle_fwd) == (
+                batch.psi_back[i], batch.psi_fwd[i], batch.angle_back[i], batch.angle_fwd[i])
+
+    def test_variational(self, gutkin5, lines):
+        p2, phi2, status = solve_variational(gutkin5.curve, *lines)
+        for i, (p, phi) in enumerate(zip(*lines)):
+            if status[i] != SOLVED:
+                continue
+            nxt = reflect_variational(gutkin5.curve, OrientedLine2D(p, phi))
+            assert (nxt.p, nxt.phi) == (p2[i], phi2[i])
+
+    def test_iteration_cap(self, gutkin5, monkeypatch):
+        monkeypatch.setattr(billiard2d, "NEWTON_CAP", 1)
+        line = OrientedLine2D(0.3, 0.4)
+        with pytest.raises(ConvergenceFailure):
+            chord_incidence_angles(gutkin5.curve, line)
+        with pytest.raises(ConvergenceFailure):
+            reflect_variational(gutkin5.curve, line)
+
+    def test_orbits(self, gutkin5, lines):
+        p0, phi0 = lines
+        ps, phis, ok = orbits(gutkin5.curve, p0, phi0, 12)
+        assert not ok[8] and ok.sum() >= 30
+        for i in np.flatnonzero(ok):
+            seq, _ = orbit(gutkin5.curve, OrientedLine2D(p0[i], phi0[i]), 12)
+            assert [ln.p for ln in seq] == list(ps[:, i])
+            assert [ln.phi for ln in seq] == list(phis[:, i])

@@ -69,10 +69,18 @@ class TestVerify:
         assert main(["verify", "--table", str(table5),
                      "--delta", str(delta)]) == 1
 
-    def test_circle(self, tmp_path):
+    @pytest.mark.parametrize("delta", ["0.8", "0.02"])
+    def test_circle(self, tmp_path, delta):
         path = tmp_path / "circle.json"
         path.write_text(json.dumps({"a0": 1.0, "harmonics": [], "gutkin": None}))
-        assert main(["verify", "--table", str(path), "--delta", "0.8"]) == 0
+        assert main(["verify", "--table", str(path), "--delta", delta]) == 0
+
+
+    @pytest.mark.parametrize("doc", [{"harmonics": []}, {"a0": 1.0, "harmonics": [{"cos": 0.1}]}])
+    def test_malformed_table(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--table", str(path), "--delta", "0.8"]) == 2
 
 
 class TestOrbit:
@@ -90,6 +98,11 @@ class TestOrbit:
             assert float(vals[1]) == pytest.approx(0.5, abs=1e-10)
             assert float(vals[5]) == pytest.approx(math.pi / 3, abs=1e-10)
 
+    def test_out_is_directory(self, table5, tmp_path, capsys):
+        assert main(["orbit", "--table", str(table5), "--p", "0.5", "--phi", "0",
+                     "--steps", "3", "--out", str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+
 
 class TestPhasePortrait:
     def test_deterministic_outputs(self, table5, tmp_path):
@@ -101,6 +114,28 @@ class TestPhasePortrait:
         assert main(args + ["--out", str(csv2), "--svg", str(svg2)]) == 0
         assert csv1.read_bytes() == csv2.read_bytes()
         assert svg1.read_bytes() == svg2.read_bytes()
+
+    def test_rows_match_scalar_orbits(self, table5, tmp_path):
+        from gutkin.billiard2d import OrientedLine2D, orbit
+        from gutkin.support_geometry import load_table
+        out = tmp_path / "pp.csv"
+        assert main(["phase-portrait", "--table", str(table5), "--p-grid", "3",
+                     "--phi-grid", "2", "--steps", "5", "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        curve, _ = load_table(table5)
+        h_min = min(curve.h(np.linspace(0, 2 * math.pi, 1024, endpoint=False)))
+        starts = [(pf * h_min, phi0) for pf in np.linspace(-0.9, 0.9, 3)
+                  for phi0 in np.linspace(0.0, 2 * math.pi, 2, endpoint=False)]
+        want = []
+        for orbit_id, (p, phi) in enumerate(starts):
+            lines, _ = orbit(curve, OrientedLine2D(p, phi), 5)
+            want += [[str(orbit_id), str(step), f"{ln.p:.17g}", f"{ln.phi:.17g}"]
+                     for step, ln in enumerate(lines)]
+        assert rows == want
+
+    def test_svg_is_directory(self, table5, tmp_path):
+        assert main(["phase-portrait", "--table", str(table5), "--p-grid", "2",
+                     "--phi-grid", "1", "--steps", "2", "--svg", str(tmp_path)]) == 2
 
     def test_circle_horizontal_lines(self, tmp_path):
         path = tmp_path / "circle.json"
@@ -158,11 +193,46 @@ class TestEllipsoid:
             assert abs(P @ Ainv @ P - 1.0) < 1e-12
 
 
+    @pytest.mark.parametrize("flag", ["--n", "--m"])
+    def test_line_flag_alone(self, spheroid_spec, tmp_path, flag):
+        assert main(["ellipsoid", "--spec", str(spheroid_spec), flag, "1,0,0",
+                     "--steps", "3", "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_dimension_cap_before_quadric(self, tmp_path, capsys):
+        # A is not positive definite: the cap must refuse it before Cholesky runs
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({"d": 17, "A": [0.0] * 17 * 17}))
+        assert main(["ellipsoid", "--spec", str(spec), "--steps", "3",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "capped at 16" in capsys.readouterr().err
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("doc", [{"A": [1, 0, 0, 1]},
+                                     {"d": 2, "A": [1, 0, 0]},
+                                     {"d": 0, "A": []},
+                                     [1, 0, 0, 1]])
+    @pytest.mark.parametrize("command", ["ellipsoid", "gradient-check"])
+    def test_malformed_spec(self, tmp_path, capsys, doc, command):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        argv = [command, "--spec", str(spec)]
+        if command == "ellipsoid":
+            argv += ["--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: spec")
+
+
 class TestGradientCheck:
     def test_spheroid(self, spheroid_spec, capsys):
         assert main(["--json", "gradient-check", "--spec", str(spheroid_spec),
                      "--pairs", "30"]) == 0
         assert json.loads(capsys.readouterr().out)["max_residual"] < 1e-7
+
+    @pytest.mark.parametrize("pairs", ["0", "-1"])
+    def test_no_pairs(self, spheroid_spec, pairs):
+        assert main(["gradient-check", "--spec", str(spheroid_spec),
+                     "--pairs", pairs]) == 2
 
 
 class TestChords:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,23 @@ class TestEvalSupport:
         assert hpp == pytest.approx(-1.0)
 
 
+    def test_array_matches_scalar_bitwise(self):
+        curve = SupportCurve(TrigPolynomial(1.0, [0.0, 0.01, -0.004, 0.006],
+                                            [0.0, 0.002, 0.0, -0.001]))
+        phi = np.linspace(-7.0, 13.0, 41)
+        h, hp, hpp = eval_support(curve, phi)
+        for i, x in enumerate(phi):
+            assert eval_support(curve, x) == (h[i], hp[i], hpp[i])
+
+    def test_matches_derivative_polynomials(self):
+        f = TrigPolynomial(1.0, [0.0, 0.01, -0.004, 0.006], [0.0, 0.002, 0.0, -0.001])
+        phi = np.linspace(0, 2 * math.pi, 97)
+        h, hp, hpp = eval_support(SupportCurve(f), phi)
+        assert np.abs(h - f(phi)).max() < 1e-15
+        assert np.abs(hp - f.derivative()(phi)).max() < 1e-15
+        assert np.abs(hpp - f.derivative().derivative()(phi)).max() < 1e-14
+
+
 class TestCurvatureRadius:
     def test_circle(self):
         assert curvature_radius(circle(2.5), 1.1) == pytest.approx(2.5)
@@ -75,6 +93,13 @@ class TestCurvatureRadius:
     def test_gutkin5(self, phi, expected):
         assert curvature_radius(gutkin5().curve, phi) == pytest.approx(
             expected, abs=1e-12)
+
+
+    def test_rho_min_matches_grid(self):
+        curve = SupportCurve(TrigPolynomial(1.0, [0.0, 0.03, -0.01, 0.004] + [0.0] * 27
+                                            + [1e-5], [0.0, 0.0, 0.02]))
+        grid = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
+        assert curve.rho_min == pytest.approx(curvature_radius(curve, grid).min(), abs=1e-14)
 
 
 class TestBoundaryPoint:
@@ -146,6 +171,21 @@ class TestGutkinAngles:
         t2 = [(14 - math.sqrt(112)) / 6, (14 + math.sqrt(112)) / 6]
         expected = sorted(math.atan(math.sqrt(v)) for v in t2)
         assert solve_gutkin_angles(7) == pytest.approx(expected, abs=1e-12)
+
+    def test_mpmath_oracle(self):
+        # every root sits within two ulps of a sign change of tan(n d) - n tan(d)
+        # evaluated at 40 digits, one on each branch ((2j-1) pi/2n, (2j+1) pi/2n);
+        # rounding n*d in double moves the float root by up to about one ulp
+        with mpmath.workdps(40):
+            for n in range(4, 201):
+                roots = solve_gutkin_angles(n)
+                assert len(roots) == n // 2 - 1
+                for j, r in enumerate(roots, start=1):
+                    assert (2 * j - 1) * math.pi / (2 * n) < r < (2 * j + 1) * math.pi / (2 * n)
+                    d, eps = mpmath.mpf(r), mpmath.mpf(2 * math.ulp(r))
+                    g_lo = mpmath.tan(n * (d - eps)) - n * mpmath.tan(d - eps)
+                    g_hi = mpmath.tan(n * (d + eps)) - n * mpmath.tan(d + eps)
+                    assert g_lo < 0 < g_hi, (n, j, r)
 
     def test_rejects_small_n(self):
         with pytest.raises(InvalidHarmonic):
