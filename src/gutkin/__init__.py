@@ -4,7 +4,7 @@ Submodules:
     support_geometry  -- supporting functions, constant-angle tables, roots
     billiard2d        -- planar billiard map, generating function, rigidity
     billiard_nd       -- ellipsoid billiards in R^d, gradient contract, twist
-    geodesic_chords   -- geodesics, Frenet data, constant-angle chord curves
+    geodesic_chords   -- geodesics on a quadric, Frenet data, chord curves
     cli               -- command-line front end
 """
 
@@ -17,9 +17,8 @@ from .billiard2d import (OrientedLine2D, Strip, reflect_geometric,
                          rigidity_integral_closed, verify_constant_angle)
 from .billiard_nd import (OrientedLineND, Quadric, gradient_contract_residual,
                           reflect_nd, sphere_quadric)
-from .geodesic_chords import (ImplicitSurface, chord_correspondence,
-                              ellipsoid_surface, frenet_apparatus,
-                              integrate_geodesic, sphere_surface)
+from .geodesic_chords import (chord_correspondence, frenet_apparatus,
+                              integrate_geodesic)
 
 __all__ = [
     "GutkinError", "GutkinTable", "SupportCurve", "TrigPolynomial",
@@ -29,8 +28,7 @@ __all__ = [
     "rigidity_integral", "rigidity_integral_closed", "verify_constant_angle",
     "OrientedLineND", "Quadric", "gradient_contract_residual", "reflect_nd",
     "sphere_quadric",
-    "ImplicitSurface", "chord_correspondence", "ellipsoid_surface",
-    "frenet_apparatus", "integrate_geodesic", "sphere_surface",
+    "chord_correspondence", "frenet_apparatus", "integrate_geodesic",
 ]
 
 __version__ = "0.1.0"

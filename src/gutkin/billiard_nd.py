@@ -133,7 +133,9 @@ def reflect_nd(q: Quadric, line: OrientedLineND):
     m2 = P - float(P @ n2) * n2
     consistency = np.linalg.norm(nu - (n - n2) / np.linalg.norm(n - n2))
     if consistency > 1e-10:
-        raise AssertionError(f"normal/direction consistency broke: {consistency:g}")
+        # a grazing line leaves n - n2 too short to recover the normal
+        raise TangentLine(f"line grazes the quadric: normal/direction "
+                          f"consistency {consistency:g}")
     return OrientedLineND(n2, m2), P
 
 
@@ -245,12 +247,9 @@ def launch_line(q: Quadric, nu: np.ndarray, delta: float,
 def constant_angle_residual_nd(q: Quadric, delta: float, line: OrientedLineND,
                                steps: int) -> float:
     """Max |incidence - delta| along an orbit of the billiard map."""
-    worst = 0.0
-    cur = line
-    for _ in range(steps):
-        cur, P = reflect_nd(q, cur)
-        worst = max(worst, abs(incidence_angle(q, cur.n, P) - delta))
-    return worst
+    lines, points = orbit_nd(q, line, steps)
+    return max((abs(incidence_angle(q, ln.n, P) - delta)
+                for ln, P in zip(lines[1:], points)), default=0.0)
 
 
 def orbit_nd(q: Quadric, line: OrientedLineND, steps: int):

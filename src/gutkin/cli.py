@@ -186,12 +186,10 @@ def cmd_ellipsoid(args) -> int:
     else:
         nu = np.ones(d) / math.sqrt(d)
         line = bnd.launch_line(q, nu, args.delta)
-    rows = []
-    cur = line
-    for step in range(args.steps):
-        cur, P = bnd.reflect_nd(q, cur)
-        rows.append([step] + [float(x) for x in P] + [float(x) for x in cur.n]
-                    + [bnd.incidence_angle(q, cur.n, P)])
+    lines, points = bnd.orbit_nd(q, line, args.steps)
+    rows = [[step] + [float(x) for x in P] + [float(x) for x in ln.n]
+            + [bnd.incidence_angle(q, ln.n, P)]
+            for step, (ln, P) in enumerate(zip(lines[1:], points))]
     header = (["step"] + [f"P_{i + 1}" for i in range(d)]
               + [f"n_{i + 1}" for i in range(d)] + ["incidence_angle"])
     _write_csv(args.out, header, rows)
@@ -200,9 +198,6 @@ def cmd_ellipsoid(args) -> int:
 
 
 def cmd_gradient_check(args) -> int:
-    if args.pairs < 1:
-        print("--pairs must be at least 1", file=sys.stderr)
-        return 2
     d, A = _load_spec(args.spec)
     q = bnd.Quadric(A)
     rng = np.random.default_rng(_seed())
@@ -225,17 +220,18 @@ def cmd_gradient_check(args) -> int:
 
 def cmd_chords(args) -> int:
     if args.surface == "sphere":
-        surface = gc.sphere_surface(args.radius)
+        q = bnd.sphere_quadric(args.radius)
         x0 = np.array([args.radius, 0.0, 0.0])
-        v0 = np.array([0.0, 1.0, 0.0])
     else:
         axes = _parse_vec(args.axes)
-        surface = gc.ellipsoid_surface(axes ** 2)
+        if axes.size != 3 or not (axes > 0).all():
+            raise ValueError(f"--axes needs 3 positive semi-axes, got {args.axes}")
+        q = bnd.Quadric(np.diag(axes ** 2))
         x0 = np.array([axes[0], 0.0, 0.0])
-        v0 = np.array([0.0, 1.0, 0.0])
-    traj = gc.integrate_geodesic(surface, x0, v0, args.length, args.step)
+    v0 = np.array([0.0, 1.0, 0.0])
+    traj = gc.integrate_geodesic(q, x0, v0, args.length, args.step)
     frenet = gc.frenet_apparatus(traj)
-    cc = gc.chord_correspondence(surface, traj, args.delta)
+    cc = gc.chord_correspondence(q, traj, args.delta)
     r5, r6, r9 = gc.angle_condition_residuals(cc, frenet, args.delta)
     d_num, d_ana, a_coeff = gc.planarity_residuals(cc, frenet, args.delta)
     l_dot = gc.deriv_samples(cc.l, traj.step)
@@ -330,13 +326,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _flag_error(args) -> str | None:
+    """One-line message for the first flag value out of range, else None."""
+    for flag in ("steps", "pairs", "p_grid", "phi_grid"):
+        if getattr(args, flag, 1) < 1:
+            return f"--{flag.replace('_', '-')} must be at least 1"
+    for flag in ("step", "length", "radius"):
+        if not 0 < getattr(args, flag, 1.0) < math.inf:
+            return f"--{flag} must be positive and finite"
     for flag in ("out", "svg"):
         path = getattr(args, flag, None)
         if path is not None and os.path.isdir(path):
-            print(f"error: --{flag} {path} is a directory", file=sys.stderr)
-            return 2
+            return f"--{flag} {path} is a directory"
+    return None
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    problem = _flag_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (GutkinError, IndexError, ValueError, OSError) as exc:

@@ -1,77 +1,35 @@
-"""Geodesics on convex surfaces in R^3 and the constant-angle chord curve.
+"""Geodesics on a quadric in R^3 and the constant-angle chord curve.
 
-A geodesic gamma(s) is integrated on an implicit surface F = 0 (F < 0
-inside) with RK4 plus per-step projection.  Its Frenet data (k, tau,
-frames v, n, w = v x n) feed the chord construction
+The surface is a `billiard_nd.Quadric` with d = 3, the ellipsoid
+F(x) = <A^-1 x, x> - 1 = 0 (F < 0 inside), with gradient 2 A^-1 x and
+constant Hessian 2 A^-1.  A geodesic gamma(s) is integrated with RK4 plus
+per-step projection.  Its Frenet data (k, tau, frames v, n, w = v x n) feed
+the chord construction
 
     Gamma(s) = gamma(s) + l(s) z(s),   z = cos(delta) v + sin(delta) n,
 
-with n the inner surface normal, and the identity checks on |Gamma'|^2,
-<Gamma', z>, the constant-angle balance, and the planarity determinant
-det[z, Gamma', Gamma''] together with its frame-coordinate expansion.
+with n the inner surface normal and l the closed-form far root of the ray,
+and the identity checks on |Gamma'|^2, <Gamma', z>, the constant-angle
+balance, and the planarity determinant det[z, Gamma', Gamma''] together
+with its frame-coordinate expansion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
+from .billiard_nd import Quadric
 from .errors import DegenerateCurvature, NoExit, OffSurface, StepTooLarge
 
 DRIFT_LIMIT = 1e-6
 
 
-@dataclass(frozen=True)
-class ImplicitSurface:
-    """Surface F = 0 with F < 0 inside; gradient and Hessian evaluators."""
-
-    F: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
-    ray_far_intersection: Callable[[np.ndarray, np.ndarray], float] | None = None
-    diameter: float = 2.0
-
-    def inner_normal(self, x: np.ndarray) -> np.ndarray:
-        g = self.grad(x)
-        return -g / np.linalg.norm(g)
-
-
-def sphere_surface(radius: float = 1.0) -> ImplicitSurface:
-    R2 = radius * radius
-
-    def far_t(x, z):
-        # |x + t z|^2 = R^2 with |x| = R, |z| = 1: t = -2 <x, z>
-        return -2.0 * float(x @ z)
-
-    return ImplicitSurface(
-        F=lambda x: float(x @ x) - R2,
-        grad=lambda x: 2.0 * x,
-        hess=lambda x: 2.0 * np.eye(3),
-        ray_far_intersection=far_t,
-        diameter=2.0 * radius,
-    )
-
-
-def ellipsoid_surface(semi_axes_sq) -> ImplicitSurface:
-    """Ellipsoid <A^-1 x, x> = 1 with A = diag(semi_axes_sq) or a full SPD matrix."""
-    A = np.asarray(semi_axes_sq, dtype=float)
-    A = np.diag(A) if A.ndim == 1 else A
-    Ainv = np.linalg.inv(A)
-
-    def far_t(x, z):
-        # on-surface ray: t (2 <Ainv x, z> + t <Ainv z, z>) = 0
-        return -2.0 * float(x @ Ainv @ z) / float(z @ Ainv @ z)
-
-    return ImplicitSurface(
-        F=lambda x: float(x @ Ainv @ x) - 1.0,
-        grad=lambda x: 2.0 * Ainv @ x,
-        hess=lambda x: 2.0 * Ainv,
-        ray_far_intersection=far_t,
-        diameter=2.0 * math.sqrt(float(np.max(np.linalg.eigvalsh(A)))),
-    )
+def _check_space(q: Quadric):
+    if q.d != 3:
+        raise ValueError(f"geodesics need a quadric in R^3, got d = {q.d}")
 
 
 @dataclass(frozen=True)
@@ -105,34 +63,37 @@ class ChordCorrespondence:
     step: float
 
 
-def _accel(surface: ImplicitSurface, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    g = surface.grad(x)
-    lam = -float(v @ surface.hess(x) @ v) / float(g @ g)
-    return lam * g
+def _accel(A_inv: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # x'' = -(<v, Hess F v>/|grad F|^2) grad F with grad F = 2 A^-1 x, Hess F = 2 A^-1
+    a = A_inv @ x
+    return -(v @ A_inv @ v) / (a @ a) * a
 
 
-def _project(surface: ImplicitSurface, x: np.ndarray, v: np.ndarray):
+def _project(A_inv: np.ndarray, x: np.ndarray, v: np.ndarray):
     # one Newton step along the gradient, then re-tangent and renormalize v
-    g = surface.grad(x)
-    x = x - surface.F(x) / float(g @ g) * g
-    g = surface.grad(x)
-    v = v - float(v @ g) / float(g @ g) * g
+    a = A_inv @ x
+    x = x - 0.5 * (x @ a - 1.0) / (a @ a) * a
+    a = A_inv @ x
+    v = v - (v @ a) / (a @ a) * a
     return x, v / np.linalg.norm(v)
 
 
-def integrate_geodesic(surface: ImplicitSurface, x0, v0, length: float,
+def integrate_geodesic(q: Quadric, x0, v0, length: float,
                        step: float, project: bool = True) -> GeodesicTrajectory:
-    """RK4 integration of x'' = -(<v, Hess F v>/|grad F|^2) grad F.
+    """RK4 integration of x'' = -(<v, Hess F v>/|grad F|^2) grad F on q.
 
     The actual step is length/round(length/step) so the final sample lands
     exactly at s = length.
     """
+    _check_space(q)
+    A_inv = q.A_inv
     x = np.asarray(x0, dtype=float)
     v = np.asarray(v0, dtype=float)
-    if abs(surface.F(x)) > 1e-10:
-        raise OffSurface(f"F(x0) = {surface.F(x):g}")
-    g = surface.grad(x)
-    if abs(float(v @ g)) / np.linalg.norm(g) > 1e-10:
+    F0 = x @ A_inv @ x - 1.0
+    if abs(F0) > 1e-10:
+        raise OffSurface(f"F(x0) = {F0:g}")
+    a = A_inv @ x
+    if abs(v @ a) / np.linalg.norm(a) > 1e-10:
         raise OffSurface("v0 is not tangent to the surface")
     v = v / np.linalg.norm(v)
 
@@ -142,21 +103,21 @@ def integrate_geodesic(surface: ImplicitSurface, x0, v0, length: float,
     vs = np.empty((n_steps + 1, 3))
     accs = np.empty((n_steps + 1, 3))
     xs[0], vs[0] = x, v
-    accs[0] = _accel(surface, x, v)
+    accs[0] = _accel(A_inv, x, v)
     for i in range(n_steps):
-        k1x, k1v = v, _accel(surface, x, v)
-        k2x, k2v = v + 0.5 * h * k1v, _accel(surface, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k3x, k3v = v + 0.5 * h * k2v, _accel(surface, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k4x, k4v = v + h * k3v, _accel(surface, x + h * k3x, v + h * k3v)
+        k1x, k1v = v, accs[i]
+        k2x, k2v = v + 0.5 * h * k1v, _accel(A_inv, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+        k3x, k3v = v + 0.5 * h * k2v, _accel(A_inv, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+        k4x, k4v = v + h * k3v, _accel(A_inv, x + h * k3x, v + h * k3v)
         x = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         if project:
-            x, v = _project(surface, x, v)
-        drift = max(abs(surface.F(x)), abs(np.linalg.norm(v) - 1.0))
+            x, v = _project(A_inv, x, v)
+        drift = max(abs(x @ A_inv @ x - 1.0), abs(np.linalg.norm(v) - 1.0))
         if drift > DRIFT_LIMIT:
             raise StepTooLarge(f"constraint drift {drift:g} at step {i}")
         xs[i + 1], vs[i + 1] = x, v
-        accs[i + 1] = _accel(surface, x, v)
+        accs[i + 1] = _accel(A_inv, x, v)
     return GeodesicTrajectory(s=np.arange(n_steps + 1) * h, x=xs, v=vs,
                               x_ddot=accs, step=h)
 
@@ -189,49 +150,35 @@ def frenet_apparatus(traj: GeodesicTrajectory) -> FrenetData:
     return FrenetData(k=k, tau=tau, v=traj.v, n=n, w=w)
 
 
-def chord_correspondence(surface: ImplicitSurface, traj: GeodesicTrajectory,
+def _rowdot(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # <p_i, r_i> per row, by matmul as for one sample's p_i @ r_i, so each
+    # value is the one the per-sample formula gives
+    return (p[:, None, :] @ r[:, :, None])[:, 0, 0]
+
+
+def chord_correspondence(q: Quadric, traj: GeodesicTrajectory,
                          delta: float) -> ChordCorrespondence:
-    """Far endpoint of the ray at angle delta below the tangent, per sample."""
+    """Far endpoint of the ray at angle delta below the tangent, per sample.
+
+    On the quadric the ray x + t z meets F = 0 again at
+    t = -2 <A^-1 x, z> / <A^-1 z, z>, taken for all samples at once.
+    """
+    _check_space(q)
     if not 0.0 < delta <= math.pi / 2:
         raise ValueError("delta must be in (0, pi/2]")
-    m = traj.s.size
-    z = np.empty((m, 3))
-    l = np.empty(m)
-    Gamma = np.empty((m, 3))
-    for i in range(m):
-        zi = math.cos(delta) * traj.v[i] + math.sin(delta) * surface.inner_normal(traj.x[i])
-        zi /= np.linalg.norm(zi)
-        if surface.ray_far_intersection is not None:
-            t = surface.ray_far_intersection(traj.x[i], zi)
-        else:
-            t = _bisect_exit(surface, traj.x[i], zi)
-        if t <= 1e-12:
-            raise NoExit(f"ray at sample {i} does not re-enter the surface")
-        z[i] = zi
-        l[i] = t
-        Gamma[i] = traj.x[i] + t * zi
+    a = traj.x @ q.A_inv  # half the gradient; A^-1 is symmetric
+    inner = -a / np.sqrt(_rowdot(a, a))[:, None]
+    z = math.cos(delta) * traj.v + math.sin(delta) * inner
+    z /= np.sqrt(_rowdot(z, z))[:, None]
+    l = -2.0 * _rowdot(a, z) / _rowdot(z @ q.A_inv, z)
+    bad = np.flatnonzero(l <= 1e-12)
+    if bad.size:
+        raise NoExit(f"ray at sample {bad[0]} does not re-enter the surface")
+    Gamma = traj.x + l[:, None] * z
     Gamma_dot = deriv_samples(Gamma, traj.step)
     Gamma_ddot = deriv_samples(Gamma_dot, traj.step)
     return ChordCorrespondence(Gamma=Gamma, l=l, z=z, Gamma_dot=Gamma_dot,
                                Gamma_ddot=Gamma_ddot, delta=delta, step=traj.step)
-
-
-def _bisect_exit(surface: ImplicitSurface, x: np.ndarray, z: np.ndarray) -> float:
-    # generic fallback: march until F changes sign, then bisect
-    t0, t1 = 1e-9, surface.diameter * 1.5
-    f1 = surface.F(x + t1 * z)
-    while f1 < 0:
-        t1 *= 2.0
-        if t1 > 1e6:
-            raise NoExit("ray never leaves the body")
-        f1 = surface.F(x + t1 * z)
-    for _ in range(80):
-        tm = 0.5 * (t0 + t1)
-        if surface.F(x + tm * z) < 0:
-            t0 = tm
-        else:
-            t1 = tm
-    return 0.5 * (t0 + t1)
 
 
 def angle_condition_residuals(cc: ChordCorrespondence, frenet: FrenetData,
@@ -271,10 +218,7 @@ def planarity_residuals(cc: ChordCorrespondence, frenet: FrenetData,
     k_dot = deriv_samples(k, h)
     tau_dot = deriv_samples(tau, h)
 
-    m = l.size
-    D_num = np.empty(m)
-    for i in range(m):
-        D_num[i] = np.linalg.det(np.array([cc.z[i], cc.Gamma_dot[i], cc.Gamma_ddot[i]]))
+    D_num = np.linalg.det(np.stack([cc.z, cc.Gamma_dot, cc.Gamma_ddot], axis=1))
 
     c1 = 1.0 + l_dot * cd - k * l * sd
     c2 = l_dot * sd + k * l * cd
@@ -283,13 +227,11 @@ def planarity_residuals(cc: ChordCorrespondence, frenet: FrenetData,
     a2 = l_ddot * sd + k_dot * l * cd + 2.0 * k * l_dot * cd + k \
         - (k ** 2 + tau ** 2) * l * sd
     a3 = tau_dot * l * sd + 2.0 * tau * l_dot * sd + tau * k * l * cd
-    D_ana = np.empty(m)
-    for i in range(m):
-        D_ana[i] = np.linalg.det(np.array([
-            [cd, sd, 0.0],
-            [c1[i], c2[i], c3[i]],
-            [a1[i], a2[i], a3[i]],
-        ]))
+    D_ana = np.linalg.det(np.array([
+        [np.full_like(l, cd), np.full_like(l, sd), np.zeros_like(l)],
+        [c1, c2, c3],
+        [a1, a2, a3],
+    ]).transpose(2, 0, 1))
     A_coeff = l * sd * (k * l - sd)
     return D_num, D_ana, A_coeff
 

@@ -171,7 +171,7 @@ def test_criterion_7_sigma_delta_invariance():
 
 @pytest.fixture(scope="module")
 def sphere_run():
-    sp = gc.sphere_surface(1.0)
+    sp = bnd.sphere_quadric(1.0)
     traj = gc.integrate_geodesic(sp, [1.0, 0, 0], [0, 1.0, 0], TWO_PI, 1e-3)
     frenet = gc.frenet_apparatus(traj)
     cc = gc.chord_correspondence(sp, traj, math.pi / 6)
@@ -208,7 +208,7 @@ def test_criterion_9_determinant_expansion(sphere_run):
     d_num, d_ana, _ = gc.planarity_residuals(cc, frenet, math.pi / 6)
     ok = agree(d_num, d_ana)
 
-    el = gc.ellipsoid_surface([4.0, 1.0, 1.0])
+    el = bnd.Quadric(np.diag([4.0, 1.0, 1.0]))
     traj = gc.integrate_geodesic(el, [2.0, 0, 0], [0, 1.0, 0], 6.0, 1e-3)
     frenet2 = gc.frenet_apparatus(traj)
     cc2 = gc.chord_correspondence(el, traj, 0.7)
@@ -218,17 +218,17 @@ def test_criterion_9_determinant_expansion(sphere_run):
 
 
 def test_criterion_10_geodesic_integrator():
-    sp = gc.sphere_surface(1.0)
+    sp = bnd.sphere_quadric(1.0)
     traj = gc.integrate_geodesic(sp, [1.0, 0, 0], [0, 1.0, 0],
-                                 10 * sp.diameter, 1e-3)
-    drift = max(max(abs(sp.F(x)) for x in traj.x),
+                                 20.0, 1e-3)
+    drift = max(max(abs(x @ sp.A_inv @ x - 1) for x in traj.x),
                 float(np.abs(np.linalg.norm(traj.v, axis=1) - 1).max()))
     ok = drift < 1e-9
     drifts = []
     for h in (2e-2, 1e-2):
         t = gc.integrate_geodesic(sp, [1.0, 0, 0], [0, 1.0, 0], 6.0, h,
                                   project=False)
-        drifts.append(max(abs(sp.F(x)) for x in t.x))
+        drifts.append(max(abs(x @ sp.A_inv @ x - 1) for x in t.x))
     ok &= drifts[0] / drifts[1] >= 8.0
     closed = gc.integrate_geodesic(sp, [1.0, 0, 0], [0, 1.0, 0], TWO_PI, 1e-3)
     ok &= np.linalg.norm(closed.x[-1] - closed.x[0]) < 1e-7

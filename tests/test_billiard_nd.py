@@ -12,7 +12,7 @@ from gutkin.billiard_nd import (OrientedLineND, Quadric,
                                 launch_line, orbit_nd, reflect_nd,
                                 sphere_quadric, tangent_basis,
                                 twist_jacobian_min_sv)
-from gutkin.errors import CoincidentDirections, NonUnit
+from gutkin.errors import CoincidentDirections, NonUnit, TangentLine
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +150,13 @@ class TestReflect:
             back, _ = reflect_nd(triaxial, out.reversed())
             assert back.n == pytest.approx(-line.n, abs=1e-10)
             assert back.m == pytest.approx(line.m, abs=1e-10)
+
+    def test_grazing_line_refused(self, triaxial):
+        # n - n2 is too short here to recover the normal at the exit point
+        n = np.array([0.6873947407022538, 0.5269927090470677, -0.4997671008240877])
+        m = np.array([-0.004189549631558638, 0.690987976605847, 0.7228682134780698])
+        with pytest.raises(TangentLine):
+            reflect_nd(triaxial, OrientedLineND(n / np.linalg.norm(n), m))
 
     def test_sphere_constant_chord_length(self):
         q = sphere_quadric(1.0)

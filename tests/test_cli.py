@@ -193,6 +193,13 @@ class TestEllipsoid:
             assert abs(P @ Ainv @ P - 1.0) < 1e-12
 
 
+    def test_grazing_line(self, spheroid_spec, tmp_path, capsys):
+        assert main(["ellipsoid", "--spec", str(spheroid_spec),
+                     "--n=0.6873947407022538,0.5269927090470677,-0.4997671008240877",
+                     "--m=-0.004189549631558638,0.690987976605847,0.7228682134780698",
+                     "--steps", "1", "--out", str(tmp_path / "o.csv")]) == 2
+        assert "grazes" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--n", "--m"])
     def test_line_flag_alone(self, spheroid_spec, tmp_path, flag):
         assert main(["ellipsoid", "--spec", str(spheroid_spec), flag, "1,0,0",
@@ -221,6 +228,36 @@ class TestSpecValidation:
             argv += ["--out", str(tmp_path / "o.csv")]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: spec")
+
+
+class TestFlagValidation:
+    BASE = {
+        "orbit": ["--table", "{table}", "--p", "0.3", "--phi", "0", "--out", "{out}"],
+        "phase-portrait": ["--table", "{table}"],
+        "ellipsoid": ["--spec", "{spec}", "--out", "{out}"],
+        "chords": ["--surface", "ellipsoid", "--delta", "0.5", "--out", "{out}"],
+    }
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("orbit", "--steps", "-3"),
+        ("phase-portrait", "--steps", "0"),
+        ("phase-portrait", "--p-grid", "0"),
+        ("phase-portrait", "--phi-grid", "-1"),
+        ("ellipsoid", "--steps", "-2"),
+        ("chords", "--step", "0"),
+        ("chords", "--radius", "0"),
+        ("chords", "--length", "-1"),
+        ("chords", "--axes", "2,1"),
+        ("chords", "--axes", "2,0,1"),
+    ])
+    def test_out_of_range(self, table5, spheroid_spec, tmp_path, capsys,
+                          command, flag, value):
+        subs = {"{table}": str(table5), "{spec}": str(spheroid_spec),
+                "{out}": str(tmp_path / "o.csv")}
+        argv = [command] + [subs.get(a, a) for a in self.BASE[command]] + [flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
 
 
 class TestGradientCheck:

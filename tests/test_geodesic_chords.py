@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from gutkin.billiard_nd import Quadric, sphere_quadric
 from gutkin.errors import DegenerateCurvature, OffSurface
 from gutkin.geodesic_chords import (angle_condition_residuals,
                                     chord_correspondence, deriv_samples,
-                                    ellipsoid_surface, frenet_apparatus,
-                                    integrate_geodesic, planarity_residuals,
-                                    simultaneous_vanish_check, sphere_surface)
+                                    frenet_apparatus, integrate_geodesic,
+                                    planarity_residuals,
+                                    simultaneous_vanish_check)
 
 INTERIOR = slice(2, -2)
 
 
 @pytest.fixture(scope="module")
 def great_circle():
-    sp = sphere_surface(1.0)
+    sp = sphere_quadric(1.0)
     return sp, integrate_geodesic(sp, [1.0, 0, 0], [0, 1.0, 0], 2 * math.pi, 1e-3)
 
 
@@ -29,7 +30,7 @@ def sphere_chords(great_circle):
 
 @pytest.fixture(scope="module")
 def generic_spheroid():
-    el = ellipsoid_surface([4.0, 1.0, 1.0])
+    el = Quadric(np.diag([4.0, 1.0, 1.0]))
     v0 = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
     return el, integrate_geodesic(el, [0.0, 1.0, 0.0], v0, 6.0, 1e-3)
 
@@ -55,22 +56,22 @@ class TestIntegrateGeodesic:
 
     def test_constraint_drift(self, great_circle):
         sp, traj = great_circle
-        assert max(abs(sp.F(x)) for x in traj.x) < 1e-9
+        assert max(abs(x @ sp.A_inv @ x - 1) for x in traj.x) < 1e-9
         assert np.abs(np.linalg.norm(traj.v, axis=1) - 1).max() < 1e-9
 
     def test_long_run_drift(self):
-        sp = sphere_surface(1.0)
+        sp = sphere_quadric(1.0)
         traj = integrate_geodesic(sp, [1.0, 0, 0], [0, 1.0, 0],
-                                  10 * sp.diameter, 1e-3)
-        assert max(abs(sp.F(x)) for x in traj.x) < 1e-9
+                                  20.0, 1e-3)
+        assert max(abs(x @ sp.A_inv @ x - 1) for x in traj.x) < 1e-9
 
     def test_fourth_order_convergence(self):
-        sp = sphere_surface(1.0)
+        sp = sphere_quadric(1.0)
         drifts = []
         for h in (2e-2, 1e-2):
             traj = integrate_geodesic(sp, [1.0, 0, 0], [0, 1.0, 0], 6.0, h,
                                       project=False)
-            drifts.append(max(abs(sp.F(x)) for x in traj.x))
+            drifts.append(max(abs(x @ sp.A_inv @ x - 1) for x in traj.x))
         assert drifts[0] / drifts[1] >= 8.0
 
     def test_acceleration_normal(self, great_circle):
@@ -79,16 +80,23 @@ class TestIntegrateGeodesic:
         assert np.abs(dots).max() < 1e-8
 
     def test_principal_section_stays_planar(self):
-        el = ellipsoid_surface([4.0, 1.0, 1.0])
+        el = Quadric(np.diag([4.0, 1.0, 1.0]))
         traj = integrate_geodesic(el, [2.0, 0, 0], [0, 1.0, 0], 8.0, 1e-3)
         assert np.abs(traj.x[:, 2]).max() < 1e-8
 
     def test_off_surface_rejected(self):
-        sp = sphere_surface(1.0)
+        sp = sphere_quadric(1.0)
         with pytest.raises(OffSurface):
             integrate_geodesic(sp, [1.1, 0, 0], [0, 1.0, 0], 1.0, 1e-3)
         with pytest.raises(OffSurface):
             integrate_geodesic(sp, [1.0, 0, 0], [1.0, 0, 0], 1.0, 1e-3)
+
+    def test_other_dimension_rejected(self, great_circle):
+        q = sphere_quadric(1.0, d=2)
+        with pytest.raises(ValueError):
+            integrate_geodesic(q, [1.0, 0], [0, 1.0], 1.0, 1e-3)
+        with pytest.raises(ValueError):
+            chord_correspondence(q, great_circle[1], 0.5)
 
 
 class TestFrenet:
@@ -99,7 +107,7 @@ class TestFrenet:
         assert np.abs(frenet.tau[INTERIOR]).max() < 1e-6
 
     def test_sphere_radius_2(self):
-        sp = sphere_surface(2.0)
+        sp = sphere_quadric(2.0)
         traj = integrate_geodesic(sp, [2.0, 0, 0], [0, 1.0, 0], 4.0, 1e-3)
         assert np.abs(frenet_apparatus(traj).k - 0.5).max() < 1e-6
 
@@ -162,9 +170,30 @@ class TestChordCorrespondence:
         ang = np.arccos(np.clip(cosang, -1, 1))
         assert np.abs(ang - math.pi / 6)[INTERIOR].max() < 1e-6
 
+    def test_ellipsoid_chord_length_by_bisection(self):
+        # oracle: bisect <A^-1 p, p> - 1 along each ray, A^-1 = diag(1/4, 1, 1)
+        q = Quadric(np.diag([4.0, 1.0, 1.0]))
+        traj = integrate_geodesic(q, [2.0, 0, 0], [0, 1.0, 0], 6.0, 1e-2)
+        delta = 0.7
+        cc = chord_correspondence(q, traj, delta)
+        a_inv = np.array([0.25, 1.0, 1.0])
+        normal = traj.x * a_inv
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        z = math.cos(delta) * traj.v - math.sin(delta) * normal
+        z /= np.linalg.norm(z, axis=1)[:, None]
+        lo = np.full(len(z), 1e-6)  # just inside, past the start point
+        hi = np.full(len(z), 5.0)  # beyond the diameter 4
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            p = traj.x + mid[:, None] * z
+            inside = (p * p * a_inv).sum(axis=1) < 1.0
+            lo = np.where(inside, mid, lo)
+            hi = np.where(inside, hi, mid)
+        assert np.abs(cc.l - 0.5 * (lo + hi)).max() < 1e-12
+
     def test_image_on_surface(self, sphere_chords):
         sp, _, _, cc = sphere_chords
-        assert max(abs(sp.F(g)) for g in cc.Gamma) < 1e-9
+        assert max(abs(g @ sp.A_inv @ g - 1) for g in cc.Gamma) < 1e-9
 
 
 class TestAngleConditions:
@@ -193,12 +222,21 @@ class TestPlanarity:
         assert np.abs(a_coeff - 2 * math.sin(math.pi / 6) ** 3)[INTERIOR].max() < 1e-6
 
     def test_principal_section_coplanar(self):
-        el = ellipsoid_surface([4.0, 1.0, 1.0])
+        el = Quadric(np.diag([4.0, 1.0, 1.0]))
         traj = integrate_geodesic(el, [2.0, 0, 0], [0, 1.0, 0], 6.0, 1e-3)
         frenet = frenet_apparatus(traj)
         cc = chord_correspondence(el, traj, 0.6)
         d_num, _, _ = planarity_residuals(cc, frenet, 0.6)
         assert np.abs(d_num[INTERIOR]).max() < 1e-6
+
+    def test_stacked_determinant_matches_per_sample(self, generic_spheroid):
+        el, traj = generic_spheroid
+        frenet = frenet_apparatus(traj)
+        cc = chord_correspondence(el, traj, 0.8)
+        d_num, _, _ = planarity_residuals(cc, frenet, 0.8)
+        want = [np.linalg.det(np.array([z, g1, g2]))
+                for z, g1, g2 in zip(cc.z, cc.Gamma_dot, cc.Gamma_ddot)]
+        assert np.array_equal(d_num, want)
 
     def test_determinant_expansion_matches(self, generic_spheroid):
         # on a genuinely non-planar curve both determinant routes must agree
