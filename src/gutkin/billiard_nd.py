@@ -87,23 +87,29 @@ def ellipsoid_support(q: Quadric, nu: np.ndarray) -> float:
 
 
 def gauss_inverse(q: Quadric, nu: np.ndarray) -> np.ndarray:
-    """Boundary point with outward unit normal nu: A nu / sqrt(<A nu, nu>)."""
-    nu = np.asarray(nu, dtype=float)
-    _check_unit(nu)
-    return q.A @ nu / math.sqrt(float(nu @ q.A @ nu))
+    """Boundary point with outward unit normal nu: A nu / h(nu)."""
+    return q.A @ np.asarray(nu, dtype=float) / ellipsoid_support(q, nu)
+
+
+def _outward_normal(q: Quadric, P: np.ndarray) -> np.ndarray:
+    grad = q.A_inv @ P
+    return grad / np.linalg.norm(grad)
 
 
 def _diff(n1, n2) -> np.ndarray:
     delta = np.asarray(n1, dtype=float) - np.asarray(n2, dtype=float)
-    if np.linalg.norm(delta) < 1e-12:
+    if (np.linalg.norm(delta, axis=-1) < 1e-12).any():
         raise CoincidentDirections("n1 and n2 coincide")
     return delta
 
 
-def generating_value_nd(q: Quadric, n1, n2) -> float:
-    """S(n1, n2) = sqrt(<A(n1-n2), n1-n2>)."""
+def generating_value_nd(q: Quadric, n1, n2):
+    """S(n1, n2) = sqrt(<A(n1-n2), n1-n2>) over the last axis of pairs of any
+    leading shape (..., d); one pair gives a float.  S(n1, n2) = S(n2, n1)
+    bit for bit, since negating n1 - n2 is exact."""
     delta = _diff(n1, n2)
-    return math.sqrt(float(delta @ q.A @ delta))
+    s = np.sqrt(np.einsum("...i,...i->...", delta @ q.A, delta))
+    return float(s) if s.ndim == 0 else s
 
 
 def generating_value_nd_general(q: Quadric, n1, n2) -> float:
@@ -126,8 +132,7 @@ def reflect_nd(q: Quadric, line: OrientedLineND):
         raise NoIntersection("line misses the quadric")
     t = (-b + math.sqrt(disc)) / (2.0 * a)  # larger root: exit point
     P = m + t * n
-    grad = q.A_inv @ P
-    nu = grad / np.linalg.norm(grad)  # outward normal
+    nu = _outward_normal(q, P)
     n2 = n - 2.0 * float(n @ nu) * nu
     n2 /= np.linalg.norm(n2)
     m2 = P - float(P @ n2) * n2
@@ -158,9 +163,12 @@ def tangent_basis(n: np.ndarray) -> np.ndarray:
     return np.array(basis)
 
 
-def _rotate(n: np.ndarray, xi: np.ndarray, t: float) -> np.ndarray:
-    # great-circle perturbation keeps the direction on the unit sphere
-    return math.cos(t) * n + math.sin(t) * xi
+def _great_circle_steps(n: np.ndarray, step: float):
+    """(points, basis): points[k, i] = cos(step) n +- sin(step) basis[i], shape
+    (2, d-1, d), on great circles through n; basis = tangent_basis(n)."""
+    basis = tangent_basis(n)
+    sin = math.sin(step)
+    return math.cos(step) * n + np.multiply.outer([sin, -sin], basis), basis
 
 
 def _moment(P: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -186,46 +194,31 @@ def gradient_contract_residual(q: Quadric, n1, n2, step: float = FD_STEP):
     m1 = _moment(P, n1)
     m2 = _moment(P, n2)
 
-    def fd_grad(base, other, which):
-        grad = np.zeros(base.size)
-        for xi in tangent_basis(base):
-            if which == 1:
-                sp = generating_value_nd(q, _rotate(base, xi, step), other)
-                sm = generating_value_nd(q, _rotate(base, xi, -step), other)
-            else:
-                sp = generating_value_nd(q, other, _rotate(base, xi, step))
-                sm = generating_value_nd(q, other, _rotate(base, xi, -step))
-            grad += (sp - sm) / (2.0 * step) * xi
-        return grad
+    def fd_grad(base, other):
+        # D1 S(base, other); D2 S(n1, n2) is fd_grad(n2, n1) as S is symmetric
+        points, basis = _great_circle_steps(base, step)
+        sp, sm = generating_value_nd(q, points, other)
+        return (sp - sm) / (2.0 * step) @ basis
 
-    d1s = fd_grad(n1, n2, 1)
-    d2s = fd_grad(n2, n1, 2)
+    d1s = fd_grad(n1, n2)
+    d2s = fd_grad(n2, n1)
     return float(np.linalg.norm(d1s - m1)), float(np.linalg.norm(d2s + m2))
 
 
 def twist_jacobian_min_sv(q: Quadric, n1, n2, step: float = FD_STEP_NESTED) -> float:
-    """Smallest singular value of the mixed tangential Hessian D12 S."""
-    n1 = np.asarray(n1, dtype=float)
-    n2 = np.asarray(n2, dtype=float)
-    _diff(n1, n2)
-    basis1 = tangent_basis(n1)
-    basis2 = tangent_basis(n2)
-    k = n1.size - 1
-    M = np.zeros((k, k))
-    for i, xi in enumerate(basis1):
-        for j, eta in enumerate(basis2):
-            spp = generating_value_nd(q, _rotate(n1, xi, step), _rotate(n2, eta, step))
-            spm = generating_value_nd(q, _rotate(n1, xi, step), _rotate(n2, eta, -step))
-            smp = generating_value_nd(q, _rotate(n1, xi, -step), _rotate(n2, eta, step))
-            smm = generating_value_nd(q, _rotate(n1, xi, -step), _rotate(n2, eta, -step))
-            M[i, j] = (spp - spm - smp + smm) / (4.0 * step * step)
+    """Smallest singular value of the mixed tangential Hessian D12 S; its four
+    stencils come from one S call on shape (2, 2, d-1, d-1, d)."""
+    points1, _ = _great_circle_steps(np.asarray(n1, dtype=float), step)
+    points2, _ = _great_circle_steps(np.asarray(n2, dtype=float), step)
+    (spp, spm), (smp, smm) = generating_value_nd(
+        q, points1[:, None, :, None], points2[None, :, None])
+    M = (spp - spm - smp + smm) / (4.0 * step * step)
     return float(np.linalg.svd(M, compute_uv=False)[-1])
 
 
 def incidence_angle(q: Quadric, n: np.ndarray, P: np.ndarray) -> float:
     """Angle between the direction n and the tangent plane at the boundary point P."""
-    grad = q.A_inv @ P
-    nu = grad / np.linalg.norm(grad)
+    nu = _outward_normal(q, P)
     return math.asin(min(1.0, abs(float(n @ nu))))
 
 
@@ -236,6 +229,8 @@ def launch_line(q: Quadric, nu: np.ndarray, delta: float,
     The direction is cos(delta)*t + sin(delta)*(-nu) for a tangent unit
     vector t, so the departure incidence angle is exactly delta.
     """
+    if not 0.0 < delta <= math.pi / 2:
+        raise ValueError("delta must be in (0, pi/2]")
     nu = np.asarray(nu, dtype=float)
     nu = nu / np.linalg.norm(nu)
     P = gauss_inverse(q, nu)

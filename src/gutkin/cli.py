@@ -72,11 +72,6 @@ def _seed() -> int:
     return int(os.environ.get("GUTKIN_SEED", "0"))
 
 
-def _load_curve(path):
-    curve, meta = sg.load_table(path)
-    return curve, meta
-
-
 def cmd_roots(args) -> int:
     roots = sg.solve_gutkin_angles(args.n)
     _emit(args, {"roots": [float(r) for r in roots]})
@@ -91,13 +86,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    curve, meta = _load_curve(args.table)
+    curve, meta = sg.load_table(args.table)
     delta = args.delta
     if delta is None:
         if not meta:
-            print("no delta given and table carries no constant-angle metadata",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("no delta given and table carries no constant-angle metadata")
         delta = float(meta["delta"])
     residual = b2.verify_constant_angle(curve, delta, args.grid)
     ok = residual < args.tol
@@ -106,7 +99,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    curve, _ = _load_curve(args.table)
+    curve, _ = sg.load_table(args.table)
     line0 = b2.OrientedLine2D(args.p, args.phi)
     lines, chords = b2.orbit(curve, line0, args.steps)
     rows = []
@@ -120,7 +113,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_phase_portrait(args) -> int:
-    curve, _ = _load_curve(args.table)
+    curve, _ = sg.load_table(args.table)
     h_min = min(curve.h(np.linspace(0, 2 * math.pi, 1024, endpoint=False)))
     pf, phi0 = np.meshgrid(np.linspace(-0.9, 0.9, args.p_grid),
                            np.linspace(0.0, 2 * math.pi, args.phi_grid, endpoint=False),
@@ -140,10 +133,7 @@ def cmd_phase_portrait(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
-    curve, _ = _load_curve(args.table)
-    if not args.delta1 < args.delta2:
-        print("need delta1 < delta2", file=sys.stderr)
-        return 2
+    curve, _ = sg.load_table(args.table)
     strip = b2.Strip(args.delta1, args.delta2)
     quad = b2.rigidity_integral(curve, strip)
     closed = b2.rigidity_integral_closed(curve, strip)
@@ -174,11 +164,9 @@ def _load_spec(path) -> tuple[int, np.ndarray]:
 def cmd_ellipsoid(args) -> int:
     d, A = _load_spec(args.spec)
     if d > 16:
-        print("dimension capped at 16 for the CLI", file=sys.stderr)
-        return 2
+        raise ValueError("dimension capped at 16 for the CLI")
     if (args.n is None) != (args.m is None):
-        print("--n and --m must be given together", file=sys.stderr)
-        return 2
+        raise ValueError("--n and --m must be given together")
     q = bnd.Quadric(A)
     if args.n is not None:
         line = bnd.OrientedLineND(_parse_vec(args.n) / np.linalg.norm(_parse_vec(args.n)),

@@ -98,10 +98,6 @@ class SupportCurve:
         object.__setattr__(self, "_coeffs", np.stack([c, 1j * k * c, -k * k * c], axis=1))
         object.__setattr__(self, "rho_min", float(_radius_samples(self.h).min()))
 
-    @property
-    def is_convex(self) -> bool:
-        return self.rho_min > 1e-9
-
 
 @dataclass(frozen=True)
 class GutkinTable:
@@ -145,6 +141,12 @@ def boundary_point(curve: SupportCurve, phi):
     return np.stack([h * c - hp * s, h * s + hp * c], axis=-1)
 
 
+def _convex(curve: SupportCurve) -> SupportCurve:
+    if curve.rho_min <= 0:
+        raise NonConvex(f"min curvature radius {curve.rho_min:g} <= 0")
+    return curve
+
+
 def support_from_radius(rho: TrigPolynomial) -> SupportCurve:
     """Invert h'' + h = rho harmonic by harmonic: h_k = rho_k / (1 - k^2).
 
@@ -163,10 +165,7 @@ def support_from_radius(rho: TrigPolynomial) -> SupportCurve:
     factor[k == 1] = 0.0  # Steiner normalization
     h = TrigPolynomial(rho.constant, factor * rho.cos_coeffs,
                        factor * rho.sin_coeffs)
-    curve = SupportCurve(h)
-    if curve.rho_min <= 0:
-        raise NonConvex(f"min curvature radius {curve.rho_min:g} <= 0")
-    return curve
+    return _convex(SupportCurve(h))
 
 
 def solve_gutkin_angles(n: int) -> list[float]:
@@ -232,7 +231,8 @@ def table_to_dict(curve: SupportCurve, gutkin: GutkinTable | None = None) -> dic
 
 
 def table_from_dict(doc: dict) -> tuple[SupportCurve, dict | None]:
-    """Inverse of table_to_dict; a malformed document raises ValueError."""
+    """Inverse of table_to_dict; a malformed document raises ValueError and a
+    non-convex one (rho_min <= 0) NonConvex."""
     if not isinstance(doc, dict) or "a0" not in doc:
         raise ValueError("table needs the key 'a0'")
     try:
@@ -245,7 +245,7 @@ def table_from_dict(doc: dict) -> tuple[SupportCurve, dict | None]:
             b[int(e["k"]) - 1] = float(e.get("sin", 0.0))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed table harmonics: {exc!r}") from None
-    return SupportCurve(TrigPolynomial(float(doc["a0"]), a, b)), doc.get("gutkin")
+    return _convex(SupportCurve(TrigPolynomial(float(doc["a0"]), a, b))), doc.get("gutkin")
 
 
 def save_table(path, curve: SupportCurve, gutkin: GutkinTable | None = None):

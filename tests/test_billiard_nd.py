@@ -25,6 +25,16 @@ def random_unit(rng, d=3):
     return v / np.linalg.norm(v)
 
 
+def random_units(rng, d, shape):
+    v = rng.normal(size=shape + (d,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def random_spd(rng, d):
+    B = rng.normal(size=(d, d))
+    return Quadric(B @ B.T + d * np.eye(d))
+
+
 def random_pair(rng, d=3, min_gap=0.3):
     while True:
         a, b = random_unit(rng, d), random_unit(rng, d)
@@ -108,6 +118,29 @@ class TestGeneratingValue:
         n = np.array([1.0, 0, 0])
         with pytest.raises(CoincidentDirections):
             generating_value_nd(triaxial, n, n)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_batch_matches_scalar(self, d):
+        rng = np.random.default_rng(20 + d)
+        q = random_spd(rng, d)
+        n1 = random_units(rng, d, (4, 5))
+        n2 = random_units(rng, d, (4, 5))
+        batch = generating_value_nd(q, n1, n2)
+        assert batch.shape == (4, 5)
+        assert np.array_equal(batch, generating_value_nd(q, n2, n1))
+        for i in np.ndindex(4, 5):
+            scalar = generating_value_nd(q, n1[i], n2[i])
+            assert isinstance(scalar, float)
+            assert batch[i] == pytest.approx(scalar, rel=1e-14)
+
+    @pytest.mark.parametrize("row", [(0, 0), (1, 2), (2, 4)])
+    def test_coincident_row_in_batch_rejected(self, triaxial, row):
+        rng = np.random.default_rng(22)
+        n1 = random_units(rng, 3, (3, 5))
+        n2 = -n1
+        n2[row] = n1[row]
+        with pytest.raises(CoincidentDirections):
+            generating_value_nd(triaxial, n1, n2)
 
 
 class TestReflect:
@@ -219,6 +252,23 @@ class TestTwist:
         _, s12, _ = generating_second_derivs(circle(1.0), phi1, phi2)
         assert mixed == pytest.approx(s12, abs=1e-6)
 
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_matches_closed_form(self, d):
+        # D12 S on orthonormal tangent bases xi at n1, eta at n2, w = n1 - n2:
+        # -(xi A eta^T)/S + (xi.Aw)(eta.Aw)^T/S^3; singular values do not
+        # depend on the choice of bases
+        rng = np.random.default_rng(30 + d)
+        q = random_spd(rng, d)
+        for _ in range(5):
+            n1, n2 = random_pair(rng, d, min_gap=0.5)
+            w = n1 - n2
+            S = math.sqrt(w @ q.A @ w)
+            xi, eta = tangent_basis(n1), tangent_basis(n2)
+            Aw = q.A @ w
+            M = -(xi @ q.A @ eta.T) / S + np.outer(xi @ Aw, eta @ Aw) / S ** 3
+            want = np.linalg.svd(M, compute_uv=False)[-1]
+            assert twist_jacobian_min_sv(q, n1, n2) == pytest.approx(want, rel=1e-6)
+
 
 class TestConstantAngleResidual:
     def test_sphere_invariant(self):
@@ -235,6 +285,17 @@ class TestConstantAngleResidual:
             q = sphere_quadric(R)
             line = launch_line(q, np.array([0.2, 0.4, 0.89]), 0.7)
             assert constant_angle_residual_nd(q, 0.7, line, 20) < 1e-10
+
+
+class TestLaunchLine:
+    @pytest.mark.parametrize("delta", [-0.5, 0.0, 2.0])
+    def test_delta_out_of_range(self, triaxial, delta):
+        with pytest.raises(ValueError, match="delta"):
+            launch_line(triaxial, np.ones(3) / math.sqrt(3), delta)
+
+    def test_normal_departure_allowed(self, triaxial):
+        nu = np.ones(3) / math.sqrt(3)
+        assert launch_line(triaxial, nu, math.pi / 2).n == pytest.approx(-nu, abs=1e-15)
 
 
 class TestTangentBasis:

@@ -75,6 +75,12 @@ class TestVerify:
         path.write_text(json.dumps({"a0": 1.0, "harmonics": [], "gutkin": None}))
         assert main(["verify", "--table", str(path), "--delta", delta]) == 0
 
+    def test_no_delta_without_metadata(self, tmp_path, capsys):
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps({"a0": 1.0, "harmonics": [], "gutkin": None}))
+        assert main(["verify", "--table", str(path)]) == 2
+        assert "no delta given" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("doc", [{"harmonics": []}, {"a0": 1.0, "harmonics": [{"cos": 0.1}]}])
     def test_malformed_table(self, tmp_path, doc):
@@ -151,6 +157,20 @@ class TestPhasePortrait:
             assert max(ps) - min(ps) < 1e-10
 
 
+@pytest.mark.parametrize("command", [
+    ["orbit", "--p", "0.1", "--phi", "0.2", "--steps", "3", "--out", "o.csv"],
+    ["verify", "--delta", "0.8"],
+    ["rigidity", "--delta1", "0.3", "--delta2", "1.0"],
+])
+def test_nonconvex_table_rejected(tmp_path, monkeypatch, capsys, command):
+    # h = 1 + 0.5 cos 2phi: rho = 1 - 1.5 cos 2phi dips to -0.5
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(
+        json.dumps({"a0": 1, "harmonics": [{"k": 2, "cos": 0.5, "sin": 0}]}))
+    assert main(command[:1] + ["--table", "bad.json"] + command[1:]) == 2
+    assert "curvature radius" in capsys.readouterr().err
+
+
 class TestRigidity:
     def test_gutkin_strip(self, table5, capsys):
         assert main(["--json", "rigidity", "--table", str(table5),
@@ -204,6 +224,14 @@ class TestEllipsoid:
     def test_line_flag_alone(self, spheroid_spec, tmp_path, flag):
         assert main(["ellipsoid", "--spec", str(spheroid_spec), flag, "1,0,0",
                      "--steps", "3", "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("delta", ["-0.5", "2"])
+    def test_delta_out_of_range(self, spheroid_spec, tmp_path, capsys, delta):
+        out = tmp_path / "o.csv"
+        assert main(["ellipsoid", "--spec", str(spheroid_spec), "--delta", delta,
+                     "--steps", "3", "--out", str(out)]) == 2
+        assert "delta must be in (0, pi/2]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dimension_cap_before_quadric(self, tmp_path, capsys):
         # A is not positive definite: the cap must refuse it before Cholesky runs

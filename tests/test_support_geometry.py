@@ -247,6 +247,11 @@ class TestTableJson:
         assert meta["n"] == 5
         assert meta["delta"] == table.delta
 
+    def test_nonconvex_rejected(self):
+        # h = 1 + 0.5 cos 2phi has rho = 1 - 1.5 cos 2phi, so rho_min = -0.5
+        with pytest.raises(NonConvex):
+            table_from_dict({"a0": 1, "harmonics": [{"k": 2, "cos": 0.5, "sin": 0}]})
+
     def test_plain_curve(self):
         doc = table_to_dict(circle(2.0))
         assert doc == {"a0": 2.0, "harmonics": [], "gutkin": None}
