@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, DegenerateChord, NoIntersection,
                      TangentLine)
-from .support_geometry import GutkinTable, SupportCurve, eval_support
+from .support_geometry import SupportCurve, eval_support
 
 TWO_PI = 2 * math.pi
 PSI_TOL = 1e-14
@@ -61,15 +61,6 @@ class OrientedLine2D:
     def __post_init__(self):
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
         object.__setattr__(self, "p", float(self.p))
-
-
-@dataclass(frozen=True)
-class ChordData:
-    line: OrientedLine2D
-    psi_back: float
-    psi_fwd: float
-    angle_back: float
-    angle_fwd: float
 
 
 class Chords(NamedTuple):
@@ -95,8 +86,15 @@ class Strip:
                              f"got ({self.delta1}, {self.delta2})")
 
 
-def _raise_for_status(status: int, line: OrientedLine2D):
-    """Raise the error a batched solve reported for one line, if any."""
+def _raise_first_failure(status, p, phi):
+    """Raise the error of the first line, in flat order, whose batched solve
+    failed; the lines (p, phi) are given in the order of ``status``."""
+    failed = np.flatnonzero(status != SOLVED)
+    if not failed.size:
+        return
+    i = failed[0]
+    status = np.ravel(status)[i]
+    line = OrientedLine2D(np.ravel(p)[i], np.ravel(phi)[i])
     if status == MISSES:
         raise NoIntersection(f"line (p={line.p:g}, phi={line.phi:g}) "
                              "misses the table")
@@ -230,18 +228,18 @@ def _outgoing(curve: SupportCurve, phi, psi_fwd):
     return h * np.cos(b) + hp * np.sin(b), np.mod(2.0 * psi_fwd - phi, TWO_PI)
 
 
-def chord_incidence_angles(curve: SupportCurve, line: OrientedLine2D) -> ChordData:
-    """Locate the chord of a line and its incidence angles at both endpoints."""
+def chord_incidence_angles(curve: SupportCurve, line: OrientedLine2D) -> Chords:
+    """The chord of one line and its incidence angles at both endpoints, as a
+    one-line ``Chords``."""
     c = solve_chords(curve, line.p, line.phi)
-    _raise_for_status(c.status[0], line)
-    return ChordData(line=line, psi_back=float(c.psi_back[0]), psi_fwd=float(c.psi_fwd[0]),
-                     angle_back=float(c.angle_back[0]), angle_fwd=float(c.angle_fwd[0]))
+    _raise_first_failure(c.status, line.p, line.phi)
+    return c
 
 
 def reflect_geometric(curve: SupportCurve, line: OrientedLine2D):
-    """One bounce by reflection at the forward endpoint; returns (next line, chord data)."""
+    """One bounce by reflection at the forward endpoint; returns (next line, chord)."""
     chord = chord_incidence_angles(curve, line)
-    p2, phi2 = _outgoing(curve, np.array([line.phi]), np.array([chord.psi_fwd]))
+    p2, phi2 = _outgoing(curve, np.array([line.phi]), chord.psi_fwd)
     return OrientedLine2D(p2[0], phi2[0]), chord
 
 
@@ -268,7 +266,7 @@ def solve_variational(curve: SupportCurve, p, phi):
 def reflect_variational(curve: SupportCurve, line: OrientedLine2D) -> OrientedLine2D:
     """One bounce by solving p1 = -dS/dphi1 for phi2; twist makes it unique."""
     p2, phi2, status = solve_variational(curve, line.p, line.phi)
-    _raise_for_status(status[0], line)
+    _raise_first_failure(status, line.p, line.phi)
     return OrientedLine2D(p2[0], phi2[0])
 
 
@@ -278,55 +276,50 @@ def constant_angle_line(curve: SupportCurve, delta: float, psi: float) -> Orient
     return OrientedLine2D(h * math.cos(delta) + hp * math.sin(delta), psi + delta)
 
 
-def verify_constant_angle(table_or_curve, delta: float, grid_size: int = 360) -> float:
+def verify_constant_angle(curve: SupportCurve, delta: float, grid_size: int = 360) -> float:
     """Max |arrival angle - delta| over a grid of constant-angle departures."""
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
-    curve = (table_or_curve.curve if isinstance(table_or_curve, GutkinTable)
-             else table_or_curve)
     psi = np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
     h, hp, _ = eval_support(curve, psi)
     p = h * math.cos(delta) + hp * math.sin(delta)
     c = solve_chords(curve, p, psi + delta)
-    failed = np.flatnonzero(c.status != SOLVED)
-    if failed.size:
-        i = failed[0]
-        _raise_for_status(c.status[i], OrientedLine2D(p[i], psi[i] + delta))
+    _raise_first_failure(c.status, p, psi + delta)
     return float(np.max(np.abs(c.angle_fwd - delta)))
-
-
-def orbit(curve: SupportCurve, line0: OrientedLine2D, steps: int):
-    """Iterate the geometric map; returns (lines, chords) with len(lines) = steps+1."""
-    lines = [line0]
-    chords = []
-    for _ in range(steps):
-        nxt, chord = reflect_geometric(curve, lines[-1])
-        lines.append(nxt)
-        chords.append(chord)
-    return lines, chords
 
 
 def orbits(curve: SupportCurve, p0, phi0, steps: int):
     """Iterate the geometric map on many lines in lock-step.
 
-    Returns (p, phi, ok): arrays of shape (steps+1, lines) and the mask of
-    orbits that completed every bounce.  A line whose chord solve fails
-    stops there, as ``orbit`` would raise; its later rows are not defined.
+    Returns (p, phi, chords): p and phi of shape (steps+1, lines), and the
+    chord of every bounce as ``Chords`` fields of shape (steps, lines).  A
+    line whose chord solve fails carries NaN from then on, which later
+    solves report as MISSES, so (chords.status == SOLVED).all(axis=0) marks
+    the orbits that completed every bounce.
     """
     p, phi = _lines(p0, phi0)
-    ps = np.full((steps + 1, p.size), np.nan)
-    phis = np.full((steps + 1, p.size), np.nan)
+    ps = np.empty((steps + 1, p.size))
+    phis = np.empty_like(ps)
     ps[0], phis[0] = p, phi
-    ok = np.ones(p.size, dtype=bool)
+    chords = Chords(*(np.empty((steps, p.size)) for _ in range(4)),
+                    np.empty((steps, p.size), dtype=int))
     for step in range(steps):
-        live = np.flatnonzero(ok)
-        c = solve_chords(curve, ps[step, live], phis[step, live])
-        good = c.status == SOLVED
-        ok[live[~good]] = False
-        live = live[good]
-        ps[step + 1, live], phis[step + 1, live] = _outgoing(curve, phis[step, live],
-                                                             c.psi_fwd[good])
-    return ps, phis, ok
+        c = solve_chords(curve, ps[step], phis[step])
+        for field, value in zip(chords, c):
+            field[step] = value
+        psi_fwd = np.where(c.status == SOLVED, c.psi_fwd, np.nan)
+        ps[step + 1], phis[step + 1] = _outgoing(curve, phis[step], psi_fwd)
+    return ps, phis, chords
+
+
+def orbit(curve: SupportCurve, line0: OrientedLine2D, steps: int):
+    """``orbits`` from one line, with the line axis dropped: p and phi of
+    length steps+1 and chords of length steps.  Raises the error of the
+    first bounce that failed."""
+    ps, phis, chords = orbits(curve, line0.p, line0.phi, steps)
+    chords = Chords._make(field[:, 0] for field in chords)
+    _raise_first_failure(chords.status, ps[:-1], phis[:-1])
+    return ps[:, 0], phis[:, 0], chords
 
 
 def rigidity_integral(curve: SupportCurve, strip: Strip, quad_order: int = 32,

@@ -37,6 +37,8 @@ class Quadric:
         A = np.asarray(self.A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be a square matrix")
+        if not np.isfinite(A).all():
+            raise ValueError("A must have finite entries")
         if np.linalg.norm(A - A.T) > 1e-14 * max(1.0, np.linalg.norm(A)):
             raise ValueError("A must be symmetric")
         # Cholesky doubles as the positive-definiteness check

@@ -100,15 +100,12 @@ def cmd_verify(args) -> int:
 
 def cmd_orbit(args) -> int:
     curve, _ = sg.load_table(args.table)
-    line0 = b2.OrientedLine2D(args.p, args.phi)
-    lines, chords = b2.orbit(curve, line0, args.steps)
-    rows = []
-    for i, chord in enumerate(chords):
-        rows.append([i, chord.line.p, chord.line.phi, chord.psi_back,
-                     chord.psi_fwd, chord.angle_back, chord.angle_fwd])
+    p, phi, chords = b2.orbit(curve, b2.OrientedLine2D(args.p, args.phi), args.steps)
+    rows = zip(range(args.steps), p.tolist(), phi.tolist(),
+               *(field.tolist() for field in chords[:4]))
     _write_csv(args.out, ["step", "p", "phi", "psi_back", "psi_fwd",
                           "angle_back", "angle_fwd"], rows)
-    _emit(args, {"out": args.out, "bounces": len(chords)})
+    _emit(args, {"out": args.out, "bounces": args.steps})
     return 0
 
 
@@ -119,7 +116,8 @@ def cmd_phase_portrait(args) -> int:
                            np.linspace(0.0, 2 * math.pi, args.phi_grid, endpoint=False),
                            indexing="ij")
     # all starting lines advance together; an orbit that fails is dropped
-    ps, phis, ok = b2.orbits(curve, (pf * h_min).ravel(), phi0.ravel(), args.steps)
+    ps, phis, chords = b2.orbits(curve, (pf * h_min).ravel(), phi0.ravel(), args.steps)
+    ok = (chords.status == b2.SOLVED).all(axis=0)
     rows = [[orbit_id, step, p, phi]
             for orbit_id, i in enumerate(np.flatnonzero(ok))
             for step, (p, phi) in enumerate(zip(ps[:, i], phis[:, i]))]
@@ -220,13 +218,12 @@ def cmd_chords(args) -> int:
     traj = gc.integrate_geodesic(q, x0, v0, args.length, args.step)
     frenet = gc.frenet_apparatus(traj)
     cc = gc.chord_correspondence(q, traj, args.delta)
-    r5, r6, r9 = gc.angle_condition_residuals(cc, frenet, args.delta)
-    d_num, d_ana, a_coeff = gc.planarity_residuals(cc, frenet, args.delta)
-    l_dot = gc.deriv_samples(cc.l, traj.step)
+    r5, r6, r9 = gc.angle_condition_residuals(cc, frenet)
+    d_num, d_ana, a_coeff = gc.planarity_residuals(cc, frenet)
     rows = []
     for i in range(traj.s.size):
         rows.append([float(traj.s[i]), float(frenet.k[i]), float(frenet.tau[i]),
-                     float(cc.l[i]), float(l_dot[i]), float(r5[i]), float(r6[i]),
+                     float(cc.l[i]), float(cc.l_dot[i]), float(r5[i]), float(r6[i]),
                      float(r9[i]), float(d_num[i]), float(d_ana[i]),
                      float(a_coeff[i])])
     _write_csv(args.out, ["s", "k", "tau", "l", "ldot", "R5", "R6", "R9",

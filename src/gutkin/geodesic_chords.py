@@ -59,6 +59,7 @@ class ChordCorrespondence:
     z: np.ndarray
     Gamma_dot: np.ndarray
     Gamma_ddot: np.ndarray
+    l_dot: np.ndarray
     delta: float
     step: float
 
@@ -178,19 +179,19 @@ def chord_correspondence(q: Quadric, traj: GeodesicTrajectory,
     Gamma_dot = deriv_samples(Gamma, traj.step)
     Gamma_ddot = deriv_samples(Gamma_dot, traj.step)
     return ChordCorrespondence(Gamma=Gamma, l=l, z=z, Gamma_dot=Gamma_dot,
-                               Gamma_ddot=Gamma_ddot, delta=delta, step=traj.step)
+                               Gamma_ddot=Gamma_ddot, l_dot=deriv_samples(l, traj.step),
+                               delta=delta, step=traj.step)
 
 
-def angle_condition_residuals(cc: ChordCorrespondence, frenet: FrenetData,
-                              delta: float):
+def angle_condition_residuals(cc: ChordCorrespondence, frenet: FrenetData):
     """Residual series of the speed, projection and angle-balance identities.
 
     R5: |Gamma'|^2 = (l'+cos d)^2 + (kl-sin d)^2 + tau^2 l^2 sin^2 d
     R6: <Gamma', z> = l' + cos d
     R9: l' + cos d = (cos d/sin d) sqrt((kl-sin d)^2 + tau^2 l^2 sin^2 d)
     """
-    sd, cd = math.sin(delta), math.cos(delta)
-    l_dot = deriv_samples(cc.l, cc.step)
+    sd, cd = math.sin(cc.delta), math.cos(cc.delta)
+    l_dot = cc.l_dot
     kl = frenet.k * cc.l
     aux = (kl - sd) ** 2 + frenet.tau ** 2 * cc.l ** 2 * sd ** 2
     speed2 = np.einsum("ij,ij->i", cc.Gamma_dot, cc.Gamma_dot)
@@ -200,8 +201,7 @@ def angle_condition_residuals(cc: ChordCorrespondence, frenet: FrenetData,
     return r5, r6, r9
 
 
-def planarity_residuals(cc: ChordCorrespondence, frenet: FrenetData,
-                        delta: float):
+def planarity_residuals(cc: ChordCorrespondence, frenet: FrenetData):
     """det[z, Gamma', Gamma''] two ways, plus the torsion-rate coefficient.
 
     D_numeric uses the ambient R^3 coordinates; D_analytic expands the same
@@ -210,10 +210,9 @@ def planarity_residuals(cc: ChordCorrespondence, frenet: FrenetData,
     exact arithmetic).  A_coeff = l sin(delta) (kl - sin(delta)) multiplies
     tau' in the expansion of D.
     """
-    sd, cd = math.sin(delta), math.cos(delta)
+    sd, cd = math.sin(cc.delta), math.cos(cc.delta)
     h = cc.step
-    l, k, tau = cc.l, frenet.k, frenet.tau
-    l_dot = deriv_samples(l, h)
+    l, k, tau, l_dot = cc.l, frenet.k, frenet.tau, cc.l_dot
     l_ddot = deriv_samples(l_dot, h)
     k_dot = deriv_samples(k, h)
     tau_dot = deriv_samples(tau, h)
@@ -237,8 +236,8 @@ def planarity_residuals(cc: ChordCorrespondence, frenet: FrenetData,
 
 
 def simultaneous_vanish_check(cc: ChordCorrespondence, frenet: FrenetData,
-                              delta: float, trim: int = 2) -> float:
+                              trim: int = 2) -> float:
     """min over s of (kl - sin(delta))^2 + tau^2; positive for valid tables."""
     sl = slice(trim, -trim if trim else None)
-    vals = (frenet.k[sl] * cc.l[sl] - math.sin(delta)) ** 2 + frenet.tau[sl] ** 2
+    vals = (frenet.k[sl] * cc.l[sl] - math.sin(cc.delta)) ** 2 + frenet.tau[sl] ** 2
     return float(vals.min())

@@ -231,8 +231,9 @@ def table_to_dict(curve: SupportCurve, gutkin: GutkinTable | None = None) -> dic
 
 
 def table_from_dict(doc: dict) -> tuple[SupportCurve, dict | None]:
-    """Inverse of table_to_dict; a malformed document raises ValueError and a
-    non-convex one (rho_min <= 0) NonConvex."""
+    """Inverse of table_to_dict; a malformed document, or one with a
+    coefficient that is not finite, raises ValueError and a non-convex one
+    (rho_min <= 0) NonConvex."""
     if not isinstance(doc, dict) or "a0" not in doc:
         raise ValueError("table needs the key 'a0'")
     try:
@@ -245,7 +246,10 @@ def table_from_dict(doc: dict) -> tuple[SupportCurve, dict | None]:
             b[int(e["k"]) - 1] = float(e.get("sin", 0.0))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed table harmonics: {exc!r}") from None
-    return _convex(SupportCurve(TrigPolynomial(float(doc["a0"]), a, b))), doc.get("gutkin")
+    a0 = float(doc["a0"])
+    if not np.isfinite([a0, *a, *b]).all():
+        raise ValueError("table coefficients must be finite")
+    return _convex(SupportCurve(TrigPolynomial(a0, a, b))), doc.get("gutkin")
 
 
 def save_table(path, curve: SupportCurve, gutkin: GutkinTable | None = None):

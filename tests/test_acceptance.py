@@ -57,8 +57,8 @@ def test_criterion_1_gutkin_roots():
 
 
 def test_criterion_2_gutkin_invariance(gutkin5):
-    good = b2.verify_constant_angle(gutkin5, gutkin5.delta, 360)
-    bad = b2.verify_constant_angle(gutkin5, gutkin5.delta + 0.1, 360)
+    good = b2.verify_constant_angle(gutkin5.curve, gutkin5.delta, 360)
+    bad = b2.verify_constant_angle(gutkin5.curve, gutkin5.delta + 0.1, 360)
     report(2, "gutkin-invariance", good < 1e-8 and bad > 1e-3)
 
 
@@ -182,13 +182,13 @@ def test_criterion_8_sphere_chords(sphere_run):
     _, _, frenet, cc = sphere_run
     delta = math.pi / 6
     ok = np.abs(cc.l - 1.0).max() < 1e-8
-    r5, r6, r9 = gc.angle_condition_residuals(cc, frenet, delta)
+    r5, r6, r9 = gc.angle_condition_residuals(cc, frenet)
     ok &= r5[INTERIOR].max() < 1e-6
     ok &= r6[INTERIOR].max() < 1e-6
     ok &= r9[INTERIOR].max() < 1e-6
-    d_num, _, a_coeff = gc.planarity_residuals(cc, frenet, delta)
+    d_num, _, a_coeff = gc.planarity_residuals(cc, frenet)
     ok &= np.abs(d_num[INTERIOR]).max() < 1e-7
-    ok &= abs(gc.simultaneous_vanish_check(cc, frenet, delta)
+    ok &= abs(gc.simultaneous_vanish_check(cc, frenet)
               - math.sin(delta) ** 2) < 1e-6
     ok &= np.abs(a_coeff[INTERIOR] - 2 * math.sin(delta) ** 3).max() < 1e-6
     report(8, "sphere-chord-correspondence", bool(ok))
@@ -205,14 +205,14 @@ def test_criterion_9_determinant_expansion(sphere_run):
         return fine
 
     _, _, frenet, cc = sphere_run
-    d_num, d_ana, _ = gc.planarity_residuals(cc, frenet, math.pi / 6)
+    d_num, d_ana, _ = gc.planarity_residuals(cc, frenet)
     ok = agree(d_num, d_ana)
 
     el = bnd.Quadric(np.diag([4.0, 1.0, 1.0]))
     traj = gc.integrate_geodesic(el, [2.0, 0, 0], [0, 1.0, 0], 6.0, 1e-3)
     frenet2 = gc.frenet_apparatus(traj)
     cc2 = gc.chord_correspondence(el, traj, 0.7)
-    d_num2, d_ana2, _ = gc.planarity_residuals(cc2, frenet2, 0.7)
+    d_num2, d_ana2, _ = gc.planarity_residuals(cc2, frenet2)
     ok &= agree(d_num2, d_ana2)
     report(9, "determinant-expansion", bool(ok))
 

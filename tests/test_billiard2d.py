@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from gutkin import billiard2d
-from gutkin.billiard2d import (MISSES, SOLVED, ChordData, OrientedLine2D, Strip,
+from gutkin.billiard2d import (MISSES, NEAR_TANGENT, SOLVED, OrientedLine2D, Strip,
                                chord_incidence_angles, constant_angle_line,
                                generating_second_derivs, generating_value,
                                orbit, orbits, reflect_geometric, reflect_variational,
                                rigidity_integral, rigidity_integral_closed,
                                solve_chords, solve_variational,
                                verify_constant_angle)
-from gutkin.errors import ConvergenceFailure, DegenerateChord, NoIntersection
+from gutkin.errors import (ConvergenceFailure, DegenerateChord, NoIntersection,
+                           TangentLine)
 from gutkin.support_geometry import (SupportCurve, TrigPolynomial,
                                      build_gutkin_table, circle)
 
@@ -246,34 +247,43 @@ class TestVerifyConstantAngle:
         assert verify_constant_angle(circle(1.0), delta, 360) < 1e-12
 
     def test_gutkin_at_root(self, gutkin5):
-        assert verify_constant_angle(gutkin5, gutkin5.delta, 360) < 1e-8
+        assert verify_constant_angle(gutkin5.curve, gutkin5.delta, 360) < 1e-8
 
     def test_negative_control(self, gutkin5):
-        assert verify_constant_angle(gutkin5, 0.5, 360) > 1e-3
+        assert verify_constant_angle(gutkin5.curve, 0.5, 360) > 1e-3
 
 
 class TestOrbit:
     def test_circle_rotation(self):
-        lines, _ = orbit(circle(1.0), OrientedLine2D(0.5, 0.0), 3)
-        assert len(lines) == 4
-        for i, ln in enumerate(lines):
-            assert ln.p == pytest.approx(0.5, abs=1e-11)
-            assert angle_diff(ln.phi, i * 2 * math.pi / 3) < 1e-11
+        p, phi, _ = orbit(circle(1.0), OrientedLine2D(0.5, 0.0), 3)
+        assert len(p) == len(phi) == 4
+        for i in range(4):
+            assert p[i] == pytest.approx(0.5, abs=1e-11)
+            assert angle_diff(phi[i], i * 2 * math.pi / 3) < 1e-11
 
     def test_period_8(self):
-        lines, _ = orbit(circle(1.0), OrientedLine2D(math.cos(math.pi / 4), 0.0), 8)
-        assert lines[-1].p == pytest.approx(lines[0].p, abs=1e-10)
-        assert angle_diff(lines[-1].phi, lines[0].phi) < 1e-10
+        p, phi, _ = orbit(circle(1.0), OrientedLine2D(math.cos(math.pi / 4), 0.0), 8)
+        assert p[-1] == pytest.approx(p[0], abs=1e-10)
+        assert angle_diff(phi[-1], phi[0]) < 1e-10
 
     def test_billiard_law_along_orbit(self, gutkin5):
-        _, chords = orbit(gutkin5.curve, OrientedLine2D(0.31, 0.9), 20)
-        for a, b in zip(chords[:-1], chords[1:]):
-            assert abs(a.angle_fwd - b.angle_back) < 1e-9
+        _, _, chords = orbit(gutkin5.curve, OrientedLine2D(0.31, 0.9), 20)
+        for a, b in zip(chords.angle_fwd[:-1], chords.angle_back[1:]):
+            assert abs(a - b) < 1e-9
 
     def test_circle_measure_sanity(self):
         line = constant_angle_line(circle(1.0), 0.4, 0.0)
-        lines, _ = orbit(circle(1.0), line, 30)
-        assert max(abs(ln.p - line.p) for ln in lines) < 1e-11
+        p, _, _ = orbit(circle(1.0), line, 30)
+        assert max(abs(p - line.p)) < 1e-11
+
+    def test_missing_line(self):
+        with pytest.raises(NoIntersection, match="misses the table"):
+            orbit(circle(1.0), OrientedLine2D(1.5, 0.0), 4)
+
+    def test_near_tangent_line(self):
+        # incidence 5e-7 on the unit circle, below MIN_CHORD_ANGLE
+        with pytest.raises(TangentLine, match="near-tangent chord"):
+            orbit(circle(1.0), OrientedLine2D(math.cos(5e-7), 0.3), 4)
 
 
 class TestRigidity:
@@ -357,9 +367,23 @@ class TestBatchedSolves:
 
     def test_orbits(self, gutkin5, lines):
         p0, phi0 = lines
-        ps, phis, ok = orbits(gutkin5.curve, p0, phi0, 12)
+        ps, phis, chords = orbits(gutkin5.curve, p0, phi0, 12)
+        ok = (chords.status == SOLVED).all(axis=0)
         assert not ok[8] and ok.sum() >= 30
         for i in np.flatnonzero(ok):
-            seq, _ = orbit(gutkin5.curve, OrientedLine2D(p0[i], phi0[i]), 12)
-            assert [ln.p for ln in seq] == list(ps[:, i])
-            assert [ln.phi for ln in seq] == list(phis[:, i])
+            line = OrientedLine2D(p0[i], phi0[i])
+            for step in range(12):
+                assert (line.p, line.phi) == (ps[step, i], phis[step, i])
+                line, chord = reflect_geometric(gutkin5.curve, line)
+                assert [f[0] for f in chord] == [f[step, i] for f in chords]
+            assert (line.p, line.phi) == (ps[12, i], phis[12, i])
+
+    def test_failed_orbit_carries_nan(self):
+        # a line that misses, one that is near-tangent on the circle, and one that completes
+        curve = circle(1.0)
+        p0 = np.array([1.5, math.cos(5e-7), 0.5])
+        ps, phis, chords = orbits(curve, p0, np.zeros(3), 3)
+        assert list(chords.status[0]) == [MISSES, NEAR_TANGENT, SOLVED]
+        assert (chords.status[1:, :2] == MISSES).all()
+        assert np.isnan(ps[1:, :2]).all() and np.isnan(phis[1:, :2]).all()
+        assert (chords.status[:, 2] == SOLVED).all() and np.isfinite(ps[:, 2]).all()

@@ -51,6 +51,11 @@ class TestQuadric:
         with pytest.raises(np.linalg.LinAlgError):
             Quadric(np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Quadric(np.array([[1.0, 0.0], [0.0, bad]]))
+
 
 class TestSupport:
     def test_sphere(self):

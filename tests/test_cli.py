@@ -104,6 +104,35 @@ class TestOrbit:
             assert float(vals[1]) == pytest.approx(0.5, abs=1e-10)
             assert float(vals[5]) == pytest.approx(math.pi / 3, abs=1e-10)
 
+    def test_rows_match_reflect_geometric(self, table5, tmp_path):
+        from gutkin.billiard2d import OrientedLine2D, reflect_geometric
+        from gutkin.support_geometry import load_table
+        out = tmp_path / "orbit.csv"
+        assert main(["orbit", "--table", str(table5), "--p", "0.31", "--phi", "0.9",
+                     "--steps", "8", "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        curve, _ = load_table(table5)
+        line = OrientedLine2D(0.31, 0.9)
+        want = []
+        for step in range(8):
+            nxt, chord = reflect_geometric(curve, line)
+            want.append([str(step)] + [f"{v:.17g}" for v in (
+                line.p, line.phi, chord.psi_back[0], chord.psi_fwd[0],
+                chord.angle_back[0], chord.angle_fwd[0])])
+            line = nxt
+        assert rows == want
+
+    @pytest.mark.parametrize("p, message", [
+        ("1.5", "error: line (p=1.5, phi=0.3) misses the table\n"),
+        (repr(math.cos(5e-7)), "error: near-tangent chord\n"),
+    ])
+    def test_failed_orbit(self, tmp_path, capsys, p, message):
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps({"a0": 1.0, "harmonics": [], "gutkin": None}))
+        assert main(["orbit", "--table", str(path), "--p", p, "--phi", "0.3",
+                     "--steps", "4", "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == message
+
     def test_out_is_directory(self, table5, tmp_path, capsys):
         assert main(["orbit", "--table", str(table5), "--p", "0.5", "--phi", "0",
                      "--steps", "3", "--out", str(tmp_path)]) == 2
@@ -122,7 +151,7 @@ class TestPhasePortrait:
         assert svg1.read_bytes() == svg2.read_bytes()
 
     def test_rows_match_scalar_orbits(self, table5, tmp_path):
-        from gutkin.billiard2d import OrientedLine2D, orbit
+        from gutkin.billiard2d import OrientedLine2D, reflect_geometric
         from gutkin.support_geometry import load_table
         out = tmp_path / "pp.csv"
         assert main(["phase-portrait", "--table", str(table5), "--p-grid", "3",
@@ -134,9 +163,11 @@ class TestPhasePortrait:
                   for phi0 in np.linspace(0.0, 2 * math.pi, 2, endpoint=False)]
         want = []
         for orbit_id, (p, phi) in enumerate(starts):
-            lines, _ = orbit(curve, OrientedLine2D(p, phi), 5)
-            want += [[str(orbit_id), str(step), f"{ln.p:.17g}", f"{ln.phi:.17g}"]
-                     for step, ln in enumerate(lines)]
+            line = OrientedLine2D(p, phi)
+            want.append([str(orbit_id), "0", f"{line.p:.17g}", f"{line.phi:.17g}"])
+            for step in range(1, 6):
+                line, _ = reflect_geometric(curve, line)
+                want.append([str(orbit_id), str(step), f"{line.p:.17g}", f"{line.phi:.17g}"])
         assert rows == want
 
     def test_svg_is_directory(self, table5, tmp_path):
@@ -242,6 +273,21 @@ class TestEllipsoid:
         assert "capped at 16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["rigidity", "--delta1", "0.3", "--delta2", "1.0"],
+    ["phase-portrait", "--steps", "3"],
+])
+@pytest.mark.parametrize("doc", [
+    '{"a0": NaN, "harmonics": []}',
+    '{"a0": Infinity, "harmonics": [{"k": 2, "cos": 0.1, "sin": 0}]}',
+])
+def test_non_finite_table_rejected(tmp_path, capsys, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert main(command[:1] + ["--table", str(path)] + command[1:]) == 2
+    assert capsys.readouterr().err == "error: table coefficients must be finite\n"
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize("doc", [{"A": [1, 0, 0, 1]},
                                      {"d": 2, "A": [1, 0, 0]},
@@ -256,6 +302,19 @@ class TestSpecValidation:
             argv += ["--out", str(tmp_path / "o.csv")]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: spec")
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("command", ["ellipsoid", "gradient-check"])
+    def test_non_finite_spec(self, tmp_path, capsys, entry, command):
+        spec = tmp_path / "bad.json"
+        spec.write_text(f'{{"d": 2, "A": [1, 0, 0, {entry}]}}')
+        out = tmp_path / "o.csv"
+        argv = [command, "--spec", str(spec)]
+        if command == "ellipsoid":
+            argv += ["--steps", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: A must have finite entries\n"
+        assert not out.exists()
 
 
 class TestFlagValidation:

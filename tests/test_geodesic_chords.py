@@ -199,7 +199,7 @@ class TestChordCorrespondence:
 class TestAngleConditions:
     def test_sphere_residuals(self, sphere_chords):
         _, _, frenet, cc = sphere_chords
-        r5, r6, r9 = angle_condition_residuals(cc, frenet, math.pi / 6)
+        r5, r6, r9 = angle_condition_residuals(cc, frenet)
         assert r5[INTERIOR].max() < 1e-6
         assert r6[INTERIOR].max() < 1e-6
         assert r9[INTERIOR].max() < 1e-6
@@ -209,14 +209,14 @@ class TestAngleConditions:
         frenet = frenet_apparatus(traj)
         delta = 0.9117382909684876
         cc = chord_correspondence(el, traj, delta)
-        _, _, r9 = angle_condition_residuals(cc, frenet, delta)
+        _, _, r9 = angle_condition_residuals(cc, frenet)
         assert r9[INTERIOR].max() > 1e-2
 
 
 class TestPlanarity:
     def test_sphere_determinants_vanish(self, sphere_chords):
         _, _, frenet, cc = sphere_chords
-        d_num, d_ana, a_coeff = planarity_residuals(cc, frenet, math.pi / 6)
+        d_num, d_ana, a_coeff = planarity_residuals(cc, frenet)
         assert np.abs(d_num[INTERIOR]).max() < 1e-7
         assert np.abs(d_ana[INTERIOR]).max() < 1e-7
         assert np.abs(a_coeff - 2 * math.sin(math.pi / 6) ** 3)[INTERIOR].max() < 1e-6
@@ -226,14 +226,14 @@ class TestPlanarity:
         traj = integrate_geodesic(el, [2.0, 0, 0], [0, 1.0, 0], 6.0, 1e-3)
         frenet = frenet_apparatus(traj)
         cc = chord_correspondence(el, traj, 0.6)
-        d_num, _, _ = planarity_residuals(cc, frenet, 0.6)
+        d_num, _, _ = planarity_residuals(cc, frenet)
         assert np.abs(d_num[INTERIOR]).max() < 1e-6
 
     def test_stacked_determinant_matches_per_sample(self, generic_spheroid):
         el, traj = generic_spheroid
         frenet = frenet_apparatus(traj)
         cc = chord_correspondence(el, traj, 0.8)
-        d_num, _, _ = planarity_residuals(cc, frenet, 0.8)
+        d_num, _, _ = planarity_residuals(cc, frenet)
         want = [np.linalg.det(np.array([z, g1, g2]))
                 for z, g1, g2 in zip(cc.z, cc.Gamma_dot, cc.Gamma_ddot)]
         assert np.array_equal(d_num, want)
@@ -243,7 +243,7 @@ class TestPlanarity:
         el, traj = generic_spheroid
         frenet = frenet_apparatus(traj)
         cc = chord_correspondence(el, traj, 0.8)
-        d_num, d_ana, _ = planarity_residuals(cc, frenet, 0.8)
+        d_num, d_ana, _ = planarity_residuals(cc, frenet)
         big = np.abs(d_num[INTERIOR]) > 1e-10
         assert big.any()
         rel = (np.abs(d_num[INTERIOR] - d_ana[INTERIOR])[big]
@@ -257,11 +257,11 @@ class TestSimultaneousVanish:
         sp, traj = great_circle
         frenet = frenet_apparatus(traj)
         cc = chord_correspondence(sp, traj, delta)
-        val = simultaneous_vanish_check(cc, frenet, delta)
+        val = simultaneous_vanish_check(cc, frenet)
         assert val == pytest.approx(math.sin(delta) ** 2, abs=1e-6)
 
     def test_nonnegative(self, generic_spheroid):
         el, traj = generic_spheroid
         frenet = frenet_apparatus(traj)
         cc = chord_correspondence(el, traj, 0.5)
-        assert simultaneous_vanish_check(cc, frenet, 0.5) >= 0.0
+        assert simultaneous_vanish_check(cc, frenet) >= 0.0

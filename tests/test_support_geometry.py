@@ -252,6 +252,15 @@ class TestTableJson:
         with pytest.raises(NonConvex):
             table_from_dict({"a0": 1, "harmonics": [{"k": 2, "cos": 0.5, "sin": 0}]})
 
+    @pytest.mark.parametrize("doc", [
+        {"a0": math.nan, "harmonics": []},
+        {"a0": math.inf, "harmonics": [{"k": 2, "cos": 0.1, "sin": 0}]},
+        {"a0": 1.0, "harmonics": [{"k": 3, "cos": 0.0, "sin": math.nan}]},
+    ])
+    def test_non_finite_rejected(self, doc):
+        with pytest.raises(ValueError, match="finite"):
+            table_from_dict(doc)
+
     def test_plain_curve(self):
         doc = table_to_dict(circle(2.0))
         assert doc == {"a0": 2.0, "harmonics": [], "gutkin": None}
