@@ -59,7 +59,7 @@ class OrientedLine2D:
     phi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+        object.__setattr__(self, "phi", _mod_two_pi(float(self.phi)))
         object.__setattr__(self, "p", float(self.p))
 
 
@@ -127,10 +127,18 @@ def generating_second_derivs(curve: SupportCurve, phi1: float, phi2: float):
     return float(s11), float(s12), float(s22)
 
 
+def _mod_two_pi(phi):
+    """phi, a float or an array, reduced to [0, 2*pi).  The mod of a tiny
+    negative angle rounds up to exactly 2*pi, which is moved to 0; NaN
+    stays NaN."""
+    phi = phi % TWO_PI
+    return phi - (phi == TWO_PI) * TWO_PI
+
+
 def _lines(p, phi):
     """Lines as flat float arrays, phi reduced to [0, 2*pi)."""
     phi = np.ravel(np.asarray(phi, dtype=float))
-    return np.ravel(np.asarray(p, dtype=float)), np.mod(phi, TWO_PI)
+    return np.ravel(np.asarray(p, dtype=float)), _mod_two_pi(phi)
 
 
 def _brackets(curve: SupportCurve, p, phi):
@@ -225,7 +233,7 @@ def _outgoing(curve: SupportCurve, phi, psi_fwd):
     points psi_fwd: the mirror law sends phi to 2 psi_fwd - phi."""
     h, hp, _ = eval_support(curve, psi_fwd)
     b = psi_fwd - phi
-    return h * np.cos(b) + hp * np.sin(b), np.mod(2.0 * psi_fwd - phi, TWO_PI)
+    return h * np.cos(b) + hp * np.sin(b), _mod_two_pi(2.0 * psi_fwd - phi)
 
 
 def chord_incidence_angles(curve: SupportCurve, line: OrientedLine2D) -> Chords:
@@ -260,7 +268,7 @@ def solve_variational(curve: SupportCurve, p, phi):
 
     phi2, p2, solved = _newton(evaluate, phi, phi + TWO_PI, phi + 2.0 * start, misses)
     status = np.where(misses, MISSES, np.where(solved, SOLVED, NOT_CONVERGED))
-    return p2, np.mod(phi2, TWO_PI), status
+    return p2, _mod_two_pi(phi2), status
 
 
 def reflect_variational(curve: SupportCurve, line: OrientedLine2D) -> OrientedLine2D:

@@ -65,15 +65,24 @@ class OrientedLineND:
     def __post_init__(self):
         n = np.asarray(self.n, dtype=float)
         m = np.asarray(self.m, dtype=float)
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-            raise NonUnit(f"|n| = {np.linalg.norm(n):.15g}")
-        if abs(float(m @ n)) > 1e-12 * max(1.0, np.linalg.norm(m)):
-            raise ValueError(f"<m, n> = {float(m @ n):g} != 0")
+        _check_lines(n, m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
 
     def reversed(self) -> "OrientedLineND":
         return OrientedLineND(-self.n, self.m)
+
+
+def _check_lines(n: np.ndarray, m: np.ndarray):
+    """|n| = 1 and <m, n> = 0 over the last axis, for one line or rows of lines."""
+    norm = np.linalg.norm(n, axis=-1)
+    off_unit = np.abs(norm - 1.0) > 1e-12
+    if off_unit.any():
+        raise NonUnit(f"|n| = {np.extract(off_unit, norm)[0]:.15g}")
+    mn = np.einsum("...i,...i->...", m, n)
+    skew = np.abs(mn) > 1e-12 * np.maximum(1.0, np.linalg.norm(m, axis=-1))
+    if skew.any():
+        raise ValueError(f"<m, n> = {np.extract(skew, mn)[0]:g} != 0")
 
 
 def _check_unit(nu: np.ndarray):
@@ -91,11 +100,6 @@ def ellipsoid_support(q: Quadric, nu: np.ndarray) -> float:
 def gauss_inverse(q: Quadric, nu: np.ndarray) -> np.ndarray:
     """Boundary point with outward unit normal nu: A nu / h(nu)."""
     return q.A @ np.asarray(nu, dtype=float) / ellipsoid_support(q, nu)
-
-
-def _outward_normal(q: Quadric, P: np.ndarray) -> np.ndarray:
-    grad = q.A_inv @ P
-    return grad / np.linalg.norm(grad)
 
 
 def _diff(n1, n2) -> np.ndarray:
@@ -122,47 +126,25 @@ def generating_value_nd_general(q: Quadric, n1, n2) -> float:
 
 
 def reflect_nd(q: Quadric, line: OrientedLineND):
-    """One bounce: exit point P, mirror the direction across the normal there."""
-    n, m = line.n, line.m
-    a = float(n @ q.A_inv @ n)
-    b = 2.0 * float(m @ q.A_inv @ n)
-    c = float(m @ q.A_inv @ m) - 1.0
-    disc = b * b - 4.0 * a * c
-    if disc < 1e-14:
-        if abs(disc) < 1e-14:
-            raise TangentLine("line is tangent to the quadric")
-        raise NoIntersection("line misses the quadric")
-    t = (-b + math.sqrt(disc)) / (2.0 * a)  # larger root: exit point
-    P = m + t * n
-    nu = _outward_normal(q, P)
-    n2 = n - 2.0 * float(n @ nu) * nu
-    n2 /= np.linalg.norm(n2)
-    m2 = P - float(P @ n2) * n2
-    consistency = np.linalg.norm(nu - (n - n2) / np.linalg.norm(n - n2))
-    if consistency > 1e-10:
-        # a grazing line leaves n - n2 too short to recover the normal
-        raise TangentLine(f"line grazes the quadric: normal/direction "
-                          f"consistency {consistency:g}")
-    return OrientedLineND(n2, m2), P
+    """One bounce of ``orbit_nd``: (next line, exit point)."""
+    n, m, P, _ = orbit_nd(q, line, 1)
+    return OrientedLineND(n[1], m[1]), P[0]
 
 
 def tangent_basis(n: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space to the unit sphere at n.
+    """Orthonormal basis of the tangent space to the unit sphere at n, as rows.
 
-    Gram-Schmidt over the standard basis, dropping the axis most parallel
-    to n; deterministic and stable away from that axis.
+    With s the sign of the largest coordinate n_drop of n, the Householder
+    reflector H = I - 2 u u^T/|u|^2, u = n + s e_drop, swaps n and -s e_drop,
+    so its rows e_i H, i != drop, are orthonormal and orthogonal to n.  As
+    |u|^2 = 2 + 2 |n_drop| >= 2, the reflector is well conditioned for every n.
     """
     n = np.asarray(n, dtype=float)
-    d = n.size
     drop = int(np.argmax(np.abs(n)))
-    vecs = [np.eye(d)[i] for i in range(d) if i != drop]
-    basis = []
-    for v in vecs:
-        w = v - float(v @ n) * n
-        for u in basis:
-            w = w - float(w @ u) * u
-        basis.append(w / np.linalg.norm(w))
-    return np.array(basis)
+    u = n.copy()
+    u[drop] += math.copysign(1.0, n[drop])
+    H = np.eye(n.size) - (2.0 / (u @ u)) * np.outer(u, u)
+    return np.delete(H, drop, axis=0)
 
 
 def _great_circle_steps(n: np.ndarray, step: float):
@@ -218,25 +200,24 @@ def twist_jacobian_min_sv(q: Quadric, n1, n2, step: float = FD_STEP_NESTED) -> f
     return float(np.linalg.svd(M, compute_uv=False)[-1])
 
 
-def incidence_angle(q: Quadric, n: np.ndarray, P: np.ndarray) -> float:
-    """Angle between the direction n and the tangent plane at the boundary point P."""
-    nu = _outward_normal(q, P)
-    return math.asin(min(1.0, abs(float(n @ nu))))
-
-
 def launch_line(q: Quadric, nu: np.ndarray, delta: float,
                 tangent_index: int = 0) -> OrientedLineND:
     """Line leaving the boundary point with outward normal nu at angle delta.
 
-    The direction is cos(delta)*t + sin(delta)*(-nu) for a tangent unit
-    vector t, so the departure incidence angle is exactly delta.
+    The direction is cos(delta)*t + sin(delta)*(-nu) for the unit tangent
+    t = (e_j - nu_j nu)/|e_j - nu_j nu|, e_j the tangent_index-th axis other
+    than the one where |nu| is largest, so the departure incidence angle is
+    exactly delta.
     """
     if not 0.0 < delta <= math.pi / 2:
         raise ValueError("delta must be in (0, pi/2]")
     nu = np.asarray(nu, dtype=float)
     nu = nu / np.linalg.norm(nu)
     P = gauss_inverse(q, nu)
-    t = tangent_basis(nu)[tangent_index]
+    drop = int(np.argmax(np.abs(nu)))
+    j = [i for i in range(nu.size) if i != drop][tangent_index]
+    t = np.eye(nu.size)[j] - nu[j] * nu
+    t = t / np.linalg.norm(t)
     n = math.cos(delta) * t - math.sin(delta) * nu
     return OrientedLineND(n, _moment(P, n))
 
@@ -244,17 +225,56 @@ def launch_line(q: Quadric, nu: np.ndarray, delta: float,
 def constant_angle_residual_nd(q: Quadric, delta: float, line: OrientedLineND,
                                steps: int) -> float:
     """Max |incidence - delta| along an orbit of the billiard map."""
-    lines, points = orbit_nd(q, line, steps)
-    return max((abs(incidence_angle(q, ln.n, P) - delta)
-                for ln, P in zip(lines[1:], points)), default=0.0)
+    *_, incidence = orbit_nd(q, line, steps)
+    return float(np.abs(incidence - delta).max(initial=0.0))
 
 
 def orbit_nd(q: Quadric, line: OrientedLineND, steps: int):
-    """Iterate reflect_nd; returns (lines, points) with len(points) = steps."""
-    lines = [line]
-    points = []
-    for _ in range(steps):
-        nxt, P = reflect_nd(q, lines[-1])
-        lines.append(nxt)
-        points.append(P)
-    return lines, points
+    """The billiard map iterated ``steps`` times from ``line``.
+
+    Returns (n, m, P, incidence): the directions and moments of the lines,
+    shape (steps+1, d), row 0 being ``line``; the exit points P, shape
+    (steps, d); and the angle between each outgoing line and the tangent
+    plane at its exit point, shape (steps,).  A bounce takes the larger
+    root t of <A^-1(m + t n), m + t n> = 1 and mirrors n across the outward
+    normal nu there; it raises TangentLine on a tangent line or a grazing
+    one (n - n2 too short to recover nu) and NoIntersection on a miss.
+    """
+    A_inv = q.A_inv
+    ns = np.empty((steps + 1, q.d))
+    ms = np.empty_like(ns)
+    Ps = np.empty((steps, q.d))
+    incidence = np.empty(steps)
+    ns[0], ms[0] = line.n, line.m
+    for k in range(steps):
+        n, m = ns[k], ms[k]
+        # (n A^-1) n, not n (A^-1 n): over long orbits the other order moves
+        # the CSV in its last digits.  x.dot(y) gives the bits of x @ y, and
+        # math.sqrt(x.dot(x)) those of np.linalg.norm(x), at a fraction of
+        # the call overhead on vectors this short
+        nA, mA = n.dot(A_inv), m.dot(A_inv)
+        a = nA.dot(n)
+        b = 2.0 * mA.dot(n)
+        c = mA.dot(m) - 1.0
+        disc = b * b - 4.0 * a * c
+        if disc < 1e-14:
+            if abs(disc) < 1e-14:
+                raise TangentLine("line is tangent to the quadric")
+            raise NoIntersection("line misses the quadric")
+        t = (-b + math.sqrt(disc)) / (2.0 * a)
+        P = m + t * n
+        grad = A_inv.dot(P)
+        nu = grad / math.sqrt(grad.dot(grad))
+        n2 = n - 2.0 * n.dot(nu) * nu
+        n2 /= math.sqrt(n2.dot(n2))
+        chord = n - n2
+        gap = nu - chord / math.sqrt(chord.dot(chord))
+        consistency = math.sqrt(gap.dot(gap))
+        if consistency > 1e-10:
+            # a grazing line leaves n - n2 too short to recover the normal
+            raise TangentLine(f"line grazes the quadric: normal/direction "
+                              f"consistency {consistency:g}")
+        ns[k + 1], ms[k + 1], Ps[k] = n2, P - P.dot(n2) * n2, P
+        incidence[k] = math.asin(min(1.0, abs(n2.dot(nu))))
+    _check_lines(ns, ms)
+    return ns, ms, Ps, incidence

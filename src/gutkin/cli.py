@@ -151,8 +151,8 @@ def _load_spec(path) -> tuple[int, np.ndarray]:
     if not isinstance(doc, dict) or "d" not in doc or "A" not in doc:
         raise ValueError(f"spec {path} needs the keys 'd' and 'A'")
     d = doc["d"]
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ValueError(f"spec 'd' must be a positive integer, got {d!r}")
+    if isinstance(d, bool) or not isinstance(d, int) or d < 2:
+        raise ValueError(f"spec 'd' must be an integer >= 2, got {d!r}")
     A = np.asarray(doc["A"], dtype=float)
     if A.size != d * d:
         raise ValueError(f"spec 'A' must hold d*d = {d * d} entries, got {A.size}")
@@ -172,10 +172,9 @@ def cmd_ellipsoid(args) -> int:
     else:
         nu = np.ones(d) / math.sqrt(d)
         line = bnd.launch_line(q, nu, args.delta)
-    lines, points = bnd.orbit_nd(q, line, args.steps)
-    rows = [[step] + [float(x) for x in P] + [float(x) for x in ln.n]
-            + [bnd.incidence_angle(q, ln.n, P)]
-            for step, (ln, P) in enumerate(zip(lines[1:], points))]
+    n, _, P, incidence = bnd.orbit_nd(q, line, args.steps)
+    rows = [[step] + p + n2 + [angle] for step, (p, n2, angle)
+            in enumerate(zip(P.tolist(), n[1:].tolist(), incidence.tolist()))]
     header = (["step"] + [f"P_{i + 1}" for i in range(d)]
               + [f"n_{i + 1}" for i in range(d)] + ["incidence_angle"])
     _write_csv(args.out, header, rows)

@@ -64,29 +64,19 @@ class ChordCorrespondence:
     step: float
 
 
-def _accel(A_inv: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # x'' = -(<v, Hess F v>/|grad F|^2) grad F with grad F = 2 A^-1 x, Hess F = 2 A^-1
-    a = A_inv @ x
-    return -(v @ A_inv @ v) / (a @ a) * a
-
-
-def _project(A_inv: np.ndarray, x: np.ndarray, v: np.ndarray):
-    # one Newton step along the gradient, then re-tangent and renormalize v
-    a = A_inv @ x
-    x = x - 0.5 * (x @ a - 1.0) / (a @ a) * a
-    a = A_inv @ x
-    v = v - (v @ a) / (a @ a) * a
-    return x, v / np.linalg.norm(v)
-
-
 def integrate_geodesic(q: Quadric, x0, v0, length: float,
                        step: float, project: bool = True) -> GeodesicTrajectory:
     """RK4 integration of x'' = -(<v, Hess F v>/|grad F|^2) grad F on q.
 
     The actual step is length/round(length/step) so the final sample lands
-    exactly at s = length.
+    exactly at s = length.  With ``project``, each step ends with one Newton
+    step of x along the gradient and v re-tangented and renormalized.  The
+    steps run on Python floats, whose arithmetic on 3-vectors costs far
+    less than a numpy call each.
     """
     _check_space(q)
+    if not (0.0 < length < math.inf and 0.0 < step < math.inf):
+        raise ValueError("length and step must be positive and finite")
     A_inv = q.A_inv
     x = np.asarray(x0, dtype=float)
     v = np.asarray(v0, dtype=float)
@@ -98,29 +88,64 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
         raise OffSurface("v0 is not tangent to the surface")
     v = v / np.linalg.norm(v)
 
+    (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = A_inv.tolist()
+
+    def grad(x1, x2, x3):
+        # A^-1 x, half the gradient of F
+        return (b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
+                b31 * x1 + b32 * x2 + b33 * x3)
+
+    def accel(x1, x2, x3, v1, v2, v3):
+        # x'' = -(<v, Hess F v>/|grad F|^2) grad F with grad F = 2 A^-1 x, Hess F = 2 A^-1
+        a1, a2, a3 = grad(x1, x2, x3)
+        c = -((v1 * b11 + v2 * b21 + v3 * b31) * v1 + (v1 * b12 + v2 * b22 + v3 * b32) * v2
+              + (v1 * b13 + v2 * b23 + v3 * b33) * v3) / (a1 * a1 + a2 * a2 + a3 * a3)
+        return c * a1, c * a2, c * a3
+
     n_steps = max(1, round(length / step))
     h = length / n_steps
-    xs = np.empty((n_steps + 1, 3))
-    vs = np.empty((n_steps + 1, 3))
-    accs = np.empty((n_steps + 1, 3))
-    xs[0], vs[0] = x, v
-    accs[0] = _accel(A_inv, x, v)
+    h2, h6 = 0.5 * h, h / 6.0
+    x1, x2, x3 = x.tolist()
+    v1, v2, v3 = v.tolist()
+    acc = accel(x1, x2, x3, v1, v2, v3)
+    # sized up front, so a step count too large to store fails at once
+    xs, vs, accs = ([None] * (n_steps + 1) for _ in range(3))
+    xs[0], vs[0], accs[0] = (x1, x2, x3), (v1, v2, v3), acc
     for i in range(n_steps):
-        k1x, k1v = v, accs[i]
-        k2x, k2v = v + 0.5 * h * k1v, _accel(A_inv, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k3x, k3v = v + 0.5 * h * k2v, _accel(A_inv, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k4x, k4v = v + h * k3v, _accel(A_inv, x + h * k3x, v + h * k3v)
-        x = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        k1v1, k1v2, k1v3 = acc
+        k2x1, k2x2, k2x3 = v1 + h2 * k1v1, v2 + h2 * k1v2, v3 + h2 * k1v3
+        k2v1, k2v2, k2v3 = accel(x1 + h2 * v1, x2 + h2 * v2, x3 + h2 * v3,
+                                 k2x1, k2x2, k2x3)
+        k3x1, k3x2, k3x3 = v1 + h2 * k2v1, v2 + h2 * k2v2, v3 + h2 * k2v3
+        k3v1, k3v2, k3v3 = accel(x1 + h2 * k2x1, x2 + h2 * k2x2, x3 + h2 * k2x3,
+                                 k3x1, k3x2, k3x3)
+        k4x1, k4x2, k4x3 = v1 + h * k3v1, v2 + h * k3v2, v3 + h * k3v3
+        k4v1, k4v2, k4v3 = accel(x1 + h * k3x1, x2 + h * k3x2, x3 + h * k3x3,
+                                 k4x1, k4x2, k4x3)
+        x1, x2, x3 = (x1 + h6 * (v1 + 2 * k2x1 + 2 * k3x1 + k4x1),
+                      x2 + h6 * (v2 + 2 * k2x2 + 2 * k3x2 + k4x2),
+                      x3 + h6 * (v3 + 2 * k2x3 + 2 * k3x3 + k4x3))
+        v1, v2, v3 = (v1 + h6 * (k1v1 + 2 * k2v1 + 2 * k3v1 + k4v1),
+                      v2 + h6 * (k1v2 + 2 * k2v2 + 2 * k3v2 + k4v2),
+                      v3 + h6 * (k1v3 + 2 * k2v3 + 2 * k3v3 + k4v3))
         if project:
-            x, v = _project(A_inv, x, v)
-        drift = max(abs(x @ A_inv @ x - 1.0), abs(np.linalg.norm(v) - 1.0))
+            a1, a2, a3 = grad(x1, x2, x3)
+            c = 0.5 * (x1 * a1 + x2 * a2 + x3 * a3 - 1.0) / (a1 * a1 + a2 * a2 + a3 * a3)
+            x1, x2, x3 = x1 - c * a1, x2 - c * a2, x3 - c * a3
+            a1, a2, a3 = grad(x1, x2, x3)
+            c = (v1 * a1 + v2 * a2 + v3 * a3) / (a1 * a1 + a2 * a2 + a3 * a3)
+            v1, v2, v3 = v1 - c * a1, v2 - c * a2, v3 - c * a3
+            norm = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+            v1, v2, v3 = v1 / norm, v2 / norm, v3 / norm
+        a1, a2, a3 = grad(x1, x2, x3)
+        drift = max(abs(x1 * a1 + x2 * a2 + x3 * a3 - 1.0),
+                    abs(math.sqrt(v1 * v1 + v2 * v2 + v3 * v3) - 1.0))
         if drift > DRIFT_LIMIT:
             raise StepTooLarge(f"constraint drift {drift:g} at step {i}")
-        xs[i + 1], vs[i + 1] = x, v
-        accs[i + 1] = _accel(A_inv, x, v)
-    return GeodesicTrajectory(s=np.arange(n_steps + 1) * h, x=xs, v=vs,
-                              x_ddot=accs, step=h)
+        acc = accel(x1, x2, x3, v1, v2, v3)
+        xs[i + 1], vs[i + 1], accs[i + 1] = (x1, x2, x3), (v1, v2, v3), acc
+    return GeodesicTrajectory(s=np.arange(n_steps + 1) * h, x=np.array(xs),
+                              v=np.array(vs), x_ddot=np.array(accs), step=h)
 
 
 def deriv_samples(y: np.ndarray, h: float) -> np.ndarray:

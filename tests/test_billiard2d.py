@@ -387,3 +387,19 @@ class TestBatchedSolves:
         assert (chords.status[1:, :2] == MISSES).all()
         assert np.isnan(ps[1:, :2]).all() and np.isnan(phis[1:, :2]).all()
         assert (chords.status[:, 2] == SOLVED).all() and np.isfinite(ps[:, 2]).all()
+
+
+class TestAngleReduction:
+    """The mod of a tiny negative angle rounds up to exactly 2*pi; every
+    reduction maps it to 0 so phi stays in [0, 2*pi)."""
+
+    def test_line(self):
+        assert OrientedLine2D(0.3, -1e-20).phi == 0.0
+
+    def test_batch(self):
+        _, phi = billiard2d._lines(0.3, -1e-20)
+        assert phi.tolist() == [0.0]
+
+    def test_mirror_law(self):
+        _, phi2 = billiard2d._outgoing(circle(1.0), np.array([1e-20]), np.array([0.0]))
+        assert phi2.tolist() == [0.0]

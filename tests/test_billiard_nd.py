@@ -8,11 +8,43 @@ from gutkin.billiard_nd import (OrientedLineND, Quadric,
                                 ellipsoid_support, gauss_inverse,
                                 generating_value_nd,
                                 generating_value_nd_general,
-                                gradient_contract_residual, incidence_angle,
+                                gradient_contract_residual,
                                 launch_line, orbit_nd, reflect_nd,
                                 sphere_quadric, tangent_basis,
                                 twist_jacobian_min_sv)
 from gutkin.errors import CoincidentDirections, NonUnit, TangentLine
+
+
+def reference_bounce(q, n, m):
+    """(n2, m2, P, incidence) of one bounce, with reflect_nd's arithmetic as
+    it was first written, one OrientedLineND per bounce; the reference that
+    orbit_nd must equal bit for bit."""
+    a = float(n @ q.A_inv @ n)
+    b = 2.0 * float(m @ q.A_inv @ n)
+    c = float(m @ q.A_inv @ m) - 1.0
+    t = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+    P = m + t * n
+    grad = q.A_inv @ P
+    nu = grad / np.linalg.norm(grad)
+    n2 = n - 2.0 * float(n @ nu) * nu
+    n2 /= np.linalg.norm(n2)
+    line = OrientedLineND(n2, P - float(P @ n2) * n2)
+    return line.n, line.m, P, math.asin(min(1.0, abs(float(n2 @ nu))))
+
+
+def gram_schmidt_basis(n):
+    """The tangent basis as it was first written: Gram-Schmidt over the
+    standard basis without the axis where |n| is largest."""
+    drop = int(np.argmax(np.abs(n)))
+    basis = []
+    for i in range(n.size):
+        if i == drop:
+            continue
+        w = np.eye(n.size)[i] - float(np.eye(n.size)[i] @ n) * n
+        for u in basis:
+            w = w - float(w @ u) * u
+        basis.append(w / np.linalg.norm(w))
+    return np.array(basis)
 
 
 @pytest.fixture(scope="module")
@@ -193,13 +225,33 @@ class TestReflect:
         # n - n2 is too short here to recover the normal at the exit point
         n = np.array([0.6873947407022538, 0.5269927090470677, -0.4997671008240877])
         m = np.array([-0.004189549631558638, 0.690987976605847, 0.7228682134780698])
+        line = OrientedLineND(n / np.linalg.norm(n), m)
         with pytest.raises(TangentLine):
-            reflect_nd(triaxial, OrientedLineND(n / np.linalg.norm(n), m))
+            reflect_nd(triaxial, line)
+        with pytest.raises(TangentLine):
+            orbit_nd(triaxial, line, 5)
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_orbit_matches_reference_bounces(self, d):
+        rng = np.random.default_rng(50 + d)
+        q = random_spd(rng, d)
+        line = launch_line(q, random_unit(rng, d), 0.9)
+        n, m, P, incidence = orbit_nd(q, line, 300)
+        assert n.shape == m.shape == (301, d) and P.shape == (300, d)
+        assert np.array_equal(n[0], line.n) and np.array_equal(m[0], line.m)
+        ln, lm = line.n, line.m
+        for k in range(300):
+            ln, lm, lP, angle = reference_bounce(q, ln, lm)
+            assert np.array_equal(n[k + 1], ln) and np.array_equal(m[k + 1], lm)
+            assert np.array_equal(P[k], lP) and incidence[k] == angle
+        nxt, P0 = reflect_nd(q, line)
+        assert np.array_equal(nxt.n, n[1]) and np.array_equal(nxt.m, m[1])
+        assert np.array_equal(P0, P[0])
 
     def test_sphere_constant_chord_length(self):
         q = sphere_quadric(1.0)
         line = launch_line(q, np.array([0.2, 0.3, 0.9]), 0.5)
-        _, points = orbit_nd(q, line, 50)
+        _, _, points, _ = orbit_nd(q, line, 50)
         lengths = [np.linalg.norm(b - a) for a, b in zip(points[:-1], points[1:])]
         assert max(lengths) - min(lengths) < 1e-10
 
@@ -312,3 +364,50 @@ class TestTangentBasis:
             assert B.shape == (d - 1, d)
             assert B @ n == pytest.approx(np.zeros(d - 1), abs=1e-12)
             assert B @ B.T == pytest.approx(np.eye(d - 1), abs=1e-12)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_householder_orthonormal(self, d):
+        rng = np.random.default_rng(40 + d)
+        negative = random_unit(rng, d)
+        top = np.argmax(np.abs(negative))
+        negative[top] = -abs(negative[top])
+        eye = np.eye(d)
+        for n in [*eye, *-eye, random_unit(rng, d), negative]:
+            B = tangent_basis(n)
+            assert B.shape == (d - 1, d)
+            assert np.abs(B @ n).max() < 1e-15
+            assert np.abs(B @ B.T - np.eye(d - 1)).max() < 1e-15
+
+
+class TestLaunchDirection:
+    """launch_line's tangent is (e_j - nu_j nu)/|e_j - nu_j nu|, e_j the
+    tangent_index-th axis other than the one where |nu| is largest."""
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_formula(self, d):
+        rng = np.random.default_rng(60 + d)
+        q = random_spd(rng, d)
+        for nu in [random_unit(rng, d) for _ in range(4)] + [-np.eye(d)[1]]:
+            line_nu = nu
+            nu = nu / np.linalg.norm(nu)  # as launch_line normalizes
+            drop = int(np.argmax(np.abs(nu)))
+            for index in range(d - 1):
+                line = launch_line(q, line_nu, 0.9, tangent_index=index)
+                j = [i for i in range(d) if i != drop][index]
+                t = np.eye(d)[j] - nu[j] * nu
+                t = t / np.linalg.norm(t)
+                n = math.cos(0.9) * t - math.sin(0.9) * nu
+                assert np.array_equal(line.n, n)
+                P = gauss_inverse(q, nu)
+                assert np.array_equal(line.m, P - float(P @ n) * n)
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_first_gram_schmidt_vector(self, d):
+        rng = np.random.default_rng(70 + d)
+        q = random_spd(rng, d)
+        for _ in range(5):
+            line_nu = random_unit(rng, d)
+            nu = line_nu / np.linalg.norm(line_nu)
+            t = gram_schmidt_basis(nu)[0]
+            n = math.cos(0.5) * t - math.sin(0.5) * nu
+            assert np.array_equal(launch_line(q, line_nu, 0.5).n, n)

@@ -292,7 +292,8 @@ class TestSpecValidation:
     @pytest.mark.parametrize("doc", [{"A": [1, 0, 0, 1]},
                                      {"d": 2, "A": [1, 0, 0]},
                                      {"d": 0, "A": []},
-                                     [1, 0, 0, 1]])
+                                     [1, 0, 0, 1],
+                                     {"d": 1, "A": [2.0]}])
     @pytest.mark.parametrize("command", ["ellipsoid", "gradient-check"])
     def test_malformed_spec(self, tmp_path, capsys, doc, command):
         spec = tmp_path / "bad.json"

@@ -4,14 +4,61 @@ import numpy as np
 import pytest
 
 from gutkin.billiard_nd import Quadric, sphere_quadric
-from gutkin.errors import DegenerateCurvature, OffSurface
-from gutkin.geodesic_chords import (angle_condition_residuals,
+from gutkin.errors import DegenerateCurvature, OffSurface, StepTooLarge
+from gutkin.geodesic_chords import (DRIFT_LIMIT, angle_condition_residuals,
                                     chord_correspondence, deriv_samples,
                                     frenet_apparatus, integrate_geodesic,
                                     planarity_residuals,
                                     simultaneous_vanish_check)
 
 INTERIOR = slice(2, -2)
+SPD = [[2.0, 0.3, -0.2], [0.3, 1.5, 0.4], [-0.2, 0.4, 1.1]]
+
+
+def numpy_rk4(q, x0, v0, length, step, project=True):
+    """The integrator with one numpy call per 3-vector, as it was first
+    written; the reference for the float loop of integrate_geodesic."""
+    A_inv = q.A_inv
+
+    def accel(x, v):
+        a = A_inv @ x
+        return -(v @ A_inv @ v) / (a @ a) * a
+
+    x = np.asarray(x0, dtype=float)
+    v = np.asarray(v0, dtype=float)
+    v = v / np.linalg.norm(v)
+    n_steps = max(1, round(length / step))
+    h = length / n_steps
+    xs, vs, accs = [x], [v], [accel(x, v)]
+    for i in range(n_steps):
+        k1x, k1v = v, accs[-1]
+        k2x, k2v = v + 0.5 * h * k1v, accel(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+        k3x, k3v = v + 0.5 * h * k2v, accel(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+        k4x, k4v = v + h * k3v, accel(x + h * k3x, v + h * k3v)
+        x = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if project:
+            a = A_inv @ x
+            x = x - 0.5 * (x @ a - 1.0) / (a @ a) * a
+            a = A_inv @ x
+            v = v - (v @ a) / (a @ a) * a
+            v = v / np.linalg.norm(v)
+        drift = max(abs(x @ A_inv @ x - 1.0), abs(np.linalg.norm(v) - 1.0))
+        if drift > DRIFT_LIMIT:
+            raise StepTooLarge(f"constraint drift {drift:g} at step {i}")
+        xs.append(x)
+        vs.append(v)
+        accs.append(accel(x, v))
+    return np.array(xs), np.array(vs), np.array(accs)
+
+
+def start_on(q):
+    """A point of q (L e_1 with A = L L^T) and a unit tangent there."""
+    x0 = np.linalg.cholesky(q.A)[:, 0]
+    a = q.A_inv @ x0
+    v0 = np.array([0.3, 1.0, -0.2])
+    v0 = v0 - (v0 @ a) / (a @ a) * a
+    return x0, v0 / np.linalg.norm(v0)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +137,37 @@ class TestIntegrateGeodesic:
             integrate_geodesic(sp, [1.1, 0, 0], [0, 1.0, 0], 1.0, 1e-3)
         with pytest.raises(OffSurface):
             integrate_geodesic(sp, [1.0, 0, 0], [1.0, 0, 0], 1.0, 1e-3)
+
+    @pytest.mark.parametrize("project", [True, False])
+    @pytest.mark.parametrize("A", [np.eye(3), np.diag([4.0, 1.0, 1.0]), SPD],
+                             ids=["sphere", "spheroid", "spd"])
+    def test_matches_numpy_reference(self, A, project):
+        q = Quadric(np.array(A))
+        x0, v0 = start_on(q)
+        traj = integrate_geodesic(q, x0, v0, 3.0, 2e-3, project=project)
+        x, v, x_ddot = numpy_rk4(q, x0, v0, 3.0, 2e-3, project=project)
+        assert np.abs(traj.x - x).max() < 1e-14
+        assert np.abs(traj.v - v).max() < 1e-14
+        assert np.abs(traj.x_ddot - x_ddot).max() < 1e-14
+
+    @pytest.mark.parametrize("project, step", [(True, 1.0), (False, 0.1)])
+    def test_coarse_step_refused(self, project, step):
+        q = Quadric(np.array(SPD))
+        x0, v0 = start_on(q)
+        with pytest.raises(StepTooLarge) as ref:
+            numpy_rk4(q, x0, v0, 6.0, step, project=project)
+        with pytest.raises(StepTooLarge) as got:
+            integrate_geodesic(q, x0, v0, 6.0, step, project=project)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("length, step", [
+        (1.0, 0.0), (1.0, -1e-3), (1.0, math.nan), (1.0, math.inf),
+        (math.nan, 1e-3), (-1.0, 1e-3), (0.0, 1e-3), (math.inf, 1e-3),
+    ])
+    def test_length_and_step_validated(self, length, step):
+        with pytest.raises(ValueError, match="positive and finite"):
+            integrate_geodesic(sphere_quadric(1.0), [1.0, 0, 0], [0, 1.0, 0],
+                               length, step)
 
     def test_other_dimension_rejected(self, great_circle):
         q = sphere_quadric(1.0, d=2)
