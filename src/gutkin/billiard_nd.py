@@ -1,16 +1,17 @@
 """Billiards inside ellipsoids in R^d via the sphere-pair generating function.
 
 An oriented line is (n, m) with unit direction n and moment m = P - <P,n>n
-orthogonal to n.  For the ellipsoid <A^-1 x, x> = 1 the support function is
-h(nu) = sqrt(<A nu, nu>), the inverse Gauss map is A nu / h(nu), and the
-generating function of the billiard map is
+orthogonal to n.  For a strictly convex body with 1-homogeneous support
+function H, the generating function of the billiard map is
 
-    S(n1, n2) = sqrt(<A (n1-n2), n1-n2>) = h(nu) |n1-n2|,
+    S(n1, n2) = H(n1 - n2),
 
-with nu = (n1-n2)/|n1-n2| the outward normal at the bounce point.  The map
-contract is m1 = D1 S, m2 = -D2 S with derivatives taken tangentially on
-the sphere of directions; both are checked here by great-circle finite
-differences.
+and the bounce point is grad H(n1 - n2), the boundary point with outward
+normal along n1 - n2.  For the ellipsoid <A^-1 x, x> = 1 these are
+``Quadric.support``, H(x) = sqrt(<A x, x>), and ``Quadric.boundary_point``,
+A x / H(x).  The map contract is m1 = D1 S, m2 = -D2 S with derivatives
+taken tangentially on the sphere of directions; both are checked here by
+great-circle finite differences.
 """
 
 from __future__ import annotations
@@ -50,6 +51,19 @@ class Quadric:
     def d(self) -> int:
         return self.A.shape[0]
 
+    def support(self, x):
+        """H(x) = sqrt(<A x, x>) over the last axis of any (..., d) array; one
+        vector gives a float.  H is 1-homogeneous: H(c x) = c H(x), c > 0."""
+        x = np.asarray(x, dtype=float)
+        h = np.sqrt(np.einsum("...i,...i->...", x @ self.A, x))
+        return float(h) if h.ndim == 0 else h
+
+    def boundary_point(self, x) -> np.ndarray:
+        """grad H(x) = A x / H(x), the boundary point with outward normal
+        x/|x| for one nonzero vector x; 0-homogeneous in x."""
+        x = np.asarray(x, dtype=float)
+        return self.A @ x / self.support(x)
+
 
 def sphere_quadric(radius: float, d: int = 3) -> Quadric:
     return Quadric(radius ** 2 * np.eye(d))
@@ -74,32 +88,19 @@ class OrientedLineND:
 
 
 def _check_lines(n: np.ndarray, m: np.ndarray):
-    """|n| = 1 and <m, n> = 0 over the last axis, for one line or rows of lines."""
+    """|n| = 1, m finite and <m, n> = 0 over the last axis, for one line or rows
+    of lines; NaN fails every check."""
     norm = np.linalg.norm(n, axis=-1)
-    off_unit = np.abs(norm - 1.0) > 1e-12
+    # negated <=, so that NaN counts as a failure
+    off_unit = ~(np.abs(norm - 1.0) <= 1e-12)
     if off_unit.any():
         raise NonUnit(f"|n| = {np.extract(off_unit, norm)[0]:.15g}")
+    if not np.isfinite(m).all():
+        raise ValueError("m must be finite")
     mn = np.einsum("...i,...i->...", m, n)
-    skew = np.abs(mn) > 1e-12 * np.maximum(1.0, np.linalg.norm(m, axis=-1))
+    skew = ~(np.abs(mn) <= 1e-12 * np.maximum(1.0, np.linalg.norm(m, axis=-1)))
     if skew.any():
         raise ValueError(f"<m, n> = {np.extract(skew, mn)[0]:g} != 0")
-
-
-def _check_unit(nu: np.ndarray):
-    if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
-        raise NonUnit(f"|nu| = {np.linalg.norm(nu):.15g}")
-
-
-def ellipsoid_support(q: Quadric, nu: np.ndarray) -> float:
-    """h(nu) = sqrt(<A nu, nu>)."""
-    nu = np.asarray(nu, dtype=float)
-    _check_unit(nu)
-    return math.sqrt(float(nu @ q.A @ nu))
-
-
-def gauss_inverse(q: Quadric, nu: np.ndarray) -> np.ndarray:
-    """Boundary point with outward unit normal nu: A nu / h(nu)."""
-    return q.A @ np.asarray(nu, dtype=float) / ellipsoid_support(q, nu)
 
 
 def _diff(n1, n2) -> np.ndarray:
@@ -110,19 +111,10 @@ def _diff(n1, n2) -> np.ndarray:
 
 
 def generating_value_nd(q: Quadric, n1, n2):
-    """S(n1, n2) = sqrt(<A(n1-n2), n1-n2>) over the last axis of pairs of any
-    leading shape (..., d); one pair gives a float.  S(n1, n2) = S(n2, n1)
-    bit for bit, since negating n1 - n2 is exact."""
-    delta = _diff(n1, n2)
-    s = np.sqrt(np.einsum("...i,...i->...", delta @ q.A, delta))
-    return float(s) if s.ndim == 0 else s
-
-
-def generating_value_nd_general(q: Quadric, n1, n2) -> float:
-    """Same quantity through the support function: h(nu)|n1-n2|; cross-check."""
-    delta = _diff(n1, n2)
-    norm = np.linalg.norm(delta)
-    return ellipsoid_support(q, delta / norm) * norm
+    """S(n1, n2) = H(n1 - n2) over the last axis of pairs of any leading
+    shape (..., d); one pair gives a float.  S(n1, n2) = S(n2, n1) bit for
+    bit, since negating n1 - n2 is exact."""
+    return q.support(_diff(n1, n2))
 
 
 def reflect_nd(q: Quadric, line: OrientedLineND):
@@ -159,12 +151,6 @@ def _moment(P: np.ndarray, n: np.ndarray) -> np.ndarray:
     return P - float(P @ n) * n
 
 
-def chord_point(q: Quadric, n1, n2) -> np.ndarray:
-    """Bounce point of the chord with incoming/outgoing directions (n1, n2)."""
-    delta = _diff(n1, n2)
-    return gauss_inverse(q, delta / np.linalg.norm(delta))
-
-
 def gradient_contract_residual(q: Quadric, n1, n2, step: float = FD_STEP):
     """Residuals of m1 = D1 S and m2 = -D2 S, derivatives by finite differences.
 
@@ -174,7 +160,7 @@ def gradient_contract_residual(q: Quadric, n1, n2, step: float = FD_STEP):
     """
     n1 = np.asarray(n1, dtype=float)
     n2 = np.asarray(n2, dtype=float)
-    P = chord_point(q, n1, n2)
+    P = q.boundary_point(_diff(n1, n2))
     m1 = _moment(P, n1)
     m2 = _moment(P, n2)
 
@@ -213,7 +199,7 @@ def launch_line(q: Quadric, nu: np.ndarray, delta: float,
         raise ValueError("delta must be in (0, pi/2]")
     nu = np.asarray(nu, dtype=float)
     nu = nu / np.linalg.norm(nu)
-    P = gauss_inverse(q, nu)
+    P = q.boundary_point(nu)
     drop = int(np.argmax(np.abs(nu)))
     j = [i for i in range(nu.size) if i != drop][tangent_index]
     t = np.eye(nu.size)[j] - nu[j] * nu

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (a bad
 flag value, an unreadable or malformed table or spec, an output path that
-is a directory, or a line the map cannot follow).  All angles are radians.
+is a directory, a line the map cannot follow, or a run too large for the
+memory available).  All angles are radians.
 The environment variable GUTKIN_SEED overrides the default seed 0 for
 randomized sweeps.
 """
@@ -167,8 +168,11 @@ def cmd_ellipsoid(args) -> int:
         raise ValueError("--n and --m must be given together")
     q = bnd.Quadric(A)
     if args.n is not None:
-        line = bnd.OrientedLineND(_parse_vec(args.n) / np.linalg.norm(_parse_vec(args.n)),
-                                  _parse_vec(args.m))
+        n = _parse_vec(args.n)
+        norm = np.linalg.norm(n)
+        if not 0 < norm < math.inf:
+            raise ValueError(f"--n must be a nonzero finite vector, got {args.n}")
+        line = bnd.OrientedLineND(n / norm, _parse_vec(args.m))
     else:
         nu = np.ones(d) / math.sqrt(d)
         line = bnd.launch_line(q, nu, args.delta)
@@ -335,6 +339,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (GutkinError, IndexError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the run needs more memory than is available", file=sys.stderr)
         return 2
 
 

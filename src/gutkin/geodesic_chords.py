@@ -17,6 +17,7 @@ with its frame-coordinate expansion.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,9 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
     _check_space(q)
     if not (0.0 < length < math.inf and 0.0 < step < math.inf):
         raise ValueError("length and step must be positive and finite")
+    # the step count must fit a Python index, or the sample lists cannot be sized
+    if not length / step < sys.maxsize:
+        raise ValueError(f"length/step = {length:g}/{step:g} overflows the step count")
     A_inv = q.A_inv
     x = np.asarray(x0, dtype=float)
     v = np.asarray(v0, dtype=float)

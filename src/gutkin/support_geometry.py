@@ -194,6 +194,8 @@ def solve_gutkin_angles(n: int) -> list[float]:
 
 def build_gutkin_table(n: int, root_index: int, a0: float, an: float) -> GutkinTable:
     """Table with curvature radius a0 + an*cos(n*phi) at the chosen root."""
+    if not (math.isfinite(a0) and math.isfinite(an)):
+        raise ValueError(f"a0 and an must be finite, got a0={a0}, an={an}")
     if not (a0 > abs(an) > 0):
         raise NonConvex(f"need a0 > |an| > 0, got a0={a0}, an={an}")
     roots = solve_gutkin_angles(n)

@@ -5,9 +5,7 @@ import pytest
 
 from gutkin.billiard_nd import (OrientedLineND, Quadric,
                                 constant_angle_residual_nd,
-                                ellipsoid_support, gauss_inverse,
                                 generating_value_nd,
-                                generating_value_nd_general,
                                 gradient_contract_residual,
                                 launch_line, orbit_nd, reflect_nd,
                                 sphere_quadric, tangent_basis,
@@ -30,6 +28,12 @@ def reference_bounce(q, n, m):
     n2 /= np.linalg.norm(n2)
     line = OrientedLineND(n2, P - float(P @ n2) * n2)
     return line.n, line.m, P, math.asin(min(1.0, abs(float(n2 @ nu))))
+
+
+def reference_boundary_point(q, nu):
+    """A nu / sqrt(<A nu, nu>) for a unit normal nu, the boundary point as it
+    was first computed; the reference for Quadric.boundary_point."""
+    return q.A @ nu / math.sqrt(float(nu @ q.A @ nu))
 
 
 def gram_schmidt_basis(n):
@@ -91,33 +95,56 @@ class TestQuadric:
 
 class TestSupport:
     def test_sphere(self):
-        assert ellipsoid_support(sphere_quadric(1.0), np.array([0.0, 0.0, 1.0])) == 1.0
+        assert sphere_quadric(1.0).support(np.array([0.0, 0.0, 1.0])) == 1.0
 
     def test_axis(self):
         q = Quadric(np.diag([4.0, 1.0]))
-        assert ellipsoid_support(q, np.array([1.0, 0.0])) == pytest.approx(2.0)
+        assert q.support(np.array([1.0, 0.0])) == pytest.approx(2.0)
 
     def test_diagonal_direction(self, triaxial):
         nu = np.ones(3) / math.sqrt(3)
-        assert ellipsoid_support(triaxial, nu) == pytest.approx(math.sqrt(2))
+        assert triaxial.support(nu) == pytest.approx(math.sqrt(2))
 
-    def test_nonunit_rejected(self, triaxial):
-        with pytest.raises(NonUnit):
-            ellipsoid_support(triaxial, np.array([1.0, 1.0, 0.0]))
+    def test_nonunit_homogeneous(self, triaxial):
+        x = np.array([1.0, 1.0, 0.0])
+        assert triaxial.support(x) == pytest.approx(
+            math.sqrt(2) * triaxial.support(x / math.sqrt(2)), rel=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_batch_matches_rows(self, d):
+        rng = np.random.default_rng(80 + d)
+        q = random_spd(rng, d)
+        x = rng.normal(size=(4, 5, d))
+        batch = q.support(x)
+        assert batch.shape == (4, 5)
+        for i in np.ndindex(4, 5):
+            row = q.support(x[i])
+            assert type(row) is float
+            assert batch[i] == pytest.approx(row, rel=1e-14)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_homogeneous(self, d):
+        rng = np.random.default_rng(90 + d)
+        q = random_spd(rng, d)
+        for c in (1e-3, 0.37, 2.0, 41.5):
+            x = rng.normal(size=d)
+            assert q.support(c * x) == pytest.approx(c * q.support(x), rel=1e-15)
 
 
 class TestGaussInverse:
+    """Quadric.boundary_point, the inverse of the Gauss map."""
+
     def test_sphere(self):
         nu = np.array([0.6, 0.8, 0.0])
-        assert gauss_inverse(sphere_quadric(2.0), nu) == pytest.approx(2.0 * nu)
+        assert sphere_quadric(2.0).boundary_point(nu) == pytest.approx(2.0 * nu)
 
     def test_axis_point(self):
         q = Quadric(np.diag([4.0, 1.0]))
-        assert gauss_inverse(q, np.array([1.0, 0.0])) == pytest.approx([2.0, 0.0])
+        assert q.boundary_point(np.array([1.0, 0.0])) == pytest.approx([2.0, 0.0])
 
     def test_oblique(self):
         q = Quadric(np.diag([4.0, 1.0]))
-        x = gauss_inverse(q, np.array([1.0, 1.0]) / math.sqrt(2))
+        x = q.boundary_point(np.array([1.0, 1.0]) / math.sqrt(2))
         assert x == pytest.approx(np.array([4.0, 1.0]) / math.sqrt(5))
         assert float(x @ q.A_inv @ x) == pytest.approx(1.0, abs=1e-12)
 
@@ -125,10 +152,27 @@ class TestGaussInverse:
         rng = np.random.default_rng(0)
         for _ in range(20):
             nu = random_unit(rng)
-            x = gauss_inverse(triaxial, nu)
+            x = triaxial.boundary_point(nu)
             grad = triaxial.A_inv @ x
             assert grad / np.linalg.norm(grad) == pytest.approx(nu, abs=1e-12)
             assert float(x @ triaxial.A_inv @ x) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_boundary_point(self, d):
+        rng = np.random.default_rng(100 + d)
+        q = random_spd(rng, d)
+        for _ in range(5):
+            x = rng.normal(size=d) * rng.uniform(0.1, 10.0)
+            nu = x / np.linalg.norm(x)
+            P = q.boundary_point(x)
+            normal = q.A_inv @ P
+            assert abs(float(P @ normal) - 1.0) < 1e-12
+            assert np.linalg.norm(normal / np.linalg.norm(normal) - nu) < 1e-12
+            for c in (1e-3, 0.37, 41.5):
+                assert (np.linalg.norm(q.boundary_point(c * x) - P)
+                        <= 1e-15 * np.linalg.norm(P))
+            ref = reference_boundary_point(q, nu)
+            assert np.linalg.norm(P - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
 class TestGeneratingValue:
@@ -148,8 +192,10 @@ class TestGeneratingValue:
         q = Quadric(B @ B.T + 3 * np.eye(3))
         for _ in range(30):
             n1, n2 = random_pair(rng, min_gap=1e-3)
+            # H(nu)|n1 - n2| with the unit normal nu = (n1 - n2)/|n1 - n2|
+            norm = np.linalg.norm(n1 - n2)
             assert generating_value_nd(q, n1, n2) == pytest.approx(
-                generating_value_nd_general(q, n1, n2), abs=1e-12)
+                q.support((n1 - n2) / norm) * norm, abs=1e-12)
 
     def test_coincident_rejected(self, triaxial):
         n = np.array([1.0, 0, 0])
@@ -170,6 +216,15 @@ class TestGeneratingValue:
             assert isinstance(scalar, float)
             assert batch[i] == pytest.approx(scalar, rel=1e-14)
 
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_is_support_of_difference(self, d):
+        rng = np.random.default_rng(110 + d)
+        q = random_spd(rng, d)
+        n1 = random_units(rng, d, (4, 5))
+        n2 = random_units(rng, d, (4, 5))
+        assert np.array_equal(generating_value_nd(q, n1, n2), q.support(n1 - n2))
+        assert generating_value_nd(q, n1[1, 2], n2[1, 2]) == q.support(n1[1, 2] - n2[1, 2])
+
     @pytest.mark.parametrize("row", [(0, 0), (1, 2), (2, 4)])
     def test_coincident_row_in_batch_rejected(self, triaxial, row):
         rng = np.random.default_rng(22)
@@ -178,6 +233,18 @@ class TestGeneratingValue:
         n2[row] = n1[row]
         with pytest.raises(CoincidentDirections):
             generating_value_nd(triaxial, n1, n2)
+
+
+class TestLineValidation:
+    def test_nan_direction(self):
+        with pytest.raises(NonUnit):
+            OrientedLineND([math.nan, 0.0, 0.0], [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("m", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0],
+                                   [-math.inf, 0.0, 0.0]])
+    def test_non_finite_moment(self, m):
+        with pytest.raises(ValueError, match="m must be finite"):
+            OrientedLineND([1.0, 0.0, 0.0], m)
 
 
 class TestReflect:
@@ -264,8 +331,7 @@ class TestGradientContract:
         r1, r2 = gradient_contract_residual(q, n1, n2)
         assert r1 < 1e-8 and r2 < 1e-8
         # closed-form moment for the sphere: m1 = P - <P,n1>n1 with P = nu
-        from gutkin.billiard_nd import chord_point
-        P = chord_point(q, n1, n2)
+        P = q.boundary_point(n1 - n2)
         m1 = P - (P @ n1) * n1
         assert m1 == pytest.approx([0.0, -1.0 / math.sqrt(2), 0.0], abs=1e-12)
 
@@ -398,7 +464,7 @@ class TestLaunchDirection:
                 t = t / np.linalg.norm(t)
                 n = math.cos(0.9) * t - math.sin(0.9) * nu
                 assert np.array_equal(line.n, n)
-                P = gauss_inverse(q, nu)
+                P = q.boundary_point(nu)
                 assert np.array_equal(line.m, P - float(P @ n) * n)
 
     @pytest.mark.parametrize("d", [3, 8, 16])

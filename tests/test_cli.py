@@ -47,6 +47,16 @@ class TestTable:
         assert main(["table", "--n", "5", "--a0", "1", "--an", "2",
                      "--out", str(tmp_path / "bad.json")]) == 2
 
+    @pytest.mark.parametrize("a0, an", [("inf", "0.05"), ("nan", "0.05"),
+                                        ("1", "nan"), ("1", "-inf")])
+    def test_non_finite_coefficient(self, tmp_path, capsys, a0, an):
+        out = tmp_path / "t.json"
+        assert main(["table", "--n", "5", f"--a0={a0}", f"--an={an}",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a0 and an must be finite") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_roundtrip_bitwise(self, table5, tmp_path):
         from gutkin.support_geometry import load_table, save_table
         curve, meta = load_table(table5)
@@ -251,6 +261,21 @@ class TestEllipsoid:
                      "--steps", "1", "--out", str(tmp_path / "o.csv")]) == 2
         assert "grazes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, m, message", [
+        ("nan,0,0", "0,0,0", "--n must be a nonzero finite vector"),
+        ("0,0,0", "0,0,0", "--n must be a nonzero finite vector"),
+        ("1,0,0", "nan,0,0", "m must be finite"),
+        ("1,0,0", "0,inf,0", "m must be finite"),
+    ])
+    def test_non_finite_or_zero_line(self, spheroid_spec, tmp_path, capsys,
+                                     n, m, message):
+        out = tmp_path / "o.csv"
+        assert main(["ellipsoid", "--spec", str(spheroid_spec), f"--n={n}",
+                     f"--m={m}", "--steps", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--n", "--m"])
     def test_line_flag_alone(self, spheroid_spec, tmp_path, flag):
         assert main(["ellipsoid", "--spec", str(spheroid_spec), flag, "1,0,0",
@@ -370,3 +395,26 @@ class TestChords:
         assert lines[0] == "s,k,tau,l,ldot,R5,R6,R9,D_numeric,D_analytic,A_coeff"
         ls = [float(r.split(",")[3]) for r in lines[1:]]
         assert max(abs(v - 1.0) for v in ls) < 1e-8
+
+    @pytest.mark.parametrize("length, step", [("1e300", "1e-300"), ("1e20", "1e-2")])
+    def test_step_count_overflow(self, tmp_path, capsys, length, step):
+        out = tmp_path / "chords.csv"
+        assert main(["chords", "--surface", "sphere", "--delta", "0.5",
+                     "--length", length, "--step", step, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: length/step") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch):
+        from gutkin import geodesic_chords
+
+        def too_large(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(geodesic_chords, "integrate_geodesic", too_large)
+        out = tmp_path / "chords.csv"
+        assert main(["chords", "--surface", "sphere", "--delta", "0.5",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()

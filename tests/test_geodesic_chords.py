@@ -169,6 +169,13 @@ class TestIntegrateGeodesic:
             integrate_geodesic(sphere_quadric(1.0), [1.0, 0, 0], [0, 1.0, 0],
                                length, step)
 
+    @pytest.mark.parametrize("length, step", [(1e300, 1e-300), (1e200, 1e-100),
+                                              (1e20, 1e-2)])
+    def test_step_count_overflow(self, length, step):
+        with pytest.raises(ValueError, match="overflows the step count"):
+            integrate_geodesic(sphere_quadric(1.0), [1.0, 0, 0], [0, 1.0, 0],
+                               length, step)
+
     def test_other_dimension_rejected(self, great_circle):
         q = sphere_quadric(1.0, d=2)
         with pytest.raises(ValueError):

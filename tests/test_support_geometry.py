@@ -217,6 +217,12 @@ class TestBuildGutkinTable:
         with pytest.raises(NonConvex):
             build_gutkin_table(5, 0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("a0, an", [(math.inf, 0.05), (math.nan, 0.05),
+                                        (1.0, math.nan), (1.0, -math.inf)])
+    def test_non_finite_rejected(self, a0, an):
+        with pytest.raises(ValueError, match="must be finite"):
+            build_gutkin_table(5, 0, a0, an)
+
     def test_bad_root_index(self):
         with pytest.raises(IndexError):
             build_gutkin_table(5, 3, 1.0, 0.05)
