@@ -198,7 +198,10 @@ def launch_line(q: Quadric, nu: np.ndarray, delta: float,
     if not 0.0 < delta <= math.pi / 2:
         raise ValueError("delta must be in (0, pi/2]")
     nu = np.asarray(nu, dtype=float)
-    nu = nu / np.linalg.norm(nu)
+    norm = np.linalg.norm(nu)
+    if nu.shape != (q.d,) or not 0 < norm < math.inf:
+        raise ValueError(f"nu must be a nonzero finite vector of d = {q.d} entries")
+    nu = nu / norm
     P = q.boundary_point(nu)
     drop = int(np.argmax(np.abs(nu)))
     j = [i for i in range(nu.size) if i != drop][tangent_index]

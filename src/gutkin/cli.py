@@ -41,52 +41,48 @@ def _emit(args, payload: dict):
                 print(f"{key} = {val}")
 
 
-def _write_csv(path, header: list[str], rows):
+def _write_csv(path, header: list[str], columns):
+    """CSV of equal-length columns: integer columns as %d, float columns with
+    17 significant digits, the same bytes as ``FMT.format`` per value."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(FMT.format(v) if isinstance(v, float) else str(v)
-                             for v in row) + "\n")
+        f.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 def _write_svg(path, xs, ys, size=640, margin=20):
     """Deterministic scatter SVG of (phi, p) points."""
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
     x0, x1 = 0.0, 2 * math.pi
     pad = 0.05 * (ys.max() - ys.min() + 1e-30)
     y0, y1 = ys.min() - pad, ys.max() + pad
     inner = size - 2 * margin
-    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">',
-             f'<rect width="{size}" height="{size}" fill="white"/>']
-    for x, y in zip(xs, ys):
-        px = margin + inner * (x - x0) / (x1 - x0)
-        py = margin + inner * (1.0 - (y - y0) / (y1 - y0))
-        lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="0.8" fill="black"/>')
-    lines.append("</svg>")
+    px = margin + inner * (xs - x0) / (x1 - x0)
+    py = margin + inner * (1.0 - (ys - y0) / (y1 - y0))
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+                f'height="{size}" viewBox="0 0 {size} {size}">\n'
+                f'<rect width="{size}" height="{size}" fill="white"/>\n')
+        f.writelines('<circle cx="%.2f" cy="%.2f" r="0.8" fill="black"/>\n' % xy
+                     for xy in zip(px.tolist(), py.tolist()))
+        f.write("</svg>\n")
 
 
 def _seed() -> int:
     return int(os.environ.get("GUTKIN_SEED", "0"))
 
 
-def cmd_roots(args) -> int:
-    roots = sg.solve_gutkin_angles(args.n)
-    _emit(args, {"roots": [float(r) for r in roots]})
-    return 0
+def cmd_roots(args) -> dict:
+    return {"roots": [float(r) for r in sg.solve_gutkin_angles(args.n)]}
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> dict:
     table = sg.build_gutkin_table(args.n, args.root_index, args.a0, args.an)
     sg.save_table(args.out, table.curve, table)
-    _emit(args, {"out": args.out, "delta": table.delta})
-    return 0
+    return {"out": args.out, "delta": table.delta}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     curve, meta = sg.load_table(args.table)
     delta = args.delta
     if delta is None:
@@ -94,23 +90,19 @@ def cmd_verify(args) -> int:
             raise ValueError("no delta given and table carries no constant-angle metadata")
         delta = float(meta["delta"])
     residual = b2.verify_constant_angle(curve, delta, args.grid)
-    ok = residual < args.tol
-    _emit(args, {"delta": delta, "residual": residual, "pass": ok})
-    return 0 if ok else 1
+    return {"delta": delta, "residual": residual, "pass": residual < args.tol}
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> dict:
     curve, _ = sg.load_table(args.table)
     p, phi, chords = b2.orbit(curve, b2.OrientedLine2D(args.p, args.phi), args.steps)
-    rows = zip(range(args.steps), p.tolist(), phi.tolist(),
-               *(field.tolist() for field in chords[:4]))
     _write_csv(args.out, ["step", "p", "phi", "psi_back", "psi_fwd",
-                          "angle_back", "angle_fwd"], rows)
-    _emit(args, {"out": args.out, "bounces": args.steps})
-    return 0
+                          "angle_back", "angle_fwd"],
+               [np.arange(args.steps), p[:-1], phi[:-1], *chords[:4]])
+    return {"out": args.out, "bounces": args.steps}
 
 
-def cmd_phase_portrait(args) -> int:
+def cmd_phase_portrait(args) -> dict:
     curve, _ = sg.load_table(args.table)
     h_min = min(curve.h(np.linspace(0, 2 * math.pi, 1024, endpoint=False)))
     pf, phi0 = np.meshgrid(np.linspace(-0.9, 0.9, args.p_grid),
@@ -119,26 +111,24 @@ def cmd_phase_portrait(args) -> int:
     # all starting lines advance together; an orbit that fails is dropped
     ps, phis, chords = b2.orbits(curve, (pf * h_min).ravel(), phi0.ravel(), args.steps)
     ok = (chords.status == b2.SOLVED).all(axis=0)
-    rows = [[orbit_id, step, p, phi]
-            for orbit_id, i in enumerate(np.flatnonzero(ok))
-            for step, (p, phi) in enumerate(zip(ps[:, i], phis[:, i]))]
+    kept, per_orbit = int(ok.sum()), ps.shape[0]
+    p, phi = ps[:, ok].T.ravel(), phis[:, ok].T.ravel()
     if args.out:
-        _write_csv(args.out, ["orbit", "step", "p", "phi"], rows)
+        _write_csv(args.out, ["orbit", "step", "p", "phi"],
+                   [np.repeat(np.arange(kept), per_orbit), np.tile(np.arange(per_orbit), kept),
+                    p, phi])
     if args.svg:
-        arr = np.array([[r[3], r[2]] for r in rows])
-        _write_svg(args.svg, arr[:, 0], arr[:, 1])
-    _emit(args, {"orbits": int(ok.sum()), "points": len(rows)})
-    return 0
+        _write_svg(args.svg, phi, p)
+    return {"orbits": kept, "points": p.size}
 
 
-def cmd_rigidity(args) -> int:
+def cmd_rigidity(args) -> dict:
     curve, _ = sg.load_table(args.table)
     strip = b2.Strip(args.delta1, args.delta2)
     quad = b2.rigidity_integral(curve, strip)
     closed = b2.rigidity_integral_closed(curve, strip)
     gap = abs(quad - closed) / max(abs(closed), 1e-30)
-    _emit(args, {"quadrature": quad, "closed_form": closed, "relative_gap": gap})
-    return 0
+    return {"quadrature": quad, "closed_form": closed, "relative_gap": gap}
 
 
 def _parse_vec(text: str) -> np.ndarray:
@@ -160,7 +150,7 @@ def _load_spec(path) -> tuple[int, np.ndarray]:
     return d, A.reshape(d, d)
 
 
-def cmd_ellipsoid(args) -> int:
+def cmd_ellipsoid(args) -> dict:
     d, A = _load_spec(args.spec)
     if d > 16:
         raise ValueError("dimension capped at 16 for the CLI")
@@ -168,25 +158,24 @@ def cmd_ellipsoid(args) -> int:
         raise ValueError("--n and --m must be given together")
     q = bnd.Quadric(A)
     if args.n is not None:
-        n = _parse_vec(args.n)
+        n, m = _parse_vec(args.n), _parse_vec(args.m)
+        if n.size != d or m.size != d:
+            raise ValueError(f"--n and --m need d = {d} entries")
         norm = np.linalg.norm(n)
         if not 0 < norm < math.inf:
             raise ValueError(f"--n must be a nonzero finite vector, got {args.n}")
-        line = bnd.OrientedLineND(n / norm, _parse_vec(args.m))
+        line = bnd.OrientedLineND(n / norm, m)
     else:
         nu = np.ones(d) / math.sqrt(d)
         line = bnd.launch_line(q, nu, args.delta)
     n, _, P, incidence = bnd.orbit_nd(q, line, args.steps)
-    rows = [[step] + p + n2 + [angle] for step, (p, n2, angle)
-            in enumerate(zip(P.tolist(), n[1:].tolist(), incidence.tolist()))]
     header = (["step"] + [f"P_{i + 1}" for i in range(d)]
               + [f"n_{i + 1}" for i in range(d)] + ["incidence_angle"])
-    _write_csv(args.out, header, rows)
-    _emit(args, {"out": args.out, "bounces": len(rows)})
-    return 0
+    _write_csv(args.out, header, [np.arange(args.steps), *P.T, *n[1:].T, incidence])
+    return {"out": args.out, "bounces": args.steps}
 
 
-def cmd_gradient_check(args) -> int:
+def cmd_gradient_check(args) -> dict:
     d, A = _load_spec(args.spec)
     q = bnd.Quadric(A)
     rng = np.random.default_rng(_seed())
@@ -202,12 +191,10 @@ def cmd_gradient_check(args) -> int:
         r1, r2 = bnd.gradient_contract_residual(q, n1, n2)
         worst = max(worst, r1, r2)
         done += 1
-    ok = worst < args.tol
-    _emit(args, {"pairs": done, "max_residual": worst, "pass": ok})
-    return 0 if ok else 1
+    return {"pairs": done, "max_residual": worst, "pass": worst < args.tol}
 
 
-def cmd_chords(args) -> int:
+def cmd_chords(args) -> dict:
     if args.surface == "sphere":
         q = bnd.sphere_quadric(args.radius)
         x0 = np.array([args.radius, 0.0, 0.0])
@@ -221,18 +208,12 @@ def cmd_chords(args) -> int:
     traj = gc.integrate_geodesic(q, x0, v0, args.length, args.step)
     frenet = gc.frenet_apparatus(traj)
     cc = gc.chord_correspondence(q, traj, args.delta)
-    r5, r6, r9 = gc.angle_condition_residuals(cc, frenet)
-    d_num, d_ana, a_coeff = gc.planarity_residuals(cc, frenet)
-    rows = []
-    for i in range(traj.s.size):
-        rows.append([float(traj.s[i]), float(frenet.k[i]), float(frenet.tau[i]),
-                     float(cc.l[i]), float(cc.l_dot[i]), float(r5[i]), float(r6[i]),
-                     float(r9[i]), float(d_num[i]), float(d_ana[i]),
-                     float(a_coeff[i])])
     _write_csv(args.out, ["s", "k", "tau", "l", "ldot", "R5", "R6", "R9",
-                          "D_numeric", "D_analytic", "A_coeff"], rows)
-    _emit(args, {"out": args.out, "samples": len(rows)})
-    return 0
+                          "D_numeric", "D_analytic", "A_coeff"],
+               [traj.s, frenet.k, frenet.tau, cc.l, cc.l_dot,
+                *gc.angle_condition_residuals(cc, frenet),
+                *gc.planarity_residuals(cc, frenet)])
+    return {"out": args.out, "samples": traj.s.size}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +300,7 @@ def _flag_error(args) -> str | None:
     for flag in ("steps", "pairs", "p_grid", "phi_grid"):
         if getattr(args, flag, 1) < 1:
             return f"--{flag.replace('_', '-')} must be at least 1"
-    for flag in ("step", "length", "radius"):
+    for flag in ("step", "length", "radius", "tol"):
         if not 0 < getattr(args, flag, 1.0) < math.inf:
             return f"--{flag} must be positive and finite"
     for flag in ("out", "svg"):
@@ -336,13 +317,15 @@ def main(argv=None) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        payload = args.func(args)
+        _emit(args, payload)
     except (GutkinError, IndexError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: the run needs more memory than is available", file=sys.stderr)
         return 2
+    return 0 if payload.get("pass", True) else 1
 
 
 if __name__ == "__main__":

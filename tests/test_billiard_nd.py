@@ -416,6 +416,12 @@ class TestLaunchLine:
         with pytest.raises(ValueError, match="delta"):
             launch_line(triaxial, np.ones(3) / math.sqrt(3), delta)
 
+    @pytest.mark.parametrize("nu", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
+                                    [np.inf, 0.0, 0.0], [1.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
+    def test_bad_normal(self, triaxial, nu):
+        with pytest.raises(ValueError, match="nu must be a nonzero finite vector of d = 3"):
+            launch_line(triaxial, np.array(nu), 0.5)
+
     def test_normal_departure_allowed(self, triaxial):
         nu = np.ones(3) / math.sqrt(3)
         assert launch_line(triaxial, nu, math.pi / 2).n == pytest.approx(-nu, abs=1e-15)

@@ -4,7 +4,39 @@ import math
 import numpy as np
 import pytest
 
+from gutkin import cli
 from gutkin.cli import main
+
+FMT = "{:.17g}"
+
+
+def reference_write_csv(path, header, rows):
+    """The per-value CSV writer the column writer replaced, kept as its reference."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(FMT.format(v) if isinstance(v, float) else str(v)
+                             for v in row) + "\n")
+
+
+def reference_write_svg(path, xs, ys, size=640, margin=20):
+    """The per-point SVG writer the array writer replaced, kept as its reference."""
+    xs = np.asarray(xs)
+    ys = np.asarray(ys)
+    x0, x1 = 0.0, 2 * math.pi
+    pad = 0.05 * (ys.max() - ys.min() + 1e-30)
+    y0, y1 = ys.min() - pad, ys.max() + pad
+    inner = size - 2 * margin
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+             f'height="{size}" viewBox="0 0 {size} {size}">',
+             f'<rect width="{size}" height="{size}" fill="white"/>']
+    for x, y in zip(xs, ys):
+        px = margin + inner * (x - x0) / (x1 - x0)
+        py = margin + inner * (1.0 - (y - y0) / (y1 - y0))
+        lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="0.8" fill="black"/>')
+    lines.append("</svg>")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 @pytest.fixture()
@@ -20,6 +52,42 @@ def spheroid_spec(tmp_path):
     path = tmp_path / "e.json"
     path.write_text(json.dumps({"d": 3, "A": [4, 0, 0, 0, 1, 0, 0, 0, 1]}))
     return path
+
+
+class TestWriters:
+    def test_csv_matches_per_value_writer(self, tmp_path):
+        rng = np.random.default_rng(8)
+        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1, -5e-324]
+        floats = np.concatenate(
+            [special, rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, 2000)])
+        ints = np.concatenate([np.arange(floats.size - 1), [2 ** 62]])
+        columns = [ints, floats, floats[::-1], -floats]
+        header = ["i", "a", "b", "c"]
+        cli._write_csv(tmp_path / "new.csv", header, columns)
+        reference_write_csv(tmp_path / "ref.csv", header,
+                            zip(*(c.tolist() for c in columns)))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_svg_matches_per_point_writer(self, tmp_path):
+        rng = np.random.default_rng(9)
+        xs = rng.uniform(0.0, 2 * math.pi, 5000)
+        ys = rng.normal(size=5000) * 0.3
+        cli._write_svg(tmp_path / "new.svg", xs, ys)
+        reference_write_svg(tmp_path / "ref.svg", xs, ys)
+        assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+@pytest.mark.parametrize("residual, code", [(1e-3, 1), (1e-9, 0)])
+def test_pass_decides_exit_code(table5, spheroid_spec, monkeypatch, capsys,
+                                residual, code):
+    from gutkin import billiard2d, billiard_nd
+    monkeypatch.setattr(billiard2d, "verify_constant_angle", lambda *a: residual)
+    monkeypatch.setattr(billiard_nd, "gradient_contract_residual",
+                        lambda *a: (residual, residual))
+    for argv in (["verify", "--table", str(table5)],
+                 ["gradient-check", "--spec", str(spheroid_spec), "--pairs", "3"]):
+        assert main(["--json", *argv]) == code
+        assert json.loads(capsys.readouterr().out)["pass"] is (code == 0)
 
 
 class TestRoots:
@@ -276,6 +344,15 @@ class TestEllipsoid:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, m", [("1,0", "0,0.1"), ("1,0,0,0", "0,0.1,0,0"),
+                                      ("1,0,0", "0,0.1")])
+    def test_line_length_not_d(self, spheroid_spec, tmp_path, capsys, n, m):
+        out = tmp_path / "o.csv"
+        assert main(["ellipsoid", "--spec", str(spheroid_spec), f"--n={n}",
+                     f"--m={m}", "--steps", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --n and --m need d = 3 entries\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--n", "--m"])
     def test_line_flag_alone(self, spheroid_spec, tmp_path, flag):
         assert main(["ellipsoid", "--spec", str(spheroid_spec), flag, "1,0,0",
@@ -345,6 +422,8 @@ class TestSpecValidation:
 
 class TestFlagValidation:
     BASE = {
+        "verify": ["--table", "{table}"],
+        "gradient-check": ["--spec", "{spec}", "--pairs", "3"],
         "orbit": ["--table", "{table}", "--p", "0.3", "--phi", "0", "--out", "{out}"],
         "phase-portrait": ["--table", "{table}"],
         "ellipsoid": ["--spec", "{spec}", "--out", "{out}"],
@@ -362,6 +441,12 @@ class TestFlagValidation:
         ("chords", "--length", "-1"),
         ("chords", "--axes", "2,1"),
         ("chords", "--axes", "2,0,1"),
+        ("verify", "--tol", "nan"),
+        ("verify", "--tol", "-1"),
+        ("verify", "--tol", "inf"),
+        ("gradient-check", "--tol", "nan"),
+        ("gradient-check", "--tol", "-1"),
+        ("gradient-check", "--tol", "inf"),
     ])
     def test_out_of_range(self, table5, spheroid_spec, tmp_path, capsys,
                           command, flag, value):
