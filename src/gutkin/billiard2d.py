@@ -6,11 +6,12 @@ the table iff -h(phi+pi) < p < h(phi).  Its chord ends where
     f(psi) = <x(psi), e_phi> - p = h cos(psi-phi) - h' sin(psi-phi) - p
 
 vanishes, x(psi) being the boundary point with outward normal angle psi.
-Since f'(psi) = rho(psi) sin(phi - psi), f is monotone on [phi, phi+pi],
-which holds the forward endpoint, and on [phi+pi, phi+2pi], which holds the
-backward one, and its values at the ends are h(phi) - p and -h(phi+pi) - p.
-Each endpoint is found by Newton steps inside its exact bracket, falling
-back to bisection when a step would leave the bracket or stalls.
+Since f'(psi) = rho(psi) sin(phi - psi), f decreases on [phi, phi+pi],
+which holds the forward endpoint, from h(phi) - p to -h(phi+pi) - p.  The
+backward endpoint is the forward endpoint of the reversed line
+(-p, phi+pi), so one solver finds both.  It takes Halley steps, which need
+f'' and so h''', inside the exact bracket, falling back to bisection when a
+step would leave the bracket or stalls.
 
 The map is implemented twice: geometrically (locate the chord, reflect
 across the tangent, which sends the normal angle phi to 2 psi_fwd - phi)
@@ -20,12 +21,14 @@ and variationally through the generating function
 
 whose mixed derivative S12 = rho(mid)*sin(alpha)/2 > 0 is the twist; the
 next line solves p1 = -dS/dphi1, a residual decreasing in phi2 over
-(phi1, phi1+2pi) with derivative -S12, by the same safeguarded Newton.
-Both solvers take arrays of lines and advance them in lock-step; the
-scalar functions are wrappers around a batch of one.  The strip functional
-integral of (S11+2*S12+S22) against the invariant measure S12 dphi1 dphi2
-collapses, after reduction, to a weighted sum of squares of Fourier
-coefficients of h; both routes are provided.
+(phi1, phi1+2pi) with derivative -S12, by the same safeguarded Halley
+iteration.  Both solvers take arrays of lines and advance them in
+lock-step; the scalar functions are wrappers around a batch of one.  An
+orbit solves both endpoints of its first chord only: by the mirror law
+each later chord starts where the one before it ended.  The strip
+functional integral of (S11+2*S12+S22) against the invariant measure
+S12 dphi1 dphi2 collapses, after reduction, to a weighted sum of squares
+of Fourier coefficients of h; both routes are provided.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, DegenerateChord, NoIntersection,
                      TangentLine)
-from .support_geometry import SupportCurve, eval_support
+from .support_geometry import SupportCurve, _jet, eval_support
 
 TWO_PI = 2 * math.pi
 PSI_TOL = 1e-14
@@ -152,42 +155,77 @@ def _brackets(curve: SupportCurve, p, phi):
     f_lo, f_hi = h[0] - p, -h[1] - p
     misses = ~((f_lo > 0) & (f_hi < 0))
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos_start = np.clip((f_lo + f_hi) / (f_hi - f_lo), -1.0, 1.0)
+        cos_start = np.minimum(np.maximum((f_lo + f_hi) / (f_hi - f_lo), -1.0), 1.0)
     return np.arccos(np.where(misses, 0.0, cos_start)), misses
 
 
 def _newton(evaluate, lo, hi, x, done):
     """Root of a decreasing g with g(lo) > 0 > g(hi), elementwise over arrays.
 
-    ``evaluate(x)`` returns (g, g', noise, state): a point counts as solved
-    when |g| is at its rounding floor ``noise`` or the Newton step from it is
-    below PSI_TOL, or when its bracket is narrower than PSI_TOL.  A step that
-    would leave the bracket, or is longer than half the step before last,
-    is replaced by bisection.  Points in ``done`` stay where they are.
+    ``evaluate(x)`` returns (g, g', g'', noise, state): a point counts as
+    solved when |g| is at its rounding floor ``noise`` or the Newton step
+    from it is below PSI_TOL, or when its bracket is narrower than PSI_TOL.
+    Each step is Halley's, u / (u g''/(2 g') - 1) with u = g/g', which
+    converges cubically; a step that would leave the bracket, or is longer
+    than half the step before last, is replaced by bisection.  Points in
+    ``done`` stay where they are, so their brackets need no upkeep.
     Returns (x, state at x, solved).
     """
-    lo, hi, x = np.array(lo), np.array(hi), np.array(x)
-    done = np.array(done)
+    lo, hi, done = np.array(lo), np.array(hi), np.array(done)
     step_old = step = hi - lo
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for _ in range(NEWTON_CAP):
-            g, dg, noise, state = evaluate(x)
+            g, dg, ddg, noise, state = evaluate(x)
             size = np.abs(g)
             done |= (size <= noise) | (size < PSI_TOL * np.abs(dg)) | (hi - lo < PSI_TOL)
-            if done.all():
+            if np.count_nonzero(done) == done.size:
                 break
-            live = ~done
             right = g > 0
-            np.copyto(lo, x, where=live & right)
-            np.copyto(hi, x, where=live & ~right)
-            newton = x - g / dg
-            bisect = (~((lo < newton) & (newton < hi))
-                      | (np.abs(newton - x) > 0.5 * np.abs(step_old)))
-            nxt = np.where(bisect, 0.5 * (lo + hi), newton)
+            np.copyto(lo, x, where=right)
+            np.copyto(hi, x, where=~right)
+            u = g / dg
+            dx = u / (0.5 * u * ddg / dg - 1.0)
+            nxt = x + dx
+            bisect = ~((lo < nxt) & (nxt < hi)) | (np.abs(dx) > 0.5 * np.abs(step_old))
+            np.copyto(nxt, 0.5 * (lo + hi), where=bisect)
             np.copyto(nxt, x, where=done)
             step_old, step = step, nxt - x
             x = nxt
     return x, state, done
+
+
+def _forward_ends(curve: SupportCurve, p, phi, start, misses):
+    """Forward endpoints of the lines (p, phi), arrays of one shape, searched
+    in [phi, phi+pi] from phi + start; lines in ``misses`` are left alone.
+
+    Returns (psi, incidence angle, position of the endpoint along the
+    travel direction, solved).
+    """
+    size_p = np.abs(p)
+
+    def evaluate(psi):
+        h, hp, hpp, hppp = _jet(curve, psi)
+        b = psi - phi
+        cb, sb = np.cos(b), np.sin(b)
+        rho = h + hpp
+        noise = NOISE_REL * (np.abs(h) + np.abs(hp) + size_p)
+        return (h * cb - hp * sb - p, -rho * sb, -(hp + hppp) * sb - rho * cb,
+                noise, h * sb + hp * cb)
+
+    psi, along, solved = _newton(evaluate, phi, phi + math.pi, phi + start, misses)
+    b = psi - phi
+    return psi, np.minimum(b, math.pi - b), along, solved
+
+
+def _status(angle_back, angle_fwd, length, solved, misses):
+    """Per-line status of chords with these incidence angles and lengths."""
+    # later assignments take precedence
+    status = np.full(misses.shape, SOLVED)
+    status[np.minimum(angle_back, angle_fwd) < MIN_CHORD_ANGLE] = NEAR_TANGENT
+    status[length < 1e-12] = ZERO_LENGTH
+    status[~solved] = NOT_CONVERGED
+    status[misses] = MISSES
+    return status
 
 
 def solve_chords(curve: SupportCurve, p, phi) -> Chords:
@@ -199,41 +237,24 @@ def solve_chords(curve: SupportCurve, p, phi) -> Chords:
     """
     p, phi = _lines(p, phi)
     start, misses = _brackets(curve, p, phi)
-    # row 0: forward endpoint in [phi, phi+pi], where f decreases; row 1:
-    # backward endpoint in [phi+pi, phi+2pi], where f increases, solved as -f
-    sign = np.array([[1.0], [-1.0]])
-
-    def evaluate(psi):
-        h, hp, hpp = eval_support(curve, psi)
-        b = psi - phi
-        cb, sb = np.cos(b), np.sin(b)
-        noise = NOISE_REL * (np.abs(h) + np.abs(hp) + np.abs(p))
-        # state: position of the endpoint along the travel direction
-        return sign * (h * cb - hp * sb - p), -sign * (h + hpp) * sb, noise, h * sb + hp * cb
-
-    lo = phi + HALF_TURNS
-    psi, along, solved = _newton(evaluate, lo, lo + math.pi,
-                                 np.array([phi + start, phi + TWO_PI - start]),
-                                 np.array([misses, misses]))
-    b_fwd, b_back = psi[0] - phi, psi[1] - phi
-    angle_fwd = np.minimum(b_fwd, math.pi - b_fwd)
-    angle_back = np.minimum(b_back - math.pi, TWO_PI - b_back)
-    # later assignments take precedence
-    status = np.full(p.shape, SOLVED)
-    status[np.minimum(angle_back, angle_fwd) < MIN_CHORD_ANGLE] = NEAR_TANGENT
-    status[along[0] - along[1] < 1e-12] = ZERO_LENGTH
-    status[~(solved[0] & solved[1])] = NOT_CONVERGED
-    status[misses] = MISSES
+    # row 1 is the reversed line (-p, phi+pi), whose bracket values are
+    # those of row 0 negated and swapped, so its start is pi - start
+    psi, angle, along, solved = _forward_ends(
+        curve, np.array([p, -p]), phi + HALF_TURNS,
+        np.array([start, math.pi - start]), np.array([misses, misses]))
+    status = _status(angle[1], angle[0], along[0] + along[1], solved[0] & solved[1], misses)
     return Chords(np.mod(psi[1], TWO_PI), np.mod(psi[0], TWO_PI),
-                  angle_back, angle_fwd, status)
+                  angle[1], angle[0], status)
 
 
 def _outgoing(curve: SupportCurve, phi, psi_fwd):
     """(p, phi) after reflecting lines of normal angle phi at the boundary
-    points psi_fwd: the mirror law sends phi to 2 psi_fwd - phi."""
+    points psi_fwd, where the mirror law sends phi to 2 psi_fwd - phi, and
+    the position of psi_fwd along each outgoing line's travel direction."""
     h, hp, _ = eval_support(curve, psi_fwd)
     b = psi_fwd - phi
-    return h * np.cos(b) + hp * np.sin(b), _mod_two_pi(2.0 * psi_fwd - phi)
+    cb, sb = np.cos(b), np.sin(b)
+    return h * cb + hp * sb, _mod_two_pi(2.0 * psi_fwd - phi), hp * cb - h * sb
 
 
 def chord_incidence_angles(curve: SupportCurve, line: OrientedLine2D) -> Chords:
@@ -247,7 +268,7 @@ def chord_incidence_angles(curve: SupportCurve, line: OrientedLine2D) -> Chords:
 def reflect_geometric(curve: SupportCurve, line: OrientedLine2D):
     """One bounce by reflection at the forward endpoint; returns (next line, chord)."""
     chord = chord_incidence_angles(curve, line)
-    p2, phi2 = _outgoing(curve, np.array([line.phi]), chord.psi_fwd)
+    p2, phi2, _ = _outgoing(curve, np.array([line.phi]), chord.psi_fwd)
     return OrientedLine2D(p2[0], phi2[0]), chord
 
 
@@ -257,14 +278,16 @@ def solve_variational(curve: SupportCurve, p, phi):
     mid = (phi+phi2)/2 and alpha = (phi2-phi)/2, and p2 = +dS/dphi2."""
     p, phi = _lines(p, phi)
     start, misses = _brackets(curve, p, phi)
+    size_p = np.abs(p)
 
     def evaluate(phi2):
         alpha = 0.5 * (phi2 - phi)
-        h, hp, hpp = eval_support(curve, phi + alpha)
+        h, hp, hpp, hppp = _jet(curve, phi + alpha)
         ca, sa = np.cos(alpha), np.sin(alpha)
-        r = h * ca - hp * sa - p
-        noise = NOISE_REL * (np.abs(h) + np.abs(hp) + np.abs(p))
-        return r, -0.5 * (h + hpp) * sa, noise, h * ca + hp * sa
+        rho = h + hpp
+        noise = NOISE_REL * (np.abs(h) + np.abs(hp) + size_p)
+        return (h * ca - hp * sa - p, -0.5 * rho * sa,
+                -0.25 * ((hp + hppp) * sa + rho * ca), noise, h * ca + hp * sa)
 
     phi2, p2, solved = _newton(evaluate, phi, phi + TWO_PI, phi + 2.0 * start, misses)
     status = np.where(misses, MISSES, np.where(solved, SOLVED, NOT_CONVERGED))
@@ -286,6 +309,8 @@ def constant_angle_line(curve: SupportCurve, delta: float, psi: float) -> Orient
 
 def verify_constant_angle(curve: SupportCurve, delta: float, grid_size: int = 360) -> float:
     """Max |arrival angle - delta| over a grid of constant-angle departures."""
+    if not 0.0 < delta <= math.pi / 2:
+        raise ValueError("delta must be in (0, pi/2]")
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
     psi = np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
@@ -300,10 +325,12 @@ def orbits(curve: SupportCurve, p0, phi0, steps: int):
     """Iterate the geometric map on many lines in lock-step.
 
     Returns (p, phi, chords): p and phi of shape (steps+1, lines), and the
-    chord of every bounce as ``Chords`` fields of shape (steps, lines).  A
-    line whose chord solve fails carries NaN from then on, which later
-    solves report as MISSES, so (chords.status == SOLVED).all(axis=0) marks
-    the orbits that completed every bounce.
+    chord of every bounce as ``Chords`` fields of shape (steps, lines).  Only
+    the first chord is solved at both ends; by the mirror law each later
+    chord's backward endpoint and angle are the forward ones of the chord
+    before.  A line whose chord solve fails carries NaN from then on, which
+    later solves report as MISSES, so (chords.status == SOLVED).all(axis=0)
+    marks the orbits that completed every bounce.
     """
     p, phi = _lines(p0, phi0)
     ps = np.empty((steps + 1, p.size))
@@ -311,12 +338,20 @@ def orbits(curve: SupportCurve, p0, phi0, steps: int):
     ps[0], phis[0] = p, phi
     chords = Chords(*(np.empty((steps, p.size)) for _ in range(4)),
                     np.empty((steps, p.size), dtype=int))
+    c = solve_chords(curve, p, phi)
     for step in range(steps):
-        c = solve_chords(curve, ps[step], phis[step])
+        if step:
+            p, phi = ps[step], phis[step]
+            start, misses = _brackets(curve, p, phi)
+            psi, angle, along, solved = _forward_ends(curve, p, phi, start, misses)
+            c = Chords(psi_back, np.mod(psi, TWO_PI), angle_back, angle,
+                       _status(angle_back, angle, along - along_back, solved, misses))
         for field, value in zip(chords, c):
             field[step] = value
-        psi_fwd = np.where(c.status == SOLVED, c.psi_fwd, np.nan)
-        ps[step + 1], phis[step + 1] = _outgoing(curve, phis[step], psi_fwd)
+        failed = c.status != SOLVED
+        psi_back = np.where(failed, np.nan, c.psi_fwd)
+        angle_back = np.where(failed, np.nan, c.angle_fwd)
+        ps[step + 1], phis[step + 1], along_back = _outgoing(curve, phis[step], psi_back)
     return ps, phis, chords
 
 

@@ -151,6 +151,22 @@ def _moment(P: np.ndarray, n: np.ndarray) -> np.ndarray:
     return P - float(P @ n) * n
 
 
+def unit_vector(v):
+    """v / |v| for a finite nonzero vector v, else None.
+
+    Wherever the plain norm is finite and nonzero this is v / np.linalg.norm(v)
+    bit for bit; a finite nonzero v whose squares overflow or underflow is
+    first divided by max |v_i|.
+    """
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not 0 < norm < math.inf and np.isfinite(v).all() and v.any():
+        v = v / np.abs(v).max()
+        norm = np.linalg.norm(v)
+    return v / norm if 0 < norm < math.inf else None
+
+
 def gradient_contract_residual(q: Quadric, n1, n2, step: float = FD_STEP):
     """Residuals of m1 = D1 S and m2 = -D2 S, derivatives by finite differences.
 
@@ -197,11 +213,9 @@ def launch_line(q: Quadric, nu: np.ndarray, delta: float,
     """
     if not 0.0 < delta <= math.pi / 2:
         raise ValueError("delta must be in (0, pi/2]")
-    nu = np.asarray(nu, dtype=float)
-    norm = np.linalg.norm(nu)
-    if nu.shape != (q.d,) or not 0 < norm < math.inf:
+    nu = unit_vector(nu)
+    if nu is None or nu.shape != (q.d,):
         raise ValueError(f"nu must be a nonzero finite vector of d = {q.d} entries")
-    nu = nu / norm
     P = q.boundary_point(nu)
     drop = int(np.argmax(np.abs(nu)))
     j = [i for i in range(nu.size) if i != drop][tangent_index]

@@ -161,10 +161,10 @@ def cmd_ellipsoid(args) -> dict:
         n, m = _parse_vec(args.n), _parse_vec(args.m)
         if n.size != d or m.size != d:
             raise ValueError(f"--n and --m need d = {d} entries")
-        norm = np.linalg.norm(n)
-        if not 0 < norm < math.inf:
+        n = bnd.unit_vector(n)
+        if n is None:
             raise ValueError(f"--n must be a nonzero finite vector, got {args.n}")
-        line = bnd.OrientedLineND(n / norm, m)
+        line = bnd.OrientedLineND(n, m)
     else:
         nu = np.ones(d) / math.sqrt(d)
         line = bnd.launch_line(q, nu, args.delta)

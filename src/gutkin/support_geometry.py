@@ -95,7 +95,8 @@ class SupportCurve:
         k = np.arange(1, self.h.cos_coeffs.size + 1, dtype=float)
         c = self.h.cos_coeffs - 1j * self.h.sin_coeffs
         object.__setattr__(self, "_k", k)
-        object.__setattr__(self, "_coeffs", np.stack([c, 1j * k * c, -k * k * c], axis=1))
+        object.__setattr__(self, "_coeffs",
+                           np.stack([c, 1j * k * c, -k * k * c, -1j * k ** 3 * c], axis=1))
         object.__setattr__(self, "rho_min", float(_radius_samples(self.h).min()))
 
 
@@ -114,16 +115,21 @@ def circle(radius: float = 1.0) -> SupportCurve:
     return SupportCurve(TrigPolynomial(radius))
 
 
-def eval_support(curve: SupportCurve, phi) -> tuple:
-    """(h, h', h'') at phi, a scalar or an array, from one table of e^{i k phi}.
+def _jet(curve: SupportCurve, phi):
+    """(h, h', h'', h''') at phi, an array, from one table of e^{i k phi}.
 
     Each value depends only on its own phi, so a point gets the same bits
     whatever array it is evaluated in.
     """
-    phi = np.asarray(phi, dtype=float)
     waves = np.exp(1j * np.multiply.outer(phi, curve._k))
-    h, hp, hpp = np.einsum("...k,kj->j...", waves, curve._coeffs).real
-    h = h + curve.h.constant
+    h, hp, hpp, hppp = np.einsum("...k,kj->j...", waves, curve._coeffs).real
+    return h + curve.h.constant, hp, hpp, hppp
+
+
+def eval_support(curve: SupportCurve, phi) -> tuple:
+    """(h, h', h'') at phi, a scalar or an array, from ``_jet``."""
+    phi = np.asarray(phi, dtype=float)
+    h, hp, hpp, _ = _jet(curve, phi)
     if phi.ndim == 0:
         return float(h), float(hp), float(hpp)
     return h, hp, hpp

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,7 @@ from gutkin.billiard2d import (MISSES, NEAR_TANGENT, SOLVED, OrientedLine2D, Str
 from gutkin.errors import (ConvergenceFailure, DegenerateChord, NoIntersection,
                            TangentLine)
 from gutkin.support_geometry import (SupportCurve, TrigPolynomial,
-                                     build_gutkin_table, circle)
+                                     build_gutkin_table, circle, support_from_radius)
 
 TWO_PI = 2 * math.pi
 
@@ -370,12 +371,23 @@ class TestBatchedSolves:
         ps, phis, chords = orbits(gutkin5.curve, p0, phi0, 12)
         ok = (chords.status == SOLVED).all(axis=0)
         assert not ok[8] and ok.sum() >= 30
+        # after the first bounce the backward end is the forward end before
+        assert (chords.psi_back[1:, ok] == chords.psi_fwd[:-1, ok]).all()
+        assert (chords.angle_back[1:, ok] == chords.angle_fwd[:-1, ok]).all()
         for i in np.flatnonzero(ok):
             line = OrientedLine2D(p0[i], phi0[i])
             for step in range(12):
                 assert (line.p, line.phi) == (ps[step, i], phis[step, i])
                 line, chord = reflect_geometric(gutkin5.curve, line)
-                assert [f[0] for f in chord] == [f[step, i] for f in chords]
+                assert ((chord.psi_fwd[0], chord.angle_fwd[0], chord.status[0])
+                        == (chords.psi_fwd[step, i], chords.angle_fwd[step, i],
+                            chords.status[step, i]))
+                # two solves of one endpoint agree to rounding / |f'|, and
+                # |f'| = rho sin(angle) is small near tangency
+                tol = max(1e-12, 1e-14 / chord.angle_back[0])
+                assert chord.psi_back[0] == pytest.approx(chords.psi_back[step, i], abs=tol)
+                assert chord.angle_back[0] == pytest.approx(chords.angle_back[step, i],
+                                                            abs=tol)
             assert (line.p, line.phi) == (ps[12, i], phis[12, i])
 
     def test_failed_orbit_carries_nan(self):
@@ -401,5 +413,128 @@ class TestAngleReduction:
         assert phi.tolist() == [0.0]
 
     def test_mirror_law(self):
-        _, phi2 = billiard2d._outgoing(circle(1.0), np.array([1e-20]), np.array([0.0]))
+        _, phi2, _ = billiard2d._outgoing(circle(1.0), np.array([1e-20]), np.array([0.0]))
         assert phi2.tolist() == [0.0]
+
+
+def degree32_table():
+    rng = np.random.default_rng(32)
+    k = np.arange(1, 33.0)
+    cos_c, sin_c = rng.normal(size=(2, 32)) * 0.05 / k ** 2
+    cos_c[0] = sin_c[0] = 0.0
+    return support_from_radius(TrigPolynomial(1.0, cos_c, sin_c))
+
+
+class TestMpmathOracle:
+    """Chord endpoints and variational bounces against 50-digit roots found by
+    mpmath inside the exact brackets, on 40 lines a table, 10 of them within
+    1e-6 of tangency."""
+
+    @staticmethod
+    def mp_support(curve):
+        """(h, h') at an mpf angle, from the float coefficients taken exactly."""
+        a = [mpmath.mpf(float(x)) for x in curve.h.cos_coeffs]
+        b = [mpmath.mpf(float(x)) for x in curve.h.sin_coeffs]
+        ka = [(k + 1) * x for k, x in enumerate(a)]
+        kb = [(k + 1) * x for k, x in enumerate(b)]
+        constant = mpmath.mpf(float(curve.h.constant))
+
+        def support(phi):
+            # cos(k phi), sin(k phi) by the Chebyshev recurrence
+            c1, s1 = mpmath.cos(phi), mpmath.sin(phi)
+            cos_k, sin_k = [mpmath.mpf(1), c1], [mpmath.mpf(0), s1]
+            for _ in range(len(a) - 1):
+                cos_k.append(2 * c1 * cos_k[-1] - cos_k[-2])
+                sin_k.append(2 * c1 * sin_k[-1] - sin_k[-2])
+            cos_k, sin_k = cos_k[1:len(a) + 1], sin_k[1:len(a) + 1]
+            return (constant + mpmath.fdot(a, cos_k) + mpmath.fdot(b, sin_k),
+                    mpmath.fdot(kb, cos_k) - mpmath.fdot(ka, sin_k))
+        return support
+
+    @staticmethod
+    def wrapped(x):
+        return float(abs((x + mpmath.pi) % (2 * mpmath.pi) - mpmath.pi))
+
+    @pytest.mark.parametrize("table", ["gutkin5", "degree32"])
+    def test_endpoints_and_bounces(self, gutkin5, table):
+        curve = gutkin5.curve if table == "gutkin5" else degree32_table()
+        rng = np.random.default_rng(41)
+        phi = rng.uniform(0.0, TWO_PI, 40)
+        lo, hi = -curve.h(phi + math.pi), curve.h(phi)
+        p = lo + (hi - lo) * rng.uniform(0.02, 0.98, 40)
+        offset = 10.0 ** -np.linspace(6, 9, 5)
+        p[:5], p[5:10] = hi[:5] - offset, lo[5:10] + offset
+        chords = solve_chords(curve, p, phi)
+        p2, phi2, status = solve_variational(curve, p, phi)
+        assert (chords.status == SOLVED).all() and (status == SOLVED).all()
+        support = self.mp_support(curve)
+        with mpmath.workdps(50):
+            for i in range(40):
+                pi_, phii = mpmath.mpf(p[i]), mpmath.mpf(phi[i])
+
+                def f(psi):
+                    h, hp = support(psi)
+                    return h * mpmath.cos(psi - phii) - hp * mpmath.sin(psi - phii) - pi_
+
+                def r(x):
+                    h, hp = support((phii + x) / 2)
+                    alpha = (x - phii) / 2
+                    return h * mpmath.cos(alpha) - hp * mpmath.sin(alpha) - pi_
+
+                fwd = mpmath.findroot(f, (phii, phii + mpmath.pi), solver="anderson")
+                back = mpmath.findroot(f, (phii + mpmath.pi, phii + 2 * mpmath.pi),
+                                       solver="anderson")
+                nxt = mpmath.findroot(r, (phii, phii + 2 * mpmath.pi), solver="anderson")
+                h, hp = support((phii + nxt) / 2)
+                alpha = (nxt - phii) / 2
+                p_nxt = h * mpmath.cos(alpha) + hp * mpmath.sin(alpha)
+                # a root is fixed only to rounding / |f'|, and |f'| is
+                # rho sin(incidence) at a chord end, rho sin(incidence) / 2
+                # for the variational residual
+                tol_fwd, tol_back = (max(1e-13, 1e-14 / a) for a in
+                                     (chords.angle_fwd[i], chords.angle_back[i]))
+                assert self.wrapped(chords.psi_fwd[i] - fwd) < tol_fwd
+                assert self.wrapped(chords.psi_back[i] - back) < tol_back
+                assert self.wrapped(phi2[i] - nxt) < 2 * tol_fwd
+                assert abs(float(p2[i] - p_nxt)) < 2 * tol_fwd
+
+
+class TestEvaluationBudget:
+    """Boundary evaluations per bounce, counted through ``_newton``: the
+    Halley step and the single forward solve of an orbit keep them near 3."""
+
+    @pytest.fixture()
+    def evaluations(self, monkeypatch):
+        count = [0]
+        newton = billiard2d._newton
+
+        def counting(evaluate, *args):
+            def counted(x):
+                count[0] += 1
+                return evaluate(x)
+            return newton(counted, *args)
+
+        monkeypatch.setattr(billiard2d, "_newton", counting)
+        return count
+
+    @pytest.mark.parametrize("table", ["gutkin5", "degree32"])
+    @pytest.mark.parametrize("p, phi", [(0.3, 0.2), (-0.7, 4.0), (0.05, 2.5)])
+    def test_per_bounce(self, gutkin5, evaluations, table, p, phi):
+        curve = gutkin5.curve if table == "gutkin5" else degree32_table()
+        orbit(curve, OrientedLine2D(p, phi), 100)
+        assert evaluations[0] <= 350
+        evaluations[0] = 0
+        line = OrientedLine2D(p, phi)
+        for _ in range(100):
+            line = reflect_variational(curve, line)
+        assert evaluations[0] <= 350
+
+    @pytest.mark.parametrize("table", ["gutkin5", "degree32"])
+    def test_per_chord(self, gutkin5, evaluations, table):
+        # both ends of a chord in one lock-step solve, the backward one as the
+        # forward end of the reversed line
+        curve = gutkin5.curve if table == "gutkin5" else degree32_table()
+        rng = np.random.default_rng(5)
+        for p, phi in zip(rng.uniform(-0.9, 0.9, 20), rng.uniform(0.0, TWO_PI, 20)):
+            chord_incidence_angles(curve, OrientedLine2D(p, phi))
+        assert evaluations[0] <= 70

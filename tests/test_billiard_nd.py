@@ -422,6 +422,14 @@ class TestLaunchLine:
         with pytest.raises(ValueError, match="nu must be a nonzero finite vector of d = 3"):
             launch_line(triaxial, np.array(nu), 0.5)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324])
+    def test_normal_norm_overflow_or_underflow(self, triaxial, scale):
+        # the squares of these entries leave the float range; the direction
+        # is that of (1, 1, 0) all the same
+        want = launch_line(triaxial, np.array([1.0, 1.0, 0.0]), 0.5)
+        got = launch_line(triaxial, np.array([scale, scale, 0.0]), 0.5)
+        assert (got.n.tolist(), got.m.tolist()) == (want.n.tolist(), want.m.tolist())
+
     def test_normal_departure_allowed(self, triaxial):
         nu = np.ones(3) / math.sqrt(3)
         assert launch_line(triaxial, nu, math.pi / 2).n == pytest.approx(-nu, abs=1e-15)

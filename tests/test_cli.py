@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ class TestVerify:
         assert main(["verify", "--table", str(table5),
                      "--delta", str(delta)]) == 1
 
-    @pytest.mark.parametrize("delta", ["0.8", "0.02"])
+    @pytest.mark.parametrize("delta", ["0.8", "0.02", repr(math.pi / 2)])
     def test_circle(self, tmp_path, delta):
         path = tmp_path / "circle.json"
         path.write_text(json.dumps({"a0": 1.0, "harmonics": [], "gutkin": None}))
@@ -159,6 +160,11 @@ class TestVerify:
         assert main(["verify", "--table", str(path)]) == 2
         assert "no delta given" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", ["nan", "0", "-0.3", "1.5708", "2", "inf"])
+    def test_delta_out_of_range(self, table5, capsys, delta):
+        # refused at the boundary, not followed into missing lines or a vacuous fail
+        assert main(["verify", "--table", str(table5), "--delta", delta]) == 2
+        assert capsys.readouterr().err == "error: delta must be in (0, pi/2]\n"
 
     @pytest.mark.parametrize("doc", [{"harmonics": []}, {"a0": 1.0, "harmonics": [{"cos": 0.1}]}])
     def test_malformed_table(self, tmp_path, doc):
@@ -191,14 +197,18 @@ class TestOrbit:
         rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
         curve, _ = load_table(table5)
         line = OrientedLine2D(0.31, 0.9)
-        want = []
-        for step in range(8):
+        for step, row in enumerate(rows):
             nxt, chord = reflect_geometric(curve, line)
-            want.append([str(step)] + [f"{v:.17g}" for v in (
-                line.p, line.phi, chord.psi_back[0], chord.psi_fwd[0],
-                chord.angle_back[0], chord.angle_fwd[0])])
+            # the line and the forward end bit for bit; the backward end is
+            # the row before's forward end, so it matches to rounding only
+            assert row[:3] + row[4:7:2] == [str(step)] + [f"{v:.17g}" for v in (
+                line.p, line.phi, chord.psi_fwd[0], chord.angle_fwd[0])]
+            assert float(row[3]) == pytest.approx(chord.psi_back[0], abs=1e-12)
+            assert float(row[5]) == pytest.approx(chord.angle_back[0], abs=1e-12)
+            if step:
+                assert row[3:6:2] == rows[step - 1][4:7:2]
             line = nxt
-        assert rows == want
+        assert len(rows) == 8
 
     @pytest.mark.parametrize("p, message", [
         ("1.5", "error: line (p=1.5, phi=0.3) misses the table\n"),
@@ -343,6 +353,18 @@ class TestEllipsoid:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["1e200,1e200,0", "1e-200,1e-200,0"])
+    def test_line_norm_out_of_float_range(self, spheroid_spec, tmp_path, n):
+        # |n|^2 overflows or underflows, yet n is a finite nonzero direction
+        out, ref = tmp_path / "o.csv", tmp_path / "ref.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for direction, path in ((n, out), ("1,1,0", ref)):
+                assert main(["ellipsoid", "--spec", str(spheroid_spec), f"--n={direction}",
+                             "--m=0,0,0", "--steps", "20", "--out", str(path)]) == 0
+        got, want = (np.loadtxt(p, delimiter=",", skiprows=1) for p in (out, ref))
+        assert got == pytest.approx(want, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("n, m", [("1,0", "0,0.1"), ("1,0,0,0", "0,0.1,0,0"),
                                       ("1,0,0", "0,0.1")])
