@@ -23,10 +23,8 @@ whose mixed derivative S12 = rho(mid)*sin(alpha)/2 > 0 is the twist; the
 next line solves p1 = -dS/dphi1, a residual decreasing in phi2 over
 (phi1, phi1+2pi) with derivative -S12, by the same safeguarded Halley
 iteration.  Both solvers take arrays of lines and advance them in
-lock-step; the scalar functions are wrappers around a batch of one.  An
-orbit solves both endpoints of its first chord only: by the mirror law
-each later chord starts where the one before it ended.  The strip
-functional integral of (S11+2*S12+S22) against the invariant measure
+lock-step; the scalar functions are wrappers around a batch of one.  The
+strip functional integral of (S11+2*S12+S22) against the invariant measure
 S12 dphi1 dphi2 collapses, after reduction, to a weighted sum of squares
 of Fourier coefficients of h; both routes are provided.
 """
@@ -41,15 +39,14 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, DegenerateChord, NoIntersection,
                      TangentLine)
-from .support_geometry import SupportCurve, _jet, eval_support
+from .support_geometry import SupportCurve, eval_support, support_jet
 
 TWO_PI = 2 * math.pi
 PSI_TOL = 1e-14
 NEWTON_CAP = 100
 MIN_CHORD_ANGLE = 1e-6
-HALF_TURNS = np.array([[0.0], [math.pi]])
 # a residual below this fraction of the size of its terms is at the rounding floor
-NOISE_REL = 8 * np.finfo(float).eps
+NOISE_REL = 2 * np.finfo(float).eps
 
 # per-line status of a batched solve; each failure maps to the error the
 # scalar wrappers raise
@@ -151,8 +148,8 @@ def _brackets(curve: SupportCurve, p, phi):
     The start fits the circle c + r cos(psi - phi) to the two end values,
     which is exact when the table is a circle.
     """
-    h, _, _ = eval_support(curve, phi + HALF_TURNS)
-    f_lo, f_hi = h[0] - p, -h[1] - p
+    h, _, _ = eval_support(curve, np.concatenate((phi, phi + math.pi)))
+    f_lo, f_hi = h[:p.size] - p, -h[p.size:] - p
     misses = ~((f_lo > 0) & (f_hi < 0))
     with np.errstate(invalid="ignore", divide="ignore"):
         cos_start = np.minimum(np.maximum((f_lo + f_hi) / (f_hi - f_lo), -1.0), 1.0)
@@ -194,40 +191,6 @@ def _newton(evaluate, lo, hi, x, done):
     return x, state, done
 
 
-def _forward_ends(curve: SupportCurve, p, phi, start, misses):
-    """Forward endpoints of the lines (p, phi), arrays of one shape, searched
-    in [phi, phi+pi] from phi + start; lines in ``misses`` are left alone.
-
-    Returns (psi, incidence angle, position of the endpoint along the
-    travel direction, solved).
-    """
-    size_p = np.abs(p)
-
-    def evaluate(psi):
-        h, hp, hpp, hppp = _jet(curve, psi)
-        b = psi - phi
-        cb, sb = np.cos(b), np.sin(b)
-        rho = h + hpp
-        noise = NOISE_REL * (np.abs(h) + np.abs(hp) + size_p)
-        return (h * cb - hp * sb - p, -rho * sb, -(hp + hppp) * sb - rho * cb,
-                noise, h * sb + hp * cb)
-
-    psi, along, solved = _newton(evaluate, phi, phi + math.pi, phi + start, misses)
-    b = psi - phi
-    return psi, np.minimum(b, math.pi - b), along, solved
-
-
-def _status(angle_back, angle_fwd, length, solved, misses):
-    """Per-line status of chords with these incidence angles and lengths."""
-    # later assignments take precedence
-    status = np.full(misses.shape, SOLVED)
-    status[np.minimum(angle_back, angle_fwd) < MIN_CHORD_ANGLE] = NEAR_TANGENT
-    status[length < 1e-12] = ZERO_LENGTH
-    status[~solved] = NOT_CONVERGED
-    status[misses] = MISSES
-    return status
-
-
 def solve_chords(curve: SupportCurve, p, phi) -> Chords:
     """Chords of the lines (p, phi), equal-size arrays or scalars, solved in lock-step.
 
@@ -237,24 +200,47 @@ def solve_chords(curve: SupportCurve, p, phi) -> Chords:
     """
     p, phi = _lines(p, phi)
     start, misses = _brackets(curve, p, phi)
-    # row 1 is the reversed line (-p, phi+pi), whose bracket values are
-    # those of row 0 negated and swapped, so its start is pi - start
-    psi, angle, along, solved = _forward_ends(
-        curve, np.array([p, -p]), phi + HALF_TURNS,
-        np.array([start, math.pi - start]), np.array([misses, misses]))
-    status = _status(angle[1], angle[0], along[0] + along[1], solved[0] & solved[1], misses)
-    return Chords(np.mod(psi[1], TWO_PI), np.mod(psi[0], TWO_PI),
-                  angle[1], angle[0], status)
+    # the first n entries solve the forward endpoints in [phi, phi+pi]; the
+    # last n the backward ones, as the forward endpoints of the reversed
+    # lines (-p, phi+pi), whose bracket values are those of the lines negated
+    # and swapped, so their start is pi - start.  One flat array of 2n keeps
+    # every numpy call on the fast 1-d path.
+    n = p.size
+    p_ends, phi_ends = np.concatenate((p, -p)), np.concatenate((phi, phi + math.pi))
+    size_p = np.abs(p_ends)
+
+    def evaluate(psi):
+        h, hp, hpp, hppp = support_jet(curve, psi)
+        b = psi - phi_ends
+        cb, sb = np.cos(b), np.sin(b)
+        rho = h + hpp
+        noise = NOISE_REL * (np.abs(h) + np.abs(hp) + size_p)
+        # state: position of the endpoint along its line's travel direction
+        return (h * cb - hp * sb - p_ends, -rho * sb, -(hp + hppp) * sb - rho * cb,
+                noise, h * sb + hp * cb)
+
+    psi, along, solved = _newton(evaluate, phi_ends, phi_ends + math.pi,
+                                 phi_ends + np.concatenate((start, math.pi - start)),
+                                 np.concatenate((misses, misses)))
+    b = psi - phi_ends
+    angle = np.minimum(b, math.pi - b)
+    angle_fwd, angle_back = angle[:n], angle[n:]
+    # later assignments take precedence
+    status = np.full(n, SOLVED)
+    status[np.minimum(angle_back, angle_fwd) < MIN_CHORD_ANGLE] = NEAR_TANGENT
+    status[along[:n] + along[n:] < 1e-12] = ZERO_LENGTH
+    status[~(solved[:n] & solved[n:])] = NOT_CONVERGED
+    status[misses] = MISSES
+    return Chords(np.mod(psi[n:], TWO_PI), np.mod(psi[:n], TWO_PI),
+                  angle_back, angle_fwd, status)
 
 
 def _outgoing(curve: SupportCurve, phi, psi_fwd):
     """(p, phi) after reflecting lines of normal angle phi at the boundary
-    points psi_fwd, where the mirror law sends phi to 2 psi_fwd - phi, and
-    the position of psi_fwd along each outgoing line's travel direction."""
+    points psi_fwd: the mirror law sends phi to 2 psi_fwd - phi."""
     h, hp, _ = eval_support(curve, psi_fwd)
     b = psi_fwd - phi
-    cb, sb = np.cos(b), np.sin(b)
-    return h * cb + hp * sb, _mod_two_pi(2.0 * psi_fwd - phi), hp * cb - h * sb
+    return h * np.cos(b) + hp * np.sin(b), _mod_two_pi(2.0 * psi_fwd - phi)
 
 
 def chord_incidence_angles(curve: SupportCurve, line: OrientedLine2D) -> Chords:
@@ -268,7 +254,7 @@ def chord_incidence_angles(curve: SupportCurve, line: OrientedLine2D) -> Chords:
 def reflect_geometric(curve: SupportCurve, line: OrientedLine2D):
     """One bounce by reflection at the forward endpoint; returns (next line, chord)."""
     chord = chord_incidence_angles(curve, line)
-    p2, phi2, _ = _outgoing(curve, np.array([line.phi]), chord.psi_fwd)
+    p2, phi2 = _outgoing(curve, np.array([line.phi]), chord.psi_fwd)
     return OrientedLine2D(p2[0], phi2[0]), chord
 
 
@@ -282,7 +268,7 @@ def solve_variational(curve: SupportCurve, p, phi):
 
     def evaluate(phi2):
         alpha = 0.5 * (phi2 - phi)
-        h, hp, hpp, hppp = _jet(curve, phi + alpha)
+        h, hp, hpp, hppp = support_jet(curve, phi + alpha)
         ca, sa = np.cos(alpha), np.sin(alpha)
         rho = h + hpp
         noise = NOISE_REL * (np.abs(h) + np.abs(hp) + size_p)
@@ -325,12 +311,10 @@ def orbits(curve: SupportCurve, p0, phi0, steps: int):
     """Iterate the geometric map on many lines in lock-step.
 
     Returns (p, phi, chords): p and phi of shape (steps+1, lines), and the
-    chord of every bounce as ``Chords`` fields of shape (steps, lines).  Only
-    the first chord is solved at both ends; by the mirror law each later
-    chord's backward endpoint and angle are the forward ones of the chord
-    before.  A line whose chord solve fails carries NaN from then on, which
-    later solves report as MISSES, so (chords.status == SOLVED).all(axis=0)
-    marks the orbits that completed every bounce.
+    chord of every bounce as ``Chords`` fields of shape (steps, lines).  A
+    line whose chord solve fails carries NaN from then on, which later
+    solves report as MISSES, so (chords.status == SOLVED).all(axis=0) marks
+    the orbits that completed every bounce.
     """
     p, phi = _lines(p0, phi0)
     ps = np.empty((steps + 1, p.size))
@@ -338,20 +322,12 @@ def orbits(curve: SupportCurve, p0, phi0, steps: int):
     ps[0], phis[0] = p, phi
     chords = Chords(*(np.empty((steps, p.size)) for _ in range(4)),
                     np.empty((steps, p.size), dtype=int))
-    c = solve_chords(curve, p, phi)
     for step in range(steps):
-        if step:
-            p, phi = ps[step], phis[step]
-            start, misses = _brackets(curve, p, phi)
-            psi, angle, along, solved = _forward_ends(curve, p, phi, start, misses)
-            c = Chords(psi_back, np.mod(psi, TWO_PI), angle_back, angle,
-                       _status(angle_back, angle, along - along_back, solved, misses))
+        c = solve_chords(curve, ps[step], phis[step])
         for field, value in zip(chords, c):
             field[step] = value
-        failed = c.status != SOLVED
-        psi_back = np.where(failed, np.nan, c.psi_fwd)
-        angle_back = np.where(failed, np.nan, c.angle_fwd)
-        ps[step + 1], phis[step + 1], along_back = _outgoing(curve, phis[step], psi_back)
+        psi_fwd = np.where(c.status == SOLVED, c.psi_fwd, np.nan)
+        ps[step + 1], phis[step + 1] = _outgoing(curve, phis[step], psi_fwd)
     return ps, phis, chords
 
 

@@ -115,7 +115,7 @@ def circle(radius: float = 1.0) -> SupportCurve:
     return SupportCurve(TrigPolynomial(radius))
 
 
-def _jet(curve: SupportCurve, phi):
+def support_jet(curve: SupportCurve, phi):
     """(h, h', h'', h''') at phi, an array, from one table of e^{i k phi}.
 
     Each value depends only on its own phi, so a point gets the same bits
@@ -127,9 +127,9 @@ def _jet(curve: SupportCurve, phi):
 
 
 def eval_support(curve: SupportCurve, phi) -> tuple:
-    """(h, h', h'') at phi, a scalar or an array, from ``_jet``."""
+    """(h, h', h'') at phi, a scalar or an array, from ``support_jet``."""
     phi = np.asarray(phi, dtype=float)
-    h, hp, hpp, _ = _jet(curve, phi)
+    h, hp, hpp, _ = support_jet(curve, phi)
     if phi.ndim == 0:
         return float(h), float(hp), float(hpp)
     return h, hp, hpp

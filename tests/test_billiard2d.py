@@ -371,23 +371,12 @@ class TestBatchedSolves:
         ps, phis, chords = orbits(gutkin5.curve, p0, phi0, 12)
         ok = (chords.status == SOLVED).all(axis=0)
         assert not ok[8] and ok.sum() >= 30
-        # after the first bounce the backward end is the forward end before
-        assert (chords.psi_back[1:, ok] == chords.psi_fwd[:-1, ok]).all()
-        assert (chords.angle_back[1:, ok] == chords.angle_fwd[:-1, ok]).all()
         for i in np.flatnonzero(ok):
             line = OrientedLine2D(p0[i], phi0[i])
             for step in range(12):
                 assert (line.p, line.phi) == (ps[step, i], phis[step, i])
                 line, chord = reflect_geometric(gutkin5.curve, line)
-                assert ((chord.psi_fwd[0], chord.angle_fwd[0], chord.status[0])
-                        == (chords.psi_fwd[step, i], chords.angle_fwd[step, i],
-                            chords.status[step, i]))
-                # two solves of one endpoint agree to rounding / |f'|, and
-                # |f'| = rho sin(angle) is small near tangency
-                tol = max(1e-12, 1e-14 / chord.angle_back[0])
-                assert chord.psi_back[0] == pytest.approx(chords.psi_back[step, i], abs=tol)
-                assert chord.angle_back[0] == pytest.approx(chords.angle_back[step, i],
-                                                            abs=tol)
+                assert [f[0] for f in chord] == [f[step, i] for f in chords]
             assert (line.p, line.phi) == (ps[12, i], phis[12, i])
 
     def test_failed_orbit_carries_nan(self):
@@ -413,7 +402,7 @@ class TestAngleReduction:
         assert phi.tolist() == [0.0]
 
     def test_mirror_law(self):
-        _, phi2, _ = billiard2d._outgoing(circle(1.0), np.array([1e-20]), np.array([0.0]))
+        _, phi2 = billiard2d._outgoing(circle(1.0), np.array([1e-20]), np.array([0.0]))
         assert phi2.tolist() == [0.0]
 
 
@@ -427,8 +416,8 @@ def degree32_table():
 
 class TestMpmathOracle:
     """Chord endpoints and variational bounces against 50-digit roots found by
-    mpmath inside the exact brackets, on 40 lines a table, 10 of them within
-    1e-6 of tangency."""
+    mpmath inside the exact brackets, on 40 lines a table, 10 of them 1e-6 to
+    1e-9 inside a tangent line."""
 
     @staticmethod
     def mp_support(curve):
@@ -488,20 +477,30 @@ class TestMpmathOracle:
                 h, hp = support((phii + nxt) / 2)
                 alpha = (nxt - phii) / 2
                 p_nxt = h * mpmath.cos(alpha) + hp * mpmath.sin(alpha)
-                # a root is fixed only to rounding / |f'|, and |f'| is
-                # rho sin(incidence) at a chord end, rho sin(incidence) / 2
-                # for the variational residual
-                tol_fwd, tol_back = (max(1e-13, 1e-14 / a) for a in
-                                     (chords.angle_fwd[i], chords.angle_back[i]))
-                assert self.wrapped(chords.psi_fwd[i] - fwd) < tol_fwd
-                assert self.wrapped(chords.psi_back[i] - back) < tol_back
-                assert self.wrapped(phi2[i] - nxt) < 2 * tol_fwd
-                assert abs(float(p2[i] - p_nxt)) < 2 * tol_fwd
+                assert abs(float(p2[i] - p_nxt)) < 1e-13
+                if i >= 10:
+                    assert self.wrapped(chords.psi_fwd[i] - fwd) < 1e-13
+                    assert self.wrapped(chords.psi_back[i] - back) < 1e-13
+                    assert self.wrapped(phi2[i] - nxt) < 1e-13
+                    continue
+                # Near tangency |f'| = rho sin(incidence) is about 1e-4, and
+                # one rounding of f's terms moves its root by about 1e-12, so
+                # these roots are held to their residual: within 4 eps of the
+                # size of f's terms, twice the solver's own noise floor.
+                def size(psi):
+                    h, hp = support(psi)
+                    return (abs(h) + abs(hp) + abs(pi_)) * np.finfo(float).eps
+
+                x_fwd, x_back = mpmath.mpf(chords.psi_fwd[i]), mpmath.mpf(chords.psi_back[i])
+                x_nxt = phii + (mpmath.mpf(phi2[i]) - phii) % (2 * mpmath.pi)
+                assert abs(f(x_fwd)) < 4 * size(x_fwd)
+                assert abs(f(x_back)) < 4 * size(x_back)
+                assert abs(r(x_nxt)) < 4 * size((phii + x_nxt) / 2)
 
 
 class TestEvaluationBudget:
     """Boundary evaluations per bounce, counted through ``_newton``: the
-    Halley step and the single forward solve of an orbit keep them near 3."""
+    Halley step keeps them near 3, with both ends of a chord in one solve."""
 
     @pytest.fixture()
     def evaluations(self, monkeypatch):
