@@ -31,6 +31,7 @@ of Fourier coefficients of h; both routes are provided.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -47,6 +48,8 @@ NEWTON_CAP = 100
 MIN_CHORD_ANGLE = 1e-6
 # a residual below this fraction of the size of its terms is at the rounding floor
 NOISE_REL = 2 * np.finfo(float).eps
+# fewest trapezoid points in phi for the rigidity integral
+RIGIDITY_PHI_GRID = 512
 
 # per-line status of a batched solve; each failure maps to the error the
 # scalar wrappers raise
@@ -341,19 +344,26 @@ def orbit(curve: SupportCurve, line0: OrientedLine2D, steps: int):
     return ps[:, 0], phis[:, 0], chords
 
 
-def rigidity_integral(curve: SupportCurve, strip: Strip, quad_order: int = 32,
-                      phi_points: int = 512) -> float:
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """32-point Gauss-Legendre nodes and weights on [-1, 1], built on first
+    use: importing numpy.polynomial would add to every import of the module."""
+    return np.polynomial.legendre.leggauss(32)
+
+
+def rigidity_integral(curve: SupportCurve, strip: Strip) -> float:
     """Strip integral of (S11+2*S12+S22)*S12 in (phi, alpha) variables.
 
     The (phi1, phi2) -> (phi, alpha) change of variables carries Jacobian 2;
     the integrand reduces to 2*h''*(h''+h)*sin^2(alpha).  Gauss-Legendre in
-    alpha, periodic trapezoid in phi (spectrally accurate).
+    alpha, periodic trapezoid in phi on RIGIDITY_PHI_GRID points, or 2K + 1
+    for a table of degree K past that, which integrates the degree-2K phi
+    integrand exactly.
     """
-    if quad_order < 8:
-        raise ValueError("quad_order must be >= 8")
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    nodes, weights = _gauss_legendre()
     a = 0.5 * (strip.delta2 - strip.delta1) * nodes + 0.5 * (strip.delta1 + strip.delta2)
     wa = 0.5 * (strip.delta2 - strip.delta1) * weights
+    phi_points = max(RIGIDITY_PHI_GRID, 2 * curve.h.cos_coeffs.size + 1)
     phi = np.linspace(0.0, TWO_PI, phi_points, endpoint=False)
     h, _, hpp = eval_support(curve, phi)
     phi_part = float(np.sum(hpp * (hpp + h))) * (TWO_PI / phi_points)

@@ -11,6 +11,7 @@ randomized sweeps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -216,7 +217,12 @@ def cmd_chords(args) -> dict:
     return {"out": args.out, "samples": traj.s.size}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command grammar.  It is built on the first call, with the ``cmd_*``
+    handlers bound at that time, and shared by every later ``main`` call in
+    the process.  ``parse_args`` returns a fresh namespace and leaves the
+    parser as it was; nothing may change the parser once it is built."""
     parser = argparse.ArgumentParser(
         prog="gutkin",
         description="constant-angle convex billiards laboratory")
@@ -297,9 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _flag_error(args) -> str | None:
     """One-line message for the first flag value out of range, else None."""
-    for flag in ("steps", "pairs", "p_grid", "phi_grid"):
-        if getattr(args, flag, 1) < 1:
-            return f"--{flag.replace('_', '-')} must be at least 1"
+    for flag, least in (("steps", 1), ("pairs", 1), ("p_grid", 1), ("phi_grid", 1),
+                        ("grid", 8)):
+        if getattr(args, flag, least) < least:
+            return f"--{flag.replace('_', '-')} must be at least {least}"
     for flag in ("step", "length", "radius", "tol"):
         if not 0 < getattr(args, flag, 1.0) < math.inf:
             return f"--{flag} must be positive and finite"

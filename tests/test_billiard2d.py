@@ -312,6 +312,15 @@ class TestRigidity:
         assert val > 0
         assert val == pytest.approx(rigidity_integral_closed(curve, strip), rel=1e-6)
 
+    @pytest.mark.parametrize("degree", [256, 300])
+    def test_high_degree_not_aliased(self, degree):
+        # the phi integrand has degree 2K; 512 trapezoid points alias it from K = 256
+        rho = TrigPolynomial(1.0, np.r_[np.zeros(degree - 1), 0.3])
+        curve = support_from_radius(rho)
+        strip = Strip(0.3, 1.2)
+        assert rigidity_integral(curve, strip) == pytest.approx(
+            rigidity_integral_closed(curve, strip), rel=1e-12)
+
     def test_closed_nonnegative(self):
         rng = np.random.default_rng(9)
         strip = Strip(0.4, 1.1)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -172,6 +173,11 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert main(["verify", "--table", str(path), "--delta", "0.8"]) == 2
 
+    @pytest.mark.parametrize("grid", ["4", "0", "-1"])
+    def test_grid_below_8(self, table5, capsys, grid):
+        assert main(["verify", "--table", str(table5), "--grid", grid]) == 2
+        assert capsys.readouterr().err == "error: --grid must be at least 8\n"
+
 
 class TestOrbit:
     def test_circle_rows(self, tmp_path):
@@ -305,6 +311,18 @@ class TestRigidity:
     def test_bad_strip(self, table5):
         assert main(["rigidity", "--table", str(table5),
                      "--delta1", "1.0", "--delta2", "0.5"]) == 2
+
+    @pytest.mark.parametrize("degree", [256, 300])
+    def test_high_degree_not_aliased(self, tmp_path, capsys, degree):
+        # rho = 1 + 0.3 cos(K phi); 512 phi points alias the degree-2K integrand
+        path = tmp_path / "high.json"
+        path.write_text(json.dumps({"a0": 1.0, "harmonics": [
+            {"k": degree, "cos": 0.3 / (1 - degree ** 2), "sin": 0.0}]}))
+        assert main(["--json", "rigidity", "--table", str(path),
+                     "--delta1", "0.3", "--delta2", "1.2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["quadrature"] == pytest.approx(doc["closed_form"], rel=1e-12)
+        assert doc["relative_gap"] < 1e-12
 
 
 class TestEllipsoid:
@@ -474,6 +492,50 @@ class TestFlagValidation:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+class TestInProcessCalls:
+    """Repeated ``main`` calls in one process share one parser and no state."""
+
+    def test_parser_built_once(self, table5, monkeypatch):
+        assert main(["roots", "--n", "5"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (["roots", "--n", "5"], ["roots", "--n", "7"],
+                     ["verify", "--table", str(table5)]):
+            assert main(argv) == 0
+        assert built == []
+
+    def test_verify_delta_does_not_leak(self, table5, capsys):
+        own = json.loads(table5.read_text())["gutkin"]["delta"]
+        assert main(["--json", "verify", "--table", str(table5), "--delta", "0.3"]) == 1
+        assert json.loads(capsys.readouterr().out)["delta"] == 0.3
+        assert main(["--json", "verify", "--table", str(table5)]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] == own
+
+    def test_orbit_steps_do_not_leak(self, table5, tmp_path):
+        out = tmp_path / "o.csv"
+        base = ["orbit", "--table", str(table5), "--p", "0.3", "--phi", "0.2",
+                "--out", str(out)]
+        assert main(base + ["--steps", "3"]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3
+        assert main(base) == 0
+        assert len(out.read_text().splitlines()) == 1 + 100
+
+    def test_svg_does_not_leak(self, table5, tmp_path):
+        svg = tmp_path / "pp.svg"
+        base = ["phase-portrait", "--table", str(table5), "--steps", "5",
+                "--out", str(tmp_path / "pp.csv")]
+        assert main(base + ["--svg", str(svg)]) == 0
+        svg.unlink()
+        assert main(base) == 0
+        assert not list(tmp_path.glob("*.svg"))
 
 
 class TestGradientCheck:
