@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, DegenerateChord, NoIntersection,
                      TangentLine)
-from .support_geometry import SupportCurve, eval_support, support_jet
+from .support_geometry import SupportCurve, eval_support
 
 TWO_PI = 2 * math.pi
 PSI_TOL = 1e-14
@@ -113,7 +113,7 @@ def generating_value(curve: SupportCurve, phi1: float, phi2: float) -> float:
     d = phi2 - phi1
     if not 0.0 < d < TWO_PI:
         raise DegenerateChord(f"phi2 - phi1 = {d:g} outside (0, 2*pi)")
-    h, _, _ = eval_support(curve, 0.5 * (phi1 + phi2))
+    h, _, _, _ = eval_support(curve, 0.5 * (phi1 + phi2))
     return 2.0 * h * math.sin(0.5 * d)
 
 
@@ -122,7 +122,7 @@ def generating_second_derivs(curve: SupportCurve, phi1: float, phi2: float):
     if not 0.0 < d < TWO_PI:
         raise DegenerateChord(f"phi2 - phi1 = {d:g} outside (0, 2*pi)")
     mid, alpha = 0.5 * (phi1 + phi2), 0.5 * d
-    h, hp, hpp = eval_support(curve, mid)
+    h, hp, hpp, _ = eval_support(curve, mid)
     sa, ca = math.sin(alpha), math.cos(alpha)
     s11 = 0.5 * (hpp - h) * sa - hp * ca
     s22 = 0.5 * (hpp - h) * sa + hp * ca
@@ -151,7 +151,7 @@ def _brackets(curve: SupportCurve, p, phi):
     The start fits the circle c + r cos(psi - phi) to the two end values,
     which is exact when the table is a circle.
     """
-    h, _, _ = eval_support(curve, np.concatenate((phi, phi + math.pi)))
+    h, _, _, _ = eval_support(curve, np.concatenate((phi, phi + math.pi)))
     f_lo, f_hi = h[:p.size] - p, -h[p.size:] - p
     misses = ~((f_lo > 0) & (f_hi < 0))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -213,7 +213,7 @@ def solve_chords(curve: SupportCurve, p, phi) -> Chords:
     size_p = np.abs(p_ends)
 
     def evaluate(psi):
-        h, hp, hpp, hppp = support_jet(curve, psi)
+        h, hp, hpp, hppp = eval_support(curve, psi)
         b = psi - phi_ends
         cb, sb = np.cos(b), np.sin(b)
         rho = h + hpp
@@ -241,7 +241,7 @@ def solve_chords(curve: SupportCurve, p, phi) -> Chords:
 def _outgoing(curve: SupportCurve, phi, psi_fwd):
     """(p, phi) after reflecting lines of normal angle phi at the boundary
     points psi_fwd: the mirror law sends phi to 2 psi_fwd - phi."""
-    h, hp, _ = eval_support(curve, psi_fwd)
+    h, hp, _, _ = eval_support(curve, psi_fwd)
     b = psi_fwd - phi
     return h * np.cos(b) + hp * np.sin(b), _mod_two_pi(2.0 * psi_fwd - phi)
 
@@ -271,7 +271,7 @@ def solve_variational(curve: SupportCurve, p, phi):
 
     def evaluate(phi2):
         alpha = 0.5 * (phi2 - phi)
-        h, hp, hpp, hppp = support_jet(curve, phi + alpha)
+        h, hp, hpp, hppp = eval_support(curve, phi + alpha)
         ca, sa = np.cos(alpha), np.sin(alpha)
         rho = h + hpp
         noise = NOISE_REL * (np.abs(h) + np.abs(hp) + size_p)
@@ -292,7 +292,7 @@ def reflect_variational(curve: SupportCurve, line: OrientedLine2D) -> OrientedLi
 
 def constant_angle_line(curve: SupportCurve, delta: float, psi: float) -> OrientedLine2D:
     """Line leaving the boundary point x(psi) at angle delta with the tangent."""
-    h, hp, _ = eval_support(curve, psi)
+    h, hp, _, _ = eval_support(curve, psi)
     return OrientedLine2D(h * math.cos(delta) + hp * math.sin(delta), psi + delta)
 
 
@@ -303,7 +303,7 @@ def verify_constant_angle(curve: SupportCurve, delta: float, grid_size: int = 36
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
     psi = np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
-    h, hp, _ = eval_support(curve, psi)
+    h, hp, _, _ = eval_support(curve, psi)
     p = h * math.cos(delta) + hp * math.sin(delta)
     c = solve_chords(curve, p, psi + delta)
     _raise_first_failure(c.status, p, psi + delta)
@@ -365,7 +365,7 @@ def rigidity_integral(curve: SupportCurve, strip: Strip) -> float:
     wa = 0.5 * (strip.delta2 - strip.delta1) * weights
     phi_points = max(RIGIDITY_PHI_GRID, 2 * curve.h.cos_coeffs.size + 1)
     phi = np.linspace(0.0, TWO_PI, phi_points, endpoint=False)
-    h, _, hpp = eval_support(curve, phi)
+    h, _, hpp, _ = eval_support(curve, phi)
     phi_part = float(np.sum(hpp * (hpp + h))) * (TWO_PI / phi_points)
     alpha_part = float(np.sum(np.sin(a) ** 2 * wa))
     return 2.0 * alpha_part * phi_part

@@ -89,7 +89,7 @@ def cmd_verify(args) -> dict:
     if delta is None:
         if not meta:
             raise ValueError("no delta given and table carries no constant-angle metadata")
-        delta = float(meta["delta"])
+        delta = meta["delta"]
     residual = b2.verify_constant_angle(curve, delta, args.grid)
     return {"delta": delta, "residual": residual, "pass": residual < args.tol}
 
@@ -105,7 +105,8 @@ def cmd_orbit(args) -> dict:
 
 def cmd_phase_portrait(args) -> dict:
     curve, _ = sg.load_table(args.table)
-    h_min = min(curve.h(np.linspace(0, 2 * math.pi, 1024, endpoint=False)))
+    h, _, _, _ = sg.eval_support(curve, np.linspace(0, 2 * math.pi, 1024, endpoint=False))
+    h_min = min(h)
     pf, phi0 = np.meshgrid(np.linspace(-0.9, 0.9, args.p_grid),
                            np.linspace(0.0, 2 * math.pi, args.phi_grid, endpoint=False),
                            indexing="ij")

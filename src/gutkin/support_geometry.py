@@ -38,23 +38,6 @@ class TrigPolynomial:
         object.__setattr__(self, "cos_coeffs", a)
         object.__setattr__(self, "sin_coeffs", b)
 
-    @property
-    def degree(self) -> int:
-        nz = np.nonzero((self.cos_coeffs != 0) | (self.sin_coeffs != 0))[0]
-        return int(nz[-1]) + 1 if nz.size else 0
-
-    def __call__(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        k = np.arange(1, self.cos_coeffs.size + 1)
-        kphi = np.multiply.outer(phi, k)
-        return (self.constant
-                + np.cos(kphi) @ self.cos_coeffs
-                + np.sin(kphi) @ self.sin_coeffs)
-
-    def derivative(self) -> "TrigPolynomial":
-        k = np.arange(1, self.cos_coeffs.size + 1)
-        return TrigPolynomial(0.0, k * self.sin_coeffs, -k * self.cos_coeffs)
-
     def harmonic(self, k: int) -> tuple[float, float]:
         """(cos, sin) coefficients at harmonic k (0 -> constant)."""
         if k == 0:
@@ -115,34 +98,30 @@ def circle(radius: float = 1.0) -> SupportCurve:
     return SupportCurve(TrigPolynomial(radius))
 
 
-def support_jet(curve: SupportCurve, phi):
-    """(h, h', h'', h''') at phi, an array, from one table of e^{i k phi}.
+def eval_support(curve: SupportCurve, phi) -> tuple:
+    """(h, h', h'', h''') at phi, a scalar or an array, from one table of
+    e^{i k phi}: the one evaluator of h at given angles.
 
     Each value depends only on its own phi, so a point gets the same bits
     whatever array it is evaluated in.
     """
+    phi = np.asarray(phi, dtype=float)
     waves = np.exp(1j * np.multiply.outer(phi, curve._k))
     h, hp, hpp, hppp = np.einsum("...k,kj->j...", waves, curve._coeffs).real
-    return h + curve.h.constant, hp, hpp, hppp
-
-
-def eval_support(curve: SupportCurve, phi) -> tuple:
-    """(h, h', h'') at phi, a scalar or an array, from ``support_jet``."""
-    phi = np.asarray(phi, dtype=float)
-    h, hp, hpp, _ = support_jet(curve, phi)
+    h = h + curve.h.constant
     if phi.ndim == 0:
-        return float(h), float(hp), float(hpp)
-    return h, hp, hpp
+        return float(h), float(hp), float(hpp), float(hppp)
+    return h, hp, hpp, hppp
 
 
 def curvature_radius(curve: SupportCurve, phi):
-    h, _, hpp = eval_support(curve, phi)
+    h, _, hpp, _ = eval_support(curve, phi)
     return hpp + h
 
 
 def boundary_point(curve: SupportCurve, phi):
     """Boundary point whose outward normal has angle phi: x = h*e + h'*e_perp."""
-    h, hp, _ = eval_support(curve, phi)
+    h, hp, _, _ = eval_support(curve, phi)
     c, s = np.cos(phi), np.sin(phi)
     return np.stack([h * c - hp * s, h * s + hp * c], axis=-1)
 
@@ -217,7 +196,8 @@ def build_gutkin_table(n: int, root_index: int, a0: float, an: float) -> GutkinT
 def check_constant_width(curve: SupportCurve, tol: float = 1e-12):
     """Is h(phi) + h(phi+pi) constant?  Returns (is_constant, mean width)."""
     grid = np.linspace(0.0, 2 * np.pi, CONVEXITY_GRID, endpoint=False)
-    width = curve.h(grid) + curve.h(grid + np.pi)
+    h, _, _, _ = eval_support(curve, np.stack((grid, grid + np.pi)))
+    width = h[0] + h[1]
     mean = float(width.mean())
     return bool(np.max(np.abs(width - mean)) < tol), mean
 
@@ -238,26 +218,63 @@ def table_to_dict(curve: SupportCurve, gutkin: GutkinTable | None = None) -> dic
     return doc
 
 
+def _number(value, key: str) -> float:
+    """A JSON number as a float; anything else, a bool too, raises ValueError
+    naming key.  An integer beyond the float range reads as inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"table {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _gutkin_metadata(meta) -> dict | None:
+    """The table's 'gutkin' entry: null, or {"n": integer, "delta": finite number}."""
+    if meta is None:
+        return None
+    if not isinstance(meta, dict) or not {"n", "delta"} <= meta.keys():
+        raise ValueError("table 'gutkin' must be null or an object with the keys "
+                         f"'n' and 'delta', got {meta!r}")
+    n = meta["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"table gutkin 'n' must be an integer, got {n!r}")
+    delta = _number(meta["delta"], "gutkin 'delta'")
+    if not math.isfinite(delta):
+        raise ValueError(f"table gutkin 'delta' must be finite, got {meta['delta']!r}")
+    return {"n": n, "delta": delta}
+
+
 def table_from_dict(doc: dict) -> tuple[SupportCurve, dict | None]:
-    """Inverse of table_to_dict; a malformed document, or one with a
-    coefficient that is not finite, raises ValueError and a non-convex one
-    (rho_min <= 0) NonConvex."""
+    """Inverse of table_to_dict: the curve and the 'gutkin' metadata, with
+    delta as a float.  A malformed document raises ValueError naming the key
+    at fault: 'a0' must be a number, each harmonic's 'k' an integer >= 1
+    given once, its 'cos' and 'sin' (default 0) numbers, and every
+    coefficient finite.  A non-convex table (rho_min <= 0) raises NonConvex."""
     if not isinstance(doc, dict) or "a0" not in doc:
         raise ValueError("table needs the key 'a0'")
-    try:
-        harmonics = doc.get("harmonics", [])
-        deg = max((int(e["k"]) for e in harmonics), default=0)
-        a = np.zeros(deg)
-        b = np.zeros(deg)
-        for e in harmonics:
-            a[int(e["k"]) - 1] = float(e.get("cos", 0.0))
-            b[int(e["k"]) - 1] = float(e.get("sin", 0.0))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed table harmonics: {exc!r}") from None
-    a0 = float(doc["a0"])
+    a0 = _number(doc["a0"], "'a0'")
+    meta = _gutkin_metadata(doc.get("gutkin"))
+    harmonics = doc.get("harmonics", [])
+    if not isinstance(harmonics, list) or not all(isinstance(e, dict) and "k" in e
+                                                  for e in harmonics):
+        raise ValueError("table 'harmonics' must be a list of objects with the key 'k'")
+    coeffs = {}
+    for e in harmonics:
+        k = e["k"]
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ValueError(f"table harmonic 'k' must be an integer >= 1, got {k!r}")
+        if k in coeffs:
+            raise ValueError(f"table harmonic k = {k} is given more than once")
+        coeffs[k] = (_number(e.get("cos", 0.0), f"harmonic {k} 'cos'"),
+                     _number(e.get("sin", 0.0), f"harmonic {k} 'sin'"))
+    a = np.zeros(max(coeffs, default=0))
+    b = np.zeros(a.size)
+    for k, (c, s) in coeffs.items():
+        a[k - 1], b[k - 1] = c, s
     if not np.isfinite([a0, *a, *b]).all():
         raise ValueError("table coefficients must be finite")
-    return _convex(SupportCurve(TrigPolynomial(a0, a, b))), doc.get("gutkin")
+    return _convex(SupportCurve(TrigPolynomial(a0, a, b))), meta
 
 
 def save_table(path, curve: SupportCurve, gutkin: GutkinTable | None = None):

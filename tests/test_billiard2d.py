@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import trig_eval
 from gutkin import billiard2d
 from gutkin.billiard2d import (MISSES, NEAR_TANGENT, SOLVED, OrientedLine2D, Strip,
                                chord_incidence_angles, constant_angle_line,
@@ -238,7 +239,7 @@ class TestConstantAngleLine:
         delta = gutkin5.delta
         line = constant_angle_line(gutkin5.curve, delta, 0.0)
         assert line.p == pytest.approx(
-            float(gutkin5.curve.h(0.0)) * math.cos(delta), abs=1e-12)
+            trig_eval(gutkin5.curve.h, 0.0) * math.cos(delta), abs=1e-12)
         assert line.phi == pytest.approx(delta)
 
 
@@ -343,7 +344,7 @@ class TestBatchedSolves:
         rng = np.random.default_rng(17)
         phi = rng.uniform(0, TWO_PI, 40)
         p = rng.uniform(-0.95, 0.95, 40)
-        p[:8] = gutkin5.curve.h(phi[:8]) * (1 - 10.0 ** -rng.uniform(2, 9, 8))
+        p[:8] = trig_eval(gutkin5.curve.h, phi[:8]) * (1 - 10.0 ** -rng.uniform(2, 9, 8))
         p[8] = 1.5  # misses
         return p, phi
 
@@ -458,7 +459,7 @@ class TestMpmathOracle:
         curve = gutkin5.curve if table == "gutkin5" else degree32_table()
         rng = np.random.default_rng(41)
         phi = rng.uniform(0.0, TWO_PI, 40)
-        lo, hi = -curve.h(phi + math.pi), curve.h(phi)
+        lo, hi = -trig_eval(curve.h, phi + math.pi), trig_eval(curve.h, phi)
         p = lo + (hi - lo) * rng.uniform(0.02, 0.98, 40)
         offset = 10.0 ** -np.linspace(6, 9, 5)
         p[:5], p[5:10] = hi[:5] - offset, lo[5:10] + offset
@@ -546,3 +547,26 @@ class TestEvaluationBudget:
         for p, phi in zip(rng.uniform(-0.9, 0.9, 20), rng.uniform(0.0, TWO_PI, 20)):
             chord_incidence_angles(curve, OrientedLine2D(p, phi))
         assert evaluations[0] <= 70
+
+    @pytest.mark.parametrize("p, phi", [(0.3, 0.2), (-0.7, 4.0), (0.05, 2.5)])
+    def test_one_path_to_h(self, gutkin5, monkeypatch, p, phi):
+        # the solvers reach h only through the module's eval_support, the
+        # function a tracer wraps to count boundary evaluations
+        curve, line = gutkin5.curve, OrientedLine2D(p, phi)
+        geo, chord = reflect_geometric(curve, line)
+        var = reflect_variational(curve, line)
+        calls = [0]
+        evaluate = billiard2d.eval_support
+
+        def counting(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(billiard2d, "eval_support", counting)
+        geo_counted, chord_counted = reflect_geometric(curve, line)
+        geo_calls, calls[0] = calls[0], 0
+        var_counted = reflect_variational(curve, line)
+        assert geo_counted == geo and var_counted == var
+        assert all(np.array_equal(a, b) for a, b in zip(chord_counted, chord))
+        assert geo_calls >= 3 and calls[0] >= 3
+        assert abs(var.p - geo.p) < 1e-12 and angle_diff(var.phi, geo.phi) < 1e-12

@@ -242,13 +242,14 @@ class TestPhasePortrait:
 
     def test_rows_match_scalar_orbits(self, table5, tmp_path):
         from gutkin.billiard2d import OrientedLine2D, reflect_geometric
-        from gutkin.support_geometry import load_table
+        from gutkin.support_geometry import eval_support, load_table
         out = tmp_path / "pp.csv"
         assert main(["phase-portrait", "--table", str(table5), "--p-grid", "3",
                      "--phi-grid", "2", "--steps", "5", "--out", str(out)]) == 0
         rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
         curve, _ = load_table(table5)
-        h_min = min(curve.h(np.linspace(0, 2 * math.pi, 1024, endpoint=False)))
+        h, _, _, _ = eval_support(curve, np.linspace(0, 2 * math.pi, 1024, endpoint=False))
+        h_min = min(h)
         starts = [(pf * h_min, phi0) for pf in np.linspace(-0.9, 0.9, 3)
                   for phi0 in np.linspace(0.0, 2 * math.pi, 2, endpoint=False)]
         want = []
@@ -424,6 +425,57 @@ def test_non_finite_table_rejected(tmp_path, capsys, command, doc):
     path.write_text(doc)
     assert main(command[:1] + ["--table", str(path)] + command[1:]) == 2
     assert capsys.readouterr().err == "error: table coefficients must be finite\n"
+
+
+class TestMalformedTable:
+    """A malformed table exits 2 with one line that names the key at fault."""
+
+    RIGIDITY = ["rigidity", "--delta1", "0.3", "--delta2", "1.0"]
+
+    def run(self, tmp_path, capsys, text, command):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc = main(command[:1] + ["--table", str(path)] + command[1:])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("harmonics, got", [
+        ('[{"k": 3, "cos": 0.01}, {"k": 0, "cos": 0.05}]', "0"),
+        ('[{"k": -2, "cos": 0.01}]', "-2"),
+        ('[{"k": 2.7, "cos": 0.01}]', "2.7"),
+        ('[{"k": true, "cos": 0.01}]', "True"),
+        ('[{"k": 0, "cos": 0.05}]', "0"),
+    ])
+    def test_harmonic_index(self, tmp_path, capsys, harmonics, got):
+        rc, err = self.run(tmp_path, capsys, f'{{"a0": 1, "harmonics": {harmonics}}}',
+                           self.RIGIDITY)
+        assert (rc, err) == (2, f"error: table harmonic 'k' must be an integer >= 1, got {got}\n")
+
+    def test_repeated_harmonic(self, tmp_path, capsys):
+        rc, err = self.run(tmp_path, capsys, '{"a0": 1, "harmonics": '
+                           '[{"k": 3, "cos": 0.01}, {"k": 3, "cos": 0.02}]}', self.RIGIDITY)
+        assert (rc, err) == (2, "error: table harmonic k = 3 is given more than once\n")
+
+    @pytest.mark.parametrize("a0", ["null", "[1]", "true"])
+    def test_a0(self, tmp_path, capsys, a0):
+        rc, err = self.run(tmp_path, capsys, f'{{"a0": {a0}, "harmonics": []}}', self.RIGIDITY)
+        assert rc == 2
+        assert err.startswith("error: table 'a0' must be a number, got ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("meta, key", [
+        ('{"n": 5}', "'gutkin'"),
+        ('[5, 0.9]', "'gutkin'"),
+        ('"5"', "'gutkin'"),
+        ('{"n": 5, "delta": null}', "gutkin 'delta'"),
+        ('{"n": 5, "delta": true}', "gutkin 'delta'"),
+        ('{"n": null, "delta": 0.9}', "gutkin 'n'"),
+    ])
+    @pytest.mark.parametrize("delta_flag", [[], ["--delta", "0.9"]])
+    def test_gutkin_metadata(self, tmp_path, capsys, meta, key, delta_flag):
+        rc, err = self.run(tmp_path, capsys,
+                           f'{{"a0": 1, "harmonics": [], "gutkin": {meta}}}',
+                           ["verify", *delta_flag])
+        assert rc == 2
+        assert err.startswith(f"error: table {key} must be ") and err.count("\n") == 1
 
 
 class TestSpecValidation:

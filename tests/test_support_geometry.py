@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import trig_derivative, trig_eval
 from gutkin.errors import InvalidHarmonic, NonClosedCurve, NonConvex
 from gutkin.support_geometry import (GutkinTable, SupportCurve, TrigPolynomial,
                                      boundary_point, build_gutkin_table,
@@ -21,68 +23,84 @@ def gutkin5():
 
 
 class TestTrigPolynomial:
+    """Values, derivatives and periods of a series, read through eval_support."""
+
     def test_constant(self):
-        f = TrigPolynomial(1.0)
-        assert f(0.7) == 1.0
+        assert eval_support(SupportCurve(TrigPolynomial(1.0)), 0.7) == (1.0, 0.0, 0.0, 0.0)
 
     def test_eval_mixed(self):
-        f = TrigPolynomial(0.5, [0.1, 0.2], [0.0, -0.3])
+        # f = 0.5 + 0.1 cos phi + 0.2 cos 2phi - 0.3 sin 2phi and its derivatives
+        curve = SupportCurve(TrigPolynomial(0.5, [0.1, 0.2], [0.0, -0.3]))
         phi = 1.234
-        expected = 0.5 + 0.1 * math.cos(phi) + 0.2 * math.cos(2 * phi) \
-            - 0.3 * math.sin(2 * phi)
-        assert f(phi) == pytest.approx(expected, abs=1e-15)
+        c1, s1, c2, s2 = math.cos(phi), math.sin(phi), math.cos(2 * phi), math.sin(2 * phi)
+        expected = (0.5 + 0.1 * c1 + 0.2 * c2 - 0.3 * s2,
+                    -0.1 * s1 - 0.4 * s2 - 0.6 * c2,
+                    -0.1 * c1 - 0.8 * c2 + 1.2 * s2,
+                    0.1 * s1 + 1.6 * s2 + 2.4 * c2)
+        assert eval_support(curve, phi) == pytest.approx(expected, abs=1e-15)
 
     def test_derivative_of_sin(self):
-        f = TrigPolynomial(0.0, [0.0], [1.0])  # sin(phi)
-        assert f.derivative()(0.0) == pytest.approx(1.0)
-        assert f.derivative().derivative()(math.pi / 2) == pytest.approx(-1.0)
+        curve = SupportCurve(TrigPolynomial(0.0, [0.0], [1.0]))  # sin(phi)
+        assert eval_support(curve, 0.0) == pytest.approx((0.0, 1.0, 0.0, -1.0), abs=1e-15)
+        assert eval_support(curve, math.pi / 2) == pytest.approx((1.0, 0.0, -1.0, 0.0),
+                                                                 abs=1e-15)
 
     @given(st.lists(st.floats(-1, 1), min_size=1, max_size=6),
            st.floats(-10, 10))
     @settings(max_examples=50, deadline=None)
     def test_periodicity(self, coeffs, phi):
-        f = TrigPolynomial(0.3, coeffs, coeffs[::-1])
-        assert f(phi) == pytest.approx(f(phi + 2 * math.pi), abs=1e-9)
-
-    def test_derivative_degree(self):
-        f = TrigPolynomial(1.0, [0.0, 0.0, 0.5])
-        assert f.derivative().degree <= f.degree
+        curve = SupportCurve(TrigPolynomial(0.3, coeffs, coeffs[::-1]))
+        assert eval_support(curve, phi + 2 * math.pi) == pytest.approx(
+            eval_support(curve, phi), abs=1e-9)
 
 
 class TestEvalSupport:
     def test_constant_curve(self):
-        h, hp, hpp = eval_support(circle(1.0), 0.7)
-        assert (h, hp, hpp) == (1.0, 0.0, 0.0)
+        assert eval_support(circle(1.0), 0.7) == (1.0, 0.0, 0.0, 0.0)
 
     def test_gutkin5_at_zero(self):
-        h, hp, hpp = eval_support(gutkin5().curve, 0.0)
+        h, hp, hpp, hppp = eval_support(gutkin5().curve, 0.0)
         assert h == pytest.approx(1 - 0.05 / 24, abs=1e-12)
         assert hp == pytest.approx(0.0, abs=1e-15)
         assert hpp == pytest.approx(0.05 * 25 / 24, abs=1e-12)
+        assert hppp == pytest.approx(0.0, abs=1e-15)
+
+    def test_gutkin5_third_derivative(self):
+        # h = 1 - (0.05/24) cos 5phi, so h''' = -(0.05/24) 125 sin 5phi
+        phi = np.linspace(0.0, 2 * math.pi, 37)
+        _, _, _, hppp = eval_support(gutkin5().curve, phi)
+        assert np.abs(hppp + 0.05 / 24 * 125 * np.sin(5 * phi)).max() < 1e-14
 
     def test_pure_sine(self):
         curve = SupportCurve(TrigPolynomial(0.0, [0.0], [1.0]))
-        h, hp, hpp = eval_support(curve, math.pi / 2)
+        h, hp, hpp, hppp = eval_support(curve, math.pi / 2)
         assert h == pytest.approx(1.0)
         assert hp == pytest.approx(0.0, abs=1e-15)
         assert hpp == pytest.approx(-1.0)
-
+        assert hppp == pytest.approx(0.0, abs=1e-15)
 
     def test_array_matches_scalar_bitwise(self):
+        # every output, from a flat array and from one of shape (1, 41, 1)
         curve = SupportCurve(TrigPolynomial(1.0, [0.0, 0.01, -0.004, 0.006],
                                             [0.0, 0.002, 0.0, -0.001]))
         phi = np.linspace(-7.0, 13.0, 41)
-        h, hp, hpp = eval_support(curve, phi)
+        flat = eval_support(curve, phi)
+        nested = eval_support(curve, phi.reshape(1, 41, 1))
         for i, x in enumerate(phi):
-            assert eval_support(curve, x) == (h[i], hp[i], hpp[i])
+            jet = eval_support(curve, x)
+            assert jet == tuple(float(d[i]) for d in flat)
+            assert jet == tuple(float(d[0, i, 0]) for d in nested)
 
     def test_matches_derivative_polynomials(self):
         f = TrigPolynomial(1.0, [0.0, 0.01, -0.004, 0.006], [0.0, 0.002, 0.0, -0.001])
         phi = np.linspace(0, 2 * math.pi, 97)
-        h, hp, hpp = eval_support(SupportCurve(f), phi)
-        assert np.abs(h - f(phi)).max() < 1e-15
-        assert np.abs(hp - f.derivative()(phi)).max() < 1e-15
-        assert np.abs(hpp - f.derivative().derivative()(phi)).max() < 1e-14
+        h, hp, hpp, hppp = eval_support(SupportCurve(f), phi)
+        fp = trig_derivative(f)
+        fpp = trig_derivative(fp)
+        assert np.abs(h - trig_eval(f, phi)).max() < 1e-15
+        assert np.abs(hp - trig_eval(fp, phi)).max() < 1e-15
+        assert np.abs(hpp - trig_eval(fpp, phi)).max() < 1e-14
+        assert np.abs(hppp - trig_eval(trig_derivative(fpp), phi)).max() < 1e-14
 
 
 class TestCurvatureRadius:
@@ -125,14 +143,14 @@ class TestBoundaryPoint:
         phi = np.linspace(0, 2 * math.pi, 200)
         x = boundary_point(curve, phi)
         e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        assert np.abs(np.sum(x * e, axis=1) - curve.h(phi)).max() < 1e-12
+        assert np.abs(np.sum(x * e, axis=1) - trig_eval(curve.h, phi)).max() < 1e-12
 
 
 class TestSupportFromRadius:
     def test_circle(self):
         curve = support_from_radius(TrigPolynomial(1.0))
         assert curve.h.constant == 1.0
-        assert curve.h.degree == 0
+        assert not curve.h.cos_coeffs.any() and not curve.h.sin_coeffs.any()
 
     def test_fifth_harmonic(self):
         rho = TrigPolynomial(1.0, [0, 0, 0, 0, 0.05])
@@ -153,8 +171,8 @@ class TestSupportFromRadius:
         rho = TrigPolynomial(1.0, [0.0] + coeffs)
         curve = support_from_radius(rho)
         grid = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
-        h, _, hpp = eval_support(curve, grid)
-        assert np.abs(hpp + h - rho(grid)).max() < 1e-12
+        h, _, hpp, _ = eval_support(curve, grid)
+        assert np.abs(hpp + h - trig_eval(rho, grid)).max() < 1e-12
 
 
 class TestGutkinAngles:
@@ -205,7 +223,7 @@ class TestBuildGutkinTable:
     def test_n5(self):
         table = gutkin5()
         assert table.delta == pytest.approx(0.9117382909684876, abs=1e-10)
-        assert table.curve.h(0.0) == pytest.approx(1 - 0.05 / 24, abs=1e-12)
+        assert trig_eval(table.curve.h, 0.0) == pytest.approx(1 - 0.05 / 24, abs=1e-12)
         assert abs(math.tan(5 * table.delta) - 5 * math.tan(table.delta)) < 1e-10
 
     def test_n4(self):
@@ -273,3 +291,63 @@ class TestTableJson:
         curve, meta = table_from_dict(doc)
         assert meta is None
         assert curve.h.constant == 2.0
+
+    @pytest.mark.parametrize("harmonics, match", [
+        ([{"k": 3, "cos": 0.01}, {"k": 0, "cos": 0.05}], "'k' must be an integer >= 1, got 0"),
+        ([{"k": -2, "cos": 0.01}], "'k' must be an integer >= 1, got -2"),
+        ([{"k": 2.7, "cos": 0.01}], "'k' must be an integer >= 1, got 2.7"),
+        ([{"k": 2.0, "cos": 0.01}], "'k' must be an integer >= 1, got 2.0"),
+        ([{"k": True, "cos": 0.01}], "'k' must be an integer >= 1, got True"),
+        ([{"k": "2", "cos": 0.01}], "'k' must be an integer >= 1, got '2'"),
+        ([{"k": None, "cos": 0.01}], "'k' must be an integer >= 1, got None"),
+        ([{"k": 0}], "'k' must be an integer >= 1, got 0"),
+        ([{"k": 2, "cos": 0.01}, {"k": 2, "cos": 0.02}], "k = 2 is given more than once"),
+        ([{"cos": 0.01}], "'harmonics' must be a list of objects with the key 'k'"),
+        ([[2, 0.01]], "'harmonics' must be a list of objects with the key 'k'"),
+        ({"k": 2, "cos": 0.01}, "'harmonics' must be a list of objects with the key 'k'"),
+        (None, "'harmonics' must be a list of objects with the key 'k'"),
+        ([{"k": 2, "cos": None}], "harmonic 2 'cos' must be a number, got None"),
+        ([{"k": 2, "sin": True}], "harmonic 2 'sin' must be a number, got True"),
+    ])
+    def test_malformed_harmonics_rejected(self, harmonics, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            table_from_dict({"a0": 1.0, "harmonics": harmonics})
+
+    @pytest.mark.parametrize("a0", [None, [1], True, False, "1.0", {"v": 1}])
+    def test_a0_not_a_number_rejected(self, a0):
+        with pytest.raises(ValueError, match=re.escape(f"table 'a0' must be a number, got {a0!r}")):
+            table_from_dict({"a0": a0, "harmonics": []})
+
+    def test_a0_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="table coefficients must be finite"):
+            table_from_dict({"a0": 10 ** 400, "harmonics": []})
+
+    @pytest.mark.parametrize("meta, match", [
+        ({"n": 5}, "'gutkin' must be null or an object with the keys 'n' and 'delta'"),
+        ({"delta": 0.9}, "'gutkin' must be null or an object with the keys 'n' and 'delta'"),
+        ({}, "'gutkin' must be null or an object with the keys 'n' and 'delta'"),
+        ([5, 0.9], "'gutkin' must be null or an object with the keys 'n' and 'delta'"),
+        ("5", "'gutkin' must be null or an object with the keys 'n' and 'delta'"),
+        ({"n": 5, "delta": None}, "gutkin 'delta' must be a number, got None"),
+        ({"n": 5, "delta": True}, "gutkin 'delta' must be a number, got True"),
+        ({"n": 5, "delta": "0.9"}, "gutkin 'delta' must be a number, got '0.9'"),
+        ({"n": 5, "delta": math.nan}, "gutkin 'delta' must be finite, got nan"),
+        ({"n": 5, "delta": -math.inf}, "gutkin 'delta' must be finite, got -inf"),
+        ({"n": 5.0, "delta": 0.9}, "gutkin 'n' must be an integer, got 5.0"),
+        ({"n": True, "delta": 0.9}, "gutkin 'n' must be an integer, got True"),
+        ({"n": None, "delta": 0.9}, "gutkin 'n' must be an integer, got None"),
+    ])
+    def test_malformed_gutkin_metadata_rejected(self, meta, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            table_from_dict({"a0": 1.0, "harmonics": [], "gutkin": meta})
+
+    def test_gutkin_metadata_delta_read_as_float(self):
+        _, meta = table_from_dict({"a0": 1.0, "harmonics": [], "gutkin": {"n": 5, "delta": 1}})
+        assert meta == {"n": 5, "delta": 1.0}
+        assert type(meta["delta"]) is float
+
+    def test_harmonics_in_any_order(self):
+        curve, _ = table_from_dict({"a0": 1.0, "harmonics": [{"k": 3, "sin": 0.01},
+                                                              {"k": 1, "cos": 0.02}]})
+        assert curve.h.cos_coeffs.tolist() == [0.02, 0.0, 0.0]
+        assert curve.h.sin_coeffs.tolist() == [0.0, 0.0, 0.01]
