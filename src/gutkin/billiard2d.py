@@ -53,7 +53,7 @@ RIGIDITY_PHI_GRID = 512
 
 # per-line status of a batched solve; each failure maps to the error the
 # scalar wrappers raise
-SOLVED, MISSES, ZERO_LENGTH, NEAR_TANGENT, NOT_CONVERGED = range(5)
+SOLVED, MISSES, NEAR_TANGENT, NOT_CONVERGED = range(4)
 
 
 @dataclass(frozen=True)
@@ -101,33 +101,25 @@ def _raise_first_failure(status, p, phi):
     if status == MISSES:
         raise NoIntersection(f"line (p={line.p:g}, phi={line.phi:g}) "
                              "misses the table")
-    if status == ZERO_LENGTH:
-        raise TangentLine("zero-length chord")
     if status == NEAR_TANGENT:
         raise TangentLine("near-tangent chord")
     if status == NOT_CONVERGED:
         raise ConvergenceFailure("safeguarded Newton did not converge")
 
 
-def generating_value(curve: SupportCurve, phi1: float, phi2: float) -> float:
+def generating_function(curve: SupportCurve, phi1, phi2):
+    """S and its second derivatives (S, S11, S12, S22) at (phi1, phi2), scalars
+    or equal-shape arrays; a pair gets the same bits in any array.  Raises
+    DegenerateChord unless every phi2 - phi1 lies in (0, 2*pi)."""
+    phi1, phi2 = np.asarray(phi1, dtype=float), np.asarray(phi2, dtype=float)
     d = phi2 - phi1
-    if not 0.0 < d < TWO_PI:
-        raise DegenerateChord(f"phi2 - phi1 = {d:g} outside (0, 2*pi)")
-    h, _, _, _ = eval_support(curve, 0.5 * (phi1 + phi2))
-    return 2.0 * h * math.sin(0.5 * d)
-
-
-def generating_second_derivs(curve: SupportCurve, phi1: float, phi2: float):
-    d = phi2 - phi1
-    if not 0.0 < d < TWO_PI:
-        raise DegenerateChord(f"phi2 - phi1 = {d:g} outside (0, 2*pi)")
-    mid, alpha = 0.5 * (phi1 + phi2), 0.5 * d
-    h, hp, hpp, _ = eval_support(curve, mid)
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    s11 = 0.5 * (hpp - h) * sa - hp * ca
-    s22 = 0.5 * (hpp - h) * sa + hp * ca
-    s12 = 0.5 * (hpp + h) * sa
-    return float(s11), float(s12), float(s22)
+    bad = ~((0.0 < d) & (d < TWO_PI))
+    if bad.any():
+        raise DegenerateChord(f"phi2 - phi1 = {np.extract(bad, d)[0]:g} outside (0, 2*pi)")
+    h, hp, hpp, _ = eval_support(curve, 0.5 * (phi1 + phi2))
+    sa, ca = np.sin(0.5 * d), np.cos(0.5 * d)
+    even = 0.5 * (hpp - h) * sa
+    return 2.0 * h * sa, even - hp * ca, 0.5 * (hpp + h) * sa, even + hp * ca
 
 
 def _mod_two_pi(phi):
@@ -169,7 +161,7 @@ def _newton(evaluate, lo, hi, x, done):
     converges cubically; a step that would leave the bracket, or is longer
     than half the step before last, is replaced by bisection.  Points in
     ``done`` stay where they are, so their brackets need no upkeep.
-    Returns (x, state at x, solved).
+    Returns (x, state at x, solved); state is what the caller wants back.
     """
     lo, hi, done = np.array(lo), np.array(hi), np.array(done)
     step_old = step = hi - lo
@@ -199,7 +191,9 @@ def solve_chords(curve: SupportCurve, p, phi) -> Chords:
 
     Endpoints are Gauss parameters in [0, 2*pi); the incidence angle at an
     endpoint psi is the angle between the line and the tangent there,
-    min(b, pi - b) for b = psi - phi reduced mod pi.
+    min(b, pi - b) for b = psi - phi reduced mod pi.  Incidence at least
+    MIN_CHORD_ANGLE puts both ends strictly inside their disjoint brackets,
+    so a SOLVED chord has positive length on a table of any size.
     """
     p, phi = _lines(p, phi)
     start, misses = _brackets(curve, p, phi)
@@ -218,20 +212,18 @@ def solve_chords(curve: SupportCurve, p, phi) -> Chords:
         cb, sb = np.cos(b), np.sin(b)
         rho = h + hpp
         noise = NOISE_REL * (np.abs(h) + np.abs(hp) + size_p)
-        # state: position of the endpoint along its line's travel direction
         return (h * cb - hp * sb - p_ends, -rho * sb, -(hp + hppp) * sb - rho * cb,
-                noise, h * sb + hp * cb)
+                noise, None)
 
-    psi, along, solved = _newton(evaluate, phi_ends, phi_ends + math.pi,
-                                 phi_ends + np.concatenate((start, math.pi - start)),
-                                 np.concatenate((misses, misses)))
+    psi, _, solved = _newton(evaluate, phi_ends, phi_ends + math.pi,
+                             phi_ends + np.concatenate((start, math.pi - start)),
+                             np.concatenate((misses, misses)))
     b = psi - phi_ends
     angle = np.minimum(b, math.pi - b)
     angle_fwd, angle_back = angle[:n], angle[n:]
     # later assignments take precedence
     status = np.full(n, SOLVED)
     status[np.minimum(angle_back, angle_fwd) < MIN_CHORD_ANGLE] = NEAR_TANGENT
-    status[along[:n] + along[n:] < 1e-12] = ZERO_LENGTH
     status[~(solved[:n] & solved[n:])] = NOT_CONVERGED
     status[misses] = MISSES
     return Chords(np.mod(psi[n:], TWO_PI), np.mod(psi[:n], TWO_PI),

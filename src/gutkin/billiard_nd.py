@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import CoincidentDirections, NoIntersection, NonUnit, TangentLine
 
+# great-circle steps of the first-derivative and the mixed-Hessian stencils
 FD_STEP = 1e-5
 FD_STEP_NESTED = 1e-4
 
@@ -82,9 +83,6 @@ class OrientedLineND:
         _check_lines(n, m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-
-    def reversed(self) -> "OrientedLineND":
-        return OrientedLineND(-self.n, self.m)
 
 
 def _check_lines(n: np.ndarray, m: np.ndarray):
@@ -167,7 +165,7 @@ def unit_vector(v):
     return v / norm if 0 < norm < math.inf else None
 
 
-def gradient_contract_residual(q: Quadric, n1, n2, step: float = FD_STEP):
+def gradient_contract_residual(q: Quadric, n1, n2):
     """Residuals of m1 = D1 S and m2 = -D2 S, derivatives by finite differences.
 
     D1 S is assembled from central differences of S along great circles at
@@ -182,23 +180,23 @@ def gradient_contract_residual(q: Quadric, n1, n2, step: float = FD_STEP):
 
     def fd_grad(base, other):
         # D1 S(base, other); D2 S(n1, n2) is fd_grad(n2, n1) as S is symmetric
-        points, basis = _great_circle_steps(base, step)
+        points, basis = _great_circle_steps(base, FD_STEP)
         sp, sm = generating_value_nd(q, points, other)
-        return (sp - sm) / (2.0 * step) @ basis
+        return (sp - sm) / (2.0 * FD_STEP) @ basis
 
     d1s = fd_grad(n1, n2)
     d2s = fd_grad(n2, n1)
     return float(np.linalg.norm(d1s - m1)), float(np.linalg.norm(d2s + m2))
 
 
-def twist_jacobian_min_sv(q: Quadric, n1, n2, step: float = FD_STEP_NESTED) -> float:
+def twist_jacobian_min_sv(q: Quadric, n1, n2) -> float:
     """Smallest singular value of the mixed tangential Hessian D12 S; its four
     stencils come from one S call on shape (2, 2, d-1, d-1, d)."""
-    points1, _ = _great_circle_steps(np.asarray(n1, dtype=float), step)
-    points2, _ = _great_circle_steps(np.asarray(n2, dtype=float), step)
+    points1, _ = _great_circle_steps(np.asarray(n1, dtype=float), FD_STEP_NESTED)
+    points2, _ = _great_circle_steps(np.asarray(n2, dtype=float), FD_STEP_NESTED)
     (spp, spm), (smp, smm) = generating_value_nd(
         q, points1[:, None, :, None], points2[None, :, None])
-    M = (spp - spm - smp + smm) / (4.0 * step * step)
+    M = (spp - spm - smp + smm) / (4.0 * FD_STEP_NESTED * FD_STEP_NESTED)
     return float(np.linalg.svd(M, compute_uv=False)[-1])
 
 
@@ -259,9 +257,10 @@ def orbit_nd(q: Quadric, line: OrientedLineND, steps: int):
         a = nA.dot(n)
         b = 2.0 * mA.dot(n)
         c = mA.dot(m) - 1.0
+        # disc / a does not change when the body is scaled
         disc = b * b - 4.0 * a * c
-        if disc < 1e-14:
-            if abs(disc) < 1e-14:
+        if disc < 1e-14 * a:
+            if abs(disc) < 1e-14 * a:
                 raise TangentLine("line is tangent to the quadric")
             raise NoIntersection("line misses the quadric")
         t = (-b + math.sqrt(disc)) / (2.0 * a)

@@ -26,6 +26,7 @@ from . import support_geometry as sg
 from .errors import GutkinError
 
 FMT = "{:.17g}"
+SVG_SIZE, SVG_MARGIN = 640, 20
 
 
 def _emit(args, payload: dict):
@@ -52,14 +53,14 @@ def _write_csv(path, header: list[str], columns):
         f.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
-def _write_svg(path, xs, ys, size=640, margin=20):
-    """Deterministic scatter SVG of (phi, p) points."""
+def _write_svg(path, xs, ys):
+    """Deterministic scatter SVG of (phi, p) points, SVG_SIZE pixels square."""
     x0, x1 = 0.0, 2 * math.pi
     pad = 0.05 * (ys.max() - ys.min() + 1e-30)
     y0, y1 = ys.min() - pad, ys.max() + pad
-    inner = size - 2 * margin
-    px = margin + inner * (xs - x0) / (x1 - x0)
-    py = margin + inner * (1.0 - (ys - y0) / (y1 - y0))
+    size, inner = SVG_SIZE, SVG_SIZE - 2 * SVG_MARGIN
+    px = SVG_MARGIN + inner * (xs - x0) / (x1 - x0)
+    py = SVG_MARGIN + inner * (1.0 - (ys - y0) / (y1 - y0))
     with open(path, "w", encoding="utf-8") as f:
         f.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
                 f'height="{size}" viewBox="0 0 {size} {size}">\n'

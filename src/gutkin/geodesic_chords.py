@@ -26,6 +26,7 @@ from .billiard_nd import Quadric
 from .errors import DegenerateCurvature, NoExit, OffSurface, StepTooLarge
 
 DRIFT_LIMIT = 1e-6
+VANISH_TRIM = 2
 
 
 def _check_space(q: Quadric):
@@ -171,7 +172,8 @@ def frenet_apparatus(traj: GeodesicTrajectory) -> FrenetData:
     if traj.s.size < 5:
         raise ValueError("need at least 5 samples")
     k = np.linalg.norm(traj.x_ddot, axis=1)
-    if k.min() < 1e-8:
+    # k |x| is scale-free: it is 1 on a sphere of any radius centred at 0
+    if (k * np.linalg.norm(traj.x, axis=1)).min() < 1e-8:
         raise DegenerateCurvature(f"min curvature {k.min():g}")
     n = traj.x_ddot / k[:, None]
     w = np.cross(traj.v, n)
@@ -201,7 +203,8 @@ def chord_correspondence(q: Quadric, traj: GeodesicTrajectory,
     z = math.cos(delta) * traj.v + math.sin(delta) * inner
     z /= np.sqrt(_rowdot(z, z))[:, None]
     l = -2.0 * _rowdot(a, z) / _rowdot(z @ q.A_inv, z)
-    bad = np.flatnonzero(l <= 1e-12)
+    # l / |x| is scale-free, the quadric being centred at the origin
+    bad = np.flatnonzero(l <= 1e-12 * np.sqrt(_rowdot(traj.x, traj.x)))
     if bad.size:
         raise NoExit(f"ray at sample {bad[0]} does not re-enter the surface")
     Gamma = traj.x + l[:, None] * z
@@ -264,9 +267,9 @@ def planarity_residuals(cc: ChordCorrespondence, frenet: FrenetData):
     return D_num, D_ana, A_coeff
 
 
-def simultaneous_vanish_check(cc: ChordCorrespondence, frenet: FrenetData,
-                              trim: int = 2) -> float:
-    """min over s of (kl - sin(delta))^2 + tau^2; positive for valid tables."""
-    sl = slice(trim, -trim if trim else None)
+def simultaneous_vanish_check(cc: ChordCorrespondence, frenet: FrenetData) -> float:
+    """min over s of (kl - sin(delta))^2 + tau^2, VANISH_TRIM samples off each
+    end, where the one-sided stencils hold tau; positive for valid tables."""
+    sl = slice(VANISH_TRIM, -VANISH_TRIM)
     vals = (frenet.k[sl] * cc.l[sl] - math.sin(cc.delta)) ** 2 + frenet.tau[sl] ** 2
     return float(vals.min())

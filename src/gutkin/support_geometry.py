@@ -19,6 +19,7 @@ from .errors import InvalidHarmonic, NonClosedCurve, NonConvex
 
 CONVEXITY_GRID = 4096
 CLOSURE_TOL = 1e-12
+WIDTH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,14 +38,6 @@ class TrigPolynomial:
         b = np.concatenate([b, np.zeros(n - b.size)])
         object.__setattr__(self, "cos_coeffs", a)
         object.__setattr__(self, "sin_coeffs", b)
-
-    def harmonic(self, k: int) -> tuple[float, float]:
-        """(cos, sin) coefficients at harmonic k (0 -> constant)."""
-        if k == 0:
-            return self.constant, 0.0
-        if k > self.cos_coeffs.size:
-            return 0.0, 0.0
-        return float(self.cos_coeffs[k - 1]), float(self.sin_coeffs[k - 1])
 
 
 def _radius_samples(h: TrigPolynomial) -> np.ndarray:
@@ -139,7 +132,7 @@ def support_from_radius(rho: TrigPolynomial) -> SupportCurve:
     first harmonic of h is set to zero, pinning the Steiner point at the
     origin.
     """
-    a1, b1 = rho.harmonic(1)
+    a1, b1 = (rho.cos_coeffs[0], rho.sin_coeffs[0]) if rho.cos_coeffs.size else (0.0, 0.0)
     if abs(a1) > CLOSURE_TOL or abs(b1) > CLOSURE_TOL:
         raise NonClosedCurve(
             f"first harmonic of curvature radius is ({a1:g}, {b1:g})")
@@ -193,13 +186,13 @@ def build_gutkin_table(n: int, root_index: int, a0: float, an: float) -> GutkinT
     return GutkinTable(curve=curve, n=n, delta=roots[root_index], a0=a0, an=an)
 
 
-def check_constant_width(curve: SupportCurve, tol: float = 1e-12):
+def check_constant_width(curve: SupportCurve):
     """Is h(phi) + h(phi+pi) constant?  Returns (is_constant, mean width)."""
     grid = np.linspace(0.0, 2 * np.pi, CONVEXITY_GRID, endpoint=False)
     h, _, _, _ = eval_support(curve, np.stack((grid, grid + np.pi)))
     width = h[0] + h[1]
     mean = float(width.mean())
-    return bool(np.max(np.abs(width - mean)) < tol), mean
+    return bool(np.max(np.abs(width - mean)) < WIDTH_TOL), mean
 
 
 # --- table JSON interchange ---------------------------------------------

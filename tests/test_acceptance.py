@@ -96,7 +96,7 @@ def test_criterion_3_generating_equivalence(test_tables):
         for _ in range(20):
             phi1 = rng.uniform(0, TWO_PI)
             phi2 = phi1 + rng.uniform(0.2, TWO_PI - 0.2)
-            s11, s12, s22 = b2.generating_second_derivs(curve, phi1, phi2)
+            _, s11, s12, s22 = b2.generating_function(curve, phi1, phi2)
             ok &= s12 > 0
             fd11 = (S(phi1 + eps, phi2) - 2 * S(phi1, phi2)
                     + S(phi1 - eps, phi2)) / eps ** 2
@@ -129,14 +129,14 @@ def test_criterion_5_constant_width(gutkin5):
     ok = True
     for n in (5, 7, 9):
         table = sg.build_gutkin_table(n, 0, 1.0, 0.03)
-        is_const, _ = sg.check_constant_width(table.curve, tol=1e-12)
+        is_const, _ = sg.check_constant_width(table.curve)
         ok &= is_const
     a_even = 0.01
     curve = sg.SupportCurve(sg.TrigPolynomial(1.0, [0, 0, 0, a_even]))
     grid = np.linspace(0, TWO_PI, 4096, endpoint=False)
     width = trig_eval(curve.h, grid) + trig_eval(curve.h, grid + math.pi)
     deviation = float(np.max(np.abs(width - width.mean())))
-    is_const, _ = sg.check_constant_width(curve, tol=1e-12)
+    is_const, _ = sg.check_constant_width(curve)
     ok &= (not is_const) and deviation >= 2 * a_even - 1e-9
     report(5, "constant-width", bool(ok))
 

@@ -4,12 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import trig_eval
+from conftest import trig_derivative, trig_eval
 from gutkin import billiard2d
 from gutkin.billiard2d import (MISSES, NEAR_TANGENT, SOLVED, OrientedLine2D, Strip,
                                chord_incidence_angles, constant_angle_line,
-                               generating_second_derivs, generating_value,
-                               orbit, orbits, reflect_geometric, reflect_variational,
+                               generating_function, orbit, orbits,
+                               reflect_geometric, reflect_variational,
                                rigidity_integral, rigidity_integral_closed,
                                solve_chords, solve_variational,
                                verify_constant_angle)
@@ -32,35 +32,41 @@ def angle_diff(a, b):
 
 class TestGeneratingValue:
     def test_circle_quarter(self):
-        assert generating_value(circle(1.0), 0.0, math.pi / 2) == pytest.approx(
+        assert generating_function(circle(1.0), 0.0, math.pi / 2)[0] == pytest.approx(
             math.sqrt(2), abs=1e-15)
 
     def test_circle_diameter(self):
-        assert generating_value(circle(1.0), 0.0, math.pi) == pytest.approx(2.0)
+        assert generating_function(circle(1.0), 0.0, math.pi)[0] == pytest.approx(2.0)
 
     def test_gutkin5(self, gutkin5):
         delta = 0.91174
         mid = delta
         expected = 2 * (1 - 0.00208333333333 * math.cos(5 * mid)) * math.sin(delta)
-        got = generating_value(gutkin5.curve, 0.0, 2 * delta)
+        got = generating_function(gutkin5.curve, 0.0, 2 * delta)[0]
         assert got == pytest.approx(expected, abs=1e-10)
 
-    @pytest.mark.parametrize("d", [0.0, -0.3, TWO_PI])
+    @pytest.mark.parametrize("d", [0.0, -0.3, TWO_PI, math.nan])
     def test_degenerate(self, d):
         with pytest.raises(DegenerateChord):
-            generating_value(circle(1.0), 1.0, 1.0 + d)
+            generating_function(circle(1.0), 1.0, 1.0 + d)
+
+    def test_degenerate_in_array(self):
+        # one bad pair anywhere refuses the whole batch
+        phi2 = np.array([[1.5, 2.0], [3.0, 1.0 + TWO_PI]])
+        with pytest.raises(DegenerateChord, match="6.28"):
+            generating_function(circle(1.0), np.ones((2, 2)), phi2)
 
 
 class TestGeneratingDerivs:
     def test_circle_quarter(self):
-        s11, s12, s22 = generating_second_derivs(circle(1.0), 0.0, math.pi / 2)
+        _, s11, s12, s22 = generating_function(circle(1.0), 0.0, math.pi / 2)
         val = 0.5 * math.sin(math.pi / 4)
         assert s11 == pytest.approx(-val)
         assert s22 == pytest.approx(-val)
         assert s12 == pytest.approx(val)
 
     def test_circle_diameter(self):
-        s11, s12, s22 = generating_second_derivs(circle(1.0), 0.0, math.pi)
+        _, s11, s12, s22 = generating_function(circle(1.0), 0.0, math.pi)
         assert (s11, s12, s22) == pytest.approx((-0.5, 0.5, -0.5))
 
     def test_finite_difference_oracle(self, gutkin5):
@@ -83,7 +89,7 @@ class TestGeneratingDerivs:
         for _ in range(20):
             phi1 = rng.uniform(0, TWO_PI)
             phi2 = phi1 + rng.uniform(0.3, TWO_PI - 0.3)
-            s11, s12, s22 = generating_second_derivs(curve, phi1, phi2)
+            _, s11, s12, s22 = generating_function(curve, phi1, phi2)
 
             fd11 = (S(phi1 + eps, phi2) - 2 * S(phi1, phi2)
                     + S(phi1 - eps, phi2)) / eps ** 2
@@ -101,8 +107,34 @@ class TestGeneratingDerivs:
         for _ in range(200):
             phi1 = rng.uniform(0, TWO_PI)
             phi2 = phi1 + rng.uniform(1e-3, TWO_PI - 1e-3)
-            _, s12, _ = generating_second_derivs(gutkin5.curve, phi1, phi2)
+            _, _, s12, _ = generating_function(gutkin5.curve, phi1, phi2)
             assert s12 > 0
+
+    def test_array_matches_scalar_bitwise(self, gutkin5):
+        rng = np.random.default_rng(13)
+        phi1 = rng.uniform(0, TWO_PI, (3, 50))
+        phi2 = phi1 + rng.uniform(1e-3, TWO_PI - 1e-3, (3, 50))
+        batch = generating_function(gutkin5.curve, phi1, phi2)
+        assert all(value.shape == (3, 50) for value in batch)
+        for i, j in np.ndindex(3, 50):
+            scalar = generating_function(gutkin5.curve, phi1[i, j], phi2[i, j])
+            assert [float(v) for v in scalar] == [v[i, j] for v in batch]
+
+    @pytest.mark.parametrize("table", ["gutkin5", "degree32"])
+    def test_rigidity_reduction(self, gutkin5, table):
+        # (S11 + 2 S12 + S22) S12 = h''(h''+h) sin^2(alpha), the integrand that
+        # rigidity_integral reduces the strip integral to; h from the oracle
+        curve = gutkin5.curve if table == "gutkin5" else degree32_table()
+        rng = np.random.default_rng(19)
+        phi1 = rng.uniform(0, TWO_PI, 400)
+        phi2 = phi1 + rng.uniform(1e-3, TWO_PI - 1e-3, 400)
+        _, s11, s12, s22 = generating_function(curve, phi1, phi2)
+        mid, alpha = 0.5 * (phi1 + phi2), 0.5 * (phi2 - phi1)
+        h = trig_eval(curve.h, mid)
+        hpp = trig_eval(trig_derivative(trig_derivative(curve.h)), mid)
+        want = hpp * (hpp + h) * np.sin(alpha) ** 2
+        # the sum cancels terms of the size of h, about 1, down to 2 h'' sin(alpha)
+        assert np.abs((s11 + 2 * s12 + s22) * s12 - want).max() < 1e-15
 
 
 class TestReflectGeometric:
@@ -179,10 +211,10 @@ class TestReflectVariational:
             phi1 = line.phi
             phi2 = nxt.phi if nxt.phi > phi1 else nxt.phi + TWO_PI
             eps = 1e-6
-            d1 = (generating_value(curve, phi1 + eps, phi2)
-                  - generating_value(curve, phi1 - eps, phi2)) / (2 * eps)
-            d2 = (generating_value(curve, phi1, phi2 + eps)
-                  - generating_value(curve, phi1, phi2 - eps)) / (2 * eps)
+            S, *_ = generating_function(curve, phi1 + np.array([eps, -eps, 0, 0]),
+                                        phi2 + np.array([0, 0, eps, -eps]))
+            d1 = (S[0] - S[1]) / (2 * eps)
+            d2 = (S[2] - S[3]) / (2 * eps)
             assert -d1 == pytest.approx(line.p, abs=1e-9)
             assert d2 == pytest.approx(nxt.p, abs=1e-9)
 
@@ -570,3 +602,25 @@ class TestEvaluationBudget:
         assert all(np.array_equal(a, b) for a, b in zip(chord_counted, chord))
         assert geo_calls >= 3 and calls[0] >= 3
         assert abs(var.p - geo.p) < 1e-12 and angle_diff(var.phi, geo.phi) < 1e-12
+
+
+class TestScaleFree:
+    """Scaling a table by a power of two scales every length exactly and
+    leaves every angle alone, so the map must give the same bits."""
+
+    SCALE = 2.0 ** -43
+
+    def test_orbit_and_verify(self, gutkin5):
+        small = build_gutkin_table(5, 0, self.SCALE, 0.05 * self.SCALE)
+        p, phi, chords = orbit(gutkin5.curve, OrientedLine2D(0.3, 0.2), 200)
+        p_s, phi_s, chords_s = orbit(small.curve, OrientedLine2D(0.3 * self.SCALE, 0.2), 200)
+        assert np.array_equal(p_s, p * self.SCALE) and np.array_equal(phi_s, phi)
+        assert all(np.array_equal(a, b) for a, b in zip(chords_s, chords))
+        assert verify_constant_angle(small.curve, small.delta) == verify_constant_angle(
+            gutkin5.curve, gutkin5.delta)
+
+    def test_chord_length_positive(self):
+        # a chord of length 2e-13 on a circle of radius 1e-13 is solved
+        chord = chord_incidence_angles(circle(1e-13), OrientedLine2D(0.0, 0.4))
+        assert chord.angle_back == pytest.approx(math.pi / 2, abs=1e-12)
+        assert angle_diff(chord.psi_fwd - chord.psi_back, math.pi) < 1e-12

@@ -10,7 +10,7 @@ from gutkin.billiard_nd import (OrientedLineND, Quadric,
                                 launch_line, orbit_nd, reflect_nd,
                                 sphere_quadric, tangent_basis,
                                 twist_jacobian_min_sv)
-from gutkin.errors import CoincidentDirections, NonUnit, TangentLine
+from gutkin.errors import CoincidentDirections, NoIntersection, NonUnit, TangentLine
 
 
 def reference_bounce(q, n, m):
@@ -284,7 +284,7 @@ class TestReflect:
             m -= (m @ n) * n
             line = OrientedLineND(n, m)
             out, _ = reflect_nd(triaxial, line)
-            back, _ = reflect_nd(triaxial, out.reversed())
+            back, _ = reflect_nd(triaxial, OrientedLineND(-out.n, out.m))
             assert back.n == pytest.approx(-line.n, abs=1e-10)
             assert back.m == pytest.approx(line.m, abs=1e-10)
 
@@ -321,6 +321,42 @@ class TestReflect:
         _, _, points, _ = orbit_nd(q, line, 50)
         lengths = [np.linalg.norm(b - a) for a, b in zip(points[:-1], points[1:])]
         assert max(lengths) - min(lengths) < 1e-10
+
+
+class TestScaleFree:
+    """The tangency test compares disc with 1e-14 a, a ratio that does not
+    change when the body is scaled, so a body scaled by 2^80 (lengths by
+    2^40) gives the unit body's orbit with P scaled exactly."""
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_orbit_scaled_by_power_of_two(self, d):
+        rng = np.random.default_rng(70 + d)
+        q = random_spd(rng, d)
+        line = launch_line(q, random_unit(rng, d), 0.5)
+        n, m, P, incidence = orbit_nd(q, line, 200)
+        big = OrientedLineND(line.n, line.m * 2.0 ** 40)
+        n_big, m_big, P_big, incidence_big = orbit_nd(Quadric(q.A * 2.0 ** 80), big, 200)
+        assert np.array_equal(n_big, n) and np.array_equal(incidence_big, incidence)
+        assert np.array_equal(P_big, P * 2.0 ** 40) and np.array_equal(m_big, m * 2.0 ** 40)
+
+    @pytest.mark.parametrize("radius", [1e7, 1e8])
+    def test_large_sphere(self, radius):
+        # a line at 0.5 rad and a diameter, refused as tangent by an absolute test
+        q = sphere_quadric(radius)
+        *_, incidence = orbit_nd(q, launch_line(q, np.array([0.0, 0.0, 1.0]), 0.5), 20)
+        assert np.abs(incidence - 0.5).max() < 1e-12
+        diameter = OrientedLineND(np.array([1.0, 0.0, 0.0]), np.zeros(3))
+        *_, incidence = orbit_nd(q, diameter, 4)
+        assert np.abs(incidence - math.pi / 2).max() < 1e-12
+
+    @pytest.mark.parametrize("radius", [2.0 ** -40, 1.0, 2.0 ** 40])
+    def test_missing_and_tangent_lines(self, radius):
+        q = sphere_quadric(radius)
+        n = np.array([0.0, 1.0, 0.0])
+        with pytest.raises(NoIntersection, match="misses"):
+            orbit_nd(q, OrientedLineND(n, np.array([2.0 * radius, 0.0, 0.0])), 3)
+        with pytest.raises(TangentLine, match="tangent to the quadric"):
+            orbit_nd(q, OrientedLineND(n, np.array([radius, 0.0, 0.0])), 3)
 
 
 class TestGradientContract:
@@ -364,7 +400,7 @@ class TestTwist:
             assert twist_jacobian_min_sv(triaxial, n1, n2) > 1e-3
 
     def test_matches_planar_s12(self):
-        from gutkin.billiard2d import generating_second_derivs
+        from gutkin.billiard2d import generating_function
         from gutkin.support_geometry import circle
         q = Quadric(np.eye(2))
         phi1, phi2 = 0.3, 1.7
@@ -372,7 +408,7 @@ class TestTwist:
         n1 = np.array([math.cos(th1), math.sin(th1)])
         n2 = np.array([math.cos(th2), math.sin(th2)])
         mixed = twist_jacobian_min_sv(q, n1, n2)
-        _, s12, _ = generating_second_derivs(circle(1.0), phi1, phi2)
+        _, _, s12, _ = generating_function(circle(1.0), phi1, phi2)
         assert mixed == pytest.approx(s12, abs=1e-6)
 
     @pytest.mark.parametrize("d", [3, 8, 16])

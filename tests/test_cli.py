@@ -326,6 +326,45 @@ class TestRigidity:
         assert doc["relative_gap"] < 1e-12
 
 
+class TestScaleFree:
+    """Tables and bodies far from unit size, which absolute thresholds once
+    refused with exit 2."""
+
+    def test_table_scaled_by_power_of_two(self, table5, tmp_path, capsys):
+        scale = 2.0 ** -43
+        small = tmp_path / "small.json"
+        assert main(["table", "--n", "5", "--a0", repr(scale), "--an", repr(0.05 * scale),
+                     "--out", str(small)]) == 0
+        capsys.readouterr()
+        residuals = []
+        for path in (table5, small):
+            assert main(["--json", "verify", "--table", str(path)]) == 0
+            residuals.append(json.loads(capsys.readouterr().out)["residual"])
+        assert residuals[0] == residuals[1]
+        for path, p in ((table5, 0.3), (small, 0.3 * scale)):
+            assert main(["orbit", "--table", str(path), "--p", repr(p), "--phi", "0.2",
+                         "--steps", "200", "--out", str(tmp_path / f"{path.stem}.csv")]) == 0
+        unit = np.loadtxt(tmp_path / "t5.csv", delimiter=",", skiprows=1)
+        scaled = np.loadtxt(tmp_path / "small.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(scaled[:, 1], unit[:, 1] * scale)
+        assert np.array_equal(np.delete(scaled, 1, axis=1), np.delete(unit, 1, axis=1))
+
+    def test_tiny_table_verifies(self, tmp_path):
+        path = tmp_path / "tiny.json"
+        assert main(["table", "--n", "5", "--a0", "1e-13", "--an", "5e-15",
+                     "--out", str(path)]) == 0
+        assert main(["verify", "--table", str(path)]) == 0
+
+    def test_large_sphere_spec(self, tmp_path):
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({"d": 3, "A": [1e14, 0, 0, 0, 1e14, 0, 0, 0, 1e14]}))
+        out = tmp_path / "orbit.csv"
+        assert main(["ellipsoid", "--spec", str(spec), "--delta", "0.5",
+                     "--steps", "40", "--out", str(out)]) == 0
+        angles = np.loadtxt(out, delimiter=",", skiprows=1)[:, -1]
+        assert np.abs(angles - 0.5).max() < 1e-12
+
+
 class TestEllipsoid:
     def test_sphere_constant_incidence(self, tmp_path):
         spec = tmp_path / "s.json"
@@ -601,6 +640,30 @@ class TestGradientCheck:
         assert main(["gradient-check", "--spec", str(spheroid_spec),
                      "--pairs", pairs]) == 2
 
+    def test_close_pairs_redrawn(self, tmp_path, monkeypatch, capsys):
+        # on a circle about one pair in 30 has |n1 - n2| < 0.1; such a pair is
+        # drawn again and not counted, as in this reference loop
+        from gutkin.billiard_nd import Quadric, gradient_contract_residual
+        A = [[2.0, 0.3], [0.3, 1.0]]
+        spec = tmp_path / "e2.json"
+        spec.write_text(json.dumps({"d": 2, "A": sum(A, [])}))
+        monkeypatch.setenv("GUTKIN_SEED", "3")
+        rng = np.random.default_rng(3)
+        residuals, rejected = [], 0
+        while len(residuals) < 60:
+            n1 = rng.normal(size=2)
+            n1 /= np.linalg.norm(n1)
+            n2 = rng.normal(size=2)
+            n2 /= np.linalg.norm(n2)
+            if np.linalg.norm(n1 - n2) < 0.1:
+                rejected += 1
+                continue
+            residuals.extend(gradient_contract_residual(Quadric(np.array(A)), n1, n2))
+        assert rejected > 0
+        assert main(["--json", "gradient-check", "--spec", str(spec), "--pairs", "60"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pairs"] == 60 and doc["max_residual"] == max(residuals)
+
 
 class TestChords:
     def test_sphere_report(self, tmp_path):
@@ -621,6 +684,43 @@ class TestChords:
         err = capsys.readouterr().err
         assert err.startswith("error: length/step") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_ellipsoid_report_by_bisection(self, tmp_path):
+        # oracle: bisect F = <A^-1 p, p> - 1 along each ray from the geodesic
+        # the command integrates, A^-1 = diag(1/4, 1, 1)
+        from gutkin.billiard_nd import Quadric
+        from gutkin.geodesic_chords import integrate_geodesic
+        out, delta = tmp_path / "ce.csv", 0.5236
+        assert main(["chords", "--surface", "ellipsoid", "--axes", "2,1,1",
+                     "--delta", str(delta), "--length", "3", "--step", "0.01",
+                     "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        traj = integrate_geodesic(Quadric(np.diag([4.0, 1.0, 1.0])), [2.0, 0, 0],
+                                  [0, 1.0, 0], 3.0, 0.01)
+        assert np.array_equal(rows[:, 0], traj.s)
+        a_inv = np.array([0.25, 1.0, 1.0])
+        normal = traj.x * a_inv
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        z = math.cos(delta) * traj.v - math.sin(delta) * normal
+        z /= np.linalg.norm(z, axis=1)[:, None]
+        lo, hi = np.full(len(z), 1e-6), np.full(len(z), 5.0)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            p = traj.x + mid[:, None] * z
+            inside = (p * p * a_inv).sum(axis=1) < 1.0
+            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+        assert np.abs(rows[:, 3] - 0.5 * (lo + hi)).max() < 1e-12
+
+    @pytest.mark.parametrize("radius", [1e-13, 1e9])
+    def test_sphere_far_from_unit_size(self, tmp_path, radius):
+        out = tmp_path / "chords.csv"
+        assert main(["chords", "--surface", "sphere", "--radius", repr(radius),
+                     "--delta", "0.5236", "--length", repr(2 * radius),
+                     "--step", repr(1e-3 * radius), "--out", str(out)]) == 0
+        # l = 2 r sin(delta) and k = 1/r, which absolute thresholds refused
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.abs(rows[:, 3] / (2 * radius * math.sin(0.5236)) - 1).max() < 1e-12
+        assert np.abs(rows[:, 1] * radius - 1).max() < 1e-9
 
     def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch):
         from gutkin import geodesic_chords

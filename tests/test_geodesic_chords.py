@@ -280,6 +280,42 @@ class TestChordCorrespondence:
         sp, _, _, cc = sphere_chords
         assert max(abs(g @ sp.A_inv @ g - 1) for g in cc.Gamma) < 1e-9
 
+    @pytest.mark.parametrize("delta", [0.0, -0.2, math.pi / 2 + 1e-9, math.nan])
+    def test_delta_out_of_range(self, great_circle, delta):
+        sp, traj = great_circle
+        with pytest.raises(ValueError, match="delta"):
+            chord_correspondence(sp, traj, delta)
+
+
+def chord_report(axes, scale):
+    """Every column of a ``chords`` report on the quadric with semi-axes
+    axes * scale, its geodesic run over a length and step scaled alike."""
+    axes = np.asarray(axes, dtype=float) * scale
+    q = Quadric(np.diag(axes ** 2))
+    traj = integrate_geodesic(q, [axes[0], 0, 0], [0, 1.0, 0], 2.0 * scale, 1e-3 * scale)
+    frenet = frenet_apparatus(traj)
+    cc = chord_correspondence(q, traj, 0.5236)
+    return {"s": traj.s, "k": frenet.k, "tau": frenet.tau, "l": cc.l, "ldot": cc.l_dot,
+            **dict(zip(("R5", "R6", "R9"), angle_condition_residuals(cc, frenet))),
+            **dict(zip(("D_numeric", "D_analytic", "A_coeff"), planarity_residuals(cc, frenet)))}
+
+
+class TestScaleFree:
+    """Both refusal thresholds compare scale-free ratios (l / |x| and k |x|),
+    so a quadric scaled by a power of two gives every column of the unit
+    one, scaled exactly by the power of length it carries."""
+
+    POWERS = {"s": 1, "k": -1, "tau": -1, "l": 1, "ldot": 0, "R5": 0, "R6": 0, "R9": 0,
+              "D_numeric": -1, "D_analytic": -1, "A_coeff": 1}
+
+    @pytest.mark.parametrize("axes", [(1.0, 1.0, 1.0), (2.0, 1.0, 1.0)])
+    @pytest.mark.parametrize("scale", [2.0 ** -43, 2.0 ** 30])
+    def test_columns_scale_exactly(self, axes, scale):
+        unit, scaled = chord_report(axes, 1.0), chord_report(axes, scale)
+        for name, power in self.POWERS.items():
+            assert np.array_equal(scaled[name], unit[name] * scale ** power), name
+
+
 
 class TestAngleConditions:
     def test_sphere_residuals(self, sphere_chords):

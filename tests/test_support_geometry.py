@@ -251,12 +251,12 @@ class TestConstantWidth:
         assert check_constant_width(circle(1.0)) == (True, pytest.approx(2.0))
 
     def test_odd_harmonic(self):
-        ok, width = check_constant_width(gutkin5().curve, tol=1e-12)
+        ok, width = check_constant_width(gutkin5().curve)
         assert ok and width == pytest.approx(2.0, abs=1e-12)
 
     def test_even_harmonic_fails(self):
         curve = SupportCurve(TrigPolynomial(1.0, [0, 0, 0, 0.01]))
-        ok, _ = check_constant_width(curve, tol=1e-12)
+        ok, _ = check_constant_width(curve)
         assert not ok
 
 
