@@ -38,14 +38,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, DegenerateChord, NoIntersection,
-                     TangentLine)
+from .errors import (MIN_CHORD_ANGLE, ConvergenceFailure, DegenerateChord,
+                     NoIntersection, TangentLine)
 from .support_geometry import SupportCurve, eval_support
 
 TWO_PI = 2 * math.pi
 PSI_TOL = 1e-14
 NEWTON_CAP = 100
-MIN_CHORD_ANGLE = 1e-6
 # a residual below this fraction of the size of its terms is at the rounding floor
 NOISE_REL = 2 * np.finfo(float).eps
 # fewest trapezoid points in phi for the rigidity integral

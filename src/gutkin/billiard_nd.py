@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoincidentDirections, NoIntersection, NonUnit, TangentLine
+from .errors import (MIN_CHORD_ANGLE, CoincidentDirections, NoIntersection, NonUnit,
+                     TangentLine)
 
 # great-circle steps of the first-derivative and the mixed-Hessian stencils
 FD_STEP = 1e-5
@@ -238,8 +239,9 @@ def orbit_nd(q: Quadric, line: OrientedLineND, steps: int):
     (steps, d); and the angle between each outgoing line and the tangent
     plane at its exit point, shape (steps,).  A bounce takes the larger
     root t of <A^-1(m + t n), m + t n> = 1 and mirrors n across the outward
-    normal nu there; it raises TangentLine on a tangent line or a grazing
-    one (n - n2 too short to recover nu) and NoIntersection on a miss.
+    normal nu there; it raises NoIntersection on a miss, and TangentLine on
+    a tangent line or one meeting the boundary at an incidence below
+    MIN_CHORD_ANGLE, the planar map's rule.
     """
     A_inv = q.A_inv
     ns = np.empty((steps + 1, q.d))
@@ -269,14 +271,10 @@ def orbit_nd(q: Quadric, line: OrientedLineND, steps: int):
         nu = grad / math.sqrt(grad.dot(grad))
         n2 = n - 2.0 * n.dot(nu) * nu
         n2 /= math.sqrt(n2.dot(n2))
-        chord = n - n2
-        gap = nu - chord / math.sqrt(chord.dot(chord))
-        consistency = math.sqrt(gap.dot(gap))
-        if consistency > 1e-10:
-            # a grazing line leaves n - n2 too short to recover the normal
-            raise TangentLine(f"line grazes the quadric: normal/direction "
-                              f"consistency {consistency:g}")
-        ns[k + 1], ms[k + 1], Ps[k] = n2, P - P.dot(n2) * n2, P
-        incidence[k] = math.asin(min(1.0, abs(n2.dot(nu))))
+        angle = math.asin(min(1.0, abs(n2.dot(nu))))
+        if angle < MIN_CHORD_ANGLE:
+            raise TangentLine(f"line grazes the quadric at incidence {angle:g}, "
+                              f"below {MIN_CHORD_ANGLE:g}")
+        ns[k + 1], ms[k + 1], Ps[k], incidence[k] = n2, P - P.dot(n2) * n2, P, angle
     _check_lines(ns, ms)
     return ns, ms, Ps, incidence

@@ -80,7 +80,7 @@ def cmd_roots(args) -> dict:
 
 def cmd_table(args) -> dict:
     table = sg.build_gutkin_table(args.n, args.root_index, args.a0, args.an)
-    sg.save_table(args.out, table.curve, table)
+    sg.save_table(args.out, table.curve, {"n": table.n, "delta": table.delta})
     return {"out": args.out, "delta": table.delta}
 
 
@@ -199,16 +199,14 @@ def cmd_gradient_check(args) -> dict:
 
 def cmd_chords(args) -> dict:
     if args.surface == "sphere":
-        q = bnd.sphere_quadric(args.radius)
-        x0 = np.array([args.radius, 0.0, 0.0])
+        axes = np.full(3, args.radius)
     else:
         axes = _parse_vec(args.axes)
         if axes.size != 3 or not (axes > 0).all():
             raise ValueError(f"--axes needs 3 positive semi-axes, got {args.axes}")
-        q = bnd.Quadric(np.diag(axes ** 2))
-        x0 = np.array([axes[0], 0.0, 0.0])
-    v0 = np.array([0.0, 1.0, 0.0])
-    traj = gc.integrate_geodesic(q, x0, v0, args.length, args.step)
+    q = bnd.Quadric(np.diag(axes ** 2))
+    traj = gc.integrate_geodesic(q, [axes[0], 0.0, 0.0], [0.0, 1.0, 0.0],
+                                 args.length, args.step)
     frenet = gc.frenet_apparatus(traj)
     cc = gc.chord_correspondence(q, traj, args.delta)
     _write_csv(args.out, ["s", "k", "tau", "l", "ldot", "R5", "R6", "R9",

@@ -86,11 +86,12 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
     x = np.asarray(x0, dtype=float)
     v = np.asarray(v0, dtype=float)
     F0 = x @ A_inv @ x - 1.0
-    if abs(F0) > 1e-10:
+    # negated comparisons, so that a NaN x0 or a zero or NaN v0 fails
+    if not abs(F0) <= 1e-10:
         raise OffSurface(f"F(x0) = {F0:g}")
     a = A_inv @ x
-    if abs(v @ a) / np.linalg.norm(a) > 1e-10:
-        raise OffSurface("v0 is not tangent to the surface")
+    if not abs(v @ a) < 1e-10 * np.linalg.norm(v) * np.linalg.norm(a):
+        raise OffSurface("v0 is not a nonzero vector tangent to the surface")
     v = v / np.linalg.norm(v)
 
     (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = A_inv.tolist()

@@ -83,8 +83,6 @@ class GutkinTable:
     curve: SupportCurve
     n: int
     delta: float
-    a0: float
-    an: float
 
 
 def circle(radius: float = 1.0) -> SupportCurve:
@@ -128,12 +126,12 @@ def _convex(curve: SupportCurve) -> SupportCurve:
 def support_from_radius(rho: TrigPolynomial) -> SupportCurve:
     """Invert h'' + h = rho harmonic by harmonic: h_k = rho_k / (1 - k^2).
 
-    The first harmonic of rho must vanish (closure of the boundary); the
-    first harmonic of h is set to zero, pinning the Steiner point at the
-    origin.
+    The first harmonic of rho must vanish (closure), to CLOSURE_TOL times
+    the mean curvature radius; the first harmonic of h is set to zero,
+    pinning the Steiner point at the origin.
     """
     a1, b1 = (rho.cos_coeffs[0], rho.sin_coeffs[0]) if rho.cos_coeffs.size else (0.0, 0.0)
-    if abs(a1) > CLOSURE_TOL or abs(b1) > CLOSURE_TOL:
+    if max(abs(a1), abs(b1)) > CLOSURE_TOL * abs(rho.constant):
         raise NonClosedCurve(
             f"first harmonic of curvature radius is ({a1:g}, {b1:g})")
     k = np.arange(1, rho.cos_coeffs.size + 1)
@@ -183,32 +181,31 @@ def build_gutkin_table(n: int, root_index: int, a0: float, an: float) -> GutkinT
     cos_coeffs = np.zeros(n)
     cos_coeffs[n - 1] = an
     curve = support_from_radius(TrigPolynomial(a0, cos_coeffs, np.zeros(n)))
-    return GutkinTable(curve=curve, n=n, delta=roots[root_index], a0=a0, an=an)
+    return GutkinTable(curve=curve, n=n, delta=roots[root_index])
 
 
 def check_constant_width(curve: SupportCurve):
-    """Is h(phi) + h(phi+pi) constant?  Returns (is_constant, mean width)."""
-    grid = np.linspace(0.0, 2 * np.pi, CONVEXITY_GRID, endpoint=False)
-    h, _, _, _ = eval_support(curve, np.stack((grid, grid + np.pi)))
-    width = h[0] + h[1]
-    mean = float(width.mean())
-    return bool(np.max(np.abs(width - mean)) < WIDTH_TOL), mean
+    """Is the width h(phi) + h(phi+pi) constant?  Returns (is_constant, width).
+    The width is 2 a0 plus twice the even harmonics of h, so it is constant
+    when every even-harmonic amplitude is at most WIDTH_TOL a0."""
+    h = curve.h
+    even = np.hypot(h.cos_coeffs[1::2], h.sin_coeffs[1::2])
+    return bool((even <= WIDTH_TOL * h.constant).all()), 2.0 * h.constant
 
 
 # --- table JSON interchange ---------------------------------------------
 
 
-def table_to_dict(curve: SupportCurve, gutkin: GutkinTable | None = None) -> dict:
+def table_to_dict(curve: SupportCurve, gutkin: dict | None = None) -> dict:
+    """The document of a curve and its 'gutkin' metadata, as table_from_dict returns it."""
     h = curve.h
     harmonics = [
         {"k": k, "cos": float(h.cos_coeffs[k - 1]), "sin": float(h.sin_coeffs[k - 1])}
         for k in range(1, h.cos_coeffs.size + 1)
         if h.cos_coeffs[k - 1] != 0.0 or h.sin_coeffs[k - 1] != 0.0
     ]
-    doc = {"a0": float(h.constant), "harmonics": harmonics, "gutkin": None}
-    if gutkin is not None:
-        doc["gutkin"] = {"n": int(gutkin.n), "delta": float(gutkin.delta)}
-    return doc
+    return {"a0": float(h.constant), "harmonics": harmonics,
+            "gutkin": _gutkin_metadata(gutkin)}
 
 
 def _number(value, key: str) -> float:
@@ -230,12 +227,12 @@ def _gutkin_metadata(meta) -> dict | None:
         raise ValueError("table 'gutkin' must be null or an object with the keys "
                          f"'n' and 'delta', got {meta!r}")
     n = meta["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"table gutkin 'n' must be an integer, got {n!r}")
     delta = _number(meta["delta"], "gutkin 'delta'")
     if not math.isfinite(delta):
         raise ValueError(f"table gutkin 'delta' must be finite, got {meta['delta']!r}")
-    return {"n": n, "delta": delta}
+    return {"n": int(n), "delta": delta}
 
 
 def table_from_dict(doc: dict) -> tuple[SupportCurve, dict | None]:
@@ -270,10 +267,11 @@ def table_from_dict(doc: dict) -> tuple[SupportCurve, dict | None]:
     return _convex(SupportCurve(TrigPolynomial(a0, a, b))), meta
 
 
-def save_table(path, curve: SupportCurve, gutkin: GutkinTable | None = None):
+def save_table(path, curve: SupportCurve, gutkin: dict | None = None):
+    """Write table_to_dict(curve, gutkin), built first so bad metadata writes nothing."""
+    text = json.dumps(table_to_dict(curve, gutkin), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(table_to_dict(curve, gutkin), f, indent=2)
-        f.write("\n")
+        f.write(text)
 
 
 def load_table(path) -> tuple[SupportCurve, dict | None]:

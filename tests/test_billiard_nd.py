@@ -10,7 +10,8 @@ from gutkin.billiard_nd import (OrientedLineND, Quadric,
                                 launch_line, orbit_nd, reflect_nd,
                                 sphere_quadric, tangent_basis,
                                 twist_jacobian_min_sv)
-from gutkin.errors import CoincidentDirections, NoIntersection, NonUnit, TangentLine
+from gutkin.errors import (MIN_CHORD_ANGLE, CoincidentDirections, NoIntersection, NonUnit,
+                           TangentLine)
 
 
 def reference_bounce(q, n, m):
@@ -289,13 +290,14 @@ class TestReflect:
             assert back.m == pytest.approx(line.m, abs=1e-10)
 
     def test_grazing_line_refused(self, triaxial):
-        # n - n2 is too short here to recover the normal at the exit point
+        # the line meets the boundary at incidence 9.0e-8, below MIN_CHORD_ANGLE
         n = np.array([0.6873947407022538, 0.5269927090470677, -0.4997671008240877])
         m = np.array([-0.004189549631558638, 0.690987976605847, 0.7228682134780698])
         line = OrientedLineND(n / np.linalg.norm(n), m)
-        with pytest.raises(TangentLine):
+        assert 8.9e-8 < reference_bounce(triaxial, line.n, line.m)[3] < 9.1e-8
+        with pytest.raises(TangentLine, match="grazes the quadric at incidence 8.97"):
             reflect_nd(triaxial, line)
-        with pytest.raises(TangentLine):
+        with pytest.raises(TangentLine, match="grazes"):
             orbit_nd(triaxial, line, 5)
 
     @pytest.mark.parametrize("d", [3, 8, 16])
@@ -357,6 +359,43 @@ class TestScaleFree:
             orbit_nd(q, OrientedLineND(n, np.array([2.0 * radius, 0.0, 0.0])), 3)
         with pytest.raises(TangentLine, match="tangent to the quadric"):
             orbit_nd(q, OrientedLineND(n, np.array([radius, 0.0, 0.0])), 3)
+
+
+class TestIncidenceFloor:
+    """orbit_nd refuses a bounce exactly when its incidence is below
+    MIN_CHORD_ANGLE, the planar map's rule, on a body of any size."""
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_just_above_floor_followed(self, d):
+        # launches at 1.0e-6 to 1.4e-6, just above the floor
+        rng = np.random.default_rng(900)
+        q = random_spd(rng, d)
+        followed = 0
+        for _ in range(40):
+            line = launch_line(q, random_unit(rng, d), 1.0e-6 + 0.4e-6 * rng.random())
+            n2, m2, P, angle = reference_bounce(q, line.n, line.m)
+            if angle < MIN_CHORD_ANGLE:
+                with pytest.raises(TangentLine, match="grazes"):
+                    orbit_nd(q, line, 1)
+                continue
+            n, m, Ps, incidence = orbit_nd(q, line, 1)
+            assert np.array_equal(n[1], n2) and np.array_equal(m[1], m2)
+            assert np.array_equal(Ps[0], P) and incidence[0] == angle
+            followed += 1
+        assert followed >= 30
+
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_below_floor_refused_at_any_scale(self, d, scale):
+        rng = np.random.default_rng(950 + d)
+        q = random_spd(rng, d)
+        scaled = Quadric(q.A * scale ** 2)
+        for _ in range(20):
+            nu, delta = random_unit(rng, d), 4e-7 + 2e-7 * rng.random()
+            line = launch_line(q, nu, delta)
+            assert reference_bounce(q, line.n, line.m)[3] < MIN_CHORD_ANGLE
+            with pytest.raises(TangentLine, match="grazes"):
+                orbit_nd(scaled, launch_line(scaled, nu, delta), 1)
 
 
 class TestGradientContract:

@@ -137,6 +137,12 @@ class TestTable:
         assert doc1["a0"] == doc2["a0"]
         assert doc1["harmonics"] == doc2["harmonics"]
 
+    def test_saved_again_byte_for_byte(self, table5, tmp_path):
+        from gutkin.support_geometry import load_table, save_table
+        copy = tmp_path / "copy.json"
+        save_table(copy, *load_table(table5))
+        assert copy.read_bytes() == table5.read_bytes()
+
 
 class TestVerify:
     def test_at_own_delta(self, table5, capsys):
@@ -721,6 +727,17 @@ class TestChords:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.abs(rows[:, 3] / (2 * radius * math.sin(0.5236)) - 1).max() < 1e-12
         assert np.abs(rows[:, 1] * radius - 1).max() < 1e-9
+
+    @pytest.mark.parametrize("radius", ["0.7", "2.5e-3", "3e5"])
+    def test_sphere_is_ellipsoid_with_equal_axes(self, tmp_path, radius):
+        sphere, ellipsoid = tmp_path / "s.csv", tmp_path / "e.csv"
+        r = float(radius)
+        flags = ["--delta", "0.5236", "--length", repr(2 * r), "--step", repr(1e-2 * r)]
+        assert main(["chords", "--surface", "sphere", "--radius", radius, *flags,
+                     "--out", str(sphere)]) == 0
+        assert main(["chords", "--surface", "ellipsoid", "--axes", ",".join([radius] * 3),
+                     *flags, "--out", str(ellipsoid)]) == 0
+        assert sphere.read_bytes() == ellipsoid.read_bytes()
 
     def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch):
         from gutkin import geodesic_chords

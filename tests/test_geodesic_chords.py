@@ -138,6 +138,25 @@ class TestIntegrateGeodesic:
         with pytest.raises(OffSurface):
             integrate_geodesic(sp, [1.0, 0, 0], [1.0, 0, 0], 1.0, 1e-3)
 
+    @pytest.mark.parametrize("speed", [1e-3, 1.0, 100.0])
+    def test_tangency_test_ignores_speed(self, speed):
+        # the normal part of v0 is compared with 1e-10 |v0|, so the verdict
+        # on a direction does not depend on its length
+        sp = sphere_quadric(1.0)
+        traj = integrate_geodesic(sp, [1.0, 0, 0], [1e-11 * speed, speed, 0], 0.1, 1e-2)
+        assert np.linalg.norm(traj.v[0]) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(OffSurface, match="tangent"):
+            integrate_geodesic(sp, [1.0, 0, 0], [1e-9 * speed, speed, 0], 0.1, 1e-2)
+
+    @pytest.mark.parametrize("v0", [[0.0, 0.0, 0.0], [0.0, math.nan, 0.0]])
+    def test_zero_or_nan_direction_rejected(self, v0):
+        with pytest.raises(OffSurface, match="nonzero vector tangent"):
+            integrate_geodesic(sphere_quadric(1.0), [1.0, 0, 0], v0, 0.1, 1e-2)
+
+    def test_nan_start_rejected(self):
+        with pytest.raises(OffSurface, match="F\\(x0\\) = nan"):
+            integrate_geodesic(sphere_quadric(1.0), [math.nan, 0, 0], [0, 1.0, 0], 0.1, 1e-2)
+
     @pytest.mark.parametrize("project", [True, False])
     @pytest.mark.parametrize("A", [np.eye(3), np.diag([4.0, 1.0, 1.0]), SPD],
                              ids=["sphere", "spheroid", "spd"])

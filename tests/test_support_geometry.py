@@ -161,6 +161,13 @@ class TestSupportFromRadius:
         with pytest.raises(NonClosedCurve):
             support_from_radius(TrigPolynomial(1.0, [0.1]))
 
+    def test_closure_relative_to_mean_radius(self):
+        # an absolute tolerance accepted the first and refused the second
+        with pytest.raises(NonClosedCurve):
+            support_from_radius(TrigPolynomial(1e-13, [5e-14]))
+        curve = support_from_radius(TrigPolynomial(1e13, [1e-11]))
+        assert curve.h.constant == 1e13 and not curve.h.cos_coeffs.any()
+
     def test_nonconvex_rejected(self):
         with pytest.raises(NonConvex):
             support_from_radius(TrigPolynomial(1.0, [0, 1.5]))
@@ -259,17 +266,38 @@ class TestConstantWidth:
         ok, _ = check_constant_width(curve)
         assert not ok
 
+    def test_small_even_harmonic_table_fails(self):
+        # width deviation 2.3e-15, below an absolute tolerance of 1e-12
+        scale = 2.0 ** -43
+        curve = SupportCurve(TrigPolynomial(scale, [0, 0, 0, 0.01 * scale]))
+        ok, width = check_constant_width(curve)
+        assert not ok and width == 2 * scale
+
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 2.0 ** 40])
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_scaled_gutkin_tables(self, n, scale):
+        ok, width = check_constant_width(build_gutkin_table(n, 0, scale, 0.03 * scale).curve)
+        assert ok and width == 2 * scale
+
 
 class TestTableJson:
     def test_roundtrip_bitwise(self, tmp_path):
         table = gutkin5()
         path = tmp_path / "t.json"
-        save_table(path, table.curve, table)
+        save_table(path, table.curve, {"n": table.n, "delta": table.delta})
         curve, meta = load_table(path)
         assert curve.h.constant == table.curve.h.constant
         assert np.array_equal(curve.h.cos_coeffs[:5], table.curve.h.cos_coeffs)
         assert meta["n"] == 5
         assert meta["delta"] == table.delta
+
+    @pytest.mark.parametrize("meta", [{"n": 5}, {"n": 5.0, "delta": 0.9},
+                                      {"n": 5, "delta": math.nan}, gutkin5()])
+    def test_bad_metadata_writes_nothing(self, tmp_path, meta):
+        path = tmp_path / "t.json"
+        with pytest.raises(ValueError, match="gutkin"):
+            save_table(path, gutkin5().curve, meta)
+        assert not path.exists()
 
     def test_nonconvex_rejected(self):
         # h = 1 + 0.5 cos 2phi has rho = 1 - 1.5 cos 2phi, so rho_min = -0.5
