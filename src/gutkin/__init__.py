@@ -9,9 +9,9 @@ Submodules:
 """
 
 from .errors import GutkinError
-from .support_geometry import (GutkinTable, SupportCurve, TrigPolynomial,
-                               build_gutkin_table, check_constant_width,
-                               circle, solve_gutkin_angles, support_from_radius)
+from .support_geometry import (SupportCurve, TrigPolynomial, build_gutkin_table,
+                               check_constant_width, circle, solve_gutkin_angles,
+                               support_from_radius)
 from .billiard2d import (OrientedLine2D, Strip, reflect_geometric,
                          reflect_variational, rigidity_integral,
                          rigidity_integral_closed, verify_constant_angle)
@@ -21,7 +21,7 @@ from .geodesic_chords import (chord_correspondence, frenet_apparatus,
                               integrate_geodesic)
 
 __all__ = [
-    "GutkinError", "GutkinTable", "SupportCurve", "TrigPolynomial",
+    "GutkinError", "SupportCurve", "TrigPolynomial",
     "build_gutkin_table", "check_constant_width", "circle",
     "solve_gutkin_angles", "support_from_radius",
     "OrientedLine2D", "Strip", "reflect_geometric", "reflect_variational",

@@ -201,14 +201,13 @@ def twist_jacobian_min_sv(q: Quadric, n1, n2) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[-1])
 
 
-def launch_line(q: Quadric, nu: np.ndarray, delta: float,
-                tangent_index: int = 0) -> OrientedLineND:
+def launch_line(q: Quadric, nu: np.ndarray, delta: float) -> OrientedLineND:
     """Line leaving the boundary point with outward normal nu at angle delta.
 
     The direction is cos(delta)*t + sin(delta)*(-nu) for the unit tangent
-    t = (e_j - nu_j nu)/|e_j - nu_j nu|, e_j the tangent_index-th axis other
-    than the one where |nu| is largest, so the departure incidence angle is
-    exactly delta.
+    t = (e_j - nu_j nu)/|e_j - nu_j nu|, e_j the first axis other than the
+    one where |nu| is largest, so the departure incidence angle is exactly
+    delta.
     """
     if not 0.0 < delta <= math.pi / 2:
         raise ValueError("delta must be in (0, pi/2]")
@@ -217,18 +216,11 @@ def launch_line(q: Quadric, nu: np.ndarray, delta: float,
         raise ValueError(f"nu must be a nonzero finite vector of d = {q.d} entries")
     P = q.boundary_point(nu)
     drop = int(np.argmax(np.abs(nu)))
-    j = [i for i in range(nu.size) if i != drop][tangent_index]
+    j = 1 if drop == 0 else 0
     t = np.eye(nu.size)[j] - nu[j] * nu
     t = t / np.linalg.norm(t)
     n = math.cos(delta) * t - math.sin(delta) * nu
     return OrientedLineND(n, _moment(P, n))
-
-
-def constant_angle_residual_nd(q: Quadric, delta: float, line: OrientedLineND,
-                               steps: int) -> float:
-    """Max |incidence - delta| along an orbit of the billiard map."""
-    *_, incidence = orbit_nd(q, line, steps)
-    return float(np.abs(incidence - delta).max(initial=0.0))
 
 
 def orbit_nd(q: Quadric, line: OrientedLineND, steps: int):

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (a bad
 flag value, an unreadable or malformed table or spec, an output path that
-is a directory, a line the map cannot follow, or a run too large for the
-memory available).  All angles are radians.
+is a directory, a line the map cannot follow, a phase portrait that keeps
+no orbit, a geodesic step too coarse to stay on the surface, or a run too
+large for the memory available).  All angles are radians.
 The environment variable GUTKIN_SEED overrides the default seed 0 for
 randomized sweeps.
 """
@@ -79,9 +80,9 @@ def cmd_roots(args) -> dict:
 
 
 def cmd_table(args) -> dict:
-    table = sg.build_gutkin_table(args.n, args.root_index, args.a0, args.an)
-    sg.save_table(args.out, table.curve, {"n": table.n, "delta": table.delta})
-    return {"out": args.out, "delta": table.delta}
+    curve, meta = sg.build_gutkin_table(args.n, args.root_index, args.a0, args.an)
+    sg.save_table(args.out, curve, meta)
+    return {"out": args.out, "delta": meta["delta"]}
 
 
 def cmd_verify(args) -> dict:
@@ -115,6 +116,9 @@ def cmd_phase_portrait(args) -> dict:
     ps, phis, chords = b2.orbits(curve, (pf * h_min).ravel(), phi0.ravel(), args.steps)
     ok = (chords.status == b2.SOLVED).all(axis=0)
     kept, per_orbit = int(ok.sum()), ps.shape[0]
+    if not kept:
+        raise ValueError(f"all {ok.size} orbits were dropped: none was followed "
+                         f"for {args.steps} bounces")
     p, phi = ps[:, ok].T.ravel(), phis[:, ok].T.ravel()
     if args.out:
         _write_csv(args.out, ["orbit", "step", "p", "phi"],

@@ -67,12 +67,13 @@ class ChordCorrespondence:
 
 
 def integrate_geodesic(q: Quadric, x0, v0, length: float,
-                       step: float, project: bool = True) -> GeodesicTrajectory:
+                       step: float) -> GeodesicTrajectory:
     """RK4 integration of x'' = -(<v, Hess F v>/|grad F|^2) grad F on q.
 
     The actual step is length/round(length/step) so the final sample lands
-    exactly at s = length.  With ``project``, each step ends with one Newton
-    step of x along the gradient and v re-tangented and renormalized.  The
+    exactly at s = length.  Each step ends with one Newton step of x along
+    the gradient and v re-tangented and renormalized; a step whose
+    |F(x)| then exceeds DRIFT_LIMIT, or is NaN, raises StepTooLarge.  The
     steps run on Python floats, whose arithmetic on 3-vectors costs far
     less than a numpy call each.
     """
@@ -134,19 +135,18 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
         v1, v2, v3 = (v1 + h6 * (k1v1 + 2 * k2v1 + 2 * k3v1 + k4v1),
                       v2 + h6 * (k1v2 + 2 * k2v2 + 2 * k3v2 + k4v2),
                       v3 + h6 * (k1v3 + 2 * k2v3 + 2 * k3v3 + k4v3))
-        if project:
-            a1, a2, a3 = grad(x1, x2, x3)
-            c = 0.5 * (x1 * a1 + x2 * a2 + x3 * a3 - 1.0) / (a1 * a1 + a2 * a2 + a3 * a3)
-            x1, x2, x3 = x1 - c * a1, x2 - c * a2, x3 - c * a3
-            a1, a2, a3 = grad(x1, x2, x3)
-            c = (v1 * a1 + v2 * a2 + v3 * a3) / (a1 * a1 + a2 * a2 + a3 * a3)
-            v1, v2, v3 = v1 - c * a1, v2 - c * a2, v3 - c * a3
-            norm = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-            v1, v2, v3 = v1 / norm, v2 / norm, v3 / norm
         a1, a2, a3 = grad(x1, x2, x3)
-        drift = max(abs(x1 * a1 + x2 * a2 + x3 * a3 - 1.0),
-                    abs(math.sqrt(v1 * v1 + v2 * v2 + v3 * v3) - 1.0))
-        if drift > DRIFT_LIMIT:
+        c = 0.5 * (x1 * a1 + x2 * a2 + x3 * a3 - 1.0) / (a1 * a1 + a2 * a2 + a3 * a3)
+        x1, x2, x3 = x1 - c * a1, x2 - c * a2, x3 - c * a3
+        a1, a2, a3 = grad(x1, x2, x3)
+        c = (v1 * a1 + v2 * a2 + v3 * a3) / (a1 * a1 + a2 * a2 + a3 * a3)
+        v1, v2, v3 = v1 - c * a1, v2 - c * a2, v3 - c * a3
+        norm = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+        v1, v2, v3 = v1 / norm, v2 / norm, v3 / norm
+        # |v| is 1 to rounding after the division, so F(x) is the drift
+        drift = abs(x1 * a1 + x2 * a2 + x3 * a3 - 1.0)
+        # negated <=, so that a step whose stages overflowed to NaN fails
+        if not drift <= DRIFT_LIMIT:
             raise StepTooLarge(f"constraint drift {drift:g} at step {i}")
         acc = accel(x1, x2, x3, v1, v2, v3)
         xs[i + 1], vs[i + 1], accs[i + 1] = (x1, x2, x3), (v1, v2, v3), acc

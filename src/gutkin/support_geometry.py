@@ -76,15 +76,6 @@ class SupportCurve:
         object.__setattr__(self, "rho_min", float(_radius_samples(self.h).min()))
 
 
-@dataclass(frozen=True)
-class GutkinTable:
-    """Constant-angle table with rho = a0 + an*cos(n*phi)."""
-
-    curve: SupportCurve
-    n: int
-    delta: float
-
-
 def circle(radius: float = 1.0) -> SupportCurve:
     return SupportCurve(TrigPolynomial(radius))
 
@@ -168,8 +159,10 @@ def solve_gutkin_angles(n: int) -> list[float]:
         lo = np.where(live & ~above, mid, lo)
 
 
-def build_gutkin_table(n: int, root_index: int, a0: float, an: float) -> GutkinTable:
-    """Table with curvature radius a0 + an*cos(n*phi) at the chosen root."""
+def build_gutkin_table(n: int, root_index: int, a0: float,
+                       an: float) -> tuple[SupportCurve, dict]:
+    """Table with curvature radius a0 + an*cos(n*phi) at the chosen root, as
+    the (curve, {"n": n, "delta": delta}) pair that load_table returns."""
     if not (math.isfinite(a0) and math.isfinite(an)):
         raise ValueError(f"a0 and an must be finite, got a0={a0}, an={an}")
     if not (a0 > abs(an) > 0):
@@ -181,7 +174,7 @@ def build_gutkin_table(n: int, root_index: int, a0: float, an: float) -> GutkinT
     cos_coeffs = np.zeros(n)
     cos_coeffs[n - 1] = an
     curve = support_from_radius(TrigPolynomial(a0, cos_coeffs, np.zeros(n)))
-    return GutkinTable(curve=curve, n=n, delta=roots[root_index])
+    return curve, {"n": n, "delta": roots[root_index]}
 
 
 def check_constant_width(curve: SupportCurve):

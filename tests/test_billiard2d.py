@@ -39,10 +39,11 @@ class TestGeneratingValue:
         assert generating_function(circle(1.0), 0.0, math.pi)[0] == pytest.approx(2.0)
 
     def test_gutkin5(self, gutkin5):
+        curve, _ = gutkin5
         delta = 0.91174
         mid = delta
         expected = 2 * (1 - 0.00208333333333 * math.cos(5 * mid)) * math.sin(delta)
-        got = generating_function(gutkin5.curve, 0.0, 2 * delta)[0]
+        got = generating_function(curve, 0.0, 2 * delta)[0]
         assert got == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("d", [0.0, -0.3, TWO_PI, math.nan])
@@ -74,7 +75,7 @@ class TestGeneratingDerivs:
         # extended precision so the 1e-5 step is not drowned by roundoff
         rng = np.random.default_rng(7)
         eps = 1e-5
-        curve = gutkin5.curve
+        curve, _ = gutkin5
         const = np.longdouble(curve.h.constant)
         a_k = curve.h.cos_coeffs.astype(np.longdouble)
         b_k = curve.h.sin_coeffs.astype(np.longdouble)
@@ -103,28 +104,30 @@ class TestGeneratingDerivs:
             assert s22 == pytest.approx(fd22, abs=1e-6)
 
     def test_twist_positive(self, gutkin5):
+        curve, _ = gutkin5
         rng = np.random.default_rng(11)
         for _ in range(200):
             phi1 = rng.uniform(0, TWO_PI)
             phi2 = phi1 + rng.uniform(1e-3, TWO_PI - 1e-3)
-            _, _, s12, _ = generating_function(gutkin5.curve, phi1, phi2)
+            _, _, s12, _ = generating_function(curve, phi1, phi2)
             assert s12 > 0
 
     def test_array_matches_scalar_bitwise(self, gutkin5):
+        curve, _ = gutkin5
         rng = np.random.default_rng(13)
         phi1 = rng.uniform(0, TWO_PI, (3, 50))
         phi2 = phi1 + rng.uniform(1e-3, TWO_PI - 1e-3, (3, 50))
-        batch = generating_function(gutkin5.curve, phi1, phi2)
+        batch = generating_function(curve, phi1, phi2)
         assert all(value.shape == (3, 50) for value in batch)
         for i, j in np.ndindex(3, 50):
-            scalar = generating_function(gutkin5.curve, phi1[i, j], phi2[i, j])
+            scalar = generating_function(curve, phi1[i, j], phi2[i, j])
             assert [float(v) for v in scalar] == [v[i, j] for v in batch]
 
     @pytest.mark.parametrize("table", ["gutkin5", "degree32"])
     def test_rigidity_reduction(self, gutkin5, table):
         # (S11 + 2 S12 + S22) S12 = h''(h''+h) sin^2(alpha), the integrand that
         # rigidity_integral reduces the strip integral to; h from the oracle
-        curve = gutkin5.curve if table == "gutkin5" else degree32_table()
+        curve = gutkin5[0] if table == "gutkin5" else degree32_table()
         rng = np.random.default_rng(19)
         phi1 = rng.uniform(0, TWO_PI, 400)
         phi2 = phi1 + rng.uniform(1e-3, TWO_PI - 1e-3, 400)
@@ -150,18 +153,20 @@ class TestReflectGeometric:
         assert angle_diff(nxt.phi, 1.3 + math.pi) < 1e-12
 
     def test_billiard_law(self, gutkin5):
+        curve, _ = gutkin5
         line = OrientedLine2D(0.4, 1.7)
-        _, chord_in = reflect_geometric(gutkin5.curve, line)
-        nxt, _ = reflect_geometric(gutkin5.curve, line)
-        _, chord_out = reflect_geometric(gutkin5.curve, nxt)
+        _, chord_in = reflect_geometric(curve, line)
+        nxt, _ = reflect_geometric(curve, line)
+        _, chord_out = reflect_geometric(curve, nxt)
         assert chord_in.angle_fwd == pytest.approx(chord_out.angle_back, abs=1e-10)
 
     def test_gutkin_invariance(self, gutkin5):
-        delta = gutkin5.delta
+        curve, meta = gutkin5
+        delta = meta["delta"]
         for psi in np.linspace(0, TWO_PI, 16, endpoint=False):
-            line = constant_angle_line(gutkin5.curve, delta, psi)
-            nxt, _ = reflect_geometric(gutkin5.curve, line)
-            chord = chord_incidence_angles(gutkin5.curve, nxt)
+            line = constant_angle_line(curve, delta, psi)
+            nxt, _ = reflect_geometric(curve, line)
+            chord = chord_incidence_angles(curve, nxt)
             assert abs(chord.angle_back - delta) < 1e-8
 
     def test_missing_line(self):
@@ -182,28 +187,30 @@ class TestReflectVariational:
         assert angle_diff(out.phi, phi0 + 2 * delta) < 1e-12
 
     def test_matches_geometric(self, gutkin5):
+        curve, _ = gutkin5
         rng = np.random.default_rng(3)
         for _ in range(200):
             line = OrientedLine2D(rng.uniform(-0.8, 0.8), rng.uniform(0, TWO_PI))
-            geo, _ = reflect_geometric(gutkin5.curve, line)
-            var = reflect_variational(gutkin5.curve, line)
+            geo, _ = reflect_geometric(curve, line)
+            var = reflect_variational(curve, line)
             assert abs(geo.p - var.p) < 1e-9
             assert angle_diff(geo.phi, var.phi) < 1e-9
 
     @pytest.mark.parametrize("delta", [2e-3, 0.01, 0.045])
     def test_matches_geometric_near_tangent(self, gutkin5, delta):
         # lines leaving the boundary at a small angle delta to the tangent
+        curve, _ = gutkin5
         for psi in np.linspace(0, TWO_PI, 12, endpoint=False):
-            line = constant_angle_line(gutkin5.curve, delta, psi)
-            geo, chord = reflect_geometric(gutkin5.curve, line)
-            var = reflect_variational(gutkin5.curve, line)
+            line = constant_angle_line(curve, delta, psi)
+            geo, chord = reflect_geometric(curve, line)
+            var = reflect_variational(curve, line)
             assert chord.angle_back == pytest.approx(delta, abs=1e-10)
             assert abs(geo.p - var.p) < 1e-9
             assert angle_diff(geo.phi, var.phi) < 1e-9
 
     def test_exact_form_consistency(self, gutkin5):
         # p1 = -d1 S and p2 = +d2 S along geometrically computed chords
-        curve = gutkin5.curve
+        curve, _ = gutkin5
         rng = np.random.default_rng(5)
         for _ in range(50):
             line = OrientedLine2D(rng.uniform(-0.8, 0.8), rng.uniform(0, TWO_PI))
@@ -231,10 +238,11 @@ class TestChordIncidence:
         assert chord.angle_fwd == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_gutkin_property(self, gutkin5):
-        line = constant_angle_line(gutkin5.curve, gutkin5.delta, 0.37)
-        chord = chord_incidence_angles(gutkin5.curve, line)
-        assert abs(chord.angle_back - gutkin5.delta) < 1e-8
-        assert abs(chord.angle_fwd - gutkin5.delta) < 1e-8
+        curve, meta = gutkin5
+        line = constant_angle_line(curve, meta["delta"], 0.37)
+        chord = chord_incidence_angles(curve, line)
+        assert abs(chord.angle_back - meta["delta"]) < 1e-8
+        assert abs(chord.angle_fwd - meta["delta"]) < 1e-8
 
     def test_near_tangent_circle(self):
         # near-tangent: the chord spans only 0.089 rad of Gauss parameter
@@ -248,11 +256,12 @@ class TestChordIncidence:
 
     def test_endpoints_on_line(self, gutkin5):
         from gutkin.support_geometry import boundary_point
+        curve, _ = gutkin5
         line = OrientedLine2D(0.23, 2.1)
-        chord = chord_incidence_angles(gutkin5.curve, line)
+        chord = chord_incidence_angles(curve, line)
         e = np.array([math.cos(line.phi), math.sin(line.phi)])
         for psi in (chord.psi_back, chord.psi_fwd):
-            assert abs(boundary_point(gutkin5.curve, psi) @ e - line.p) < 1e-10
+            assert abs(boundary_point(curve, psi) @ e - line.p) < 1e-10
 
 
 class TestConstantAngleLine:
@@ -268,10 +277,11 @@ class TestConstantAngleLine:
             assert angle_diff(line.phi, psi + math.pi / 2) < 1e-12
 
     def test_gutkin_start(self, gutkin5):
-        delta = gutkin5.delta
-        line = constant_angle_line(gutkin5.curve, delta, 0.0)
+        curve, meta = gutkin5
+        delta = meta["delta"]
+        line = constant_angle_line(curve, delta, 0.0)
         assert line.p == pytest.approx(
-            trig_eval(gutkin5.curve.h, 0.0) * math.cos(delta), abs=1e-12)
+            trig_eval(curve.h, 0.0) * math.cos(delta), abs=1e-12)
         assert line.phi == pytest.approx(delta)
 
 
@@ -281,10 +291,17 @@ class TestVerifyConstantAngle:
         assert verify_constant_angle(circle(1.0), delta, 360) < 1e-12
 
     def test_gutkin_at_root(self, gutkin5):
-        assert verify_constant_angle(gutkin5.curve, gutkin5.delta, 360) < 1e-8
+        curve, meta = gutkin5
+        assert verify_constant_angle(curve, meta["delta"], 360) < 1e-8
 
     def test_negative_control(self, gutkin5):
-        assert verify_constant_angle(gutkin5.curve, 0.5, 360) > 1e-3
+        curve, _ = gutkin5
+        assert verify_constant_angle(curve, 0.5, 360) > 1e-3
+
+    @pytest.mark.parametrize("grid_size", [7, 0, -1])
+    def test_grid_below_8(self, grid_size):
+        with pytest.raises(ValueError, match="grid_size must be >= 8"):
+            verify_constant_angle(circle(1.0), 0.7, grid_size)
 
 
 class TestOrbit:
@@ -301,7 +318,8 @@ class TestOrbit:
         assert angle_diff(phi[-1], phi[0]) < 1e-10
 
     def test_billiard_law_along_orbit(self, gutkin5):
-        _, _, chords = orbit(gutkin5.curve, OrientedLine2D(0.31, 0.9), 20)
+        curve, _ = gutkin5
+        _, _, chords = orbit(curve, OrientedLine2D(0.31, 0.9), 20)
         for a, b in zip(chords.angle_fwd[:-1], chords.angle_back[1:]):
             assert abs(a - b) < 1e-9
 
@@ -327,9 +345,10 @@ class TestRigidity:
         assert rigidity_integral_closed(circle(1.0), strip) == 0.0
 
     def test_gutkin5_value(self, gutkin5):
+        curve, _ = gutkin5
         strip = Strip(0.91174, math.pi / 2)
-        closed = rigidity_integral_closed(gutkin5.curve, strip)
-        quad = rigidity_integral(gutkin5.curve, strip)
+        closed = rigidity_integral_closed(curve, strip)
+        quad = rigidity_integral(curve, strip)
         # phi-factor is pi * n^2 an^2 / (n^2-1)
         phi_factor = math.pi * 25 * 0.05 ** 2 / 24
         assert closed / phi_factor == pytest.approx(
@@ -373,51 +392,56 @@ class TestBatchedSolves:
 
     @pytest.fixture(scope="class")
     def lines(self, gutkin5):
+        curve, _ = gutkin5
         rng = np.random.default_rng(17)
         phi = rng.uniform(0, TWO_PI, 40)
         p = rng.uniform(-0.95, 0.95, 40)
-        p[:8] = trig_eval(gutkin5.curve.h, phi[:8]) * (1 - 10.0 ** -rng.uniform(2, 9, 8))
+        p[:8] = trig_eval(curve.h, phi[:8]) * (1 - 10.0 ** -rng.uniform(2, 9, 8))
         p[8] = 1.5  # misses
         return p, phi
 
     def test_chords(self, gutkin5, lines):
-        batch = solve_chords(gutkin5.curve, *lines)
+        curve, _ = gutkin5
+        batch = solve_chords(curve, *lines)
         assert batch.status[8] == MISSES
         for i, (p, phi) in enumerate(zip(*lines)):
             if batch.status[i] != SOLVED:
                 with pytest.raises(NoIntersection):
-                    chord_incidence_angles(gutkin5.curve, OrientedLine2D(p, phi))
+                    chord_incidence_angles(curve, OrientedLine2D(p, phi))
                 continue
-            chord = chord_incidence_angles(gutkin5.curve, OrientedLine2D(p, phi))
+            chord = chord_incidence_angles(curve, OrientedLine2D(p, phi))
             assert (chord.psi_back, chord.psi_fwd, chord.angle_back, chord.angle_fwd) == (
                 batch.psi_back[i], batch.psi_fwd[i], batch.angle_back[i], batch.angle_fwd[i])
 
     def test_variational(self, gutkin5, lines):
-        p2, phi2, status = solve_variational(gutkin5.curve, *lines)
+        curve, _ = gutkin5
+        p2, phi2, status = solve_variational(curve, *lines)
         for i, (p, phi) in enumerate(zip(*lines)):
             if status[i] != SOLVED:
                 continue
-            nxt = reflect_variational(gutkin5.curve, OrientedLine2D(p, phi))
+            nxt = reflect_variational(curve, OrientedLine2D(p, phi))
             assert (nxt.p, nxt.phi) == (p2[i], phi2[i])
 
     def test_iteration_cap(self, gutkin5, monkeypatch):
+        curve, _ = gutkin5
         monkeypatch.setattr(billiard2d, "NEWTON_CAP", 1)
         line = OrientedLine2D(0.3, 0.4)
         with pytest.raises(ConvergenceFailure):
-            chord_incidence_angles(gutkin5.curve, line)
+            chord_incidence_angles(curve, line)
         with pytest.raises(ConvergenceFailure):
-            reflect_variational(gutkin5.curve, line)
+            reflect_variational(curve, line)
 
     def test_orbits(self, gutkin5, lines):
+        curve, _ = gutkin5
         p0, phi0 = lines
-        ps, phis, chords = orbits(gutkin5.curve, p0, phi0, 12)
+        ps, phis, chords = orbits(curve, p0, phi0, 12)
         ok = (chords.status == SOLVED).all(axis=0)
         assert not ok[8] and ok.sum() >= 30
         for i in np.flatnonzero(ok):
             line = OrientedLine2D(p0[i], phi0[i])
             for step in range(12):
                 assert (line.p, line.phi) == (ps[step, i], phis[step, i])
-                line, chord = reflect_geometric(gutkin5.curve, line)
+                line, chord = reflect_geometric(curve, line)
                 assert [f[0] for f in chord] == [f[step, i] for f in chords]
             assert (line.p, line.phi) == (ps[12, i], phis[12, i])
 
@@ -488,7 +512,7 @@ class TestMpmathOracle:
 
     @pytest.mark.parametrize("table", ["gutkin5", "degree32"])
     def test_endpoints_and_bounces(self, gutkin5, table):
-        curve = gutkin5.curve if table == "gutkin5" else degree32_table()
+        curve = gutkin5[0] if table == "gutkin5" else degree32_table()
         rng = np.random.default_rng(41)
         phi = rng.uniform(0.0, TWO_PI, 40)
         lo, hi = -trig_eval(curve.h, phi + math.pi), trig_eval(curve.h, phi)
@@ -561,7 +585,7 @@ class TestEvaluationBudget:
     @pytest.mark.parametrize("table", ["gutkin5", "degree32"])
     @pytest.mark.parametrize("p, phi", [(0.3, 0.2), (-0.7, 4.0), (0.05, 2.5)])
     def test_per_bounce(self, gutkin5, evaluations, table, p, phi):
-        curve = gutkin5.curve if table == "gutkin5" else degree32_table()
+        curve = gutkin5[0] if table == "gutkin5" else degree32_table()
         orbit(curve, OrientedLine2D(p, phi), 100)
         assert evaluations[0] <= 350
         evaluations[0] = 0
@@ -574,7 +598,7 @@ class TestEvaluationBudget:
     def test_per_chord(self, gutkin5, evaluations, table):
         # both ends of a chord in one lock-step solve, the backward one as the
         # forward end of the reversed line
-        curve = gutkin5.curve if table == "gutkin5" else degree32_table()
+        curve = gutkin5[0] if table == "gutkin5" else degree32_table()
         rng = np.random.default_rng(5)
         for p, phi in zip(rng.uniform(-0.9, 0.9, 20), rng.uniform(0.0, TWO_PI, 20)):
             chord_incidence_angles(curve, OrientedLine2D(p, phi))
@@ -584,7 +608,8 @@ class TestEvaluationBudget:
     def test_one_path_to_h(self, gutkin5, monkeypatch, p, phi):
         # the solvers reach h only through the module's eval_support, the
         # function a tracer wraps to count boundary evaluations
-        curve, line = gutkin5.curve, OrientedLine2D(p, phi)
+        curve, _ = gutkin5
+        line = OrientedLine2D(p, phi)
         geo, chord = reflect_geometric(curve, line)
         var = reflect_variational(curve, line)
         calls = [0]
@@ -611,13 +636,14 @@ class TestScaleFree:
     SCALE = 2.0 ** -43
 
     def test_orbit_and_verify(self, gutkin5):
-        small = build_gutkin_table(5, 0, self.SCALE, 0.05 * self.SCALE)
-        p, phi, chords = orbit(gutkin5.curve, OrientedLine2D(0.3, 0.2), 200)
-        p_s, phi_s, chords_s = orbit(small.curve, OrientedLine2D(0.3 * self.SCALE, 0.2), 200)
+        curve, meta = gutkin5
+        small, small_meta = build_gutkin_table(5, 0, self.SCALE, 0.05 * self.SCALE)
+        p, phi, chords = orbit(curve, OrientedLine2D(0.3, 0.2), 200)
+        p_s, phi_s, chords_s = orbit(small, OrientedLine2D(0.3 * self.SCALE, 0.2), 200)
         assert np.array_equal(p_s, p * self.SCALE) and np.array_equal(phi_s, phi)
         assert all(np.array_equal(a, b) for a, b in zip(chords_s, chords))
-        assert verify_constant_angle(small.curve, small.delta) == verify_constant_angle(
-            gutkin5.curve, gutkin5.delta)
+        assert verify_constant_angle(small, small_meta["delta"]) == verify_constant_angle(
+            curve, meta["delta"])
 
     def test_chord_length_positive(self):
         # a chord of length 2e-13 on a circle of radius 1e-13 is solved

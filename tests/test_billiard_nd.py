@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gutkin.billiard_nd import (OrientedLineND, Quadric,
-                                constant_angle_residual_nd,
-                                generating_value_nd,
+from gutkin.billiard_nd import (OrientedLineND, Quadric, generating_value_nd,
                                 gradient_contract_residual,
                                 launch_line, orbit_nd, reflect_nd,
                                 sphere_quadric, tangent_basis,
@@ -92,6 +90,12 @@ class TestQuadric:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             Quadric(np.array([[1.0, 0.0], [0.0, bad]]))
+
+    @pytest.mark.parametrize("A", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))],
+                             ids=["2x3", "vector", "3-axis"])
+    def test_rejects_non_square(self, A):
+        with pytest.raises(ValueError, match="A must be a square matrix"):
+            Quadric(A)
 
 
 class TestSupport:
@@ -259,7 +263,7 @@ class TestReflect:
         q = sphere_quadric(1.0)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            line = launch_line(q, random_unit(rng), 0.7, tangent_index=1)
+            line = launch_line(q, random_unit(rng), 0.7)
             nxt, P = reflect_nd(q, line)
             grad = q.A_inv @ P
             nu = grad / np.linalg.norm(grad)
@@ -469,20 +473,22 @@ class TestTwist:
 
 
 class TestConstantAngleResidual:
+    """max |incidence - delta| along an orbit launched at incidence delta."""
+
     def test_sphere_invariant(self):
         q = sphere_quadric(1.0)
         line = launch_line(q, np.array([0.1, -0.4, 0.91]), 0.6)
-        assert constant_angle_residual_nd(q, 0.6, line, 100) < 1e-10
+        assert np.abs(orbit_nd(q, line, 100)[3] - 0.6).max() < 1e-10
 
     def test_triaxial_violates(self, triaxial):
         line = launch_line(triaxial, np.array([0.3, 0.5, 0.8]), 0.5)
-        assert constant_angle_residual_nd(triaxial, 0.5, line, 50) > 1e-2
+        assert np.abs(orbit_nd(triaxial, line, 50)[3] - 0.5).max() > 1e-2
 
     def test_scaling_invariance(self):
         for R in (1.0, 3.0):
             q = sphere_quadric(R)
             line = launch_line(q, np.array([0.2, 0.4, 0.89]), 0.7)
-            assert constant_angle_residual_nd(q, 0.7, line, 20) < 1e-10
+            assert np.abs(orbit_nd(q, line, 20)[3] - 0.7).max() < 1e-10
 
 
 class TestLaunchLine:
@@ -536,25 +542,24 @@ class TestTangentBasis:
 
 class TestLaunchDirection:
     """launch_line's tangent is (e_j - nu_j nu)/|e_j - nu_j nu|, e_j the
-    tangent_index-th axis other than the one where |nu| is largest."""
+    first axis other than the one where |nu| is largest."""
 
     @pytest.mark.parametrize("d", [3, 8, 16])
     def test_formula(self, d):
         rng = np.random.default_rng(60 + d)
         q = random_spd(rng, d)
-        for nu in [random_unit(rng, d) for _ in range(4)] + [-np.eye(d)[1]]:
+        for nu in [random_unit(rng, d) for _ in range(4)] + [-np.eye(d)[0], -np.eye(d)[1]]:
             line_nu = nu
             nu = nu / np.linalg.norm(nu)  # as launch_line normalizes
             drop = int(np.argmax(np.abs(nu)))
-            for index in range(d - 1):
-                line = launch_line(q, line_nu, 0.9, tangent_index=index)
-                j = [i for i in range(d) if i != drop][index]
-                t = np.eye(d)[j] - nu[j] * nu
-                t = t / np.linalg.norm(t)
-                n = math.cos(0.9) * t - math.sin(0.9) * nu
-                assert np.array_equal(line.n, n)
-                P = q.boundary_point(nu)
-                assert np.array_equal(line.m, P - float(P @ n) * n)
+            line = launch_line(q, line_nu, 0.9)
+            j = [i for i in range(d) if i != drop][0]
+            t = np.eye(d)[j] - nu[j] * nu
+            t = t / np.linalg.norm(t)
+            n = math.cos(0.9) * t - math.sin(0.9) * nu
+            assert np.array_equal(line.n, n)
+            P = q.boundary_point(nu)
+            assert np.array_equal(line.m, P - float(P @ n) * n)
 
     @pytest.mark.parametrize("d", [3, 8, 16])
     def test_first_gram_schmidt_vector(self, d):

@@ -143,6 +143,13 @@ class TestTable:
         save_table(copy, *load_table(table5))
         assert copy.read_bytes() == table5.read_bytes()
 
+    def test_built_pair_saves_command_bytes(self, table5, tmp_path):
+        # build_gutkin_table returns the (curve, meta) pair that save_table takes
+        from gutkin.support_geometry import build_gutkin_table, save_table
+        built = tmp_path / "built.json"
+        save_table(built, *build_gutkin_table(5, 0, 1.0, 0.05))
+        assert built.read_bytes() == table5.read_bytes()
+
 
 class TestVerify:
     def test_at_own_delta(self, table5, capsys):
@@ -270,6 +277,21 @@ class TestPhasePortrait:
     def test_svg_is_directory(self, table5, tmp_path):
         assert main(["phase-portrait", "--table", str(table5), "--p-grid", "2",
                      "--phi-grid", "1", "--steps", "2", "--svg", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("artifacts", [["--out", "o.csv", "--svg", "o.svg"],
+                                           ["--out", "o.csv"]])
+    def test_no_orbit_kept(self, tmp_path, monkeypatch, capsys, artifacts):
+        # a unit circle centred at (2, 0): h_min = -1, so every start line at
+        # phi = 0 misses the table
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "off.json").write_text(
+            json.dumps({"a0": 1, "harmonics": [{"k": 1, "cos": 2.0}], "gutkin": None}))
+        assert main(["--json", "phase-portrait", "--table", "off.json",
+                     "--phi-grid", "1", *artifacts]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: all 12 orbits were dropped: none was followed for 200 bounces\n"
+        assert not (tmp_path / "o.csv").exists() and not (tmp_path / "o.svg").exists()
 
     def test_circle_horizontal_lines(self, tmp_path):
         path = tmp_path / "circle.json"
@@ -404,6 +426,7 @@ class TestEllipsoid:
         ("0,0,0", "0,0,0", "--n must be a nonzero finite vector"),
         ("1,0,0", "nan,0,0", "m must be finite"),
         ("1,0,0", "0,inf,0", "m must be finite"),
+        ("1,0,0", "1,0,0", "<m, n> = 1 != 0"),
     ])
     def test_non_finite_or_zero_line(self, spheroid_spec, tmp_path, capsys,
                                      n, m, message):
@@ -689,6 +712,21 @@ class TestChords:
                      "--length", length, "--step", step, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: length/step") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("surface, length, step, message", [
+        # the RK4 stages overflow, and a NaN drift must fail the drift test
+        (["sphere"], "6e150", "1e150", "constraint drift nan at step 0"),
+        (["ellipsoid", "--axes", "2,1,1"], "6e100", "1e100", "constraint drift nan at step 0"),
+        (["sphere"], "0.003", "1e-3", "need at least 5 samples"),
+    ])
+    def test_refused_run(self, tmp_path, capsys, surface, length, step, message):
+        out = tmp_path / "chords.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["chords", "--surface", *surface, "--delta", "0.5",
+                         "--length", length, "--step", step, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_ellipsoid_report_by_bisection(self, tmp_path):

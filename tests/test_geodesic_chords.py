@@ -15,7 +15,7 @@ INTERIOR = slice(2, -2)
 SPD = [[2.0, 0.3, -0.2], [0.3, 1.5, 0.4], [-0.2, 0.4, 1.1]]
 
 
-def numpy_rk4(q, x0, v0, length, step, project=True):
+def numpy_rk4(q, x0, v0, length, step):
     """The integrator with one numpy call per 3-vector, as it was first
     written; the reference for the float loop of integrate_geodesic."""
     A_inv = q.A_inv
@@ -37,14 +37,13 @@ def numpy_rk4(q, x0, v0, length, step, project=True):
         k4x, k4v = v + h * k3v, accel(x + h * k3x, v + h * k3v)
         x = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if project:
-            a = A_inv @ x
-            x = x - 0.5 * (x @ a - 1.0) / (a @ a) * a
-            a = A_inv @ x
-            v = v - (v @ a) / (a @ a) * a
-            v = v / np.linalg.norm(v)
-        drift = max(abs(x @ A_inv @ x - 1.0), abs(np.linalg.norm(v) - 1.0))
-        if drift > DRIFT_LIMIT:
+        a = A_inv @ x
+        x = x - 0.5 * (x @ a - 1.0) / (a @ a) * a
+        a = A_inv @ x
+        v = v - (v @ a) / (a @ a) * a
+        v = v / np.linalg.norm(v)
+        drift = abs(x @ A_inv @ x - 1.0)
+        if not drift <= DRIFT_LIMIT:
             raise StepTooLarge(f"constraint drift {drift:g} at step {i}")
         xs.append(x)
         vs.append(v)
@@ -59,6 +58,14 @@ def start_on(q):
     v0 = np.array([0.3, 1.0, -0.2])
     v0 = v0 - (v0 @ a) / (a @ a) * a
     return x0, v0 / np.linalg.norm(v0)
+
+
+def great_circle_phase_error(length, step):
+    """max |phase - s| of the unit sphere's geodesic from (1, 0, 0) along
+    (0, 1, 0), whose closed form is the great circle (cos s, sin s, 0)."""
+    traj = integrate_geodesic(sphere_quadric(1.0), [1.0, 0, 0], [0, 1.0, 0], length, step)
+    phase = np.unwrap(np.arctan2(traj.x[:, 1], traj.x[:, 0]))
+    return float(np.abs(phase - traj.s).max())
 
 
 @pytest.fixture(scope="module")
@@ -113,13 +120,12 @@ class TestIntegrateGeodesic:
         assert max(abs(x @ sp.A_inv @ x - 1) for x in traj.x) < 1e-9
 
     def test_fourth_order_convergence(self):
-        sp = sphere_quadric(1.0)
-        drifts = []
-        for h in (2e-2, 1e-2):
-            traj = integrate_geodesic(sp, [1.0, 0, 0], [0, 1.0, 0], 6.0, h,
-                                      project=False)
-            drifts.append(max(abs(x @ sp.A_inv @ x - 1) for x in traj.x))
-        assert drifts[0] / drifts[1] >= 8.0
+        # the projection keeps x on the sphere, so the error left is the
+        # phase of the great circle (cos s, sin s, 0), which RK4 makes O(h^4)
+        for length in (6.0, 20.0):
+            errors = [great_circle_phase_error(length, h) for h in (2e-2, 1e-2, 5e-3)]
+            assert errors[0] / errors[1] >= 8.0
+            assert errors[1] / errors[2] >= 8.0
 
     def test_acceleration_normal(self, great_circle):
         _, traj = great_circle
@@ -157,27 +163,34 @@ class TestIntegrateGeodesic:
         with pytest.raises(OffSurface, match="F\\(x0\\) = nan"):
             integrate_geodesic(sphere_quadric(1.0), [math.nan, 0, 0], [0, 1.0, 0], 0.1, 1e-2)
 
-    @pytest.mark.parametrize("project", [True, False])
     @pytest.mark.parametrize("A", [np.eye(3), np.diag([4.0, 1.0, 1.0]), SPD],
                              ids=["sphere", "spheroid", "spd"])
-    def test_matches_numpy_reference(self, A, project):
+    def test_matches_numpy_reference(self, A):
         q = Quadric(np.array(A))
         x0, v0 = start_on(q)
-        traj = integrate_geodesic(q, x0, v0, 3.0, 2e-3, project=project)
-        x, v, x_ddot = numpy_rk4(q, x0, v0, 3.0, 2e-3, project=project)
+        traj = integrate_geodesic(q, x0, v0, 3.0, 2e-3)
+        x, v, x_ddot = numpy_rk4(q, x0, v0, 3.0, 2e-3)
         assert np.abs(traj.x - x).max() < 1e-14
         assert np.abs(traj.v - v).max() < 1e-14
         assert np.abs(traj.x_ddot - x_ddot).max() < 1e-14
 
-    @pytest.mark.parametrize("project, step", [(True, 1.0), (False, 0.1)])
-    def test_coarse_step_refused(self, project, step):
+    @pytest.mark.parametrize("step", [0.7, 1.0, 2.0, 3.0])
+    def test_coarse_step_refused(self, step):
         q = Quadric(np.array(SPD))
         x0, v0 = start_on(q)
         with pytest.raises(StepTooLarge) as ref:
-            numpy_rk4(q, x0, v0, 6.0, step, project=project)
+            numpy_rk4(q, x0, v0, 6.0, step)
         with pytest.raises(StepTooLarge) as got:
-            integrate_geodesic(q, x0, v0, 6.0, step, project=project)
+            integrate_geodesic(q, x0, v0, 6.0, step)
         assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("axes, step", [((1.0, 1.0, 1.0), 1e150), ((2.0, 1.0, 1.0), 1e100)])
+    def test_overflowing_step_refused(self, axes, step):
+        # the RK4 stages overflow to inf and the drift to NaN, which must fail
+        # the drift test rather than pass it
+        q = Quadric(np.diag(np.square(axes)))
+        with pytest.raises(StepTooLarge, match="^constraint drift nan at step 0$"):
+            integrate_geodesic(q, [axes[0], 0, 0], [0, 1.0, 0], 6 * step, step)
 
     @pytest.mark.parametrize("length, step", [
         (1.0, 0.0), (1.0, -1e-3), (1.0, math.nan), (1.0, math.inf),

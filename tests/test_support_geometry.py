@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import trig_derivative, trig_eval
 from gutkin.errors import InvalidHarmonic, NonClosedCurve, NonConvex
-from gutkin.support_geometry import (GutkinTable, SupportCurve, TrigPolynomial,
+from gutkin.support_geometry import (SupportCurve, TrigPolynomial,
                                      boundary_point, build_gutkin_table,
                                      check_constant_width, circle,
                                      curvature_radius, eval_support, load_table,
@@ -19,7 +19,9 @@ from gutkin.support_geometry import (GutkinTable, SupportCurve, TrigPolynomial,
 
 
 def gutkin5():
-    return build_gutkin_table(5, 0, 1.0, 0.05)
+    """The curve of the n = 5 table; build_gutkin_table pairs it with its metadata."""
+    curve, _ = build_gutkin_table(5, 0, 1.0, 0.05)
+    return curve
 
 
 class TestTrigPolynomial:
@@ -59,7 +61,7 @@ class TestEvalSupport:
         assert eval_support(circle(1.0), 0.7) == (1.0, 0.0, 0.0, 0.0)
 
     def test_gutkin5_at_zero(self):
-        h, hp, hpp, hppp = eval_support(gutkin5().curve, 0.0)
+        h, hp, hpp, hppp = eval_support(gutkin5(), 0.0)
         assert h == pytest.approx(1 - 0.05 / 24, abs=1e-12)
         assert hp == pytest.approx(0.0, abs=1e-15)
         assert hpp == pytest.approx(0.05 * 25 / 24, abs=1e-12)
@@ -68,7 +70,7 @@ class TestEvalSupport:
     def test_gutkin5_third_derivative(self):
         # h = 1 - (0.05/24) cos 5phi, so h''' = -(0.05/24) 125 sin 5phi
         phi = np.linspace(0.0, 2 * math.pi, 37)
-        _, _, _, hppp = eval_support(gutkin5().curve, phi)
+        _, _, _, hppp = eval_support(gutkin5(), phi)
         assert np.abs(hppp + 0.05 / 24 * 125 * np.sin(5 * phi)).max() < 1e-14
 
     def test_pure_sine(self):
@@ -109,7 +111,7 @@ class TestCurvatureRadius:
 
     @pytest.mark.parametrize("phi,expected", [(0.0, 1.05), (math.pi / 5, 0.95)])
     def test_gutkin5(self, phi, expected):
-        assert curvature_radius(gutkin5().curve, phi) == pytest.approx(
+        assert curvature_radius(gutkin5(), phi) == pytest.approx(
             expected, abs=1e-12)
 
 
@@ -127,11 +129,11 @@ class TestBoundaryPoint:
             [0.0, 1.0], abs=1e-15)
 
     def test_gutkin5_flat_point(self):
-        x = boundary_point(gutkin5().curve, 0.0)
+        x = boundary_point(gutkin5(), 0.0)
         assert x == pytest.approx([1 - 0.05 / 24, 0.0], abs=1e-12)
 
     def test_closed_trace(self):
-        curve = gutkin5().curve
+        curve = gutkin5()
         for phi in np.linspace(0, 2 * math.pi, 17):
             a = boundary_point(curve, phi)
             b = boundary_point(curve, phi + 2 * math.pi)
@@ -139,7 +141,7 @@ class TestBoundaryPoint:
 
     def test_support_identity(self):
         # <x(phi), e_phi> = h(phi) by construction
-        curve = gutkin5().curve
+        curve = gutkin5()
         phi = np.linspace(0, 2 * math.pi, 200)
         x = boundary_point(curve, phi)
         e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
@@ -228,15 +230,17 @@ class TestGutkinAngles:
 
 class TestBuildGutkinTable:
     def test_n5(self):
-        table = gutkin5()
-        assert table.delta == pytest.approx(0.9117382909684876, abs=1e-10)
-        assert trig_eval(table.curve.h, 0.0) == pytest.approx(1 - 0.05 / 24, abs=1e-12)
-        assert abs(math.tan(5 * table.delta) - 5 * math.tan(table.delta)) < 1e-10
+        curve, meta = build_gutkin_table(5, 0, 1.0, 0.05)
+        delta = meta["delta"]
+        assert meta == {"n": 5, "delta": delta}
+        assert delta == pytest.approx(0.9117382909684876, abs=1e-10)
+        assert trig_eval(curve.h, 0.0) == pytest.approx(1 - 0.05 / 24, abs=1e-12)
+        assert abs(math.tan(5 * delta) - 5 * math.tan(delta)) < 1e-10
 
     def test_n4(self):
-        table = build_gutkin_table(4, 0, 1.0, 0.05)
-        assert table.delta == pytest.approx(1.1502619915109316, abs=1e-10)
-        assert table.curve.h.cos_coeffs[3] == pytest.approx(-0.05 / 15, abs=1e-15)
+        curve, meta = build_gutkin_table(4, 0, 1.0, 0.05)
+        assert meta["delta"] == pytest.approx(1.1502619915109316, abs=1e-10)
+        assert curve.h.cos_coeffs[3] == pytest.approx(-0.05 / 15, abs=1e-15)
 
     def test_nonconvex(self):
         with pytest.raises(NonConvex):
@@ -258,7 +262,7 @@ class TestConstantWidth:
         assert check_constant_width(circle(1.0)) == (True, pytest.approx(2.0))
 
     def test_odd_harmonic(self):
-        ok, width = check_constant_width(gutkin5().curve)
+        ok, width = check_constant_width(gutkin5())
         assert ok and width == pytest.approx(2.0, abs=1e-12)
 
     def test_even_harmonic_fails(self):
@@ -276,27 +280,28 @@ class TestConstantWidth:
     @pytest.mark.parametrize("scale", [2.0 ** -40, 2.0 ** 40])
     @pytest.mark.parametrize("n", [5, 7, 9])
     def test_scaled_gutkin_tables(self, n, scale):
-        ok, width = check_constant_width(build_gutkin_table(n, 0, scale, 0.03 * scale).curve)
+        ok, width = check_constant_width(build_gutkin_table(n, 0, scale, 0.03 * scale)[0])
         assert ok and width == 2 * scale
 
 
 class TestTableJson:
     def test_roundtrip_bitwise(self, tmp_path):
-        table = gutkin5()
+        table, table_meta = build_gutkin_table(5, 0, 1.0, 0.05)
         path = tmp_path / "t.json"
-        save_table(path, table.curve, {"n": table.n, "delta": table.delta})
+        save_table(path, table, table_meta)
         curve, meta = load_table(path)
-        assert curve.h.constant == table.curve.h.constant
-        assert np.array_equal(curve.h.cos_coeffs[:5], table.curve.h.cos_coeffs)
+        assert curve.h.constant == table.h.constant
+        assert np.array_equal(curve.h.cos_coeffs[:5], table.h.cos_coeffs)
         assert meta["n"] == 5
-        assert meta["delta"] == table.delta
+        assert meta["delta"] == table_meta["delta"]
 
     @pytest.mark.parametrize("meta", [{"n": 5}, {"n": 5.0, "delta": 0.9},
-                                      {"n": 5, "delta": math.nan}, gutkin5()])
+                                      {"n": 5, "delta": math.nan},
+                                      build_gutkin_table(5, 0, 1.0, 0.05)])
     def test_bad_metadata_writes_nothing(self, tmp_path, meta):
         path = tmp_path / "t.json"
         with pytest.raises(ValueError, match="gutkin"):
-            save_table(path, gutkin5().curve, meta)
+            save_table(path, gutkin5(), meta)
         assert not path.exists()
 
     def test_nonconvex_rejected(self):
