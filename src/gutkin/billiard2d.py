@@ -288,9 +288,13 @@ def constant_angle_line(curve: SupportCurve, delta: float, psi: float) -> Orient
 
 
 def verify_constant_angle(curve: SupportCurve, delta: float, grid_size: int = 360) -> float:
-    """Max |arrival angle - delta| over a grid of constant-angle departures."""
+    """Max |arrival angle - delta| over a grid of constant-angle departures.
+    A delta below MIN_CHORD_ANGLE raises TangentLine before any line is built,
+    since every chord at that incidence is refused."""
     if not 0.0 < delta <= math.pi / 2:
         raise ValueError("delta must be in (0, pi/2]")
+    if delta < MIN_CHORD_ANGLE:
+        raise TangentLine(f"delta {delta:g} is below the incidence floor {MIN_CHORD_ANGLE:g}")
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
     psi = np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
@@ -362,12 +366,25 @@ def rigidity_integral(curve: SupportCurve, strip: Strip) -> float:
     return 2.0 * alpha_part * phi_part
 
 
-def rigidity_integral_closed(curve: SupportCurve, strip: Strip) -> float:
-    """Closed form: 2*int sin^2 da * pi*sum k^2(k^2-1)(a_k^2+b_k^2)."""
+def _strip_harmonic_sum(curve: SupportCurve, strip: Strip, sign: float) -> float:
+    """2*int sin^2 da * pi*sum k^2(k^2 + sign)(a_k^2+b_k^2) over the strip."""
     def F(x):
         return 0.5 * (x - math.sin(x) * math.cos(x))
 
     k = np.arange(1, curve.h.cos_coeffs.size + 1, dtype=float)
-    coeff_sum = float(np.sum(k ** 2 * (k ** 2 - 1)
+    coeff_sum = float(np.sum(k ** 2 * (k ** 2 + sign)
                              * (curve.h.cos_coeffs ** 2 + curve.h.sin_coeffs ** 2)))
     return 2.0 * (F(strip.delta2) - F(strip.delta1)) * math.pi * coeff_sum
+
+
+def rigidity_integral_closed(curve: SupportCurve, strip: Strip) -> float:
+    """Closed form: 2*int sin^2 da * pi*sum k^2(k^2-1)(a_k^2+b_k^2)."""
+    return _strip_harmonic_sum(curve, strip, -1.0)
+
+
+def rigidity_integral_scale(curve: SupportCurve, strip: Strip) -> float:
+    """The closed form with k^2(k^2+1) for k^2(k^2-1): the strip integral of
+    2 (h''^2 + h'^2) sin^2(alpha), a magnitude of the integrand that scales
+    with the table as the integral does, is at least its closed form, and
+    vanishes only on a circle about the origin."""
+    return _strip_harmonic_sum(curve, strip, 1.0)

@@ -134,7 +134,11 @@ def cmd_rigidity(args) -> dict:
     strip = b2.Strip(args.delta1, args.delta2)
     quad = b2.rigidity_integral(curve, strip)
     closed = b2.rigidity_integral_closed(curve, strip)
-    gap = abs(quad - closed) / max(abs(closed), 1e-30)
+    # scale-free: relative to the integrand's magnitude, which a table whose
+    # closed form is 0, such as a translated circle, still has; the max with
+    # |quad| keeps the divisor nonzero where the two differ
+    scale = max(b2.rigidity_integral_scale(curve, strip), abs(quad))
+    gap = 0.0 if quad == closed else abs(quad - closed) / scale
     return {"quadrature": quad, "closed_form": closed, "relative_gap": gap}
 
 

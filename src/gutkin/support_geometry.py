@@ -140,15 +140,37 @@ def solve_gutkin_angles(n: int) -> list[float]:
 
     g(d) = tan(n d) - n tan(d) runs from -inf to +inf on each branch
     ((2j-1) pi/2n, (2j+1) pi/2n) of tan(n d), j = 1..floor(n/2)-1, and has one
-    root there; all branches are bisected together down to adjacent floats.
-    These branches lie below pi/2; the branch j = 0 holds only the trivial
-    root 0.
+    root there, where the phase function u(d) = n d - j pi - arctan(n tan d)
+    vanishes.  u increases, with u' = n (n^2-1) sin^2 d / (1 + (n^2-1) sin^2 d),
+    and u < 0 at the branch centre j pi/n, so the root lies in
+    [j pi/n, (2j+1) pi/2n).  Newton on u runs on all branches in lock-step
+    from their centres.  A point freezes once its Newton step is at most one
+    ulp; only then is a step that leaves the bracket, narrowed by the sign of
+    u, replaced by the bracket's midpoint, so a point one ulp from the root
+    whose step rounds onto a bracket end stops there.  Newton takes at most 7
+    passes for n = 4..1000.  Last, the sign of g is bisected down to adjacent
+    floats on [x - 8 ulp, x + 8 ulp] around each Newton root.  The result is
+    bit-identical to bisecting g over the whole branch for n = 4..200; for
+    n <= 500 it differs only at n = 329, j = 1, by 2 ulps, both values
+    within 2 ulps of the 40-digit sign change.  The branch j = 0 holds only
+    the trivial root 0.
     """
     if not isinstance(n, (int, np.integer)) or n < 4:
         raise InvalidHarmonic(f"need integer n >= 4, got {n!r}")
     j = np.arange(1, n // 2)
-    lo = (2 * j - 1) * (math.pi / (2 * n))
+    lo = j * (math.pi / n)
     hi = (2 * j + 1) * (math.pi / (2 * n))
+    x, live, m = lo, np.ones(j.size, dtype=bool), n * n - 1.0
+    while live.any():
+        u = n * x - j * math.pi - np.arctan(n * np.tan(x))
+        s2 = np.sin(x) ** 2
+        x_new = x - u * (1.0 + m * s2) / (n * m * s2)
+        live &= np.abs(x_new - x) > np.spacing(x)
+        lo = np.where(u < 0, x, lo)
+        hi = np.where(u > 0, x, hi)
+        inside = (lo < x_new) & (x_new < hi)
+        x = np.where(live, np.where(inside, x_new, 0.5 * (lo + hi)), x)
+    lo, hi = x - 8 * np.spacing(x), x + 8 * np.spacing(x)
     while True:
         mid = 0.5 * (lo + hi)
         live = (lo < mid) & (mid < hi)

@@ -11,7 +11,7 @@ from gutkin.billiard2d import (MISSES, NEAR_TANGENT, SOLVED, OrientedLine2D, Str
                                generating_function, orbit, orbits,
                                reflect_geometric, reflect_variational,
                                rigidity_integral, rigidity_integral_closed,
-                               solve_chords, solve_variational,
+                               rigidity_integral_scale, solve_chords, solve_variational,
                                verify_constant_angle)
 from gutkin.errors import (ConvergenceFailure, DegenerateChord, NoIntersection,
                            TangentLine)
@@ -298,6 +298,15 @@ class TestVerifyConstantAngle:
         curve, _ = gutkin5
         assert verify_constant_angle(curve, 0.5, 360) > 1e-3
 
+    @pytest.mark.parametrize("delta", [9.99e-7, 1e-7, 1e-8, 1e-9])
+    def test_delta_below_floor(self, gutkin5, delta):
+        # refused up front: a start line whose p rounds onto h(delta) would
+        # otherwise read as a miss rather than as near-tangent
+        curve, _ = gutkin5
+        with pytest.raises(TangentLine, match=f"^delta {delta:g} is below the "
+                                              "incidence floor 1e-06$"):
+            verify_constant_angle(curve, delta, 360)
+
     @pytest.mark.parametrize("grid_size", [7, 0, -1])
     def test_grid_below_8(self, grid_size):
         with pytest.raises(ValueError, match="grid_size must be >= 8"):
@@ -381,6 +390,24 @@ class TestRigidity:
             coeffs[0] = 0.0
             curve = SupportCurve(TrigPolynomial(1.0, coeffs))
             assert rigidity_integral_closed(curve, strip) >= 0
+
+    def test_scale_bounds_closed(self):
+        rng = np.random.default_rng(3)
+        strip = Strip(0.4, 1.1)
+        for _ in range(20):
+            curve = SupportCurve(TrigPolynomial(1.0, rng.uniform(-0.01, 0.01, size=6),
+                                                rng.uniform(-0.01, 0.01, size=6)))
+            assert rigidity_integral_scale(curve, strip) >= rigidity_integral_closed(curve, strip)
+
+    def test_scale_of_translated_circle(self):
+        # the first harmonic adds nothing to the closed form, but to the scale
+        curve = SupportCurve(TrigPolynomial(1.0, [0.3]))
+        strip = Strip(0.5, 1.5)
+        assert rigidity_integral_closed(curve, strip) == 0.0
+        assert rigidity_integral_scale(curve, strip) == pytest.approx(
+            2 * math.pi * 2 * 0.09 * 0.5 * (1.0 - math.sin(1.5) * math.cos(1.5)
+                                             + math.sin(0.5) * math.cos(0.5)), rel=1e-14)
+        assert rigidity_integral_scale(circle(1.0), strip) == 0.0
 
     def test_strip_validation(self):
         with pytest.raises(ValueError):

@@ -168,6 +168,14 @@ class TestVerify:
         path.write_text(json.dumps({"a0": 1.0, "harmonics": [], "gutkin": None}))
         assert main(["verify", "--table", str(path), "--delta", delta]) == 0
 
+    @pytest.mark.parametrize("delta", ["1e-7", "1e-8", "1e-9"])
+    def test_delta_below_floor(self, table5, capsys, delta):
+        # one refusal for every delta below the floor, whether or not the
+        # start line's p rounds onto h(delta), as it does at 1e-8
+        assert main(["verify", "--table", str(table5), "--delta", delta]) == 2
+        assert capsys.readouterr().err == (f"error: delta {float(delta):g} is below "
+                                           "the incidence floor 1e-06\n")
+
     def test_no_delta_without_metadata(self, tmp_path, capsys):
         path = tmp_path / "circle.json"
         path.write_text(json.dumps({"a0": 1.0, "harmonics": [], "gutkin": None}))
@@ -353,10 +361,46 @@ class TestRigidity:
         assert doc["quadrature"] == pytest.approx(doc["closed_form"], rel=1e-12)
         assert doc["relative_gap"] < 1e-12
 
+    def test_translated_circle(self, tmp_path, capsys):
+        # closed form 0; the gap is relative to the integrand's magnitude
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps({"a0": 1.0, "harmonics": [{"k": 1, "cos": 0.3}]}))
+        assert main(["--json", "rigidity", "--table", str(path),
+                     "--delta1", "0.5", "--delta2", "1.5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["closed_form"] == 0.0
+        assert doc["relative_gap"] < 1e-12
+
+    def test_strip_whose_closed_form_underflows(self, tmp_path, capsys):
+        # on (1e-10, 2e-10), x - sin(x) cos(x) rounds to 0, so the closed form
+        # and the scale read 0 while the quadrature does not: the gap stays finite
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps({"a0": 1.0, "harmonics": [{"k": 1, "cos": 0.3}]}))
+        assert main(["--json", "rigidity", "--table", str(path),
+                     "--delta1", "1e-10", "--delta2", "2e-10"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["closed_form"] == 0.0 != doc["quadrature"]
+        assert math.isfinite(doc["relative_gap"])
+
 
 class TestScaleFree:
     """Tables and bodies far from unit size, which absolute thresholds once
     refused with exit 2."""
+
+    def test_rigidity_gap_scaled_by_power_of_two(self, table5, tmp_path, capsys):
+        doc = json.loads(table5.read_text())
+        small = tmp_path / "small.json"
+        scale = 2.0 ** -60
+        small.write_text(json.dumps({
+            "a0": doc["a0"] * scale,
+            "harmonics": [{"k": e["k"], "cos": e["cos"] * scale, "sin": e["sin"] * scale}
+                          for e in doc["harmonics"]]}))
+        gaps = []
+        for path in (table5, small):
+            assert main(["--json", "rigidity", "--table", str(path), "--delta1", "0.91174",
+                         "--delta2", "1.5707963"]) == 0
+            gaps.append(json.loads(capsys.readouterr().out)["relative_gap"])
+        assert gaps[0] == gaps[1] < 1e-12
 
     def test_table_scaled_by_power_of_two(self, table5, tmp_path, capsys):
         scale = 2.0 ** -43

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import trig_derivative, trig_eval
+from conftest import bisect_gutkin_angles, trig_derivative, trig_eval
 from gutkin.errors import InvalidHarmonic, NonClosedCurve, NonConvex
 from gutkin.support_geometry import (SupportCurve, TrigPolynomial,
                                      boundary_point, build_gutkin_table,
@@ -213,6 +213,30 @@ class TestGutkinAngles:
                     g_lo = mpmath.tan(n * (d - eps)) - n * mpmath.tan(d - eps)
                     g_hi = mpmath.tan(n * (d + eps)) - n * mpmath.tan(d + eps)
                     assert g_lo < 0 < g_hi, (n, j, r)
+
+    @pytest.mark.parametrize("n", [329, 500, 1000])
+    def test_mpmath_oracle_large_n(self, n):
+        # the sign-change check of test_mpmath_oracle at orders past 200
+        with mpmath.workdps(40):
+            roots = solve_gutkin_angles(n)
+            assert len(roots) == n // 2 - 1
+            for j, r in enumerate(roots, start=1):
+                assert (2 * j - 1) * math.pi / (2 * n) < r < (2 * j + 1) * math.pi / (2 * n)
+                d, eps = mpmath.mpf(r), mpmath.mpf(2 * math.ulp(r))
+                g_lo = mpmath.tan(n * (d - eps)) - n * mpmath.tan(d - eps)
+                g_hi = mpmath.tan(n * (d + eps)) - n * mpmath.tan(d + eps)
+                assert g_lo < 0 < g_hi, (n, j, r)
+
+    def test_bit_identical_to_branch_bisection(self):
+        for n in range(4, 201):
+            assert solve_gutkin_angles(n) == bisect_gutkin_angles(n), n
+
+    def test_n329_j1_pinned(self):
+        # the one root for n <= 500 where the Newton solve and branch
+        # bisection differ: 2 ulps apart, each within 2 ulps of the 40-digit
+        # sign change, which test_mpmath_oracle_large_n checks
+        assert solve_gutkin_angles(329)[0] == 0.01365782156788932
+        assert bisect_gutkin_angles(329)[0] == 0.013657821567889316
 
     def test_rejects_small_n(self):
         with pytest.raises(InvalidHarmonic):
