@@ -42,7 +42,10 @@ class Quadric:
             raise ValueError("A must be a square matrix")
         if not np.isfinite(A).all():
             raise ValueError("A must have finite entries")
-        if np.linalg.norm(A - A.T) > 1e-14 * max(1.0, np.linalg.norm(A)):
+        # the test runs on A / max |A_ij|, so that it is the same at every
+        # scale and no square overflows
+        B = A / np.abs(A).max() if A.any() else A
+        if np.linalg.norm(B - B.T) > 1e-14 * np.linalg.norm(B):
             raise ValueError("A must be symmetric")
         # Cholesky doubles as the positive-definiteness check
         np.linalg.cholesky(A)
@@ -62,9 +65,12 @@ class Quadric:
 
     def boundary_point(self, x) -> np.ndarray:
         """grad H(x) = A x / H(x), the boundary point with outward normal
-        x/|x| for one nonzero vector x; 0-homogeneous in x."""
+        x/|x|, over the last axis of nonzero vectors of shape (..., d);
+        0-homogeneous in x."""
         x = np.asarray(x, dtype=float)
-        return self.A @ x / self.support(x)
+        # one matrix-vector product per row, so that each row gets the bits of
+        # a single vector's A @ x and H(x), whatever the batch
+        return (self.A @ x[..., None])[..., 0] / self.support(x[..., None, :])
 
 
 def sphere_quadric(radius: float, d: int = 3) -> Quadric:
@@ -73,7 +79,12 @@ def sphere_quadric(radius: float, d: int = 3) -> Quadric:
 
 @dataclass(frozen=True)
 class OrientedLineND:
-    """Line {m + t n} with |n| = 1 and m orthogonal to n."""
+    """Line {m + t n} with |n| = 1 and m orthogonal to n.
+
+    Orthogonality is checked where the line meets a body, in ``orbit_nd``,
+    against the size of that body: the moment of a line through the centre
+    is of rounding size, and its direction is then arbitrary.
+    """
 
     n: np.ndarray
     m: np.ndarray
@@ -86,9 +97,10 @@ class OrientedLineND:
         object.__setattr__(self, "m", m)
 
 
-def _check_lines(n: np.ndarray, m: np.ndarray):
-    """|n| = 1, m finite and <m, n> = 0 over the last axis, for one line or rows
-    of lines; NaN fails every check."""
+def _check_lines(n: np.ndarray, m: np.ndarray, size: float | None = None):
+    """|n| = 1 and m finite over the last axis, for one line or rows of lines,
+    and, given the size of the body they meet, <m, n> = 0 to within 1e-12 of
+    the larger of max |m_i| and that size; NaN fails every check."""
     norm = np.linalg.norm(n, axis=-1)
     # negated <=, so that NaN counts as a failure
     off_unit = ~(np.abs(norm - 1.0) <= 1e-12)
@@ -96,15 +108,18 @@ def _check_lines(n: np.ndarray, m: np.ndarray):
         raise NonUnit(f"|n| = {np.extract(off_unit, norm)[0]:.15g}")
     if not np.isfinite(m).all():
         raise ValueError("m must be finite")
+    if size is None:
+        return
     mn = np.einsum("...i,...i->...", m, n)
-    skew = ~(np.abs(mn) <= 1e-12 * np.maximum(1.0, np.linalg.norm(m, axis=-1)))
+    skew = ~(np.abs(mn) <= 1e-12 * np.maximum(np.abs(m).max(axis=-1), size))
     if skew.any():
         raise ValueError(f"<m, n> = {np.extract(skew, mn)[0]:g} != 0")
 
 
 def _diff(n1, n2) -> np.ndarray:
     delta = np.asarray(n1, dtype=float) - np.asarray(n2, dtype=float)
-    if (np.linalg.norm(delta, axis=-1) < 1e-12).any():
+    # |delta| < 1e-12 on every row, by the squared norm
+    if (np.einsum("...i,...i->...", delta, delta) < 1e-24).any():
         raise CoincidentDirections("n1 and n2 coincide")
     return delta
 
@@ -122,32 +137,39 @@ def reflect_nd(q: Quadric, line: OrientedLineND):
     return OrientedLineND(n[1], m[1]), P[0]
 
 
-def tangent_basis(n: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space to the unit sphere at n, as rows.
+def tangent_basis(n) -> np.ndarray:
+    """Orthonormal bases of the tangent spaces to the unit sphere at the rows
+    of n, shape (..., d), as the rows of an array of shape (..., d-1, d).
 
-    With s the sign of the largest coordinate n_drop of n, the Householder
-    reflector H = I - 2 u u^T/|u|^2, u = n + s e_drop, swaps n and -s e_drop,
-    so its rows e_i H, i != drop, are orthonormal and orthogonal to n.  As
-    |u|^2 = 2 + 2 |n_drop| >= 2, the reflector is well conditioned for every n.
+    With s the sign of the largest coordinate n_drop of a row n, the
+    Householder reflector H = I - 2 u u^T/|u|^2, u = n + s e_drop, swaps n
+    and -s e_drop, so its rows e_i H, i != drop, are orthonormal and
+    orthogonal to n.  As |u|^2 = 2 + 2 |n_drop| >= 2, the reflector is well
+    conditioned for every n.
     """
     n = np.asarray(n, dtype=float)
-    drop = int(np.argmax(np.abs(n)))
-    u = n.copy()
-    u[drop] += math.copysign(1.0, n[drop])
-    H = np.eye(n.size) - (2.0 / (u @ u)) * np.outer(u, u)
-    return np.delete(H, drop, axis=0)
+    d = n.shape[-1]
+    top = np.arange(d) == np.argmax(np.abs(n), axis=-1)[..., None]
+    u = n + np.copysign(top, n)
+    # |u|^2 by matmul, the bits of one vector's u @ u
+    scale = 2.0 / (u[..., None, :] @ u[..., :, None])
+    H = np.eye(d) - scale * (u[..., :, None] * u[..., None, :])
+    return H[~top].reshape(n.shape[:-1] + (d - 1, d))
 
 
 def _great_circle_steps(n: np.ndarray, step: float):
-    """(points, basis): points[k, i] = cos(step) n +- sin(step) basis[i], shape
-    (2, d-1, d), on great circles through n; basis = tangent_basis(n)."""
+    """(points, basis) for rows n of shape (..., d): points[..., k, i] =
+    cos(step) n +- sin(step) basis[..., i], shape (..., 2, d-1, d), on great
+    circles through n; basis = tangent_basis(n)."""
     basis = tangent_basis(n)
-    sin = math.sin(step)
-    return math.cos(step) * n + np.multiply.outer([sin, -sin], basis), basis
+    signed = np.array([[[math.sin(step)]], [[-math.sin(step)]]])
+    return math.cos(step) * n[..., None, None, :] + signed * basis[..., None, :, :], basis
 
 
 def _moment(P: np.ndarray, n: np.ndarray) -> np.ndarray:
-    return P - float(P @ n) * n
+    """P - <P, n> n over the last axis; <P, n> by matmul, so that each row
+    gets the bits of one vector's P @ n."""
+    return P - (P[..., None, :] @ n[..., :, None])[..., 0] * n
 
 
 def unit_vector(v):
@@ -167,7 +189,8 @@ def unit_vector(v):
 
 
 def gradient_contract_residual(q: Quadric, n1, n2):
-    """Residuals of m1 = D1 S and m2 = -D2 S, derivatives by finite differences.
+    """Residuals of m1 = D1 S and m2 = -D2 S, derivatives by finite differences,
+    for pairs of directions of shape (..., d); one pair gives two floats.
 
     D1 S is assembled from central differences of S along great circles at
     n1; analytically it equals the projection of the bounce point P
@@ -176,18 +199,19 @@ def gradient_contract_residual(q: Quadric, n1, n2):
     n1 = np.asarray(n1, dtype=float)
     n2 = np.asarray(n2, dtype=float)
     P = q.boundary_point(_diff(n1, n2))
-    m1 = _moment(P, n1)
-    m2 = _moment(P, n2)
 
     def fd_grad(base, other):
         # D1 S(base, other); D2 S(n1, n2) is fd_grad(n2, n1) as S is symmetric
         points, basis = _great_circle_steps(base, FD_STEP)
-        sp, sm = generating_value_nd(q, points, other)
-        return (sp - sm) / (2.0 * FD_STEP) @ basis
+        s = generating_value_nd(q, points, other[..., None, None, :])
+        slope = (s[..., 0, :] - s[..., 1, :]) / (2.0 * FD_STEP)
+        return (slope[..., None, :] @ basis)[..., 0, :]
 
-    d1s = fd_grad(n1, n2)
-    d2s = fd_grad(n2, n1)
-    return float(np.linalg.norm(d1s - m1)), float(np.linalg.norm(d2s + m2))
+    r1 = np.linalg.norm(fd_grad(n1, n2) - _moment(P, n1), axis=-1)
+    r2 = np.linalg.norm(fd_grad(n2, n1) + _moment(P, n2), axis=-1)
+    if r1.ndim == 0:
+        return float(r1), float(r2)
+    return r1, r2
 
 
 def twist_jacobian_min_sv(q: Quadric, n1, n2) -> float:
@@ -235,6 +259,9 @@ def orbit_nd(q: Quadric, line: OrientedLineND, steps: int):
     a tangent line or one meeting the boundary at an incidence below
     MIN_CHORD_ANGLE, the planar map's rule.
     """
+    # the body's largest half-width along an axis, H(e_i) = sqrt(A_ii)
+    size = math.sqrt(q.A.diagonal().max())
+    _check_lines(line.n, line.m, size)
     A_inv = q.A_inv
     ns = np.empty((steps + 1, q.d))
     ms = np.empty_like(ns)
@@ -268,5 +295,5 @@ def orbit_nd(q: Quadric, line: OrientedLineND, steps: int):
             raise TangentLine(f"line grazes the quadric at incidence {angle:g}, "
                               f"below {MIN_CHORD_ANGLE:g}")
         ns[k + 1], ms[k + 1], Ps[k], incidence[k] = n2, P - P.dot(n2) * n2, P, angle
-    _check_lines(ns, ms)
+    _check_lines(ns, ms, size)
     return ns, ms, Ps, incidence

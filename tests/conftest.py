@@ -5,7 +5,9 @@ The library evaluates a supporting function only through
 ``trig_eval`` and ``trig_derivative`` sum the cosine and sine series
 directly, so they serve as its oracle.  ``solve_gutkin_angles`` finds its
 roots by Newton steps and a short bisection; ``bisect_gutkin_angles``
-bisects each whole branch instead.  Import them with
+bisects each whole branch instead.  ``gradient_contract_residual`` evaluates
+the R^d gradient check over pairs in one batch; ``pairwise_gradient_residual``
+is the per-pair loop it replaced.  Import them with
 ``from conftest import trig_eval``.
 """
 
@@ -45,3 +47,31 @@ def bisect_gutkin_angles(n: int) -> list[float]:
         above = np.tan(n * mid) > n * np.tan(mid)
         hi = np.where(live & above, mid, hi)
         lo = np.where(live & ~above, mid, lo)
+
+
+def pairwise_gradient_residual(q, n1, n2):
+    """(|D1 S - m1|, |D2 S + m2|) for one pair of unit directions, as the
+    gradient check computed it one pair at a time: a Householder tangent basis
+    from np.eye/np.outer/np.delete, and central differences of
+    S = q.support(n1 - n2) along great circles at step 1e-5."""
+    step = 1e-5
+
+    def basis(n):
+        drop = int(np.argmax(np.abs(n)))
+        u = n.copy()
+        u[drop] += math.copysign(1.0, n[drop])
+        H = np.eye(n.size) - (2.0 / (u @ u)) * np.outer(u, u)
+        return np.delete(H, drop, axis=0)
+
+    def fd_grad(base, other):
+        B = basis(base)
+        points = math.cos(step) * base + np.multiply.outer([math.sin(step), -math.sin(step)], B)
+        sp, sm = q.support(points - other)
+        return (sp - sm) / (2.0 * step) @ B
+
+    w = n1 - n2
+    P = q.A @ w / q.support(w)
+    m1 = P - float(P @ n1) * n1
+    m2 = P - float(P @ n2) * n2
+    return (float(np.linalg.norm(fd_grad(n1, n2) - m1)),
+            float(np.linalg.norm(fd_grad(n2, n1) + m2)))

@@ -413,6 +413,36 @@ class TestRigidity:
         with pytest.raises(ValueError):
             Strip(1.0, 0.5)
 
+    def test_closed_form_against_mpmath(self, gutkin5):
+        # 2 (F(d2) - F(d1)) pi sum k^2 (k^2 - 1) |h_k|^2, F(x) = (x - sin x cos x)/2,
+        # in 50 digits, on strips from 1e-12 to pi/2, thin ones included,
+        # where the float difference F(d2) - F(d1) cancels
+        curve, _ = gutkin5
+        k = np.arange(1, curve.h.cos_coeffs.size + 1)
+        with mpmath.workdps(50):
+            coeff_sum = mpmath.fsum(
+                int(kk) ** 2 * (int(kk) ** 2 - 1) * (mpmath.mpf(float(a)) ** 2
+                                                      + mpmath.mpf(float(b)) ** 2)
+                for kk, a, b in zip(k, curve.h.cos_coeffs, curve.h.sin_coeffs))
+
+            def closed(d1, d2):
+                def F(x):
+                    return (x - mpmath.sin(x) * mpmath.cos(x)) / 2
+                return 2 * (F(mpmath.mpf(d2)) - F(mpmath.mpf(d1))) * mpmath.pi * coeff_sum
+
+            rng = np.random.default_rng(17)
+            strips = [(1e-12, 2e-12), (1e-10, 2e-10), (1e-12, math.pi / 2), (0.05, 0.0500001),
+                      (1.4, 1.4001), (1.5, math.pi / 2), (0.1, 0.35), (1.0, 1.0 + 1e-9)]
+            for _ in range(300):
+                d1 = 10 ** rng.uniform(-12, math.log10(1.5))
+                d2 = d1 + 10 ** rng.uniform(-12, 0.2)
+                if d2 <= math.pi / 2:
+                    strips.append((d1, d2))
+            for d1, d2 in strips:
+                want = closed(d1, d2)
+                got = rigidity_integral_closed(curve, Strip(d1, d2))
+                assert abs(got - want) <= 1e-14 * want, (d1, d2)
+
 
 class TestBatchedSolves:
     """A batch of lines gives, bit for bit, what the scalar wrappers give."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from gutkin.billiard_nd import (OrientedLineND, Quadric, generating_value_nd,
                                 twist_jacobian_min_sv)
 from gutkin.errors import (MIN_CHORD_ANGLE, CoincidentDirections, NoIntersection, NonUnit,
                            TangentLine)
+
+from conftest import pairwise_gradient_residual
 
 
 def reference_bounce(q, n, m):
@@ -81,6 +84,19 @@ class TestQuadric:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             Quadric(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_rejects_asymmetric_at_any_scale(self, scale):
+        A = np.array([[2.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="A must be symmetric"):
+            Quadric(scale * A)
+
+    def test_huge_entries_no_overflow(self):
+        # the squares of these entries overflow; the symmetry test must not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = Quadric(np.diag([4e200, 1e200, 1e200]))
+        assert q.support(np.array([1.0, 0.0, 0.0])) == 2e100
 
     def test_rejects_indefinite(self):
         with pytest.raises(np.linalg.LinAlgError):
@@ -250,6 +266,30 @@ class TestLineValidation:
     def test_non_finite_moment(self, m):
         with pytest.raises(ValueError, match="m must be finite"):
             OrientedLineND([1.0, 0.0, 0.0], m)
+
+
+class TestLineSkew:
+    """<m, n> = 0 is checked where a line meets a body, against the body's
+    size, so the check reads the same at every scale."""
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_skewed_moment_refused_at_any_scale(self, scale):
+        n = np.array([0.6, 0.8, 0.0])
+        m = np.array([0.8, -0.6, 0.0]) + 0.3 * n
+        q = Quadric(scale ** 2 * np.diag([4.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match=r"<m, n> = .* != 0"):
+            orbit_nd(q, OrientedLineND(n, scale * m), 1)
+
+    @pytest.mark.parametrize("radius", [1e-100, 1.0, 1e100])
+    def test_lines_through_centre_followed_at_any_scale(self, radius):
+        # a normal launch on a sphere runs through the centre, where the
+        # moment is of rounding size and its skew relative to |m| arbitrary
+        q = sphere_quadric(radius)
+        rng = np.random.default_rng(91)
+        for _ in range(10):
+            _, m, _, incidence = orbit_nd(q, launch_line(q, random_unit(rng), math.pi / 2), 20)
+            assert np.abs(m).max() < 1e-14 * radius
+            assert np.abs(incidence - math.pi / 2).max() < 1e-7
 
 
 class TestReflect:
@@ -430,6 +470,36 @@ class TestGradientContract:
             assert r1 < 1e-7 and r2 < 1e-7
 
 
+class TestBatchedGradient:
+    """gradient_contract_residual over (N, d) pairs against the per-pair loop
+    it replaced, kept in conftest as its oracle."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_matches_pairwise_loop(self, d):
+        rng = np.random.default_rng(80 + d)
+        q = random_spd(rng, d)
+        pairs = [random_pair(rng, d, min_gap=0.1) for _ in range(40)]
+        n1, n2 = np.array(pairs).transpose(1, 0, 2)
+        r1, r2 = gradient_contract_residual(q, n1, n2)
+        assert r1.shape == r2.shape == (40,)
+        want = np.array([pairwise_gradient_residual(q, a, b) for a, b in pairs])
+        assert np.abs(r1 - want[:, 0]).max() <= 1e-14
+        assert np.abs(r2 - want[:, 1]).max() <= 1e-14
+        # one pair is a batch of one: two floats, each row's bits
+        for i in (0, 17, 39):
+            one = gradient_contract_residual(q, n1[i], n2[i])
+            assert all(type(r) is float for r in one)
+            assert one == (r1[i], r2[i])
+
+    def test_coincident_pair_in_batch(self, triaxial):
+        rng = np.random.default_rng(90)
+        n1 = random_units(rng, 3, (6,))
+        n2 = -n1
+        n2[4] = n1[4]
+        with pytest.raises(CoincidentDirections):
+            gradient_contract_residual(triaxial, n1, n2)
+
+
 class TestTwist:
     def test_sphere_perpendicular(self):
         q = sphere_quadric(1.0)
@@ -538,6 +608,25 @@ class TestTangentBasis:
             assert B.shape == (d - 1, d)
             assert np.abs(B @ n).max() < 1e-15
             assert np.abs(B @ B.T - np.eye(d - 1)).max() < 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_batched_rows(self, d):
+        # (2, 3, d) directions, half with a negative largest entry and one per
+        # batch a negative axis: each row's basis is orthonormal, orthogonal
+        # to its n, and the one a single call gives
+        rng = np.random.default_rng(50 + d)
+        n = random_units(rng, d, (2, 3))
+        top = np.argmax(np.abs(n), axis=-1)
+        flip = np.take_along_axis(n, top[..., None], axis=-1) > 0
+        n[0] = np.where(flip[0], -n[0], n[0])
+        n[1, 2] = -np.eye(d)[d - 1]
+        B = tangent_basis(n)
+        assert B.shape == (2, 3, d - 1, d)
+        for idx in np.ndindex(2, 3):
+            assert np.abs(B[idx] @ n[idx]).max() < 1e-15
+            assert np.abs(B[idx] @ B[idx].T - np.eye(d - 1)).max() < 1e-15
+            assert np.array_equal(B[idx], tangent_basis(n[idx]))
+        assert (np.take_along_axis(n[0], top[0][..., None], axis=-1) < 0).all()
 
 
 class TestLaunchDirection:

@@ -372,8 +372,8 @@ class TestRigidity:
         assert doc["relative_gap"] < 1e-12
 
     def test_strip_whose_closed_form_underflows(self, tmp_path, capsys):
-        # on (1e-10, 2e-10), x - sin(x) cos(x) rounds to 0, so the closed form
-        # and the scale read 0 while the quadrature does not: the gap stays finite
+        # on (1e-10, 2e-10) the closed form of a translated circle is 0 while
+        # the quadrature is not: the gap stays finite
         path = tmp_path / "shifted.json"
         path.write_text(json.dumps({"a0": 1.0, "harmonics": [{"k": 1, "cos": 0.3}]}))
         assert main(["--json", "rigidity", "--table", str(path),
@@ -381,6 +381,17 @@ class TestRigidity:
         doc = json.loads(capsys.readouterr().out)
         assert doc["closed_form"] == 0.0 != doc["quadrature"]
         assert math.isfinite(doc["relative_gap"])
+
+    @pytest.mark.parametrize("delta1, delta2", [("1e-10", "2e-10"), ("1e-12", "1.5707963"),
+                                                ("0.7", "0.7000001")])
+    def test_small_and_thin_strips(self, table5, capsys, delta1, delta2):
+        # F(d2) - F(d1), F(x) = (x - sin x cos x)/2, cancels on these strips; the
+        # closed form must still agree with the quadrature
+        assert main(["--json", "rigidity", "--table", str(table5),
+                     "--delta1", delta1, "--delta2", delta2]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["closed_form"] > 0
+        assert doc["relative_gap"] < 1e-12
 
 
 class TestScaleFree:
@@ -435,6 +446,39 @@ class TestScaleFree:
                      "--steps", "40", "--out", str(out)]) == 0
         angles = np.loadtxt(out, delimiter=",", skiprows=1)[:, -1]
         assert np.abs(angles - 0.5).max() < 1e-12
+
+
+    def test_huge_ellipsoid_chords(self, tmp_path):
+        # semi-axes near 1e100, whose squares' squares overflow: no warning,
+        # and the report is the unit body's, scaled; by a power of two bit for
+        # bit, by 1e100 to 1e-12 in the columns with a length dimension
+        unit = tmp_path / "unit.csv"
+        assert main(["chords", "--surface", "ellipsoid", "--axes", "2,1,1",
+                     "--delta", "0.5236", "--out", str(unit)]) == 0
+        want = np.loadtxt(unit, delimiter=",", skiprows=1)
+        # s, k, tau, l, ldot, R5, R6, R9, D_numeric, D_analytic, A_coeff
+        power = np.array([1, -1, -1, 1, 0, 0, 0, 0, -1, -1, 1])
+        for scale, exact in ((2.0 ** 332, True), (1e100, False)):
+            out = tmp_path / "big.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["chords", "--surface", "ellipsoid",
+                             "--axes", f"{2 * scale!r},{scale!r},{scale!r}",
+                             "--delta", "0.5236", "--length", repr(2 * math.pi * scale),
+                             "--step", repr(1e-3 * scale), "--out", str(out)]) == 0
+            got = np.loadtxt(out, delimiter=",", skiprows=1) / scale ** power
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                cols = [0, 1, 2, 3, 8, 9, 10]
+                err = np.abs(got[:, cols] - want[:, cols]).max(axis=0)
+                assert (err <= 1e-12 * np.abs(want[:, cols]).max(axis=0)).all()
+
+    def test_huge_ellipsoid_chords_default_length(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["chords", "--surface", "ellipsoid", "--axes", "2e100,1e100,1e100",
+                         "--delta", "0.5236", "--out", str(tmp_path / "ce.csv")]) == 0
 
 
 class TestEllipsoid:
@@ -712,6 +756,48 @@ class TestGradientCheck:
     def test_no_pairs(self, spheroid_spec, pairs):
         assert main(["gradient-check", "--spec", str(spheroid_spec),
                      "--pairs", pairs]) == 2
+
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_blocks_give_one_block_result(self, tmp_path, monkeypatch, capsys, d):
+        # blocks of 7 pairs draw and evaluate the same pairs as one block
+        rng = np.random.default_rng(d)
+        B = rng.normal(size=(d, d))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"d": d, "A": (B @ B.T + d * np.eye(d)).ravel().tolist()}))
+        argv = ["--json", "gradient-check", "--spec", str(spec), "--pairs", "30"]
+        assert main(argv) == 0
+        one = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(cli, "GRADIENT_BLOCK_ENTRIES", 7 * d * d)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == one
+        assert one["pairs"] == 30 and one["pass"] is True
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_pairs_are_the_one_pair_loop_pairs(self, d):
+        # a block's pairs, and the stream left after them, are those of a
+        # loop that draws and redraws one pair at a time
+        loop_rng, want = np.random.default_rng(d), []
+        while len(want) < 50:
+            n1 = loop_rng.normal(size=d)
+            n1 /= np.linalg.norm(n1)
+            n2 = loop_rng.normal(size=d)
+            n2 /= np.linalg.norm(n2)
+            if np.linalg.norm(n1 - n2) >= 0.1:
+                want.append((n1, n2))
+        rng = np.random.default_rng(d)
+        assert np.array_equal(cli._draw_pairs(rng, d, 50), np.array(want))
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_nan_residual_fails(self, tmp_path, capsys):
+        # on a body of radius 1e154, <A x, x> overflows and the differences of
+        # S read NaN; a NaN residual fails the check instead of being skipped
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps({"d": 3, "A": [1e308, 0, 0, 0, 1e308, 0, 0, 0, 1e308]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["--json", "gradient-check", "--spec", str(spec), "--pairs", "5"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pass"] is False and math.isnan(doc["max_residual"])
 
     def test_close_pairs_redrawn(self, tmp_path, monkeypatch, capsys):
         # on a circle about one pair in 30 has |n1 - n2| < 0.1; such a pair is
