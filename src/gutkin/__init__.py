@@ -15,8 +15,7 @@ from .support_geometry import (SupportCurve, TrigPolynomial, build_gutkin_table,
 from .billiard2d import (OrientedLine2D, Strip, reflect_geometric,
                          reflect_variational, rigidity_integral,
                          rigidity_integral_closed, verify_constant_angle)
-from .billiard_nd import (OrientedLineND, Quadric, gradient_contract_residual,
-                          reflect_nd, sphere_quadric)
+from .billiard_nd import Quadric, gradient_contract_residual, sphere_quadric
 from .geodesic_chords import (chord_correspondence, frenet_apparatus,
                               integrate_geodesic)
 
@@ -26,8 +25,7 @@ __all__ = [
     "solve_gutkin_angles", "support_from_radius",
     "OrientedLine2D", "Strip", "reflect_geometric", "reflect_variational",
     "rigidity_integral", "rigidity_integral_closed", "verify_constant_angle",
-    "OrientedLineND", "Quadric", "gradient_contract_residual", "reflect_nd",
-    "sphere_quadric",
+    "Quadric", "gradient_contract_residual", "sphere_quadric",
     "chord_correspondence", "frenet_apparatus", "integrate_geodesic",
 ]
 

@@ -35,6 +35,10 @@ class Quadric:
 
     A: np.ndarray
     A_inv: np.ndarray = field(init=False)
+    # A / 4^k, 4^k the power of four nearest max A_ii: H and grad H run on it
+    # and scale back by 2^k exactly, so no square of A's size overflows
+    _A_unit: np.ndarray = field(init=False, repr=False, compare=False)
+    _root_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -49,18 +53,28 @@ class Quadric:
             raise ValueError("A must be symmetric")
         # Cholesky doubles as the positive-definiteness check
         np.linalg.cholesky(A)
+        k = round(0.5 * math.log2(A.diagonal().max()))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "A_inv", np.linalg.inv(A))
+        object.__setattr__(self, "_A_unit", np.ldexp(A, -2 * k))
+        object.__setattr__(self, "_root_scale", math.ldexp(1.0, k))
 
     @property
     def d(self) -> int:
         return self.A.shape[0]
 
+    @property
+    def half_width(self) -> float:
+        """The largest half-width along an axis, max_i H(e_i) = sqrt(max A_ii)."""
+        return math.sqrt(self.A.diagonal().max())
+
+    def _unit_support(self, x: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.einsum("...i,...i->...", x @ self._A_unit, x))
+
     def support(self, x):
         """H(x) = sqrt(<A x, x>) over the last axis of any (..., d) array; one
         vector gives a float.  H is 1-homogeneous: H(c x) = c H(x), c > 0."""
-        x = np.asarray(x, dtype=float)
-        h = np.sqrt(np.einsum("...i,...i->...", x @ self.A, x))
+        h = self._root_scale * self._unit_support(np.asarray(x, dtype=float))
         return float(h) if h.ndim == 0 else h
 
     def boundary_point(self, x) -> np.ndarray:
@@ -70,37 +84,18 @@ class Quadric:
         x = np.asarray(x, dtype=float)
         # one matrix-vector product per row, so that each row gets the bits of
         # a single vector's A @ x and H(x), whatever the batch
-        return (self.A @ x[..., None])[..., 0] / self.support(x[..., None, :])
+        Ax = (self._A_unit @ x[..., None])[..., 0]
+        return self._root_scale * (Ax / self._unit_support(x[..., None, :]))
 
 
 def sphere_quadric(radius: float, d: int = 3) -> Quadric:
     return Quadric(radius ** 2 * np.eye(d))
 
 
-@dataclass(frozen=True)
-class OrientedLineND:
-    """Line {m + t n} with |n| = 1 and m orthogonal to n.
-
-    Orthogonality is checked where the line meets a body, in ``orbit_nd``,
-    against the size of that body: the moment of a line through the centre
-    is of rounding size, and its direction is then arbitrary.
-    """
-
-    n: np.ndarray
-    m: np.ndarray
-
-    def __post_init__(self):
-        n = np.asarray(self.n, dtype=float)
-        m = np.asarray(self.m, dtype=float)
-        _check_lines(n, m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-
-
-def _check_lines(n: np.ndarray, m: np.ndarray, size: float | None = None):
-    """|n| = 1 and m finite over the last axis, for one line or rows of lines,
-    and, given the size of the body they meet, <m, n> = 0 to within 1e-12 of
-    the larger of max |m_i| and that size; NaN fails every check."""
+def _check_lines(n: np.ndarray, m: np.ndarray, size: float):
+    """|n| = 1, m finite and <m, n> = 0 to within 1e-12 of the larger of
+    max |m_i| and the body's size, over rows of lines: a line through the
+    centre has a moment of rounding size.  NaN fails every check."""
     norm = np.linalg.norm(n, axis=-1)
     # negated <=, so that NaN counts as a failure
     off_unit = ~(np.abs(norm - 1.0) <= 1e-12)
@@ -108,8 +103,6 @@ def _check_lines(n: np.ndarray, m: np.ndarray, size: float | None = None):
         raise NonUnit(f"|n| = {np.extract(off_unit, norm)[0]:.15g}")
     if not np.isfinite(m).all():
         raise ValueError("m must be finite")
-    if size is None:
-        return
     mn = np.einsum("...i,...i->...", m, n)
     skew = ~(np.abs(mn) <= 1e-12 * np.maximum(np.abs(m).max(axis=-1), size))
     if skew.any():
@@ -129,12 +122,6 @@ def generating_value_nd(q: Quadric, n1, n2):
     shape (..., d); one pair gives a float.  S(n1, n2) = S(n2, n1) bit for
     bit, since negating n1 - n2 is exact."""
     return q.support(_diff(n1, n2))
-
-
-def reflect_nd(q: Quadric, line: OrientedLineND):
-    """One bounce of ``orbit_nd``: (next line, exit point)."""
-    n, m, P, _ = orbit_nd(q, line, 1)
-    return OrientedLineND(n[1], m[1]), P[0]
 
 
 def tangent_basis(n) -> np.ndarray:
@@ -225,8 +212,9 @@ def twist_jacobian_min_sv(q: Quadric, n1, n2) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[-1])
 
 
-def launch_line(q: Quadric, nu: np.ndarray, delta: float) -> OrientedLineND:
-    """Line leaving the boundary point with outward normal nu at angle delta.
+def launch_line(q: Quadric, nu: np.ndarray, delta: float):
+    """(n, m) of the line leaving the boundary point with outward normal nu
+    at angle delta.
 
     The direction is cos(delta)*t + sin(delta)*(-nu) for the unit tangent
     t = (e_j - nu_j nu)/|e_j - nu_j nu|, e_j the first axis other than the
@@ -244,30 +232,37 @@ def launch_line(q: Quadric, nu: np.ndarray, delta: float) -> OrientedLineND:
     t = np.eye(nu.size)[j] - nu[j] * nu
     t = t / np.linalg.norm(t)
     n = math.cos(delta) * t - math.sin(delta) * nu
-    return OrientedLineND(n, _moment(P, n))
+    return n, _moment(P, n)
 
 
-def orbit_nd(q: Quadric, line: OrientedLineND, steps: int):
-    """The billiard map iterated ``steps`` times from ``line``.
+def _incidence(n, nu, dot):
+    """atan2(|dot|, |n - dot nu|) over rows, dot = <n, nu>: the angle of unit n
+    to the plane with unit normal nu, accurate up to pi/2, unlike asin(|dot|)."""
+    t = n - dot[..., None] * nu
+    return np.arctan2(np.abs(dot), np.sqrt((t[..., None, :] @ t[..., :, None])[..., 0, 0]))
+
+
+def orbit_nd(q: Quadric, n, m, steps: int):
+    """The billiard map iterated ``steps`` times from the line (n, m).
 
     Returns (n, m, P, incidence): the directions and moments of the lines,
-    shape (steps+1, d), row 0 being ``line``; the exit points P, shape
+    shape (steps+1, d), row 0 being the start line; the exit points P, shape
     (steps, d); and the angle between each outgoing line and the tangent
-    plane at its exit point, shape (steps,).  A bounce takes the larger
-    root t of <A^-1(m + t n), m + t n> = 1 and mirrors n across the outward
-    normal nu there; it raises NoIntersection on a miss, and TangentLine on
-    a tangent line or one meeting the boundary at an incidence below
-    MIN_CHORD_ANGLE, the planar map's rule.
+    plane at its exit point, shape (steps,).  Every line is checked.  A
+    bounce takes the larger root t of <A^-1(m + t n), m + t n> = 1 and
+    mirrors n across the outward normal nu there; it raises NoIntersection
+    on a miss, and TangentLine on a tangent line or one meeting the boundary
+    at an incidence below MIN_CHORD_ANGLE, the planar map's rule.
     """
-    # the body's largest half-width along an axis, H(e_i) = sqrt(A_ii)
-    size = math.sqrt(q.A.diagonal().max())
-    _check_lines(line.n, line.m, size)
+    n, m = np.asarray(n, dtype=float), np.asarray(m, dtype=float)
+    _check_lines(n, m, q.half_width)
     A_inv = q.A_inv
     ns = np.empty((steps + 1, q.d))
     ms = np.empty_like(ns)
     Ps = np.empty((steps, q.d))
-    incidence = np.empty(steps)
-    ns[0], ms[0] = line.n, line.m
+    nus = np.empty_like(Ps)
+    dots = np.empty(steps)
+    ns[0], ms[0] = n, m
     for k in range(steps):
         n, m = ns[k], ms[k]
         # (n A^-1) n, not n (A^-1 n): over long orbits the other order moves
@@ -290,10 +285,13 @@ def orbit_nd(q: Quadric, line: OrientedLineND, steps: int):
         nu = grad / math.sqrt(grad.dot(grad))
         n2 = n - 2.0 * n.dot(nu) * nu
         n2 /= math.sqrt(n2.dot(n2))
-        angle = math.asin(min(1.0, abs(n2.dot(nu))))
-        if angle < MIN_CHORD_ANGLE:
-            raise TangentLine(f"line grazes the quadric at incidence {angle:g}, "
-                              f"below {MIN_CHORD_ANGLE:g}")
-        ns[k + 1], ms[k + 1], Ps[k], incidence[k] = n2, P - P.dot(n2) * n2, P, angle
-    _check_lines(ns, ms, size)
-    return ns, ms, Ps, incidence
+        dot = n2.dot(nu)
+        # the incidence is at least |dot|: only a bounce with a small |dot| grazes
+        if abs(dot) < MIN_CHORD_ANGLE:
+            angle = _incidence(n2, nu, dot)
+            if angle < MIN_CHORD_ANGLE:
+                raise TangentLine(f"line grazes the quadric at incidence {angle:g}, "
+                                  f"below {MIN_CHORD_ANGLE:g}")
+        ns[k + 1], ms[k + 1], Ps[k], nus[k], dots[k] = n2, P - P.dot(n2) * n2, P, nu, dot
+    _check_lines(ns, ms, q.half_width)
+    return ns, ms, Ps, _incidence(ns[1:], nus, dots)

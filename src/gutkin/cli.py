@@ -61,7 +61,8 @@ def _write_csv(path, header: list[str], columns):
 def _write_svg(path, xs, ys):
     """Deterministic scatter SVG of (phi, p) points, SVG_SIZE pixels square."""
     x0, x1 = 0.0, 2 * math.pi
-    pad = 0.05 * (ys.max() - ys.min() + 1e-30)
+    # 5% of the range, or of max |y| where it is 0: the same at every scale
+    pad = 0.05 * ((ys.max() - ys.min()) or np.abs(ys).max() or 1.0)
     y0, y1 = ys.min() - pad, ys.max() + pad
     size, inner = SVG_SIZE, SVG_SIZE - 2 * SVG_MARGIN
     px = SVG_MARGIN + inner * (xs - x0) / (x1 - x0)
@@ -179,11 +180,9 @@ def cmd_ellipsoid(args) -> dict:
         n = bnd.unit_vector(n)
         if n is None:
             raise ValueError(f"--n must be a nonzero finite vector, got {args.n}")
-        line = bnd.OrientedLineND(n, m)
     else:
-        nu = np.ones(d) / math.sqrt(d)
-        line = bnd.launch_line(q, nu, args.delta)
-    n, _, P, incidence = bnd.orbit_nd(q, line, args.steps)
+        n, m = bnd.launch_line(q, np.ones(d) / math.sqrt(d), args.delta)
+    n, _, P, incidence = bnd.orbit_nd(q, n, m, args.steps)
     header = (["step"] + [f"P_{i + 1}" for i in range(d)]
               + [f"n_{i + 1}" for i in range(d)] + ["incidence_angle"])
     _write_csv(args.out, header, [np.arange(args.steps), *P.T, *n[1:].T, incidence])
@@ -218,7 +217,8 @@ def cmd_gradient_check(args) -> dict:
         r1, r2 = bnd.gradient_contract_residual(q, pairs[:, 0], pairs[:, 1])
         # np.max keeps a NaN residual, which then fails the check
         worst = float(np.max((worst, np.max(r1), np.max(r2))))
-    return {"pairs": args.pairs, "max_residual": worst, "pass": worst < args.tol}
+    # the residuals are lengths, so --tol is relative to the body's size
+    return {"pairs": args.pairs, "max_residual": worst, "pass": worst < args.tol * q.half_width}
 
 
 def cmd_chords(args) -> dict:

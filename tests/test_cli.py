@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import math
 import warnings
@@ -392,6 +393,131 @@ class TestRigidity:
         doc = json.loads(capsys.readouterr().out)
         assert doc["closed_form"] > 0
         assert doc["relative_gap"] < 1e-12
+
+
+def _json_run(capsys, argv):
+    assert main(["--json", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _csv_rows(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _scaled_table(tmp, s, capsys):
+    """The n = 5 Gutkin table a0 = s, an = 0.05 s, written by ``table``."""
+    path = tmp / "t.json"
+    _json_run(capsys, ["table", "--n", "5", "--a0", repr(s), "--an", repr(0.05 * s),
+                       "--out", str(path)])
+    return str(path)
+
+
+def _scaled_spec(tmp, s):
+    """The spheroid diag(4, 1, 1) scaled by s^2, half-widths by s."""
+    path = tmp / "e.json"
+    path.write_text(json.dumps({"d": 3, "A": [4 * s * s, 0, 0, 0, s * s, 0, 0, 0, s * s]}))
+    return str(path)
+
+
+def _run_table(tmp, s, capsys):
+    with open(_scaled_table(tmp, s, capsys), encoding="utf-8") as f:
+        table = json.load(f)
+    harmonics = table["harmonics"]
+    return [(table["gutkin"]["delta"], 0), (table["a0"], 1), ([e["k"] for e in harmonics], 0),
+            ([[e["cos"], e["sin"]] for e in harmonics], 1)]
+
+
+def _run_verify(tmp, s, capsys):
+    doc = _json_run(capsys, ["verify", "--table", _scaled_table(tmp, s, capsys)])
+    return [(doc["delta"], 0), (doc["residual"], 0), (doc["pass"], 0)]
+
+
+def _run_orbit(tmp, s, capsys):
+    out = tmp / "o.csv"
+    _json_run(capsys, ["orbit", "--table", _scaled_table(tmp, s, capsys), "--p", repr(0.3 * s),
+                       "--phi", "0.2", "--steps", "200", "--out", str(out)])
+    rows = _csv_rows(out)
+    return [(rows[:, 1], 1), (np.delete(rows, 1, axis=1), 0)]
+
+
+def _run_phase_portrait(tmp, s, capsys):
+    out, svg = tmp / "pp.csv", tmp / "pp.svg"
+    doc = _json_run(capsys, ["phase-portrait", "--table", _scaled_table(tmp, s, capsys),
+                             "--out", str(out), "--svg", str(svg)])
+    rows = _csv_rows(out)
+    return [(rows[:, 2], 1), (np.delete(rows, 2, axis=1), 0),
+            ([doc["orbits"], doc["points"]], 0), (svg.read_bytes(), None)]
+
+
+def _run_rigidity(tmp, s, capsys):
+    doc = _json_run(capsys, ["rigidity", "--table", _scaled_table(tmp, s, capsys),
+                             "--delta1", "0.91174", "--delta2", "1.5707963"])
+    return [(doc["quadrature"], 2), (doc["closed_form"], 2), (doc["relative_gap"], 0)]
+
+
+def _run_ellipsoid(tmp, s, capsys, line=()):
+    out = tmp / "e.csv"
+    _json_run(capsys, ["ellipsoid", "--spec", _scaled_spec(tmp, s), *line,
+                       "--steps", "100", "--out", str(out)])
+    rows = _csv_rows(out)
+    return [(rows[:, 1:4], 1), (np.delete(rows, [1, 2, 3], axis=1), 0)]
+
+
+def _run_ellipsoid_line(tmp, s, capsys):
+    m = (np.array([0.24, -0.192, 0.0]) * s).tolist()
+    return _run_ellipsoid(tmp, s, capsys, ["--n=0.48,0.6,0.64", "--m=" + ",".join(map(repr, m))])
+
+
+def _run_gradient_check(tmp, s, capsys):
+    doc = _json_run(capsys, ["gradient-check", "--spec", _scaled_spec(tmp, s), "--pairs", "50"])
+    return [(doc["pairs"], 0), (doc["max_residual"], 1), (doc["pass"], 0)]
+
+
+def _run_chords(tmp, s, capsys, surface):
+    out = tmp / "c.csv"
+    body = (["--radius", repr(s)] if surface == "sphere"
+            else ["--axes", f"{2 * s!r},{s!r},{s!r}"])
+    _json_run(capsys, ["chords", "--surface", surface, *body, "--delta", "0.5236",
+                       "--length", repr(2 * s), "--step", repr(1e-2 * s), "--out", str(out)])
+    # s, k, tau, l, ldot, R5, R6, R9, D_numeric, D_analytic, A_coeff
+    powers = [1, -1, -1, 1, 0, 0, 0, 0, -1, -1, 1]
+    return [(column, power) for column, power in zip(_csv_rows(out).T, powers)]
+
+
+SCALED_RUNS = {
+    "table": _run_table,
+    "verify": _run_verify,
+    "orbit": _run_orbit,
+    "phase-portrait": _run_phase_portrait,
+    "rigidity": _run_rigidity,
+    "ellipsoid": _run_ellipsoid,
+    "ellipsoid-line": _run_ellipsoid_line,
+    "gradient-check": _run_gradient_check,
+    "chords-sphere": functools.partial(_run_chords, surface="sphere"),
+    "chords-ellipsoid": functools.partial(_run_chords, surface="ellipsoid"),
+}
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 60, 2.0 ** -60, 2.0 ** 120, 2.0 ** -120],
+                         ids=["2^60", "2^-60", "2^120", "2^-120"])
+@pytest.mark.parametrize("command", list(SCALED_RUNS))
+def test_every_command_scale_covariant(tmp_path, capsys, command, scale):
+    """Each command on inputs scaled by a power of two s: every output is the
+    unit run's times s^power, bit for bit, power 0 for angles, ratios and
+    verdicts; an SVG is the same bytes.  No warning is raised."""
+    (tmp_path / "unit").mkdir()
+    (tmp_path / "scaled").mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = SCALED_RUNS[command](tmp_path / "unit", 1.0, capsys)
+        got = SCALED_RUNS[command](tmp_path / "scaled", scale, capsys)
+    assert len(got) == len(want)
+    for (w, power), (g, _) in zip(want, got):
+        if power is None:
+            assert g == w
+        else:
+            assert np.array_equal(np.asarray(g, dtype=float),
+                                  np.asarray(w, dtype=float) * scale ** power)
 
 
 class TestScaleFree:
@@ -788,16 +914,26 @@ class TestGradientCheck:
         assert np.array_equal(cli._draw_pairs(rng, d, 50), np.array(want))
         assert rng.bit_generator.state == loop_rng.bit_generator.state
 
-    def test_nan_residual_fails(self, tmp_path, capsys):
-        # on a body of radius 1e154, <A x, x> overflows and the differences of
-        # S read NaN; a NaN residual fails the check instead of being skipped
+    def test_nan_residual_fails(self, spheroid_spec, monkeypatch, capsys):
+        # a NaN residual fails the check instead of being skipped
+        from gutkin import billiard_nd
+        monkeypatch.setattr(billiard_nd, "gradient_contract_residual",
+                            lambda q, n1, n2: (np.full(len(n1), math.nan), np.zeros(len(n1))))
+        assert main(["--json", "gradient-check", "--spec", str(spheroid_spec),
+                     "--pairs", "5"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pass"] is False and math.isnan(doc["max_residual"])
+
+    def test_body_near_float_limit_passes(self, tmp_path, capsys):
+        # the residuals are lengths, checked against --tol times the body's
+        # largest half-width; no square of the body overflows
         spec = tmp_path / "huge.json"
         spec.write_text(json.dumps({"d": 3, "A": [1e308, 0, 0, 0, 1e308, 0, 0, 0, 1e308]}))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(["--json", "gradient-check", "--spec", str(spec), "--pairs", "5"]) == 1
+            warnings.simplefilter("error")
+            assert main(["--json", "gradient-check", "--spec", str(spec)]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["pass"] is False and math.isnan(doc["max_residual"])
+        assert doc["pass"] is True and doc["max_residual"] < 1e-6 * 1e154
 
     def test_close_pairs_redrawn(self, tmp_path, monkeypatch, capsys):
         # on a circle about one pair in 30 has |n1 - n2| < 0.1; such a pair is
