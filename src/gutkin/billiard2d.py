@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (MIN_CHORD_ANGLE, ConvergenceFailure, DegenerateChord,
                      NoIntersection, TangentLine)
-from .support_geometry import SupportCurve, eval_support
+from .support_geometry import SupportCurve, eval_support, support_grid
 
 TWO_PI = 2 * math.pi
 PSI_TOL = 1e-14
@@ -298,7 +298,7 @@ def verify_constant_angle(curve: SupportCurve, delta: float, grid_size: int = 36
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
     psi = np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
-    h, hp, _, _ = eval_support(curve, psi)
+    h, hp = support_grid(curve, grid_size, lambda k: 1, lambda k: 1j * k)
     p = h * math.cos(delta) + hp * math.sin(delta)
     c = solve_chords(curve, p, psi + delta)
     _raise_first_failure(c.status, p, psi + delta)
@@ -359,8 +359,7 @@ def rigidity_integral(curve: SupportCurve, strip: Strip) -> float:
     a = 0.5 * (strip.delta2 - strip.delta1) * nodes + 0.5 * (strip.delta1 + strip.delta2)
     wa = 0.5 * (strip.delta2 - strip.delta1) * weights
     phi_points = max(RIGIDITY_PHI_GRID, 2 * curve.h.cos_coeffs.size + 1)
-    phi = np.linspace(0.0, TWO_PI, phi_points, endpoint=False)
-    h, _, hpp, _ = eval_support(curve, phi)
+    h, hpp = support_grid(curve, phi_points, lambda k: 1, lambda k: -k * k)
     phi_part = float(np.sum(hpp * (hpp + h))) * (TWO_PI / phi_points)
     alpha_part = float(np.sum(np.sin(a) ** 2 * wa))
     return 2.0 * alpha_part * phi_part
@@ -383,17 +382,18 @@ def _sin2_integral(delta1: float, delta2: float) -> float:
     return D * math.sin(0.5 * S) ** 2 + math.cos(S) * d_minus_sin / 2.0
 
 
-def _strip_harmonic_sum(curve: SupportCurve, strip: Strip, sign: float) -> float:
-    """2*int sin^2 da * pi*sum k^2(k^2 + sign)(a_k^2+b_k^2) over the strip."""
-    k = np.arange(1, curve.h.cos_coeffs.size + 1, dtype=float)
-    coeff_sum = float(np.sum(k ** 2 * (k ** 2 + sign)
-                             * (curve.h.cos_coeffs ** 2 + curve.h.sin_coeffs ** 2)))
-    return 2.0 * _sin2_integral(strip.delta1, strip.delta2) * math.pi * coeff_sum
+def rigidity_closed_and_scale(curve: SupportCurve, strip: Strip) -> tuple[float, float]:
+    """(rigidity_integral_closed, rigidity_integral_scale) from one pass over
+    the harmonics: 2*int sin^2 da * pi*sum k^2(k^2 -+ 1)(a_k^2+b_k^2)."""
+    k2 = np.arange(1, curve.h.cos_coeffs.size + 1, dtype=float) ** 2
+    power = curve.h.cos_coeffs ** 2 + curve.h.sin_coeffs ** 2
+    factor = 2.0 * _sin2_integral(strip.delta1, strip.delta2) * math.pi
+    return tuple(factor * float(np.sum(k2 * (k2 + sign) * power)) for sign in (-1.0, 1.0))
 
 
 def rigidity_integral_closed(curve: SupportCurve, strip: Strip) -> float:
     """Closed form: 2*int sin^2 da * pi*sum k^2(k^2-1)(a_k^2+b_k^2)."""
-    return _strip_harmonic_sum(curve, strip, -1.0)
+    return rigidity_closed_and_scale(curve, strip)[0]
 
 
 def rigidity_integral_scale(curve: SupportCurve, strip: Strip) -> float:
@@ -401,4 +401,4 @@ def rigidity_integral_scale(curve: SupportCurve, strip: Strip) -> float:
     2 (h''^2 + h'^2) sin^2(alpha), a magnitude of the integrand that scales
     with the table as the integral does, is at least its closed form, and
     vanishes only on a circle about the origin."""
-    return _strip_harmonic_sum(curve, strip, 1.0)
+    return rigidity_closed_and_scale(curve, strip)[1]

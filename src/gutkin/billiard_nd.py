@@ -73,7 +73,8 @@ class Quadric:
 
     def support(self, x):
         """H(x) = sqrt(<A x, x>) over the last axis of any (..., d) array; one
-        vector gives a float.  H is 1-homogeneous: H(c x) = c H(x), c > 0."""
+        vector gives a float.  H is 1-homogeneous: H(c x) = c H(x), c > 0.
+        x A of a batch is one matrix product: a row may be an ulp off a vector's."""
         h = self._root_scale * self._unit_support(np.asarray(x, dtype=float))
         return float(h) if h.ndim == 0 else h
 

@@ -112,8 +112,7 @@ def cmd_orbit(args) -> dict:
 
 def cmd_phase_portrait(args) -> dict:
     curve, _ = sg.load_table(args.table)
-    h, _, _, _ = sg.eval_support(curve, np.linspace(0, 2 * math.pi, 1024, endpoint=False))
-    h_min = min(h)
+    h_min = sg.support_grid(curve, 1024, lambda k: 1).min()
     pf, phi0 = np.meshgrid(np.linspace(-0.9, 0.9, args.p_grid),
                            np.linspace(0.0, 2 * math.pi, args.phi_grid, endpoint=False),
                            indexing="ij")
@@ -138,11 +137,11 @@ def cmd_rigidity(args) -> dict:
     curve, _ = sg.load_table(args.table)
     strip = b2.Strip(args.delta1, args.delta2)
     quad = b2.rigidity_integral(curve, strip)
-    closed = b2.rigidity_integral_closed(curve, strip)
+    closed, scale = b2.rigidity_closed_and_scale(curve, strip)
     # scale-free: relative to the integrand's magnitude, which a table whose
     # closed form is 0, such as a translated circle, still has; the max with
     # |quad| keeps the divisor nonzero where the two differ
-    scale = max(b2.rigidity_integral_scale(curve, strip), abs(quad))
+    scale = max(scale, abs(quad))
     gap = 0.0 if quad == closed else abs(quad - closed) / scale
     return {"quadrature": quad, "closed_form": closed, "relative_gap": gap}
 

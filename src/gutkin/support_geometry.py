@@ -40,19 +40,6 @@ class TrigPolynomial:
         object.__setattr__(self, "sin_coeffs", b)
 
 
-def _radius_samples(h: TrigPolynomial) -> np.ndarray:
-    """rho = h'' + h at the CONVEXITY_GRID angles 2 pi j / N, by one inverse FFT.
-
-    The grid grows past CONVEXITY_GRID only when the degree would alias on it.
-    """
-    k = np.arange(1, h.cos_coeffs.size + 1)
-    size = max(CONVEXITY_GRID, 2 * k.size + 2)
-    spectrum = np.zeros(size // 2 + 1, dtype=complex)
-    spectrum[0] = size * h.constant
-    spectrum[1:k.size + 1] = 0.5 * size * (1 - k * k) * (h.cos_coeffs - 1j * h.sin_coeffs)
-    return np.fft.irfft(spectrum, size)
-
-
 @dataclass(frozen=True)
 class SupportCurve:
     """Planar convex body given by its supporting function h.
@@ -64,16 +51,18 @@ class SupportCurve:
 
     h: TrigPolynomial
     rho_min: float = field(init=False)
-    _k: np.ndarray = field(init=False, repr=False, compare=False)
+    _ik: np.ndarray = field(init=False, repr=False, compare=False)
     _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.arange(1, self.h.cos_coeffs.size + 1, dtype=float)
         c = self.h.cos_coeffs - 1j * self.h.sin_coeffs
-        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_ik", 1j * k)
         object.__setattr__(self, "_coeffs",
                            np.stack([c, 1j * k * c, -k * k * c, -1j * k ** 3 * c], axis=1))
-        object.__setattr__(self, "rho_min", float(_radius_samples(self.h).min()))
+        # the grid grows past CONVEXITY_GRID only when the degree would alias on it
+        rho = support_grid(self, max(CONVEXITY_GRID, 2 * k.size + 2), lambda k: 1 - k * k)
+        object.__setattr__(self, "rho_min", float(rho.min()))
 
 
 def circle(radius: float = 1.0) -> SupportCurve:
@@ -82,18 +71,41 @@ def circle(radius: float = 1.0) -> SupportCurve:
 
 def eval_support(curve: SupportCurve, phi) -> tuple:
     """(h, h', h'', h''') at phi, a scalar or an array, from one table of
-    e^{i k phi}: the one evaluator of h at given angles.
+    e^{i k phi}: the one evaluator of h at arbitrary angles.
 
     Each value depends only on its own phi, so a point gets the same bits
     whatever array it is evaluated in.
     """
     phi = np.asarray(phi, dtype=float)
-    waves = np.exp(1j * np.multiply.outer(phi, curve._k))
+    waves = np.exp(np.multiply.outer(phi, curve._ik))
     h, hp, hpp, hppp = np.einsum("...k,kj->j...", waves, curve._coeffs).real
     h = h + curve.h.constant
     if phi.ndim == 0:
         return float(h), float(hp), float(hpp), float(hppp)
     return h, hp, hpp, hppp
+
+
+def support_grid(curve: SupportCurve, size: int, *symbols) -> np.ndarray:
+    """L h at the angles 2 pi j / size, j = 0..size-1, one row per Fourier
+    multiplier L, each given as its symbol s(k) over the harmonic numbers
+    k = 0..K as floats: 1 gives h, 1j * k gives h', -k * k gives h'' and
+    1 - k * k the curvature radius h'' + h.  Shape (len(symbols), size).
+
+    One inverse real FFT over all rows: the one home of uniform-grid samples
+    of h.  It runs on the least multiple of size above 2K and keeps every
+    m-th sample, so no harmonic aliases, whatever the size.  A row's
+    spectrum is the exact factor (n/2) s(k) times a_k - i b_k (2 h_0 for
+    the constant), rounded once; so scaling h by a power of two scales
+    every sample exactly.
+    """
+    degree = curve._ik.size
+    n = size * (2 * degree // size + 1)
+    k = np.arange(degree + 1.0)
+    c = np.concatenate(([2.0 * curve.h.constant], curve._coeffs[:, 0]))
+    spectrum = np.zeros((len(symbols), n // 2 + 1), dtype=complex)
+    for row, symbol in zip(spectrum, symbols):
+        row[:degree + 1] = 0.5 * n * symbol(k) * c
+    return np.fft.irfft(spectrum, n)[:, ::n // size]
 
 
 def curvature_radius(curve: SupportCurve, phi):

@@ -1,9 +1,10 @@
 """Shared test helpers: oracles independent of the library's own evaluators.
 
-The library evaluates a supporting function only through
-``support_geometry.eval_support``, from a table of complex exponentials.
+The library evaluates a supporting function at given angles through
+``support_geometry.eval_support``, from a table of complex exponentials,
+and on uniform grids through ``support_grid``, by an inverse FFT.
 ``trig_eval`` and ``trig_derivative`` sum the cosine and sine series
-directly, so they serve as its oracle.  ``solve_gutkin_angles`` finds its
+directly, so they serve as an oracle of both.  ``solve_gutkin_angles`` finds its
 roots by Newton steps and a short bisection; ``bisect_gutkin_angles``
 bisects each whole branch instead.  ``gradient_contract_residual`` evaluates
 the R^d gradient check over pairs in one batch; ``pairwise_gradient_residual``

@@ -16,7 +16,8 @@ from gutkin.billiard2d import (MISSES, NEAR_TANGENT, SOLVED, OrientedLine2D, Str
 from gutkin.errors import (ConvergenceFailure, DegenerateChord, NoIntersection,
                            TangentLine)
 from gutkin.support_geometry import (SupportCurve, TrigPolynomial,
-                                     build_gutkin_table, circle, support_from_radius)
+                                     build_gutkin_table, circle, eval_support,
+                                     support_from_radius)
 
 TWO_PI = 2 * math.pi
 
@@ -307,6 +308,19 @@ class TestVerifyConstantAngle:
                                               "incidence floor 1e-06$"):
             verify_constant_angle(curve, delta, 360)
 
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    def test_grid_below_twice_the_degree(self, delta):
+        # 8 departures on a degree-9 table, at its root and off it: the
+        # departure lines from eval_support at the same angles give the same
+        # residual
+        curve, meta = build_gutkin_table(9, 0, 1.0, 0.05)
+        delta = meta["delta"] if delta is None else delta
+        psi = np.linspace(0.0, TWO_PI, 8, endpoint=False)
+        h, hp, _, _ = eval_support(curve, psi)
+        c = solve_chords(curve, h * math.cos(delta) + hp * math.sin(delta), psi + delta)
+        want = float(np.max(np.abs(c.angle_fwd - delta)))
+        assert abs(verify_constant_angle(curve, delta, 8) - want) <= 1e-15
+
     @pytest.mark.parametrize("grid_size", [7, 0, -1])
     def test_grid_below_8(self, grid_size):
         with pytest.raises(ValueError, match="grid_size must be >= 8"):
@@ -408,6 +422,23 @@ class TestRigidity:
             2 * math.pi * 2 * 0.09 * 0.5 * (1.0 - math.sin(1.5) * math.cos(1.5)
                                              + math.sin(0.5) * math.cos(0.5)), rel=1e-14)
         assert rigidity_integral_scale(circle(1.0), strip) == 0.0
+
+    def test_closed_and_scale_bits_of_separate_sums(self):
+        # the one pass over the harmonics keeps the bits of the two sums
+        # 2 int sin^2 * pi sum k^2 (k^2 -+ 1) |h_k|^2 computed apart
+        rng = np.random.default_rng(11)
+        for degree in (0, 1, 5, 40, 300):
+            curve = SupportCurve(TrigPolynomial(1.0, rng.normal(size=degree) * 1e-3,
+                                                rng.normal(size=degree) * 1e-3))
+            k = np.arange(1, degree + 1, dtype=float)
+            power = curve.h.cos_coeffs ** 2 + curve.h.sin_coeffs ** 2
+            for d1, d2 in [(0.3, 1.2), (1e-10, 2e-10), (0.7, 0.7000001)]:
+                strip = Strip(d1, d2)
+                sin2 = billiard2d._sin2_integral(d1, d2)
+                for sign, got in [(-1.0, rigidity_integral_closed(curve, strip)),
+                                  (1.0, rigidity_integral_scale(curve, strip))]:
+                    coeff_sum = float(np.sum(k ** 2 * (k ** 2 + sign) * power))
+                    assert got == 2.0 * sin2 * math.pi * coeff_sum
 
     def test_strip_validation(self):
         with pytest.raises(ValueError):

@@ -172,6 +172,26 @@ class TestSupport:
             assert type(row) is float
             assert batch[i] == pytest.approx(row, rel=1e-14)
 
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_row_bits_in_a_batch(self, d):
+        # boundary_point and tangent_basis take one matrix-vector product per
+        # row, so a row gets a single vector's bits; support takes x A over
+        # the batch as one matrix product, whose rows keep a single vector's
+        # bits at d = 3 and are within 2 ulps of them at d = 8 and 16
+        rng = np.random.default_rng(110 + d)
+        q = random_spd(rng, d)
+        x = rng.normal(size=(200, d))
+        n = random_units(rng, d, (200,))
+        P, B, H = q.boundary_point(x), tangent_basis(n), q.support(x)
+        for i in range(200):
+            assert np.array_equal(P[i], q.boundary_point(x[i]))
+            assert np.array_equal(B[i], tangent_basis(n[i]))
+        rows = np.array([q.support(row) for row in x])
+        if d == 3:
+            assert np.array_equal(H, rows)
+        else:
+            assert (np.abs(H - rows) <= 2 * np.spacing(rows)).all()
+
     @pytest.mark.parametrize("d", range(2, 17))
     def test_homogeneous(self, d):
         rng = np.random.default_rng(90 + d)

@@ -362,6 +362,20 @@ class TestRigidity:
         assert doc["quadrature"] == pytest.approx(doc["closed_form"], rel=1e-12)
         assert doc["relative_gap"] < 1e-12
 
+    @pytest.mark.parametrize("an", ["0.05", "0.5"])
+    def test_degree_2000(self, tmp_path, capsys, an):
+        # 4001 phi points from one inverse FFT, in place of a 4001 x 2000
+        # table of complex exponentials
+        path = tmp_path / "t2000.json"
+        assert main(["table", "--n", "2000", "--a0", "1", "--an", an, "--out", str(path)]) == 0
+        capsys.readouterr()
+        for strip in (["--delta1", "0.3", "--delta2", "1.2"],
+                      ["--delta1", repr(json.loads(path.read_text())["gutkin"]["delta"]),
+                       "--delta2", repr(math.pi / 2)]):
+            doc = _json_run(capsys, ["rigidity", "--table", str(path), *strip])
+            assert doc["closed_form"] > 0
+            assert doc["relative_gap"] <= 1e-15
+
     def test_translated_circle(self, tmp_path, capsys):
         # closed form 0; the gap is relative to the integrand's magnitude
         path = tmp_path / "shifted.json"

@@ -14,8 +14,8 @@ from gutkin.support_geometry import (SupportCurve, TrigPolynomial,
                                      check_constant_width, circle,
                                      curvature_radius, eval_support, load_table,
                                      save_table, solve_gutkin_angles,
-                                     support_from_radius, table_from_dict,
-                                     table_to_dict)
+                                     support_from_radius, support_grid,
+                                     table_from_dict, table_to_dict)
 
 
 def gutkin5():
@@ -93,6 +93,19 @@ class TestEvalSupport:
             assert jet == tuple(float(d[i]) for d in flat)
             assert jet == tuple(float(d[0, i, 0]) for d in nested)
 
+    def test_waves_bits_of_the_plain_product(self):
+        # e^{i k phi} from the cached i k: the bits of the jet built from
+        # np.exp(1j * np.multiply.outer(phi, k))
+        rng = np.random.default_rng(32)
+        a, b = rng.normal(size=(2, 32)) / np.arange(1, 33) ** 2
+        curve = SupportCurve(TrigPolynomial(1.0, a, b))
+        phi = rng.uniform(-60.0, 60.0, 20000)
+        k = np.arange(1, 33, dtype=float)
+        waves = np.exp(1j * np.multiply.outer(phi, k))
+        plain = np.einsum("...k,kj->j...", waves, curve._coeffs).real
+        plain[0] = plain[0] + 1.0
+        assert np.array_equal(np.array(eval_support(curve, phi)), plain)
+
     def test_matches_derivative_polynomials(self):
         f = TrigPolynomial(1.0, [0.0, 0.01, -0.004, 0.006], [0.0, 0.002, 0.0, -0.001])
         phi = np.linspace(0, 2 * math.pi, 97)
@@ -120,6 +133,65 @@ class TestCurvatureRadius:
                                             + [1e-5], [0.0, 0.0, 0.02]))
         grid = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
         assert curve.rho_min == pytest.approx(curvature_radius(curve, grid).min(), abs=1e-14)
+
+
+def random_curve(rng, degree: int) -> SupportCurve:
+    a, b = rng.normal(size=(2, degree)) / (1.0 + np.arange(degree)) ** 2
+    return SupportCurve(TrigPolynomial(rng.normal(), a, b))
+
+
+# the symbols of h and its first three derivatives, for support_grid
+JET = (lambda k: 1, lambda k: 1j * k, lambda k: -k * k, lambda k: -1j * k ** 3)
+
+
+def radius_samples(h: TrigPolynomial) -> np.ndarray:
+    """rho = h'' + h on max(4096, 2K + 2) angles by one inverse FFT, as
+    rho_min was first computed: the reference for its bits."""
+    k = np.arange(1, h.cos_coeffs.size + 1)
+    size = max(4096, 2 * k.size + 2)
+    spectrum = np.zeros(size // 2 + 1, dtype=complex)
+    spectrum[0] = size * h.constant
+    spectrum[1:k.size + 1] = 0.5 * size * (1 - k * k) * (h.cos_coeffs - 1j * h.sin_coeffs)
+    return np.fft.irfft(spectrum, size)
+
+
+class TestSupportGrid:
+    @pytest.mark.parametrize("size", [8, 9, 120, 512, 513, 1024])
+    @pytest.mark.parametrize("degree", [0, 1, 5, 32, 256])
+    def test_matches_eval_support(self, degree, size):
+        # sizes up to 2K take the padded grid.  eval_support rounds the angle
+        # and each phase k phi, an error of up to 2 pi eps times the next
+        # derivative's coefficient sum; the grid's angles are exact
+        rng = np.random.default_rng(degree * 1000 + size)
+        curve = random_curve(rng, degree)
+        grid = support_grid(curve, size, *JET)
+        assert grid.shape == (4, size)
+        jet = eval_support(curve, 2 * math.pi * np.arange(size) / size)
+        k = np.arange(1, degree + 1)
+        amplitude = np.hypot(curve.h.cos_coeffs, curve.h.sin_coeffs)
+        for j in range(4):
+            l1 = np.sum(k ** j * amplitude) + (abs(curve.h.constant) if j == 0 else 0.0)
+            tol = 4 * np.finfo(float).eps * (l1 + 2 * math.pi * np.sum(k ** (j + 1) * amplitude))
+            assert np.abs(grid[j] - jet[j]).max() <= tol
+
+    def test_rho_min_bits_of_one_fft(self):
+        # rho_min comes from the grid kernel with the symbol 1 - k^2, bit for
+        # bit the single inverse FFT it replaced, on both grid sizes
+        rng = np.random.default_rng(30)
+        for degree in [*rng.integers(0, 300, 28), 2048, 2500]:
+            curve = random_curve(rng, int(degree))
+            assert curve.rho_min == float(radius_samples(curve.h).min())
+
+    @pytest.mark.parametrize("e", [-120, 120])
+    @pytest.mark.parametrize("size", [9, 512])
+    def test_scales_exactly(self, e, size):
+        curve = random_curve(np.random.default_rng(7), 32)
+        h = curve.h
+        scaled = SupportCurve(TrigPolynomial(math.ldexp(h.constant, e),
+                                             np.ldexp(h.cos_coeffs, e),
+                                             np.ldexp(h.sin_coeffs, e)))
+        assert np.array_equal(support_grid(scaled, size, *JET),
+                              np.ldexp(support_grid(curve, size, *JET), e))
 
 
 class TestBoundaryPoint:
