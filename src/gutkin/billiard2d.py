@@ -47,8 +47,6 @@ PSI_TOL = 1e-14
 NEWTON_CAP = 100
 # a residual below this fraction of the size of its terms is at the rounding floor
 NOISE_REL = 2 * np.finfo(float).eps
-# fewest trapezoid points in phi for the rigidity integral
-RIGIDITY_PHI_GRID = 512
 
 # per-line status of a batched solve; each failure maps to the error the
 # scalar wrappers raise
@@ -351,16 +349,19 @@ def rigidity_integral(curve: SupportCurve, strip: Strip) -> float:
 
     The (phi1, phi2) -> (phi, alpha) change of variables carries Jacobian 2;
     the integrand reduces to 2*h''*(h''+h)*sin^2(alpha).  Gauss-Legendre in
-    alpha, periodic trapezoid in phi on RIGIDITY_PHI_GRID points, or 2K + 1
-    for a table of degree K past that, which integrates the degree-2K phi
-    integrand exactly.
+    alpha, periodic trapezoid in phi on 2K + 1 points for a table of degree
+    K, the fewest on which it integrates the degree-2K phi integrand
+    exactly.  Harmonics 0 and 1 add exactly 0 to the integral, so they are
+    left out of both factors: a circle, translated or not, gives 0, and a
+    table near one keeps the bits of its small integral.
     """
     nodes, weights = _gauss_legendre()
     a = 0.5 * (strip.delta2 - strip.delta1) * nodes + 0.5 * (strip.delta1 + strip.delta2)
     wa = 0.5 * (strip.delta2 - strip.delta1) * weights
-    phi_points = max(RIGIDITY_PHI_GRID, 2 * curve.h.cos_coeffs.size + 1)
-    h, hpp = support_grid(curve, phi_points, lambda k: 1, lambda k: -k * k)
-    phi_part = float(np.sum(hpp * (hpp + h))) * (TWO_PI / phi_points)
+    phi_points = 2 * curve.h.cos_coeffs.size + 1
+    hpp, rho = support_grid(curve, phi_points, lambda k: -k * k * (k > 1),
+                            lambda k: (1 - k * k) * (k > 1))
+    phi_part = float(np.sum(hpp * rho)) * (TWO_PI / phi_points)
     alpha_part = float(np.sum(np.sin(a) ** 2 * wa))
     return 2.0 * alpha_part * phi_part
 
@@ -382,23 +383,9 @@ def _sin2_integral(delta1: float, delta2: float) -> float:
     return D * math.sin(0.5 * S) ** 2 + math.cos(S) * d_minus_sin / 2.0
 
 
-def rigidity_closed_and_scale(curve: SupportCurve, strip: Strip) -> tuple[float, float]:
-    """(rigidity_integral_closed, rigidity_integral_scale) from one pass over
-    the harmonics: 2*int sin^2 da * pi*sum k^2(k^2 -+ 1)(a_k^2+b_k^2)."""
-    k2 = np.arange(1, curve.h.cos_coeffs.size + 1, dtype=float) ** 2
-    power = curve.h.cos_coeffs ** 2 + curve.h.sin_coeffs ** 2
-    factor = 2.0 * _sin2_integral(strip.delta1, strip.delta2) * math.pi
-    return tuple(factor * float(np.sum(k2 * (k2 + sign) * power)) for sign in (-1.0, 1.0))
-
-
 def rigidity_integral_closed(curve: SupportCurve, strip: Strip) -> float:
     """Closed form: 2*int sin^2 da * pi*sum k^2(k^2-1)(a_k^2+b_k^2)."""
-    return rigidity_closed_and_scale(curve, strip)[0]
-
-
-def rigidity_integral_scale(curve: SupportCurve, strip: Strip) -> float:
-    """The closed form with k^2(k^2+1) for k^2(k^2-1): the strip integral of
-    2 (h''^2 + h'^2) sin^2(alpha), a magnitude of the integrand that scales
-    with the table as the integral does, is at least its closed form, and
-    vanishes only on a circle about the origin."""
-    return rigidity_closed_and_scale(curve, strip)[1]
+    k2 = np.arange(1, curve.h.cos_coeffs.size + 1, dtype=float) ** 2
+    power = curve.h.cos_coeffs ** 2 + curve.h.sin_coeffs ** 2
+    return (2.0 * _sin2_integral(strip.delta1, strip.delta2) * math.pi
+            * float(np.sum(k2 * (k2 - 1.0) * power)))

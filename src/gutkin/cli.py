@@ -137,12 +137,10 @@ def cmd_rigidity(args) -> dict:
     curve, _ = sg.load_table(args.table)
     strip = b2.Strip(args.delta1, args.delta2)
     quad = b2.rigidity_integral(curve, strip)
-    closed, scale = b2.rigidity_closed_and_scale(curve, strip)
-    # scale-free: relative to the integrand's magnitude, which a table whose
-    # closed form is 0, such as a translated circle, still has; the max with
-    # |quad| keeps the divisor nonzero where the two differ
-    scale = max(scale, abs(quad))
-    gap = 0.0 if quad == closed else abs(quad - closed) / scale
+    closed = b2.rigidity_integral_closed(curve, strip)
+    # the closed form is at least 3/5 of the integrand's magnitude; the max
+    # with |quad| keeps the divisor nonzero where the closed form underflows
+    gap = 0.0 if quad == closed else abs(quad - closed) / max(closed, abs(quad))
     return {"quadrature": quad, "closed_form": closed, "relative_gap": gap}
 
 
@@ -159,7 +157,9 @@ def _load_spec(path) -> tuple[int, np.ndarray]:
     d = doc["d"]
     if isinstance(d, bool) or not isinstance(d, int) or d < 2:
         raise ValueError(f"spec 'd' must be an integer >= 2, got {d!r}")
-    A = np.asarray(doc["A"], dtype=float)
+    # each entry by the table loader's number rule; nested lists give their entries
+    A = np.array([sg._number(x, f"spec 'A' entry {i}")
+                  for i, x in enumerate(np.asarray(doc["A"], dtype=object).flat)])
     if A.size != d * d:
         raise ValueError(f"spec 'A' must hold d*d = {d * d} entries, got {A.size}")
     return d, A.reshape(d, d)

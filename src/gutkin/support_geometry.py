@@ -239,7 +239,7 @@ def _number(value, key: str) -> float:
     """A JSON number as a float; anything else, a bool too, raises ValueError
     naming key.  An integer beyond the float range reads as inf."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"table {key} must be a number, got {value!r}")
+        raise ValueError(f"{key} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -256,7 +256,7 @@ def _gutkin_metadata(meta) -> dict | None:
     n = meta["n"]
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"table gutkin 'n' must be an integer, got {n!r}")
-    delta = _number(meta["delta"], "gutkin 'delta'")
+    delta = _number(meta["delta"], "table gutkin 'delta'")
     if not math.isfinite(delta):
         raise ValueError(f"table gutkin 'delta' must be finite, got {meta['delta']!r}")
     return {"n": int(n), "delta": delta}
@@ -270,7 +270,7 @@ def table_from_dict(doc: dict) -> tuple[SupportCurve, dict | None]:
     coefficient finite.  A non-convex table (rho_min <= 0) raises NonConvex."""
     if not isinstance(doc, dict) or "a0" not in doc:
         raise ValueError("table needs the key 'a0'")
-    a0 = _number(doc["a0"], "'a0'")
+    a0 = _number(doc["a0"], "table 'a0'")
     meta = _gutkin_metadata(doc.get("gutkin"))
     harmonics = doc.get("harmonics", [])
     if not isinstance(harmonics, list) or not all(isinstance(e, dict) and "k" in e
@@ -283,8 +283,8 @@ def table_from_dict(doc: dict) -> tuple[SupportCurve, dict | None]:
             raise ValueError(f"table harmonic 'k' must be an integer >= 1, got {k!r}")
         if k in coeffs:
             raise ValueError(f"table harmonic k = {k} is given more than once")
-        coeffs[k] = (_number(e.get("cos", 0.0), f"harmonic {k} 'cos'"),
-                     _number(e.get("sin", 0.0), f"harmonic {k} 'sin'"))
+        coeffs[k] = (_number(e.get("cos", 0.0), f"table harmonic {k} 'cos'"),
+                     _number(e.get("sin", 0.0), f"table harmonic {k} 'sin'"))
     a = np.zeros(max(coeffs, default=0))
     b = np.zeros(a.size)
     for k, (c, s) in coeffs.items():

@@ -11,8 +11,7 @@ from gutkin.billiard2d import (MISSES, NEAR_TANGENT, SOLVED, OrientedLine2D, Str
                                generating_function, orbit, orbits,
                                reflect_geometric, reflect_variational,
                                rigidity_integral, rigidity_integral_closed,
-                               rigidity_integral_scale, solve_chords, solve_variational,
-                               verify_constant_angle)
+                               solve_chords, solve_variational, verify_constant_angle)
 from gutkin.errors import (ConvergenceFailure, DegenerateChord, NoIntersection,
                            TangentLine)
 from gutkin.support_geometry import (SupportCurve, TrigPolynomial,
@@ -364,7 +363,7 @@ class TestOrbit:
 class TestRigidity:
     def test_circle_zero(self):
         strip = Strip(0.3, 1.2)
-        assert abs(rigidity_integral(circle(1.0), strip)) < 1e-10
+        assert rigidity_integral(circle(1.0), strip) == 0.0
         assert rigidity_integral_closed(circle(1.0), strip) == 0.0
 
     def test_gutkin5_value(self, gutkin5):
@@ -387,9 +386,10 @@ class TestRigidity:
         assert val > 0
         assert val == pytest.approx(rigidity_integral_closed(curve, strip), rel=1e-6)
 
-    @pytest.mark.parametrize("degree", [256, 300])
+    @pytest.mark.parametrize("degree", [2, 9, 256, 300])
     def test_high_degree_not_aliased(self, degree):
-        # the phi integrand has degree 2K; 512 trapezoid points alias it from K = 256
+        # the phi integrand has degree 2K; 2K + 1 trapezoid points integrate it
+        # exactly, and 2K points would alias it
         rho = TrigPolynomial(1.0, np.r_[np.zeros(degree - 1), 0.3])
         curve = support_from_radius(rho)
         strip = Strip(0.3, 1.2)
@@ -405,40 +405,41 @@ class TestRigidity:
             curve = SupportCurve(TrigPolynomial(1.0, coeffs))
             assert rigidity_integral_closed(curve, strip) >= 0
 
-    def test_scale_bounds_closed(self):
-        rng = np.random.default_rng(3)
-        strip = Strip(0.4, 1.1)
-        for _ in range(20):
-            curve = SupportCurve(TrigPolynomial(1.0, rng.uniform(-0.01, 0.01, size=6),
-                                                rng.uniform(-0.01, 0.01, size=6)))
-            assert rigidity_integral_scale(curve, strip) >= rigidity_integral_closed(curve, strip)
-
-    def test_scale_of_translated_circle(self):
-        # the first harmonic adds nothing to the closed form, but to the scale
+    def test_translated_circle_zero(self):
+        # the first harmonic adds exactly 0 to both the closed form and the quadrature
         curve = SupportCurve(TrigPolynomial(1.0, [0.3]))
         strip = Strip(0.5, 1.5)
         assert rigidity_integral_closed(curve, strip) == 0.0
-        assert rigidity_integral_scale(curve, strip) == pytest.approx(
-            2 * math.pi * 2 * 0.09 * 0.5 * (1.0 - math.sin(1.5) * math.cos(1.5)
-                                             + math.sin(0.5) * math.cos(0.5)), rel=1e-14)
-        assert rigidity_integral_scale(circle(1.0), strip) == 0.0
+        assert rigidity_integral(curve, strip) == 0.0
 
-    def test_closed_and_scale_bits_of_separate_sums(self):
-        # the one pass over the harmonics keeps the bits of the two sums
-        # 2 int sin^2 * pi sum k^2 (k^2 -+ 1) |h_k|^2 computed apart
+    @pytest.mark.parametrize("eps", [1e-4, 1e-12, 1e-20])
+    def test_bits_kept_under_harmonics_0_and_1(self, eps):
+        # doubling a0 or adding a first harmonic leaves both routes' bits as
+        # they are: those harmonics add exactly 0 to the integral
+        cos = np.array([0.0, 0.0, 0.0, 0.0, eps, 0.0, 0.5 * eps])
+        sin = np.array([0.0, 0.0, 0.0, 0.0, 0.3 * eps, 0.0, 0.0])
+        strip = Strip(0.3, 1.2)
+        base = SupportCurve(TrigPolynomial(1.0, cos, sin))
+        want = (rigidity_integral(base, strip), rigidity_integral_closed(base, strip))
+        assert want[0] > 0 and want[1] > 0
+        first = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        for curve in (SupportCurve(TrigPolynomial(2.0, cos, sin)),
+                      SupportCurve(TrigPolynomial(1.0, cos + 0.3 * first, sin - 0.2 * first))):
+            assert (rigidity_integral(curve, strip), rigidity_integral_closed(curve, strip)) == want
+
+    def test_closed_bits_of_separate_sum(self):
+        # the closed form keeps the bits of 2 int sin^2 * pi sum k^2 (k^2 - 1) |h_k|^2
         rng = np.random.default_rng(11)
         for degree in (0, 1, 5, 40, 300):
             curve = SupportCurve(TrigPolynomial(1.0, rng.normal(size=degree) * 1e-3,
                                                 rng.normal(size=degree) * 1e-3))
             k = np.arange(1, degree + 1, dtype=float)
             power = curve.h.cos_coeffs ** 2 + curve.h.sin_coeffs ** 2
+            coeff_sum = float(np.sum(k ** 2 * (k ** 2 - 1.0) * power))
             for d1, d2 in [(0.3, 1.2), (1e-10, 2e-10), (0.7, 0.7000001)]:
-                strip = Strip(d1, d2)
                 sin2 = billiard2d._sin2_integral(d1, d2)
-                for sign, got in [(-1.0, rigidity_integral_closed(curve, strip)),
-                                  (1.0, rigidity_integral_scale(curve, strip))]:
-                    coeff_sum = float(np.sum(k ** 2 * (k ** 2 + sign) * power))
-                    assert got == 2.0 * sin2 * math.pi * coeff_sum
+                assert rigidity_integral_closed(curve, Strip(d1, d2)) == \
+                    2.0 * sin2 * math.pi * coeff_sum
 
     def test_strip_validation(self):
         with pytest.raises(ValueError):

@@ -344,15 +344,16 @@ class TestRigidity:
         path.write_text(json.dumps({"a0": 1.0, "harmonics": [], "gutkin": None}))
         assert main(["--json", "rigidity", "--table", str(path),
                      "--delta1", "0.3", "--delta2", "1.0"]) == 0
-        assert abs(json.loads(capsys.readouterr().out)["quadrature"]) < 1e-10
+        assert json.loads(capsys.readouterr().out)["quadrature"] == 0.0
 
     def test_bad_strip(self, table5):
         assert main(["rigidity", "--table", str(table5),
                      "--delta1", "1.0", "--delta2", "0.5"]) == 2
 
-    @pytest.mark.parametrize("degree", [256, 300])
+    @pytest.mark.parametrize("degree", [2, 9, 256, 300])
     def test_high_degree_not_aliased(self, tmp_path, capsys, degree):
-        # rho = 1 + 0.3 cos(K phi); 512 phi points alias the degree-2K integrand
+        # rho = 1 + 0.3 cos(K phi) on 2K + 1 phi points; 2K would alias the
+        # degree-2K integrand
         path = tmp_path / "high.json"
         path.write_text(json.dumps({"a0": 1.0, "harmonics": [
             {"k": degree, "cos": 0.3 / (1 - degree ** 2), "sin": 0.0}]}))
@@ -377,25 +378,43 @@ class TestRigidity:
             assert doc["relative_gap"] <= 1e-15
 
     def test_translated_circle(self, tmp_path, capsys):
-        # closed form 0; the gap is relative to the integrand's magnitude
+        # the first harmonic adds exactly 0 to both routes
         path = tmp_path / "shifted.json"
         path.write_text(json.dumps({"a0": 1.0, "harmonics": [{"k": 1, "cos": 0.3}]}))
         assert main(["--json", "rigidity", "--table", str(path),
                      "--delta1", "0.5", "--delta2", "1.5"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["closed_form"] == 0.0
-        assert doc["relative_gap"] < 1e-12
+        assert doc["closed_form"] == doc["quadrature"] == 0.0
+        assert doc["relative_gap"] == 0.0
 
     def test_strip_whose_closed_form_underflows(self, tmp_path, capsys):
-        # on (1e-10, 2e-10) the closed form of a translated circle is 0 while
-        # the quadrature is not: the gap stays finite
-        path = tmp_path / "shifted.json"
-        path.write_text(json.dumps({"a0": 1.0, "harmonics": [{"k": 1, "cos": 0.3}]}))
+        # k = 1000 at 1e-163: the closed form's |h_k|^2 = 1e-326 underflows
+        # to 0, while the quadrature's products of samples of about 1e-157
+        # keep a subnormal positive integral; the gap stays finite
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"a0": 1.0, "harmonics": [{"k": 1000, "cos": 1e-163}]}))
         assert main(["--json", "rigidity", "--table", str(path),
-                     "--delta1", "1e-10", "--delta2", "2e-10"]) == 0
+                     "--delta1", "0.3", "--delta2", "1.2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["closed_form"] == 0.0 != doc["quadrature"]
+        assert doc["quadrature"] > 0
         assert math.isfinite(doc["relative_gap"])
+
+    @pytest.mark.parametrize("first", [False, True], ids=["no-k1", "k1"])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12, 1e-16, 1e-20])
+    def test_near_circle(self, tmp_path, capsys, eps, first):
+        # a table eps from a circle, whose integral is O(eps^2): the quadrature
+        # keeps its bits, with or without a first harmonic
+        harmonics = [{"k": 5, "cos": eps, "sin": 0.3 * eps}, {"k": 7, "cos": 0.5 * eps}]
+        if first:
+            harmonics.append({"k": 1, "cos": 0.3, "sin": -0.2})
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"a0": 1.0, "harmonics": harmonics}))
+        doc = _json_run(capsys, ["rigidity", "--table", str(path),
+                                 "--delta1", "0.3", "--delta2", "1.2"])
+        assert doc["closed_form"] > 0
+        assert doc["relative_gap"] <= 1e-15
+        assert abs(doc["quadrature"] - doc["closed_form"]) <= 1e-15 * doc["closed_form"]
 
     @pytest.mark.parametrize("delta1, delta2", [("1e-10", "2e-10"), ("1e-12", "1.5707963"),
                                                 ("0.7", "0.7000001")])
@@ -779,7 +798,11 @@ class TestSpecValidation:
                                      {"d": 2, "A": [1, 0, 0]},
                                      {"d": 0, "A": []},
                                      [1, 0, 0, 1],
-                                     {"d": 1, "A": [2.0]}])
+                                     {"d": 1, "A": [2.0]},
+                                     {"d": 3, "A": {"x": 1}},
+                                     {"d": 2, "A": [1, {"x": 1}, 0, 1]},
+                                     {"d": 2, "A": [1, 0, 0, True]},
+                                     {"d": 2, "A": [1, 0, 0, "1"]}])
     @pytest.mark.parametrize("command", ["ellipsoid", "gradient-check"])
     def test_malformed_spec(self, tmp_path, capsys, doc, command):
         spec = tmp_path / "bad.json"
@@ -788,9 +811,19 @@ class TestSpecValidation:
         if command == "ellipsoid":
             argv += ["--out", str(tmp_path / "o.csv")]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: spec")
+        err = capsys.readouterr().err
+        assert err.startswith("error: spec") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    def test_nested_entries(self, tmp_path, capsys, spheroid_spec):
+        # A given as rows reads as the flat list of its entries
+        nested = tmp_path / "nested.json"
+        nested.write_text(json.dumps({"d": 3, "A": [[4, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        docs = [_json_run(capsys, ["gradient-check", "--spec", str(spec), "--pairs", "5"])
+                for spec in (spheroid_spec, nested)]
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity",
+                                       pytest.param("1" + "0" * 400, id="int-past-float")])
     @pytest.mark.parametrize("command", ["ellipsoid", "gradient-check"])
     def test_non_finite_spec(self, tmp_path, capsys, entry, command):
         spec = tmp_path / "bad.json"
