@@ -11,7 +11,10 @@ which holds the forward endpoint, from h(phi) - p to -h(phi+pi) - p.  The
 backward endpoint is the forward endpoint of the reversed line
 (-p, phi+pi), so one solver finds both.  It takes Halley steps, which need
 f'' and so h''', inside the exact bracket, falling back to bisection when a
-step would leave the bracket or stalls.
+step would leave the bracket or stalls.  A line that a bounce returns
+carries the boundary point it leaves, which is its backward endpoint; its
+solve needs neither bracket values nor a backward solve, and starts the
+forward endpoint at that point's mirror image across phi.
 
 The map is implemented twice: geometrically (locate the chord, reflect
 across the tangent, which sends the normal angle phi to 2 psi_fwd - phi)
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -55,12 +58,25 @@ SOLVED, MISSES, NEAR_TANGENT, NOT_CONVERGED = range(4)
 
 @dataclass(frozen=True)
 class OrientedLine2D:
+    """A line (p, phi).  A line that a bounce returns also carries ``source``,
+    the Gauss parameter of the boundary point it leaves, from which the next
+    solve starts; a line built by a caller has none, and ``source`` takes no
+    part in equality."""
+
     p: float
     phi: float
+    source: float | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "phi", _mod_two_pi(float(self.phi)))
         object.__setattr__(self, "p", float(self.p))
+
+
+def _bounced(p, phi, source) -> OrientedLine2D:
+    """The line (p, phi) leaving the boundary point of Gauss parameter source."""
+    line = OrientedLine2D(p, phi)
+    object.__setattr__(line, "source", float(source))
+    return line
 
 
 class Chords(NamedTuple):
@@ -86,22 +102,27 @@ class Strip:
                              f"got ({self.delta1}, {self.delta2})")
 
 
-def _raise_first_failure(status, p, phi):
+def _raise_first_failure(status, p, phi, angles, bounces=False):
     """Raise the error of the first line, in flat order, whose batched solve
-    failed; the lines (p, phi) are given in the order of ``status``."""
+    failed, naming the line (p, phi) and, unless it missed, its incidence: the
+    least of ``angles`` there, a tuple of arrays of incidence angles.  Every
+    array is in the order of ``status``; with ``bounces`` its entries are the
+    bounces of one orbit, and the message also names the bounce."""
     failed = np.flatnonzero(status != SOLVED)
     if not failed.size:
         return
     i = failed[0]
     status = np.ravel(status)[i]
     line = OrientedLine2D(np.ravel(p)[i], np.ravel(phi)[i])
+    at = f" at bounce {i}" if bounces else ""
     if status == MISSES:
-        raise NoIntersection(f"line (p={line.p:g}, phi={line.phi:g}) "
-                             "misses the table")
+        raise NoIntersection(f"line (p={line.p:g}, phi={line.phi:g}) misses the table{at}")
+    failure = (f"line (p={line.p:g}, phi={line.phi:g}), "
+               f"incidence {min(np.ravel(a)[i] for a in angles):g}{at}")
     if status == NEAR_TANGENT:
-        raise TangentLine("near-tangent chord")
+        raise TangentLine(f"near-tangent chord: {failure}")
     if status == NOT_CONVERGED:
-        raise ConvergenceFailure("safeguarded Newton did not converge")
+        raise ConvergenceFailure(f"safeguarded Newton did not converge: {failure}")
 
 
 def generating_function(curve: SupportCurve, phi1, phi2):
@@ -133,13 +154,20 @@ def _lines(p, phi):
     return np.ravel(np.asarray(p, dtype=float)), _mod_two_pi(phi)
 
 
-def _brackets(curve: SupportCurve, p, phi):
-    """f at both bracket ends, (h(phi) - p, -h(phi+pi) - p), the starting
-    offset of the forward endpoint from phi, and the lines that miss.
+def _starts(curve: SupportCurve, p, phi, source):
+    """The starting offset of the forward endpoint from phi, and the lines
+    that miss.  Both starts are exact when the table is a circle.
 
-    The start fits the circle c + r cos(psi - phi) to the two end values,
-    which is exact when the table is a circle.
+    Lines that leave the boundary points ``source`` start at the mirror image
+    of the source across phi, offset (phi - source) mod 2 pi, with no
+    evaluation; min(offset, pi - offset) is the incidence at the source, and
+    a line misses only when its source is NaN.  Other lines take f at both
+    bracket ends, (h(phi) - p, -h(phi+pi) - p), and fit the circle
+    c + r cos(psi - phi) to them.
     """
+    if source is not None:
+        offset = np.mod(phi - np.ravel(source), TWO_PI)
+        return offset, np.isnan(offset)
     h, _, _, _ = eval_support(curve, np.concatenate((phi, phi + math.pi)))
     f_lo, f_hi = h[:p.size] - p, -h[p.size:] - p
     misses = ~((f_lo > 0) & (f_hi < 0))
@@ -183,24 +211,26 @@ def _newton(evaluate, lo, hi, x, done):
     return x, state, done
 
 
-def solve_chords(curve: SupportCurve, p, phi) -> Chords:
-    """Chords of the lines (p, phi), equal-size arrays or scalars, solved in lock-step.
-
-    Endpoints are Gauss parameters in [0, 2*pi); the incidence angle at an
-    endpoint psi is the angle between the line and the tangent there,
-    min(b, pi - b) for b = psi - phi reduced mod pi.  Incidence at least
-    MIN_CHORD_ANGLE puts both ends strictly inside their disjoint brackets,
-    so a SOLVED chord has positive length on a table of any size.
-    """
+def _solve_chords(curve: SupportCurve, p, phi, source=None):
+    """``solve_chords``, and the lines (p2, phi2) that the mirror law
+    reflects at the forward endpoints, valid where SOLVED: phi2 =
+    2 psi_fwd - phi, and p2 = h cos(b) + h' sin(b), b = psi_fwd - phi, from
+    the h, h' of the solver's last evaluation.  Lines given a ``source``
+    (see ``_starts``) take it as their backward endpoint and solve only the
+    forward one."""
     p, phi = _lines(p, phi)
-    start, misses = _brackets(curve, p, phi)
-    # the first n entries solve the forward endpoints in [phi, phi+pi]; the
-    # last n the backward ones, as the forward endpoints of the reversed
-    # lines (-p, phi+pi), whose bracket values are those of the lines negated
-    # and swapped, so their start is pi - start.  One flat array of 2n keeps
-    # every numpy call on the fast 1-d path.
     n = p.size
-    p_ends, phi_ends = np.concatenate((p, -p)), np.concatenate((phi, phi + math.pi))
+    start, misses = _starts(curve, p, phi, source)
+    if source is None:
+        # the first n entries solve the forward endpoints in [phi, phi+pi]; the
+        # last n the backward ones, as the forward endpoints of the reversed
+        # lines (-p, phi+pi), whose bracket values are those of the lines
+        # negated and swapped, so their start is pi - start.  One flat array
+        # of 2n keeps every numpy call on the fast 1-d path.
+        p_ends, phi_ends = np.concatenate((p, -p)), np.concatenate((phi, phi + math.pi))
+        start, done = np.concatenate((start, math.pi - start)), np.concatenate((misses, misses))
+    else:
+        p_ends, phi_ends, done = p, phi, misses
     size_p = np.abs(p_ends)
 
     def evaluate(psi):
@@ -210,52 +240,68 @@ def solve_chords(curve: SupportCurve, p, phi) -> Chords:
         rho = h + hpp
         noise = NOISE_REL * (np.abs(h) + np.abs(hp) + size_p)
         return (h * cb - hp * sb - p_ends, -rho * sb, -(hp + hppp) * sb - rho * cb,
-                noise, None)
+                noise, (h, hp, cb, sb))
 
-    psi, _, solved = _newton(evaluate, phi_ends, phi_ends + math.pi,
-                             phi_ends + np.concatenate((start, math.pi - start)),
-                             np.concatenate((misses, misses)))
+    psi, (h, hp, cb, sb), solved = _newton(evaluate, phi_ends, phi_ends + math.pi,
+                                           phi_ends + start, done)
     b = psi - phi_ends
     angle = np.minimum(b, math.pi - b)
-    angle_fwd, angle_back = angle[:n], angle[n:]
+    angle_fwd, psi_fwd = angle[:n], np.mod(psi[:n], TWO_PI)
+    if source is None:
+        psi_back, angle_back = np.mod(psi[n:], TWO_PI), angle[n:]
+        solved = solved[:n] & solved[n:]
+    else:
+        psi_back, angle_back = np.ravel(source), np.minimum(start, math.pi - start)
     # later assignments take precedence
     status = np.full(n, SOLVED)
     status[np.minimum(angle_back, angle_fwd) < MIN_CHORD_ANGLE] = NEAR_TANGENT
-    status[~(solved[:n] & solved[n:])] = NOT_CONVERGED
+    status[~solved] = NOT_CONVERGED
     status[misses] = MISSES
-    return Chords(np.mod(psi[n:], TWO_PI), np.mod(psi[:n], TWO_PI),
-                  angle_back, angle_fwd, status)
+    p2 = h[:n] * cb[:n] + hp[:n] * sb[:n]
+    return (Chords(psi_back, psi_fwd, angle_back, angle_fwd, status),
+            p2, _mod_two_pi(2.0 * psi_fwd - phi))
 
 
-def _outgoing(curve: SupportCurve, phi, psi_fwd):
-    """(p, phi) after reflecting lines of normal angle phi at the boundary
-    points psi_fwd: the mirror law sends phi to 2 psi_fwd - phi."""
-    h, hp, _, _ = eval_support(curve, psi_fwd)
-    b = psi_fwd - phi
-    return h * np.cos(b) + hp * np.sin(b), _mod_two_pi(2.0 * psi_fwd - phi)
+def solve_chords(curve: SupportCurve, p, phi) -> Chords:
+    """Chords of the lines (p, phi), equal-size arrays or scalars, solved in lock-step.
+
+    Endpoints are Gauss parameters in [0, 2*pi); the incidence angle at an
+    endpoint psi is the angle between the line and the tangent there,
+    min(b, pi - b) for b = psi - phi reduced mod pi.  Incidence at least
+    MIN_CHORD_ANGLE puts both ends strictly inside their disjoint brackets,
+    so a SOLVED chord has positive length on a table of any size.
+    """
+    return _solve_chords(curve, p, phi)[0]
+
+
+class _Bounce(Chords):
+    """A one-line ``Chords`` that also holds ``outgoing``, the (p, phi) of the
+    line reflected at its forward endpoint, from the same solve."""
 
 
 def chord_incidence_angles(curve: SupportCurve, line: OrientedLine2D) -> Chords:
     """The chord of one line and its incidence angles at both endpoints, as a
-    one-line ``Chords``."""
-    c = solve_chords(curve, line.p, line.phi)
-    _raise_first_failure(c.status, line.p, line.phi)
-    return c
+    one-line ``Chords``.  A line that a bounce returned is solved from the
+    boundary point it leaves."""
+    c, p2, phi2 = _solve_chords(curve, line.p, line.phi, line.source)
+    _raise_first_failure(c.status, line.p, line.phi, (c.angle_back, c.angle_fwd))
+    chord = _Bounce._make(c)
+    chord.outgoing = p2[0], phi2[0]
+    return chord
 
 
 def reflect_geometric(curve: SupportCurve, line: OrientedLine2D):
     """One bounce by reflection at the forward endpoint; returns (next line, chord)."""
     chord = chord_incidence_angles(curve, line)
-    p2, phi2 = _outgoing(curve, np.array([line.phi]), chord.psi_fwd)
-    return OrientedLine2D(p2[0], phi2[0]), chord
+    return _bounced(*chord.outgoing, chord.psi_fwd[0]), Chords._make(chord)
 
 
-def solve_variational(curve: SupportCurve, p, phi):
-    """Next lines (p2, phi2, status) of the lines (p, phi) by the generating
-    function: phi2 solves p = h(mid) cos(alpha) - h'(mid) sin(alpha), with
-    mid = (phi+phi2)/2 and alpha = (phi2-phi)/2, and p2 = +dS/dphi2."""
+def _solve_variational(curve: SupportCurve, p, phi, source=None):
+    """``solve_variational``, and alpha = (phi2 - phi)/2 in (0, pi): the next
+    line leaves the boundary point phi + alpha.  Lines given a ``source``
+    start phi2 at twice the offset of the mirror start (see ``_starts``)."""
     p, phi = _lines(p, phi)
-    start, misses = _brackets(curve, p, phi)
+    start, misses = _starts(curve, p, phi, source)
     size_p = np.abs(p)
 
     def evaluate(phi2):
@@ -265,18 +311,27 @@ def solve_variational(curve: SupportCurve, p, phi):
         rho = h + hpp
         noise = NOISE_REL * (np.abs(h) + np.abs(hp) + size_p)
         return (h * ca - hp * sa - p, -0.5 * rho * sa,
-                -0.25 * ((hp + hppp) * sa + rho * ca), noise, h * ca + hp * sa)
+                -0.25 * ((hp + hppp) * sa + rho * ca), noise, (h, hp, ca, sa))
 
-    phi2, p2, solved = _newton(evaluate, phi, phi + TWO_PI, phi + 2.0 * start, misses)
+    phi2, (h, hp, ca, sa), solved = _newton(evaluate, phi, phi + TWO_PI,
+                                            phi + 2.0 * start, misses)
     status = np.where(misses, MISSES, np.where(solved, SOLVED, NOT_CONVERGED))
-    return p2, _mod_two_pi(phi2), status
+    return h * ca + hp * sa, _mod_two_pi(phi2), status, 0.5 * (phi2 - phi)
+
+
+def solve_variational(curve: SupportCurve, p, phi):
+    """Next lines (p2, phi2, status) of the lines (p, phi) by the generating
+    function: phi2 solves p = h(mid) cos(alpha) - h'(mid) sin(alpha), with
+    mid = (phi+phi2)/2 and alpha = (phi2-phi)/2, and p2 = +dS/dphi2."""
+    return _solve_variational(curve, p, phi)[:3]
 
 
 def reflect_variational(curve: SupportCurve, line: OrientedLine2D) -> OrientedLine2D:
-    """One bounce by solving p1 = -dS/dphi1 for phi2; twist makes it unique."""
-    p2, phi2, status = solve_variational(curve, line.p, line.phi)
-    _raise_first_failure(status, line.p, line.phi)
-    return OrientedLine2D(p2[0], phi2[0])
+    """One bounce by solving p1 = -dS/dphi1 for phi2; twist makes it unique.
+    The next line leaves the boundary point mid = phi + alpha."""
+    p2, phi2, status, alpha = _solve_variational(curve, line.p, line.phi, line.source)
+    _raise_first_failure(status, line.p, line.phi, (alpha, math.pi - alpha))
+    return _bounced(p2[0], phi2[0], (line.phi + alpha[0]) % TWO_PI)
 
 
 def constant_angle_line(curve: SupportCurve, delta: float, psi: float) -> OrientedLine2D:
@@ -299,7 +354,7 @@ def verify_constant_angle(curve: SupportCurve, delta: float, grid_size: int = 36
     h, hp = support_grid(curve, grid_size, lambda k: 1, lambda k: 1j * k)
     p = h * math.cos(delta) + hp * math.sin(delta)
     c = solve_chords(curve, p, psi + delta)
-    _raise_first_failure(c.status, p, psi + delta)
+    _raise_first_failure(c.status, p, psi + delta, (c.angle_back, c.angle_fwd))
     return float(np.max(np.abs(c.angle_fwd - delta)))
 
 
@@ -307,10 +362,12 @@ def orbits(curve: SupportCurve, p0, phi0, steps: int):
     """Iterate the geometric map on many lines in lock-step.
 
     Returns (p, phi, chords): p and phi of shape (steps+1, lines), and the
-    chord of every bounce as ``Chords`` fields of shape (steps, lines).  A
-    line whose chord solve fails carries NaN from then on, which later
-    solves report as MISSES, so (chords.status == SOLVED).all(axis=0) marks
-    the orbits that completed every bounce.
+    chord of every bounce as ``Chords`` fields of shape (steps, lines).  From
+    the second bounce on, a line is solved from the boundary point it leaves,
+    as ``reflect_geometric`` solves a line it returned.  A line whose chord
+    solve fails carries NaN from then on, which later solves report as
+    MISSES, so (chords.status == SOLVED).all(axis=0) marks the orbits that
+    completed every bounce.
     """
     p, phi = _lines(p0, phi0)
     ps = np.empty((steps + 1, p.size))
@@ -318,22 +375,25 @@ def orbits(curve: SupportCurve, p0, phi0, steps: int):
     ps[0], phis[0] = p, phi
     chords = Chords(*(np.empty((steps, p.size)) for _ in range(4)),
                     np.empty((steps, p.size), dtype=int))
+    source = None
     for step in range(steps):
-        c = solve_chords(curve, ps[step], phis[step])
-        for field, value in zip(chords, c):
-            field[step] = value
-        psi_fwd = np.where(c.status == SOLVED, c.psi_fwd, np.nan)
-        ps[step + 1], phis[step + 1] = _outgoing(curve, phis[step], psi_fwd)
+        c, p2, phi2 = _solve_chords(curve, ps[step], phis[step], source)
+        for rows, value in zip(chords, c):
+            rows[step] = value
+        ps[step + 1], phis[step + 1], source = np.where(c.status == SOLVED,
+                                                        (p2, phi2, c.psi_fwd), np.nan)
     return ps, phis, chords
 
 
 def orbit(curve: SupportCurve, line0: OrientedLine2D, steps: int):
     """``orbits`` from one line, with the line axis dropped: p and phi of
     length steps+1 and chords of length steps.  Raises the error of the
-    first bounce that failed."""
+    first bounce that failed, naming the bounce.  Like ``orbits``, it starts
+    from (p, phi) alone: a source that line0 carries is not used."""
     ps, phis, chords = orbits(curve, line0.p, line0.phi, steps)
-    chords = Chords._make(field[:, 0] for field in chords)
-    _raise_first_failure(chords.status, ps[:-1], phis[:-1])
+    chords = Chords._make(rows[:, 0] for rows in chords)
+    _raise_first_failure(chords.status, ps[:-1], phis[:-1],
+                         (chords.angle_back, chords.angle_fwd), bounces=True)
     return ps[:, 0], phis[:, 0], chords
 
 

@@ -359,6 +359,69 @@ class TestOrbit:
         with pytest.raises(TangentLine, match="near-tangent chord"):
             orbit(circle(1.0), OrientedLine2D(math.cos(5e-7), 0.3), 4)
 
+    def test_failure_names_line_and_bounce(self, gutkin5, monkeypatch):
+        # a floor just above the least incidence of a 20-bounce orbit refuses
+        # the first bounce below it, which is not the first bounce (a chord
+        # shares its forward incidence with the next one's backward one)
+        curve, _ = gutkin5
+        ps, phis, chords = orbit(curve, OrientedLine2D(0.95, 0.9), 20)
+        incidence = np.minimum(chords.angle_back, chords.angle_fwd)
+        floor = incidence.min() * (1 + 1e-9)
+        k = int(np.flatnonzero(incidence < floor)[0])
+        assert k > 0
+        monkeypatch.setattr(billiard2d, "MIN_CHORD_ANGLE", floor)
+        line = OrientedLine2D(ps[k], phis[k])
+        want = (f"near-tangent chord: line (p={line.p:g}, phi={line.phi:g}), "
+                f"incidence {incidence[k]:g} at bounce {k}")
+        with pytest.raises(TangentLine) as failure:
+            orbit(curve, OrientedLine2D(0.95, 0.9), 20)
+        assert str(failure.value) == want
+
+
+class TestSource:
+    """A bounced line carries the Gauss parameter of the boundary point it
+    leaves; the next solve takes that point as its backward endpoint."""
+
+    def test_caller_line_has_none(self, gutkin5):
+        curve, _ = gutkin5
+        line = OrientedLine2D(0.3, 0.2)
+        assert line.source is None
+        with pytest.raises(TypeError):
+            OrientedLine2D(0.3, 0.2, 1.0)
+        nxt, chord = reflect_geometric(curve, line)
+        assert nxt.source == chord.psi_fwd[0]
+        # the source takes no part in equality or hashing
+        plain = OrientedLine2D(nxt.p, nxt.phi)
+        assert plain == nxt and hash(plain) == hash(nxt)
+
+    def test_orbit_chain(self, gutkin5):
+        # each backward endpoint is the previous forward one, bit for bit, and
+        # the incidence there moves by rounding only: within 4 ulps of 2*pi,
+        # the spacing of the reduced angles both incidences come from
+        for curve in (gutkin5[0], degree32_table()):
+            rng = np.random.default_rng(8)
+            _, _, chords = orbits(curve, rng.uniform(-0.9, 0.9, 50),
+                                  rng.uniform(0.0, TWO_PI, 50), 60)
+            assert (chords.status == SOLVED).all()
+            assert np.array_equal(chords.psi_back[1:], chords.psi_fwd[:-1])
+            gap = np.abs(chords.angle_back[1:] - chords.angle_fwd[:-1])
+            assert gap.max() <= 4 * np.spacing(TWO_PI)
+
+    def test_variational_source_past_two_pi(self, gutkin5):
+        # phi2 = phi + 2 alpha wraps past 2*pi, so the point left, phi + alpha,
+        # is not the mean of phi and the reduced phi2
+        curve, _ = gutkin5
+        line = OrientedLine2D(0.2, 5.5)
+        geo, _ = reflect_geometric(curve, line)
+        var = reflect_variational(curve, line)
+        assert var.phi < line.phi
+        assert angle_diff(var.source, geo.source) < 1e-13
+        assert angle_diff(var.source, 0.5 * (line.phi + var.phi)) > 3.0
+        # and the next bounces from either source agree
+        geo2, _ = reflect_geometric(curve, geo)
+        var2 = reflect_variational(curve, var)
+        assert abs(geo2.p - var2.p) < 1e-12 and angle_diff(geo2.phi, var2.phi) < 1e-12
+
 
 class TestRigidity:
     def test_circle_zero(self):
@@ -520,6 +583,18 @@ class TestBatchedSolves:
         with pytest.raises(ConvergenceFailure):
             reflect_variational(curve, line)
 
+    def test_convergence_failure_names_line(self, gutkin5, monkeypatch):
+        # the incidence is that of the last iterate, between 0 and pi/2
+        curve, _ = gutkin5
+        monkeypatch.setattr(billiard2d, "NEWTON_CAP", 1)
+        line = OrientedLine2D(0.3, 0.4)
+        pattern = (r"^safeguarded Newton did not converge: line \(p=0\.3, phi=0\.4\), "
+                   r"incidence (0\.\d+|1\.[0-5]\d*)$")
+        with pytest.raises(ConvergenceFailure, match=pattern):
+            chord_incidence_angles(curve, line)
+        with pytest.raises(ConvergenceFailure, match=pattern):
+            reflect_variational(curve, line)
+
     def test_orbits(self, gutkin5, lines):
         curve, _ = gutkin5
         p0, phi0 = lines
@@ -556,8 +631,17 @@ class TestAngleReduction:
         _, phi = billiard2d._lines(0.3, -1e-20)
         assert phi.tolist() == [0.0]
 
-    def test_mirror_law(self):
-        _, phi2 = billiard2d._outgoing(circle(1.0), np.array([1e-20]), np.array([0.0]))
+    def test_mirror_law(self, monkeypatch):
+        # no chord puts 2 psi_fwd - phi at a tiny negative angle, so the solve
+        # is made to land on psi = 2*pi, which reduces to psi_fwd = 0, for a
+        # line at phi = 1e-20
+        def landing(evaluate, lo, hi, x, done):
+            x = np.full_like(x, TWO_PI)
+            return x, evaluate(x)[-1], np.ones_like(done)
+
+        monkeypatch.setattr(billiard2d, "_newton", landing)
+        chords, _, phi2 = billiard2d._solve_chords(circle(1.0), 0.0, 1e-20)
+        assert chords.psi_fwd.tolist() == [0.0]
         assert phi2.tolist() == [0.0]
 
 
@@ -652,6 +736,46 @@ class TestMpmathOracle:
                 assert abs(f(x_back)) < 4 * size(x_back)
                 assert abs(r(x_nxt)) < 4 * size((phii + x_nxt) / 2)
 
+    @pytest.mark.parametrize("table", ["gutkin5", "degree32"])
+    def test_later_bounces(self, gutkin5, table):
+        # lines a bounce returned, solved forward only from the point they
+        # leave: 30 at incidence 1e-5 to 1e-3 and 10 across the table
+        curve = gutkin5[0] if table == "gutkin5" else degree32_table()
+        rng = np.random.default_rng(43)
+        starts = [constant_angle_line(curve, delta, psi) for delta, psi in zip(
+            10.0 ** rng.uniform(-5, -3, 30), rng.uniform(0.0, TWO_PI, 30))]
+        starts += [constant_angle_line(curve, alpha, psi) for alpha, psi in zip(
+            rng.uniform(0.2, 1.5, 10), rng.uniform(0.0, TWO_PI, 10))]
+        support = self.mp_support(curve)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            for i, start in enumerate(starts):
+                geo, _ = reflect_geometric(curve, start)
+                nxt, chord = reflect_geometric(curve, geo)
+                var = reflect_variational(curve, reflect_variational(curve, start))
+                assert chord.psi_back[0] == geo.source
+                pi_, phii = mpmath.mpf(geo.p), mpmath.mpf(geo.phi)
+                pv, phiv = mpmath.mpf(var.p), mpmath.mpf(var.phi)
+
+                def f(psi, p=pi_, phi=phii):
+                    h, hp = support(psi)
+                    return h * mpmath.cos(psi - phi) - hp * mpmath.sin(psi - phi) - p
+
+                def size(psi, p):
+                    h, hp = support(psi)
+                    return (abs(h) + abs(hp) + abs(p)) * eps
+
+                x_fwd = phii + (mpmath.mpf(chord.psi_fwd[0]) - phii) % (2 * mpmath.pi)
+                x_mid = phiv + (mpmath.mpf(var.source) - phiv) % (2 * mpmath.pi)
+                assert abs(f(x_fwd)) < 4 * size(x_fwd, pi_)
+                assert abs(f(x_mid, pv, phiv)) < 4 * size(x_mid, pv)
+                if i >= 30:
+                    fwd = mpmath.findroot(f, (phii, phii + mpmath.pi), solver="anderson")
+                    assert self.wrapped(chord.psi_fwd[0] - fwd) < 1e-13
+                    h, hp = support(fwd)
+                    p_nxt = h * mpmath.cos(fwd - phii) + hp * mpmath.sin(fwd - phii)
+                    assert abs(float(nxt.p - p_nxt)) < 1e-13
+
 
 class TestEvaluationBudget:
     """Boundary evaluations per bounce, counted through ``_newton``: the
@@ -692,6 +816,50 @@ class TestEvaluationBudget:
         for p, phi in zip(rng.uniform(-0.9, 0.9, 20), rng.uniform(0.0, TWO_PI, 20)):
             chord_incidence_angles(curve, OrientedLine2D(p, phi))
         assert evaluations[0] <= 70
+
+    @pytest.mark.parametrize("table", ["gutkin5", "degree32"])
+    def test_no_bracket_or_outgoing_pass(self, gutkin5, evaluations, monkeypatch, table):
+        # from the second bounce on, every boundary evaluation is a Halley one
+        curve = gutkin5[0] if table == "gutkin5" else degree32_table()
+        calls = [0]
+        evaluate = billiard2d.eval_support
+
+        def counting(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(billiard2d, "eval_support", counting)
+        line = OrientedLine2D(0.3, 0.2)
+        orbit(curve, line, 100)
+        # one bracket pass, for the first bounce of a line built by a caller
+        assert calls[0] == evaluations[0] + 1
+        for bounce in (reflect_variational, lambda c, ln: reflect_geometric(c, ln)[0]):
+            line = bounce(curve, OrientedLine2D(0.3, 0.2))
+            calls[0] = evaluations[0] = 0
+            for _ in range(100):
+                line = bounce(curve, line)
+            assert calls[0] == evaluations[0] > 0
+
+    def test_orbits_forward_only(self, gutkin5, monkeypatch):
+        # a batch of n lines evaluates 2n points a pass on its first bounce,
+        # both chord ends, and n on every later one
+        curve, _ = gutkin5
+        sizes = []
+        evaluate = billiard2d.eval_support
+
+        def recording(curve, phi):
+            sizes.append(np.size(phi))
+            return evaluate(curve, phi)
+
+        monkeypatch.setattr(billiard2d, "eval_support", recording)
+        rng = np.random.default_rng(9)
+        lines = rng.uniform(-0.9, 0.9, 30), rng.uniform(0.0, TWO_PI, 30)
+        orbits(curve, *lines, 1)
+        first, sizes[:] = sizes[:], []
+        orbits(curve, *lines, 40)
+        assert set(first) == {60}
+        assert sizes[:len(first)] == first
+        assert set(sizes[len(first):]) == {30} and len(sizes) - len(first) >= 3 * 39
 
     @pytest.mark.parametrize("p, phi", [(0.3, 0.2), (-0.7, 4.0), (0.05, 2.5)])
     def test_one_path_to_h(self, gutkin5, monkeypatch, p, phi):

@@ -235,8 +235,9 @@ class TestOrbit:
         assert rows == want
 
     @pytest.mark.parametrize("p, message", [
-        ("1.5", "error: line (p=1.5, phi=0.3) misses the table\n"),
-        (repr(math.cos(5e-7)), "error: near-tangent chord\n"),
+        ("1.5", "error: line (p=1.5, phi=0.3) misses the table at bounce 0\n"),
+        (repr(math.cos(5e-7)), "error: near-tangent chord: line (p=1, phi=0.3), "
+                               "incidence 5.00022e-07 at bounce 0\n"),
     ])
     def test_failed_orbit(self, tmp_path, capsys, p, message):
         path = tmp_path / "circle.json"
