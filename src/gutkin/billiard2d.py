@@ -25,8 +25,18 @@ and variationally through the generating function
 whose mixed derivative S12 = rho(mid)*sin(alpha)/2 > 0 is the twist; the
 next line solves p1 = -dS/dphi1, a residual decreasing in phi2 over
 (phi1, phi1+2pi) with derivative -S12, by the same safeguarded Halley
-iteration.  Both solvers take arrays of lines and advance them in
-lock-step; the scalar functions are wrappers around a batch of one.  The
+iteration.  The two solves are one root search, not independent routes:
+both find the root of f(b) = h(phi+b) cos b - h'(phi+b) sin b - p =
+-(p + S1(phi, phi+2b)), the geometric one in psi = phi + b, the
+variational one in phi2 = phi + 2b.  Halley steps and bisection are
+invariant under that affine change, so both take the same steps up to
+rounding and a factor 2 in the step and bracket tolerances, and both set
+p2 = h cos b + h' sin b = S2: their agreement checks only the
+substitution and the p2 formula.  Both refuse, by one status rule, a line
+whose incidence is below MIN_CHORD_ANGLE; the variational solve takes it
+at the point it reaches, min(alpha, pi - alpha).  Both solvers take
+arrays of lines and advance them in lock-step; the scalar functions are
+wrappers around a batch of one.  The
 strip functional integral of (S11+2*S12+S22) against the invariant measure
 S12 dphi1 dphi2 collapses, after reduction, to a weighted sum of squares
 of Fourier coefficients of h; both routes are provided.
@@ -211,6 +221,16 @@ def _newton(evaluate, lo, hi, x, done):
     return x, state, done
 
 
+def _status(misses, solved, incidence):
+    """Per-line status of a solve, one rule for both maps: MISSES, else
+    NOT_CONVERGED, else NEAR_TANGENT where the incidence is below
+    MIN_CHORD_ANGLE, else SOLVED (which is 0)."""
+    status = (incidence < MIN_CHORD_ANGLE) * NEAR_TANGENT
+    status[~solved] = NOT_CONVERGED
+    status[misses] = MISSES
+    return status
+
+
 def _solve_chords(curve: SupportCurve, p, phi, source=None):
     """``solve_chords``, and the lines (p2, phi2) that the mirror law
     reflects at the forward endpoints, valid where SOLVED: phi2 =
@@ -252,11 +272,7 @@ def _solve_chords(curve: SupportCurve, p, phi, source=None):
         solved = solved[:n] & solved[n:]
     else:
         psi_back, angle_back = np.ravel(source), np.minimum(start, math.pi - start)
-    # later assignments take precedence
-    status = np.full(n, SOLVED)
-    status[np.minimum(angle_back, angle_fwd) < MIN_CHORD_ANGLE] = NEAR_TANGENT
-    status[~solved] = NOT_CONVERGED
-    status[misses] = MISSES
+    status = _status(misses, solved, np.minimum(angle_back, angle_fwd))
     p2 = h[:n] * cb[:n] + hp[:n] * sb[:n]
     return (Chords(psi_back, psi_fwd, angle_back, angle_fwd, status),
             p2, _mod_two_pi(2.0 * psi_fwd - phi))
@@ -315,8 +331,9 @@ def _solve_variational(curve: SupportCurve, p, phi, source=None):
 
     phi2, (h, hp, ca, sa), solved = _newton(evaluate, phi, phi + TWO_PI,
                                             phi + 2.0 * start, misses)
-    status = np.where(misses, MISSES, np.where(solved, SOLVED, NOT_CONVERGED))
-    return h * ca + hp * sa, _mod_two_pi(phi2), status, 0.5 * (phi2 - phi)
+    alpha = 0.5 * (phi2 - phi)
+    status = _status(misses, solved, np.minimum(alpha, math.pi - alpha))
+    return h * ca + hp * sa, _mod_two_pi(phi2), status, alpha
 
 
 def solve_variational(curve: SupportCurve, p, phi):

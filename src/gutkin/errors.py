@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the incidence floor."""
 
-# both billiard maps raise TangentLine on a line meeting the boundary at less
+# every billiard map, the two planar ones and the ellipsoid's, raises
+# TangentLine on a line meeting the boundary at less
 MIN_CHORD_ANGLE = 1e-6
 
 

@@ -60,7 +60,8 @@ class SupportCurve:
         object.__setattr__(self, "_ik", 1j * k)
         object.__setattr__(self, "_coeffs",
                            np.stack([c, 1j * k * c, -k * k * c, -1j * k ** 3 * c], axis=1))
-        # the grid grows past CONVEXITY_GRID only when the degree would alias on it
+        # support_grid never aliases; past CONVEXITY_GRID the grid grows to 2K + 2
+        # samples so that it resolves the degree-K radius
         rho = support_grid(self, max(CONVEXITY_GRID, 2 * k.size + 2), lambda k: 1 - k * k)
         object.__setattr__(self, "rho_min", float(rho.min()))
 

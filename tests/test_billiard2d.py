@@ -12,8 +12,8 @@ from gutkin.billiard2d import (MISSES, NEAR_TANGENT, SOLVED, OrientedLine2D, Str
                                reflect_geometric, reflect_variational,
                                rigidity_integral, rigidity_integral_closed,
                                solve_chords, solve_variational, verify_constant_angle)
-from gutkin.errors import (ConvergenceFailure, DegenerateChord, NoIntersection,
-                           TangentLine)
+from gutkin.errors import (MIN_CHORD_ANGLE, ConvergenceFailure, DegenerateChord,
+                           NoIntersection, TangentLine)
 from gutkin.support_geometry import (SupportCurve, TrigPolynomial,
                                      build_gutkin_table, circle, eval_support,
                                      support_from_radius)
@@ -207,6 +207,44 @@ class TestReflectVariational:
             assert chord.angle_back == pytest.approx(delta, abs=1e-10)
             assert abs(geo.p - var.p) < 1e-9
             assert angle_diff(geo.phi, var.phi) < 1e-9
+
+    @pytest.mark.parametrize("table", ["circle", "gutkin5"])
+    def test_incidence_floor(self, gutkin5, table):
+        # lines leaving the boundary at incidences from 1e-8 to 1e-5, a factor
+        # 2 clear of MIN_CHORD_ANGLE: both maps refuse the same lines, with
+        # messages that differ only in the incidence, which rounding in f
+        # moves by about 2e-3 of itself there; their batched solves give the
+        # same status
+        curve = circle(1.0) if table == "circle" else gutkin5[0]
+        deltas = np.array([d for d in np.geomspace(1e-8, 1e-5, 16)
+                           if not 0.5 * MIN_CHORD_ANGLE < d < 2 * MIN_CHORD_ANGLE])
+        psis = np.linspace(0.1, 0.1 + TWO_PI, 7, endpoint=False)
+        lines = [constant_angle_line(curve, d, psi) for d in deltas for psi in psis]
+        refused = []
+        for line in lines:
+            failures = []
+            for bounce in (reflect_geometric, reflect_variational):
+                try:
+                    bounce(curve, line)
+                    failures.append(None)
+                except (NoIntersection, TangentLine) as failure:
+                    failures.append(failure)
+            geo, var = failures
+            assert type(geo) is type(var)
+            if isinstance(geo, TangentLine):
+                head, incidence = str(geo).rsplit(" ", 1)
+                var_head, var_incidence = str(var).rsplit(" ", 1)
+                assert var_head == head == (f"near-tangent chord: line (p={line.p:g}, "
+                                            f"phi={line.phi:g}), incidence")
+                assert max(float(incidence), float(var_incidence)) < MIN_CHORD_ANGLE
+            refused.append(isinstance(geo, TangentLine))
+        p, phi = np.array([(line.p, line.phi) for line in lines]).T
+        status = solve_variational(curve, p, phi)[2]
+        assert np.array_equal(status, solve_chords(curve, p, phi).status)
+        assert np.array_equal(status == NEAR_TANGENT, refused)
+        below = np.repeat(deltas < MIN_CHORD_ANGLE, psis.size)
+        assert np.isin(status[below], [NEAR_TANGENT, MISSES]).all()
+        assert (status[~below] == SOLVED).all() and (status == NEAR_TANGENT).sum() > 30
 
     def test_exact_form_consistency(self, gutkin5):
         # p1 = -d1 S and p2 = +d2 S along geometrically computed chords
@@ -406,6 +444,9 @@ class TestSource:
             assert np.array_equal(chords.psi_back[1:], chords.psi_fwd[:-1])
             gap = np.abs(chords.angle_back[1:] - chords.angle_fwd[:-1])
             assert gap.max() <= 4 * np.spacing(TWO_PI)
+        # and along the README's orbit, which the orbit command writes
+        _, _, chords = orbit(gutkin5[0], OrientedLine2D(0.3, 0.2), 200)
+        assert np.array_equal(chords.psi_back[1:], chords.psi_fwd[:-1])
 
     def test_variational_source_past_two_pi(self, gutkin5):
         # phi2 = phi + 2 alpha wraps past 2*pi, so the point left, phi + alpha,
