@@ -58,8 +58,14 @@ from .support_geometry import SupportCurve, eval_support, support_grid
 TWO_PI = 2 * math.pi
 PSI_TOL = 1e-14
 NEWTON_CAP = 100
-# a residual below this fraction of the size of its terms is at the rounding floor
+# a residual below NOISE_REL (h_bound + |p|) is at its rounding floor: the
+# size of its terms h cos b, h' sin b and p is at most h_bound + |p|
 NOISE_REL = 2 * np.finfo(float).eps
+
+# numeric literals of the solvers' loops as 0-d arrays: on arrays of one or
+# two lines, numpy takes about twice as long with a float operand
+_ZERO, _HALF, _ONE, _PI, _TWO_PI = (np.array(x) for x in (0.0, 0.5, 1.0, math.pi, TWO_PI))
+_MINUS_ONE, _MINUS_HALF, _MINUS_QUARTER = np.array(-1.0), np.array(-0.5), np.array(-0.25)
 
 # per-line status of a batched solve; each failure maps to the error the
 # scalar wrappers raise
@@ -118,10 +124,9 @@ def _raise_first_failure(status, p, phi, angles, bounces=False):
     least of ``angles`` there, a tuple of arrays of incidence angles.  Every
     array is in the order of ``status``; with ``bounces`` its entries are the
     bounces of one orbit, and the message also names the bounce."""
-    failed = np.flatnonzero(status != SOLVED)
-    if not failed.size:
+    if not np.count_nonzero(status):  # SOLVED is 0
         return
-    i = failed[0]
+    i = np.flatnonzero(status)[0]
     status = np.ravel(status)[i]
     line = OrientedLine2D(np.ravel(p)[i], np.ravel(phi)[i])
     at = f" at bounce {i}" if bounces else ""
@@ -151,17 +156,21 @@ def generating_function(curve: SupportCurve, phi1, phi2):
 
 
 def _mod_two_pi(phi):
-    """phi, a float or an array, reduced to [0, 2*pi).  The mod of a tiny
-    negative angle rounds up to exactly 2*pi, which is moved to 0; NaN
-    stays NaN."""
-    phi = phi % TWO_PI
-    return phi - (phi == TWO_PI) * TWO_PI
+    """phi, a float or an array, reduced to [0, 2*pi); a float stays a
+    float.  The mod of a tiny negative angle rounds up to exactly 2*pi,
+    which is moved to 0; NaN stays NaN."""
+    two_pi = _TWO_PI if isinstance(phi, np.ndarray) else TWO_PI
+    phi = phi % two_pi
+    return phi - (phi == two_pi) * two_pi
 
 
 def _lines(p, phi):
     """Lines as flat float arrays, phi reduced to [0, 2*pi)."""
-    phi = np.ravel(np.asarray(phi, dtype=float))
-    return np.ravel(np.asarray(p, dtype=float)), _mod_two_pi(phi)
+    return _flat(p), _mod_two_pi(_flat(phi))
+
+
+def _flat(x):
+    return np.asarray(x, dtype=float).ravel()
 
 
 def _starts(curve: SupportCurve, p, phi, source):
@@ -176,46 +185,50 @@ def _starts(curve: SupportCurve, p, phi, source):
     c + r cos(psi - phi) to them.
     """
     if source is not None:
-        offset = np.mod(phi - np.ravel(source), TWO_PI)
+        offset = np.mod(phi - source, _TWO_PI)
         return offset, np.isnan(offset)
-    h, _, _, _ = eval_support(curve, np.concatenate((phi, phi + math.pi)))
+    h, _, _, _ = eval_support(curve, np.concatenate((phi, phi + _PI)))
     f_lo, f_hi = h[:p.size] - p, -h[p.size:] - p
-    misses = ~((f_lo > 0) & (f_hi < 0))
+    misses = ~((f_lo > _ZERO) & (f_hi < _ZERO))
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos_start = np.minimum(np.maximum((f_lo + f_hi) / (f_hi - f_lo), -1.0), 1.0)
-    return np.arccos(np.where(misses, 0.0, cos_start)), misses
+        cos_start = np.minimum(np.maximum((f_lo + f_hi) / (f_hi - f_lo), _MINUS_ONE), _ONE)
+    return np.arccos(np.where(misses, _ZERO, cos_start)), misses
 
 
 def _newton(evaluate, lo, hi, x, done):
     """Root of a decreasing g with g(lo) > 0 > g(hi), elementwise over arrays.
 
     ``evaluate(x)`` returns (g, g', g'', noise, state): a point counts as
-    solved when |g| is at its rounding floor ``noise`` or the Newton step
-    from it is below PSI_TOL, or when its bracket is narrower than PSI_TOL.
-    Each step is Halley's, u / (u g''/(2 g') - 1) with u = g/g', which
-    converges cubically; a step that would leave the bracket, or is longer
-    than half the step before last, is replaced by bisection.  Points in
-    ``done`` stay where they are, so their brackets need no upkeep.
-    Returns (x, state at x, solved); state is what the caller wants back.
+    solved when |g| is at its rounding floor ``noise``, a bound per line
+    that the caller sets once per solve, or when its Newton step u = g/g'
+    or its bracket is below PSI_TOL.  Each step is Halley's,
+    u / (u g''/(2 g') - 1), which converges cubically; a step that would
+    leave the bracket, or is longer than half the step before last, is
+    replaced by bisection.  Points in ``done`` stay where they are, so their
+    brackets need no upkeep.  Returns (x, state at x, solved); state is what
+    the caller wants back.
     """
     lo, hi, done = np.array(lo), np.array(hi), np.array(done)
+    tol = np.array(PSI_TOL)
     step_old = step = hi - lo
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for _ in range(NEWTON_CAP):
             g, dg, ddg, noise, state = evaluate(x)
-            size = np.abs(g)
-            done |= (size <= noise) | (size < PSI_TOL * np.abs(dg)) | (hi - lo < PSI_TOL)
-            if np.count_nonzero(done) == done.size:
+            u = g / dg
+            done |= (np.abs(g) <= noise) | (np.fmin(np.abs(u), hi - lo) < tol)
+            n_done = np.count_nonzero(done)
+            if n_done == done.size:
                 break
-            right = g > 0
+            right = g > _ZERO
             np.copyto(lo, x, where=right)
             np.copyto(hi, x, where=~right)
-            u = g / dg
-            dx = u / (0.5 * u * ddg / dg - 1.0)
+            dx = u / (_HALF * u * ddg / dg - _ONE)
             nxt = x + dx
-            bisect = ~((lo < nxt) & (nxt < hi)) | (np.abs(dx) > 0.5 * np.abs(step_old))
-            np.copyto(nxt, 0.5 * (lo + hi), where=bisect)
-            np.copyto(nxt, x, where=done)
+            bisect = ~((lo < nxt) & (nxt < hi)) | (np.abs(dx) > _HALF * np.abs(step_old))
+            if np.count_nonzero(bisect):
+                np.copyto(nxt, _HALF * (lo + hi), where=bisect)
+            if n_done:
+                np.copyto(nxt, x, where=done)
             step_old, step = step, nxt - x
             x = nxt
     return x, state, done
@@ -240,6 +253,7 @@ def _solve_chords(curve: SupportCurve, p, phi, source=None):
     forward one."""
     p, phi = _lines(p, phi)
     n = p.size
+    source = None if source is None else _flat(source)
     start, misses = _starts(curve, p, phi, source)
     if source is None:
         # the first n entries solve the forward endpoints in [phi, phi+pi]; the
@@ -247,35 +261,36 @@ def _solve_chords(curve: SupportCurve, p, phi, source=None):
         # lines (-p, phi+pi), whose bracket values are those of the lines
         # negated and swapped, so their start is pi - start.  One flat array
         # of 2n keeps every numpy call on the fast 1-d path.
-        p_ends, phi_ends = np.concatenate((p, -p)), np.concatenate((phi, phi + math.pi))
-        start, done = np.concatenate((start, math.pi - start)), np.concatenate((misses, misses))
+        p_ends, phi_ends = np.concatenate((p, -p)), np.concatenate((phi, phi + _PI))
+        start, done = np.concatenate((start, _PI - start)), np.concatenate((misses, misses))
     else:
         p_ends, phi_ends, done = p, phi, misses
-    size_p = np.abs(p_ends)
+    noise = NOISE_REL * (curve.h_bound + np.abs(p_ends))
 
     def evaluate(psi):
         h, hp, hpp, hppp = eval_support(curve, psi)
         b = psi - phi_ends
         cb, sb = np.cos(b), np.sin(b)
         rho = h + hpp
-        noise = NOISE_REL * (np.abs(h) + np.abs(hp) + size_p)
-        return (h * cb - hp * sb - p_ends, -rho * sb, -(hp + hppp) * sb - rho * cb,
+        nsb = -sb
+        return (h * cb - hp * sb - p_ends, rho * nsb, (hp + hppp) * nsb - rho * cb,
                 noise, (h, hp, cb, sb))
 
-    psi, (h, hp, cb, sb), solved = _newton(evaluate, phi_ends, phi_ends + math.pi,
+    psi, (h, hp, cb, sb), solved = _newton(evaluate, phi_ends, phi_ends + _PI,
                                            phi_ends + start, done)
     b = psi - phi_ends
-    angle = np.minimum(b, math.pi - b)
-    angle_fwd, psi_fwd = angle[:n], np.mod(psi[:n], TWO_PI)
+    angle = np.minimum(b, _PI - b)
+    p2 = h * cb + hp * sb
     if source is None:
-        psi_back, angle_back = np.mod(psi[n:], TWO_PI), angle[n:]
-        solved = solved[:n] & solved[n:]
+        psi = np.mod(psi, _TWO_PI)
+        psi_fwd, psi_back, angle_fwd, angle_back = psi[:n], psi[n:], angle[:n], angle[n:]
+        solved, p2 = solved[:n] & solved[n:], p2[:n]
     else:
-        psi_back, angle_back = np.ravel(source), np.minimum(start, math.pi - start)
+        psi_fwd, psi_back, angle_fwd = np.mod(psi, _TWO_PI), source, angle
+        angle_back = np.minimum(start, _PI - start)
     status = _status(misses, solved, np.minimum(angle_back, angle_fwd))
-    p2 = h[:n] * cb[:n] + hp[:n] * sb[:n]
     return (Chords(psi_back, psi_fwd, angle_back, angle_fwd, status),
-            p2, _mod_two_pi(2.0 * psi_fwd - phi))
+            p2, _mod_two_pi(psi_fwd + psi_fwd - phi))
 
 
 def solve_chords(curve: SupportCurve, p, phi) -> Chords:
@@ -301,7 +316,7 @@ def chord_incidence_angles(curve: SupportCurve, line: OrientedLine2D) -> Chords:
     boundary point it leaves."""
     c, p2, phi2 = _solve_chords(curve, line.p, line.phi, line.source)
     _raise_first_failure(c.status, line.p, line.phi, (c.angle_back, c.angle_fwd))
-    chord = _Bounce._make(c)
+    chord = _Bounce(*c)
     chord.outgoing = p2[0], phi2[0]
     return chord
 
@@ -309,7 +324,7 @@ def chord_incidence_angles(curve: SupportCurve, line: OrientedLine2D) -> Chords:
 def reflect_geometric(curve: SupportCurve, line: OrientedLine2D):
     """One bounce by reflection at the forward endpoint; returns (next line, chord)."""
     chord = chord_incidence_angles(curve, line)
-    return _bounced(*chord.outgoing, chord.psi_fwd[0]), Chords._make(chord)
+    return _bounced(*chord.outgoing, chord.psi_fwd[0]), Chords(*chord)
 
 
 def _solve_variational(curve: SupportCurve, p, phi, source=None):
@@ -318,21 +333,20 @@ def _solve_variational(curve: SupportCurve, p, phi, source=None):
     start phi2 at twice the offset of the mirror start (see ``_starts``)."""
     p, phi = _lines(p, phi)
     start, misses = _starts(curve, p, phi, source)
-    size_p = np.abs(p)
+    noise = NOISE_REL * (curve.h_bound + np.abs(p))
 
     def evaluate(phi2):
-        alpha = 0.5 * (phi2 - phi)
+        alpha = _HALF * (phi2 - phi)
         h, hp, hpp, hppp = eval_support(curve, phi + alpha)
         ca, sa = np.cos(alpha), np.sin(alpha)
         rho = h + hpp
-        noise = NOISE_REL * (np.abs(h) + np.abs(hp) + size_p)
-        return (h * ca - hp * sa - p, -0.5 * rho * sa,
-                -0.25 * ((hp + hppp) * sa + rho * ca), noise, (h, hp, ca, sa))
+        return (h * ca - hp * sa - p, _MINUS_HALF * rho * sa,
+                _MINUS_QUARTER * ((hp + hppp) * sa + rho * ca), noise, (h, hp, ca, sa))
 
-    phi2, (h, hp, ca, sa), solved = _newton(evaluate, phi, phi + TWO_PI,
-                                            phi + 2.0 * start, misses)
-    alpha = 0.5 * (phi2 - phi)
-    status = _status(misses, solved, np.minimum(alpha, math.pi - alpha))
+    phi2, (h, hp, ca, sa), solved = _newton(evaluate, phi, phi + _TWO_PI,
+                                            phi + (start + start), misses)
+    alpha = _HALF * (phi2 - phi)
+    status = _status(misses, solved, np.minimum(alpha, _PI - alpha))
     return h * ca + hp * sa, _mod_two_pi(phi2), status, alpha
 
 
@@ -397,8 +411,11 @@ def orbits(curve: SupportCurve, p0, phi0, steps: int):
         c, p2, phi2 = _solve_chords(curve, ps[step], phis[step], source)
         for rows, value in zip(chords, c):
             rows[step] = value
-        ps[step + 1], phis[step + 1], source = np.where(c.status == SOLVED,
-                                                        (p2, phi2, c.psi_fwd), np.nan)
+        ps[step + 1], phis[step + 1], source = p2, phi2, c.psi_fwd
+        if np.count_nonzero(c.status):  # SOLVED is 0; a failed line carries NaN
+            failed = c.status != SOLVED
+            for row in (ps[step + 1], phis[step + 1], source):
+                row[failed] = np.nan
     return ps, phis, chords
 
 

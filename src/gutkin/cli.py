@@ -32,6 +32,9 @@ SVG_SIZE, SVG_MARGIN = 640, 20
 # pairs at d = 16); a block's stencils hold 4 d (d-1) floats a pair, so peak
 # memory does not grow with --pairs
 GRADIENT_BLOCK_ENTRIES = 1 << 18
+# the semi-axes a for which a^2 and 1/a^2, the entries of the quadric
+# diag(a^2) and of its inverse, are finite normal floats: exactly [2^-511, 2^511]
+AXIS_RANGE = (2.0 ** -511, 2.0 ** 511)
 
 
 def _emit(args, payload: dict):
@@ -225,8 +228,8 @@ def cmd_chords(args) -> dict:
         axes = np.full(3, args.radius)
     else:
         axes = _parse_vec(args.axes)
-        if axes.size != 3 or not (axes > 0).all():
-            raise ValueError(f"--axes needs 3 positive semi-axes, got {args.axes}")
+        if axes.size != 3 or not ((AXIS_RANGE[0] <= axes) & (axes <= AXIS_RANGE[1])).all():
+            raise ValueError(f"--axes needs 3 semi-axes in [2^-511, 2^511], got {args.axes}")
     q = bnd.Quadric(np.diag(axes ** 2))
     traj = gc.integrate_geodesic(q, [axes[0], 0.0, 0.0], [0.0, 1.0, 0.0],
                                  args.length, args.step)
@@ -330,9 +333,14 @@ def _flag_error(args) -> str | None:
                         ("grid", 8)):
         if getattr(args, flag, least) < least:
             return f"--{flag.replace('_', '-')} must be at least {least}"
-    for flag in ("step", "length", "radius", "tol"):
+    for flag in ("step", "length", "tol"):
         if not 0 < getattr(args, flag, 1.0) < math.inf:
             return f"--{flag} must be positive and finite"
+    if not AXIS_RANGE[0] <= getattr(args, "radius", 1.0) <= AXIS_RANGE[1]:
+        return "--radius must be in [2^-511, 2^511]"
+    for flag in ("p", "phi"):
+        if not math.isfinite(getattr(args, flag, 0.0)):
+            return f"--{flag} must be finite"
     for flag in ("out", "svg"):
         path = getattr(args, flag, None)
         if path is not None and os.path.isdir(path):

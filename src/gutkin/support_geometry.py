@@ -46,13 +46,18 @@ class SupportCurve:
 
     The harmonics of h are cached as complex coefficients: column j of
     ``_coeffs`` holds (i k)^j (a_k - i b_k), so that the j-th derivative of
-    h - h_0 is Re sum_k _coeffs[k, j] e^{i k phi}.
+    h - h_0 is Re sum_k _coeffs[k, j] e^{i k phi}.  ``h_bound`` is
+    |h_0| + sum_k (1 + k) |a_k - i b_k|, at least |h| + |h'| at every
+    angle; scaling h by a power of two scales it exactly.
     """
 
     h: TrigPolynomial
     rho_min: float = field(init=False)
+    h_bound: float = field(init=False, repr=False, compare=False)
     _ik: np.ndarray = field(init=False, repr=False, compare=False)
     _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    # h_0 as a 0-d array, a faster numpy operand than a float
+    _h0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.arange(1, self.h.cos_coeffs.size + 1, dtype=float)
@@ -60,6 +65,9 @@ class SupportCurve:
         object.__setattr__(self, "_ik", 1j * k)
         object.__setattr__(self, "_coeffs",
                            np.stack([c, 1j * k * c, -k * k * c, -1j * k ** 3 * c], axis=1))
+        object.__setattr__(self, "_h0", np.array(self.h.constant, dtype=float))
+        object.__setattr__(self, "h_bound",
+                           abs(self.h.constant) + float(np.add.reduce((k + 1.0) * np.abs(c))))
         # support_grid never aliases; past CONVEXITY_GRID the grid grows to 2K + 2
         # samples so that it resolves the degree-K radius
         rho = support_grid(self, max(CONVEXITY_GRID, 2 * k.size + 2), lambda k: 1 - k * k)
@@ -78,9 +86,9 @@ def eval_support(curve: SupportCurve, phi) -> tuple:
     whatever array it is evaluated in.
     """
     phi = np.asarray(phi, dtype=float)
-    waves = np.exp(np.multiply.outer(phi, curve._ik))
+    waves = np.exp(phi[..., None] * curve._ik)
     h, hp, hpp, hppp = np.einsum("...k,kj->j...", waves, curve._coeffs).real
-    h = h + curve.h.constant
+    h = h + curve._h0
     if phi.ndim == 0:
         return float(h), float(hp), float(hpp), float(hppp)
     return h, hp, hpp, hppp

@@ -859,6 +859,23 @@ class TestEvaluationBudget:
         assert evaluations[0] <= 70
 
     @pytest.mark.parametrize("table", ["gutkin5", "degree32"])
+    def test_step_tolerance_read_per_solve(self, gutkin5, evaluations, monkeypatch, table):
+        # a solve reads PSI_TOL when it starts, so a coarser tolerance set
+        # after import ends the passes sooner on both maps
+        curve = gutkin5[0] if table == "gutkin5" else degree32_table()
+        rng = np.random.default_rng(7)
+        lines = rng.uniform(-0.9, 0.9, 20), rng.uniform(0.0, TWO_PI, 20)
+        counts = []
+        for tol in (billiard2d.PSI_TOL, 1e-3):
+            monkeypatch.setattr(billiard2d, "PSI_TOL", tol)
+            for solve in (solve_chords, solve_variational):
+                evaluations[0] = 0
+                for p, phi in zip(*lines):
+                    solve(curve, p, phi)
+                counts.append(evaluations[0])
+        assert counts[2] < counts[0] and counts[3] < counts[1]
+
+    @pytest.mark.parametrize("table", ["gutkin5", "degree32"])
     def test_no_bracket_or_outgoing_pass(self, gutkin5, evaluations, monkeypatch, table):
         # from the second bounce on, every boundary evaluation is a Halley one
         curve = gutkin5[0] if table == "gutkin5" else degree32_table()

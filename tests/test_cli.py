@@ -877,6 +877,18 @@ class TestFlagValidation:
         ("chords", "--length", "-1"),
         ("chords", "--axes", "2,1"),
         ("chords", "--axes", "2,0,1"),
+        # a semi-axis whose square or the reciprocal of its square is not a
+        # finite normal float
+        ("chords", "--radius", "1e-170"),
+        ("chords", "--radius", "1e160"),
+        ("chords", "--radius", "inf"),
+        ("chords", "--axes", "1e160,1,1"),
+        ("chords", "--axes", "2,1,1e-155"),
+        ("chords", "--axes", "2,nan,1"),
+        ("orbit", "--p", "nan"),
+        ("orbit", "--p", "inf"),
+        ("orbit", "--phi", "inf"),
+        ("orbit", "--phi", "nan"),
         ("verify", "--tol", "nan"),
         ("verify", "--tol", "-1"),
         ("verify", "--tol", "inf"),

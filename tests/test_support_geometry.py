@@ -186,12 +186,43 @@ class TestSupportGrid:
     @pytest.mark.parametrize("size", [9, 512])
     def test_scales_exactly(self, e, size):
         curve = random_curve(np.random.default_rng(7), 32)
-        h = curve.h
-        scaled = SupportCurve(TrigPolynomial(math.ldexp(h.constant, e),
-                                             np.ldexp(h.cos_coeffs, e),
-                                             np.ldexp(h.sin_coeffs, e)))
-        assert np.array_equal(support_grid(scaled, size, *JET),
+        assert np.array_equal(support_grid(scaled_curve(curve, e), size, *JET),
                               np.ldexp(support_grid(curve, size, *JET), e))
+
+
+def scaled_curve(curve: SupportCurve, e: int) -> SupportCurve:
+    """The curve with h scaled by 2^e."""
+    h = curve.h
+    return SupportCurve(TrigPolynomial(math.ldexp(h.constant, e), np.ldexp(h.cos_coeffs, e),
+                                       np.ldexp(h.sin_coeffs, e)))
+
+
+class TestHBound:
+    """h_bound = |h_0| + sum_k (1 + k) |a_k - i b_k| bounds |h| + |h'|, the
+    size of the terms of the planar solvers' residual, at every angle."""
+
+    @pytest.mark.parametrize("degree", [2, 3, 5, 16, 32, 64])
+    def test_bounds_samples(self, degree):
+        rng = np.random.default_rng(degree)
+        for _ in range(10):
+            curve = random_curve(rng, degree)
+            h, hp = support_grid(curve, 4096, *JET[:2])
+            assert np.max(np.abs(h) + np.abs(hp)) <= curve.h_bound
+
+    def test_translated_circle(self):
+        # h = 1 + 0.625 cos(phi - theta): |h| + |h'| peaks at
+        # 1 + 0.625 sqrt(2), below the bound 1 + 2 * 0.625
+        curve = SupportCurve(TrigPolynomial(1.0, [0.375], [-0.5]))
+        h, hp = support_grid(curve, 4096, *JET[:2])
+        assert np.max(np.abs(h) + np.abs(hp)) <= curve.h_bound == 2.25
+        assert circle(2.5).h_bound == 2.5
+
+    @pytest.mark.parametrize("e", [-120, -60, -1, 1, 60, 120])
+    def test_scales_exactly(self, e):
+        rng = np.random.default_rng(64)
+        for degree in (2, 32, 64):
+            curve = random_curve(rng, degree)
+            assert scaled_curve(curve, e).h_bound == math.ldexp(curve.h_bound, e)
 
 
 class TestBoundaryPoint:
