@@ -22,24 +22,21 @@ and variationally through the generating function
 
     S(phi1, phi2) = 2 h((phi1+phi2)/2) sin((phi2-phi1)/2),
 
-whose mixed derivative S12 = rho(mid)*sin(alpha)/2 > 0 is the twist; the
-next line solves p1 = -dS/dphi1, a residual decreasing in phi2 over
-(phi1, phi1+2pi) with derivative -S12, by the same safeguarded Halley
-iteration.  The two solves are one root search, not independent routes:
-both find the root of f(b) = h(phi+b) cos b - h'(phi+b) sin b - p =
--(p + S1(phi, phi+2b)), the geometric one in psi = phi + b, the
-variational one in phi2 = phi + 2b.  Halley steps and bisection are
-invariant under that affine change, so both take the same steps up to
-rounding and a factor 2 in the step and bracket tolerances, and both set
-p2 = h cos b + h' sin b = S2: their agreement checks only the
-substitution and the p2 formula.  Both refuse, by one status rule, a line
-whose incidence is below MIN_CHORD_ANGLE; the variational solve takes it
-at the point it reaches, min(alpha, pi - alpha).  Both solvers take
-arrays of lines and advance them in lock-step; the scalar functions are
-wrappers around a batch of one.  The
-strip functional integral of (S11+2*S12+S22) against the invariant measure
-S12 dphi1 dphi2 collapses, after reduction, to a weighted sum of squares
-of Fourier coefficients of h; both routes are provided.
+whose mixed derivative S12 = rho(mid)*sin(alpha)/2 > 0 is the twist.  The
+next line solves p1 = -dS/dphi1, whose residual p1 + S1 is -f at psi =
+mid = phi1 + alpha, so one forward-end solve serves both maps.  The
+variational map reads it in phi2 = 2 psi - phi, with p2 =
+h cos(psi-phi) + h' sin(psi-phi) = S2; it solves no backward end, and
+refuses a line whose forward-end incidence, min(alpha, pi - alpha), is
+below MIN_CHORD_ANGLE, where the geometric map takes the lesser incidence
+of both ends.  The maps agree bit for bit on every line that both accept,
+so their agreement checks nothing; the independent oracles are the
+50-digit mpmath roots of TestMpmathOracle and the benchmark's bisection,
+oracles.planar_bounce.  Both maps take arrays of lines and advance them
+in lock-step; the scalar functions are wrappers around a batch of one.
+The strip functional integral of (S11+2*S12+S22) against the invariant
+measure S12 dphi1 dphi2 collapses, after reduction, to a weighted sum of
+squares of Fourier coefficients of h; both routes are provided.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ NOISE_REL = 2 * np.finfo(float).eps
 # numeric literals of the solvers' loops as 0-d arrays: on arrays of one or
 # two lines, numpy takes about twice as long with a float operand
 _ZERO, _HALF, _ONE, _PI, _TWO_PI = (np.array(x) for x in (0.0, 0.5, 1.0, math.pi, TWO_PI))
-_MINUS_ONE, _MINUS_HALF, _MINUS_QUARTER = np.array(-1.0), np.array(-0.5), np.array(-0.25)
+_MINUS_ONE = np.array(-1.0)
 
 # per-line status of a batched solve; each failure maps to the error the
 # scalar wrappers raise
@@ -174,8 +171,8 @@ def _flat(x):
 
 
 def _starts(curve: SupportCurve, p, phi, source):
-    """The starting offset of the forward endpoint from phi, and the lines
-    that miss.  Both starts are exact when the table is a circle.
+    """The starting offset of the forward endpoint from phi, which both maps
+    take as is, and the lines that miss; exact when the table is a circle.
 
     Lines that leave the boundary points ``source`` start at the mirror image
     of the source across phi, offset (phi - source) mod 2 pi, with no
@@ -244,13 +241,34 @@ def _status(misses, solved, incidence):
     return status
 
 
+def _forward_ends(curve: SupportCurve, p, phi, start, done):
+    """The one forward-end solve of both maps: the lines (p, phi), flat
+    arrays, start at phi + start, and lines in ``done`` stay there.  Returns
+    psi, the incidence min(b, pi - b) there, the p2 = h cos(b) + h' sin(b)
+    of the line reflected at psi, from the solver's last evaluation, with
+    b = psi - phi, and which lines converged."""
+    noise = NOISE_REL * (curve.h_bound + np.abs(p))
+
+    def evaluate(psi):
+        h, hp, hpp, hppp = eval_support(curve, psi)
+        b = psi - phi
+        cb, sb = np.cos(b), np.sin(b)
+        rho = h + hpp
+        nsb = -sb
+        return (h * cb - hp * sb - p, rho * nsb, (hp + hppp) * nsb - rho * cb,
+                noise, (h, hp, cb, sb))
+
+    psi, (h, hp, cb, sb), solved = _newton(evaluate, phi, phi + _PI, phi + start, done)
+    b = psi - phi
+    return psi, np.minimum(b, _PI - b), h * cb + hp * sb, solved
+
+
 def _solve_chords(curve: SupportCurve, p, phi, source=None):
     """``solve_chords``, and the lines (p2, phi2) that the mirror law
     reflects at the forward endpoints, valid where SOLVED: phi2 =
-    2 psi_fwd - phi, and p2 = h cos(b) + h' sin(b), b = psi_fwd - phi, from
-    the h, h' of the solver's last evaluation.  Lines given a ``source``
-    (see ``_starts``) take it as their backward endpoint and solve only the
-    forward one."""
+    2 psi_fwd - phi, and p2 from ``_forward_ends``.  Lines given a
+    ``source`` (see ``_starts``) take it as their backward endpoint and
+    solve only the forward one."""
     p, phi = _lines(p, phi)
     n = p.size
     source = None if source is None else _flat(source)
@@ -265,22 +283,7 @@ def _solve_chords(curve: SupportCurve, p, phi, source=None):
         start, done = np.concatenate((start, _PI - start)), np.concatenate((misses, misses))
     else:
         p_ends, phi_ends, done = p, phi, misses
-    noise = NOISE_REL * (curve.h_bound + np.abs(p_ends))
-
-    def evaluate(psi):
-        h, hp, hpp, hppp = eval_support(curve, psi)
-        b = psi - phi_ends
-        cb, sb = np.cos(b), np.sin(b)
-        rho = h + hpp
-        nsb = -sb
-        return (h * cb - hp * sb - p_ends, rho * nsb, (hp + hppp) * nsb - rho * cb,
-                noise, (h, hp, cb, sb))
-
-    psi, (h, hp, cb, sb), solved = _newton(evaluate, phi_ends, phi_ends + _PI,
-                                           phi_ends + start, done)
-    b = psi - phi_ends
-    angle = np.minimum(b, _PI - b)
-    p2 = h * cb + hp * sb
+    psi, angle, p2, solved = _forward_ends(curve, p_ends, phi_ends, start, done)
     if source is None:
         psi = np.mod(psi, _TWO_PI)
         psi_fwd, psi_back, angle_fwd, angle_back = psi[:n], psi[n:], angle[:n], angle[n:]
@@ -328,26 +331,18 @@ def reflect_geometric(curve: SupportCurve, line: OrientedLine2D):
 
 
 def _solve_variational(curve: SupportCurve, p, phi, source=None):
-    """``solve_variational``, and alpha = (phi2 - phi)/2 in (0, pi): the next
-    line leaves the boundary point phi + alpha.  Lines given a ``source``
-    start phi2 at twice the offset of the mirror start (see ``_starts``)."""
+    """``solve_variational``, and the point psi = phi + alpha in [0, 2 pi)
+    that the next line leaves, with the incidence min(alpha, pi - alpha)
+    there.  It is the geometric forward-end solve read in phi2 = 2 psi -
+    phi, from the same start (see ``_starts``), so where both maps solve a
+    line they give the same bits; it solves no backward end, and refuses a
+    line by its forward incidence alone."""
     p, phi = _lines(p, phi)
     start, misses = _starts(curve, p, phi, source)
-    noise = NOISE_REL * (curve.h_bound + np.abs(p))
-
-    def evaluate(phi2):
-        alpha = _HALF * (phi2 - phi)
-        h, hp, hpp, hppp = eval_support(curve, phi + alpha)
-        ca, sa = np.cos(alpha), np.sin(alpha)
-        rho = h + hpp
-        return (h * ca - hp * sa - p, _MINUS_HALF * rho * sa,
-                _MINUS_QUARTER * ((hp + hppp) * sa + rho * ca), noise, (h, hp, ca, sa))
-
-    phi2, (h, hp, ca, sa), solved = _newton(evaluate, phi, phi + _TWO_PI,
-                                            phi + (start + start), misses)
-    alpha = _HALF * (phi2 - phi)
-    status = _status(misses, solved, np.minimum(alpha, _PI - alpha))
-    return h * ca + hp * sa, _mod_two_pi(phi2), status, alpha
+    psi, incidence, p2, solved = _forward_ends(curve, p, phi, start, misses)
+    psi = np.mod(psi, _TWO_PI)
+    return (p2, _mod_two_pi(psi + psi - phi), _status(misses, solved, incidence),
+            psi, incidence)
 
 
 def solve_variational(curve: SupportCurve, p, phi):
@@ -359,10 +354,13 @@ def solve_variational(curve: SupportCurve, p, phi):
 
 def reflect_variational(curve: SupportCurve, line: OrientedLine2D) -> OrientedLine2D:
     """One bounce by solving p1 = -dS/dphi1 for phi2; twist makes it unique.
-    The next line leaves the boundary point mid = phi + alpha."""
-    p2, phi2, status, alpha = _solve_variational(curve, line.p, line.phi, line.source)
-    _raise_first_failure(status, line.p, line.phi, (alpha, math.pi - alpha))
-    return _bounced(p2[0], phi2[0], (line.phi + alpha[0]) % TWO_PI)
+    The solve is in mid = phi + alpha, the forward chord end, so the next
+    line, which leaves mid, equals ``reflect_geometric``'s bit for bit,
+    source included."""
+    p2, phi2, status, psi, incidence = _solve_variational(curve, line.p, line.phi,
+                                                          line.source)
+    _raise_first_failure(status, line.p, line.phi, (incidence,))
+    return _bounced(p2[0], phi2[0], psi[0])
 
 
 def constant_angle_line(curve: SupportCurve, delta: float, psi: float) -> OrientedLine2D:

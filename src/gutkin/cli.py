@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -243,13 +244,27 @@ def cmd_chords(args) -> dict:
     return {"out": args.out, "samples": traj.s.size}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a flag value such as -1e-3, -inf or -1,0,0 as a value: argparse
+    takes a token that starts with '-' for an option unless its matcher,
+    which differs between Python versions, reads it as a negative number.
+    Subparsers are built from the class of their parent."""
+
+    NUMBER = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            rf"^-{self.NUMBER}(?:,[+-]?{self.NUMBER})*$", re.IGNORECASE)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command grammar.  It is built on the first call, with the ``cmd_*``
     handlers bound at that time, and shared by every later ``main`` call in
     the process.  ``parse_args`` returns a fresh namespace and leaves the
     parser as it was; nothing may change the parser once it is built."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gutkin",
         description="constant-angle convex billiards laboratory")
     parser.add_argument("--json", action="store_true",

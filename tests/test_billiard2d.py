@@ -208,6 +208,27 @@ class TestReflectVariational:
             assert abs(geo.p - var.p) < 1e-9
             assert angle_diff(geo.phi, var.phi) < 1e-9
 
+    @pytest.mark.parametrize("table", ["circle", "gutkin5", "gutkin9", "degree32"])
+    def test_same_bits_as_geometric(self, gutkin5, table):
+        # one forward-end solve serves both maps, the variational one reading
+        # it in phi2 = 2 psi - phi, so the two agree bit for bit on fresh
+        # lines and along orbits, the source of each outgoing line included
+        curve = {"circle": circle(1.0), "gutkin5": gutkin5[0],
+                 "gutkin9": build_gutkin_table(9, 1, 1.0, 0.3)[0],
+                 "degree32": degree32_table()}[table]
+        rng = np.random.default_rng(23)
+        phi = rng.uniform(0, TWO_PI, 40)
+        p = rng.uniform(-0.9, 0.9, 40) * trig_eval(curve.h, phi)
+        p2, phi2, status = solve_variational(curve, p, phi)
+        chords, geo_p2, geo_phi2 = billiard2d._solve_chords(curve, p, phi)
+        assert (status == SOLVED).all() and (chords.status == SOLVED).all()
+        assert np.array_equal(p2, geo_p2) and np.array_equal(phi2, geo_phi2)
+        for line in map(OrientedLine2D, p, phi):
+            var = geo = line
+            for _ in range(30):
+                var, (geo, _) = reflect_variational(curve, var), reflect_geometric(curve, geo)
+                assert (var.p, var.phi, var.source) == (geo.p, geo.phi, geo.source)
+
     @pytest.mark.parametrize("table", ["circle", "gutkin5"])
     def test_incidence_floor(self, gutkin5, table):
         # lines leaving the boundary at incidences from 1e-8 to 1e-5, a factor

@@ -249,6 +249,19 @@ class TestOrbit:
                      "--steps", "4", "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("flag", ["--p", "--phi"])
+    def test_negative_value_in_exponent_form(self, table5, tmp_path, flag):
+        # argparse takes a token that starts with '-' for an option unless it
+        # reads it as a number; both spellings must run the same orbit
+        written = []
+        for value in ([flag, "-1e-3"], [f"{flag}=-1e-3"]):
+            out = tmp_path / f"o{len(written)}.csv"
+            values = {"--p": ["--p", "0.3"], "--phi": ["--phi", "0.2"], flag: value}
+            assert main(["orbit", "--table", str(table5), *values["--p"], *values["--phi"],
+                         "--steps", "5", "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_out_is_directory(self, table5, tmp_path, capsys):
         assert main(["orbit", "--table", str(table5), "--p", "0.5", "--phi", "0",
                      "--steps", "3", "--out", str(tmp_path)]) == 2
@@ -679,6 +692,16 @@ class TestEllipsoid:
             assert abs(P @ Ainv @ P - 1.0) < 1e-12
 
 
+    def test_negative_first_entry(self, spheroid_spec, tmp_path):
+        # a comma list that starts with '-' is a value, as its '=' form is
+        written = []
+        for line in (["--n", "-1,0,0", "--m", "0,0.5,0"], ["--n=-1,0,0", "--m=0,0.5,0"]):
+            out = tmp_path / f"o{len(written)}.csv"
+            assert main(["ellipsoid", "--spec", str(spheroid_spec), *line,
+                         "--steps", "5", "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_grazing_line(self, spheroid_spec, tmp_path, capsys):
         assert main(["ellipsoid", "--spec", str(spheroid_spec),
                      "--n=0.6873947407022538,0.5269927090470677,-0.4997671008240877",
@@ -889,6 +912,7 @@ class TestFlagValidation:
         ("orbit", "--p", "inf"),
         ("orbit", "--phi", "inf"),
         ("orbit", "--phi", "nan"),
+        ("orbit", "--phi", "-inf"),
         ("verify", "--tol", "nan"),
         ("verify", "--tol", "-1"),
         ("verify", "--tol", "inf"),
