@@ -14,7 +14,8 @@ f'' and so h''', inside the exact bracket, falling back to bisection when a
 step would leave the bracket or stalls.  A line that a bounce returns
 carries the boundary point it leaves, which is its backward endpoint; its
 solve needs neither bracket values nor a backward solve, and starts the
-forward endpoint at that point's mirror image across phi.
+forward endpoint at that point's mirror image across phi.  The departure
+lines of verify_constant_angle carry their departure points the same way.
 
 The map is implemented twice: geometrically (locate the chord, reflect
 across the tangent, which sends the normal angle phi to 2 psi_fwd - phi)
@@ -371,8 +372,20 @@ def constant_angle_line(curve: SupportCurve, delta: float, psi: float) -> Orient
 
 def verify_constant_angle(curve: SupportCurve, delta: float, grid_size: int = 360) -> float:
     """Max |arrival angle - delta| over a grid of constant-angle departures.
-    A delta below MIN_CHORD_ANGLE raises TangentLine before any line is built,
-    since every chord at that incidence is refused."""
+
+    Each line leaves x(psi) at angle delta and carries psi as its source, as
+    a bounced line does: its backward end is x(psi) bit for bit, its
+    departure incidence is its offset (phi - psi) mod 2 pi, and its forward
+    end starts at psi + 2 delta, where invariance of the curve puts it.  On a
+    constant-angle curve and on every circle that start is at the rounding
+    floor, so the grid takes one boundary evaluation on grid_size lanes; off
+    the curve, about 3, also on grid_size lanes.  The stop test resolves the
+    forward end, and so the residual, to about
+    2 eps (h_bound + |p|) / (rho_min sin delta).
+
+    A delta below MIN_CHORD_ANGLE raises TangentLine before any line is
+    built, since every chord at that incidence is refused.  At delta =
+    MIN_CHORD_ANGLE a line is refused where psi + delta rounds down."""
     if not 0.0 < delta <= math.pi / 2:
         raise ValueError("delta must be in (0, pi/2]")
     if delta < MIN_CHORD_ANGLE:
@@ -382,7 +395,7 @@ def verify_constant_angle(curve: SupportCurve, delta: float, grid_size: int = 36
     psi = np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
     h, hp = support_grid(curve, grid_size, lambda k: 1, lambda k: 1j * k)
     p = h * math.cos(delta) + hp * math.sin(delta)
-    c = solve_chords(curve, p, psi + delta)
+    c, _, _ = _solve_chords(curve, p, psi + delta, psi)
     _raise_first_failure(c.status, p, psi + delta, (c.angle_back, c.angle_fwd))
     return float(np.max(np.abs(c.angle_fwd - delta)))
 

@@ -16,7 +16,7 @@ from gutkin.errors import (MIN_CHORD_ANGLE, ConvergenceFailure, DegenerateChord,
                            NoIntersection, TangentLine)
 from gutkin.support_geometry import (SupportCurve, TrigPolynomial,
                                      build_gutkin_table, circle, eval_support,
-                                     support_from_radius)
+                                     support_from_radius, support_grid)
 
 TWO_PI = 2 * math.pi
 
@@ -345,13 +345,22 @@ class TestConstantAngleLine:
 
 
 class TestVerifyConstantAngle:
-    @pytest.mark.parametrize("delta", [0.7, 0.02, 2e-3])
+    @staticmethod
+    def departures(curve, delta, size):
+        """The departure angles psi of verify's grid and its lines (p, phi)."""
+        psi = np.linspace(0.0, TWO_PI, size, endpoint=False)
+        h, hp = support_grid(curve, size, lambda k: 1, lambda k: 1j * k)
+        return psi, h * math.cos(delta) + hp * math.sin(delta), np.mod(psi + delta, TWO_PI)
+
+    @pytest.mark.parametrize("delta", [0.7, 0.02, 2e-3, 1.0000001e-6, 1e-5, math.pi / 2])
     def test_circle(self, delta):
-        assert verify_constant_angle(circle(1.0), delta, 360) < 1e-12
+        # every chord of a circle meets it at its departure angle, and the
+        # forward end starts there, so the residual is rounding alone
+        assert verify_constant_angle(circle(1.0), delta, 360) <= 1e-15
 
     def test_gutkin_at_root(self, gutkin5):
         curve, meta = gutkin5
-        assert verify_constant_angle(curve, meta["delta"], 360) < 1e-8
+        assert verify_constant_angle(curve, meta["delta"], 360) <= 1e-15
 
     def test_negative_control(self, gutkin5):
         curve, _ = gutkin5
@@ -365,6 +374,60 @@ class TestVerifyConstantAngle:
         with pytest.raises(TangentLine, match=f"^delta {delta:g} is below the "
                                               "incidence floor 1e-06$"):
             verify_constant_angle(curve, delta, 360)
+
+    @pytest.mark.parametrize("n", [5, 9])
+    @pytest.mark.parametrize("delta", [1.0000001e-6, 2e-6])
+    def test_delta_just_above_floor(self, n, delta):
+        # a departure line's incidence is its offset from the departure
+        # point, not a fresh backward solve that can land below the floor
+        curve, _ = build_gutkin_table(n, 0, 1.0, 0.05)
+        assert verify_constant_angle(curve, delta, 360) <= 1e-15
+
+    @pytest.mark.parametrize("table", ["circle", "gutkin5"])
+    def test_delta_at_floor(self, gutkin5, table):
+        # at delta = MIN_CHORD_ANGLE a line is refused exactly where psi +
+        # delta rounds down, so that its offset (phi - psi) mod 2 pi, its
+        # departure incidence, falls below the floor
+        curve = circle(1.0) if table == "circle" else gutkin5[0]
+        delta = MIN_CHORD_ANGLE
+        psi, p, phi = self.departures(curve, delta, 360)
+        refused = np.mod(phi - psi, TWO_PI) < MIN_CHORD_ANGLE
+        assert 0 < np.count_nonzero(refused) < refused.size
+        c, _, _ = billiard2d._solve_chords(curve, p, phi, psi)
+        assert np.array_equal(c.status, refused * NEAR_TANGENT)
+        i = np.flatnonzero(refused)[0]
+        with pytest.raises(TangentLine, match=rf"^near-tangent chord: line \(p={p[i]:g}, "
+                                              rf"phi={phi[i]:g}\), incidence 1e-06$"):
+            verify_constant_angle(curve, delta, 360)
+
+    @pytest.mark.parametrize("n", [4, 5, 9])
+    @pytest.mark.parametrize("offset", [1e-3, 1e-7])
+    def test_no_vacuous_pass(self, n, offset):
+        # just off the root the forward end must move away from its start:
+        # the residual equals that of the two-ended solve and of 50-digit
+        # forward ends, within the resolution 2 eps (h_bound + |p|) /
+        # (rho_min sin delta) that the docstring states
+        curve, meta = build_gutkin_table(n, 0, 1.0, 0.05)
+        delta, size = meta["delta"] + offset, 24
+        residual = verify_constant_angle(curve, delta, size)
+        _, p, phi = self.departures(curve, delta, size)
+        floor = (2 * np.finfo(float).eps * (curve.h_bound + np.max(np.abs(p)))
+                 / (curve.rho_min * math.sin(delta)))
+        two_ended = float(np.max(np.abs(solve_chords(curve, p, phi).angle_fwd - delta)))
+        assert abs(residual - two_ended) <= floor
+        support = TestMpmathOracle.mp_support(curve)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for p_i, phi_i in zip(p, phi):
+                p_i, phi_i = mpmath.mpf(p_i), mpmath.mpf(phi_i)
+
+                def f(x):
+                    h, hp = support(x)
+                    return h * mpmath.cos(x - phi_i) - hp * mpmath.sin(x - phi_i) - p_i
+
+                b = mpmath.findroot(f, (phi_i, phi_i + mpmath.pi), solver="anderson") - phi_i
+                worst = max(worst, abs(float(min(b, mpmath.pi - b) - delta)))
+        assert residual > 1e-9 and abs(residual - worst) <= floor
 
     @pytest.mark.parametrize("delta", [None, 0.5])
     def test_grid_below_twice_the_degree(self, delta):
@@ -939,6 +1002,37 @@ class TestEvaluationBudget:
         assert set(first) == {60}
         assert sizes[:len(first)] == first
         assert set(sizes[len(first):]) == {30} and len(sizes) - len(first) >= 3 * 39
+
+    @pytest.mark.parametrize("table", ["gutkin4", "gutkin5", "gutkin9", "circle", "small-circle"])
+    def test_verify(self, evaluations, monkeypatch, table):
+        # verify's lines carry their departure points, so no bracket pass and
+        # no backward lanes: its forward ends start at the invariance
+        # hypothesis, which a root table and every circle meet at once
+        if table.startswith("gutkin"):
+            curve, meta = build_gutkin_table(int(table[6:]), 0, 1.0, 0.05)
+            deltas = meta["delta"], meta["delta"] + 0.1
+        else:
+            curve = circle(1.0 if table == "circle" else 1e-13)
+            deltas = 1.0000001e-6, 2e-3, 0.7, math.pi / 2
+        sizes = []
+        evaluate = billiard2d.eval_support
+
+        def recording(curve, phi):
+            sizes.append(np.size(phi))
+            return evaluate(curve, phi)
+
+        monkeypatch.setattr(billiard2d, "eval_support", recording)
+        verify_constant_angle(curve, deltas[0], 120)
+        assert evaluations[0] == 1 and sizes == [120]
+        if table.startswith("gutkin"):
+            sizes[:], evaluations[0] = [], 0
+            verify_constant_angle(curve, deltas[1], 120)
+            assert evaluations[0] == len(sizes) <= 3 and set(sizes) == {120}
+        else:
+            for delta in deltas[1:]:
+                sizes[:], evaluations[0] = [], 0
+                verify_constant_angle(curve, delta, 120)
+                assert evaluations[0] == 1 and sizes == [120]
 
     @pytest.mark.parametrize("p, phi", [(0.3, 0.2), (-0.7, 4.0), (0.05, 2.5)])
     def test_one_path_to_h(self, gutkin5, monkeypatch, p, phi):

@@ -177,6 +177,13 @@ class TestVerify:
         assert capsys.readouterr().err == (f"error: delta {float(delta):g} is below "
                                            "the incidence floor 1e-06\n")
 
+    def test_delta_just_above_floor(self, table5, capsys):
+        # a valid delta 1e-13 above the floor: every departure line meets the
+        # boundary at or above it, and none is refused as near-tangent
+        assert main(["--json", "verify", "--table", str(table5),
+                     "--delta", "1.0000001e-6"]) == 0
+        assert json.loads(capsys.readouterr().out)["residual"] <= 1e-15
+
     def test_no_delta_without_metadata(self, tmp_path, capsys):
         path = tmp_path / "circle.json"
         path.write_text(json.dumps({"a0": 1.0, "harmonics": [], "gutkin": None}))
