@@ -214,8 +214,9 @@ def twist_jacobian_min_sv(q: Quadric, n1, n2) -> float:
 
 
 def launch_line(q: Quadric, nu: np.ndarray, delta: float):
-    """(n, m) of the line leaving the boundary point with outward normal nu
-    at angle delta.
+    """(n, m, source) of the line leaving the boundary point source with
+    outward normal nu at angle delta; ``orbit_nd(q, n, m, steps, source)``
+    solves its first chord from source.
 
     The direction is cos(delta)*t + sin(delta)*(-nu) for the unit tangent
     t = (e_j - nu_j nu)/|e_j - nu_j nu|, e_j the first axis other than the
@@ -233,7 +234,7 @@ def launch_line(q: Quadric, nu: np.ndarray, delta: float):
     t = np.eye(nu.size)[j] - nu[j] * nu
     t = t / np.linalg.norm(t)
     n = math.cos(delta) * t - math.sin(delta) * nu
-    return n, _moment(P, n)
+    return n, _moment(P, n), P
 
 
 def _incidence(n, nu, dot):
@@ -243,56 +244,98 @@ def _incidence(n, nu, dot):
     return np.arctan2(np.abs(dot), np.sqrt((t[..., None, :] @ t[..., :, None])[..., 0, 0]))
 
 
-def orbit_nd(q: Quadric, n, m, steps: int):
-    """The billiard map iterated ``steps`` times from the line (n, m).
+def _check_source(q: Quadric, n: np.ndarray, m: np.ndarray, source: np.ndarray):
+    """source is a finite point of shape (d,) on the boundary, |F| <= 1e-12,
+    and on the line (n, m), its moment within 1e-12 of the larger of
+    max |m_i| and the body's size, as the skew check reads."""
+    if source.shape != n.shape or not np.isfinite(source).all():
+        raise ValueError(f"source must be a finite vector of d = {q.d} entries")
+    F = source.dot(q.A_inv).dot(source) - 1.0
+    if not abs(F) <= 1e-12:
+        raise ValueError(f"source is off the boundary: F(source) = {F:g}")
+    off = np.abs(_moment(source, n) - m).max()
+    if not off <= 1e-12 * max(np.abs(m).max(), q.half_width):
+        raise ValueError(f"source is off the line: its moment is {off:g} from m")
+
+
+def orbit_nd(q: Quadric, n, m, steps: int, source=None):
+    """The billiard map iterated ``steps`` times from the line (n, m), which
+    leaves the boundary point ``source`` when one is given, as lines from
+    ``launch_line`` do.
 
     Returns (n, m, P, incidence): the directions and moments of the lines,
     shape (steps+1, d), row 0 being the start line; the exit points P, shape
     (steps, d); and the angle between each outgoing line and the tangent
-    plane at its exit point, shape (steps,).  Every line is checked.  A
-    bounce takes the larger root t of <A^-1(m + t n), m + t n> = 1 and
-    mirrors n across the outward normal nu there; it raises NoIntersection
-    on a miss, and TangentLine on a tangent line or one meeting the boundary
-    at an incidence below MIN_CHORD_ANGLE, the planar map's rule.
+    plane at its exit point, shape (steps,).  Every line is checked, and a
+    source must lie on its line and on the boundary.
+
+    A line that leaves a boundary point P, so every line after the first and
+    a first line with a source, meets the boundary again at P + s n, s the
+    larger root of F(P + s n) = f + 2 s beta + s^2 alpha = 0 with g = A^-1 P,
+    beta = <g, n>, alpha = <A^-1 n, n> and f = <g, P> - 1, the rounding
+    left in F(P):
+
+        s = (sqrt(max(beta^2 - alpha f, 0)) - beta) / alpha.
+
+    Nothing cancels in it, as beta < 0 for a line leaving the body, and
+    taking f in keeps |F| at its rounding floor along the orbit.  Only a
+    glancing chord less deep than the rounding of P's coordinates can give
+    beta^2 < alpha f; s is then the chord's midpoint, where the outgoing
+    incidence is 0, and the bounce is refused.  A first line without a
+    source takes the larger root t of <A^-1(m + t n), m + t n> = 1 and
+    raises NoIntersection on a miss and TangentLine on a tangent line.  The
+    outward normal at an exit point is g/|g|, and n is mirrored across it.
+    A bounce is refused, with a TangentLine that names it, only where the
+    outgoing line meets the boundary at an incidence below MIN_CHORD_ANGLE,
+    the planar map's rule.  The moments are formed once, for all rows.
     """
     n, m = np.asarray(n, dtype=float), np.asarray(m, dtype=float)
     _check_lines(n, m, q.half_width)
     A_inv = q.A_inv
-    ns = np.empty((steps + 1, q.d))
-    ms = np.empty_like(ns)
-    Ps = np.empty((steps, q.d))
-    nus = np.empty_like(Ps)
-    dots = np.empty(steps)
-    ns[0], ms[0] = n, m
-    for k in range(steps):
-        n, m = ns[k], ms[k]
-        # (n A^-1) n, not n (A^-1 n): over long orbits the other order moves
-        # the CSV in its last digits.  x.dot(y) gives the bits of x @ y, and
-        # math.sqrt(x.dot(x)) those of np.linalg.norm(x), at a fraction of
-        # the call overhead on vectors this short
+    if source is None:
+        # disc / a does not change when the body is scaled
         nA, mA = n.dot(A_inv), m.dot(A_inv)
         a = nA.dot(n)
         b = 2.0 * mA.dot(n)
-        c = mA.dot(m) - 1.0
-        # disc / a does not change when the body is scaled
-        disc = b * b - 4.0 * a * c
+        disc = b * b - 4.0 * a * (mA.dot(m) - 1.0)
         if disc < 1e-14 * a:
             if abs(disc) < 1e-14 * a:
-                raise TangentLine("line is tangent to the quadric")
-            raise NoIntersection("line misses the quadric")
-        t = (-b + math.sqrt(disc)) / (2.0 * a)
-        P = m + t * n
-        grad = A_inv.dot(P)
-        nu = grad / math.sqrt(grad.dot(grad))
-        n2 = n - 2.0 * n.dot(nu) * nu
-        n2 /= math.sqrt(n2.dot(n2))
-        dot = n2.dot(nu)
+                raise TangentLine("line is tangent to the quadric at bounce 0")
+            raise NoIntersection("line misses the quadric at bounce 0")
+        P = m + (-b + math.sqrt(disc)) / (2.0 * a) * n
+    else:
+        P = np.asarray(source, dtype=float)
+        _check_source(q, n, m, P)
+        g = A_inv.dot(P)
+        beta = g.dot(n)
+    ns, Ps, gs, dots = [n], [], [], []
+    # x.dot(y) gives the bits of x @ y, and math.sqrt(x.dot(x)) those of
+    # np.linalg.norm(x), at a fraction of the call overhead on short vectors
+    for k in range(steps):
+        if k or source is not None:
+            alpha = A_inv.dot(n).dot(n)
+            f = g.dot(P) - 1.0
+            P = P + (math.sqrt(max(beta * beta - alpha * f, 0.0)) - beta) / alpha * n
+        g = A_inv.dot(P)
+        gg = g.dot(g)
+        n = n - 2.0 * n.dot(g) / gg * g
+        n /= math.sqrt(n.dot(n))
+        beta = n.dot(g)
+        dot = beta / math.sqrt(gg)
         # the incidence is at least |dot|: only a bounce with a small |dot| grazes
         if abs(dot) < MIN_CHORD_ANGLE:
-            angle = _incidence(n2, nu, dot)
+            angle = _incidence(n, g / math.sqrt(gg), dot)
             if angle < MIN_CHORD_ANGLE:
                 raise TangentLine(f"line grazes the quadric at incidence {angle:g}, "
-                                  f"below {MIN_CHORD_ANGLE:g}")
-        ns[k + 1], ms[k + 1], Ps[k], nus[k], dots[k] = n2, P - P.dot(n2) * n2, P, nu, dot
+                                  f"below {MIN_CHORD_ANGLE:g}, at bounce {k}")
+        ns.append(n)
+        Ps.append(P)
+        gs.append(g)
+        dots.append(dot)
+    ns = np.array(ns)
+    Ps, gs = (np.reshape(rows, (steps, q.d)) for rows in (Ps, gs))
+    # |g| by matmul, so that each row's normal has the bits the loop's check used
+    nus = gs / np.sqrt(gs[:, None, :] @ gs[:, :, None])[:, 0]
+    ms = np.concatenate([m[None], _moment(Ps, ns[1:])])
     _check_lines(ns, ms, q.half_width)
-    return ns, ms, Ps, _incidence(ns[1:], nus, dots)
+    return ns, ms, Ps, _incidence(ns[1:], nus, np.array(dots))

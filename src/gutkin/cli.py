@@ -176,6 +176,7 @@ def cmd_ellipsoid(args) -> dict:
     if (args.n is None) != (args.m is None):
         raise ValueError("--n and --m must be given together")
     q = bnd.Quadric(A)
+    source = None
     if args.n is not None:
         n, m = _parse_vec(args.n), _parse_vec(args.m)
         if n.size != d or m.size != d:
@@ -184,8 +185,8 @@ def cmd_ellipsoid(args) -> dict:
         if n is None:
             raise ValueError(f"--n must be a nonzero finite vector, got {args.n}")
     else:
-        n, m = bnd.launch_line(q, np.ones(d) / math.sqrt(d), args.delta)
-    n, _, P, incidence = bnd.orbit_nd(q, n, m, args.steps)
+        n, m, source = bnd.launch_line(q, np.ones(d) / math.sqrt(d), args.delta)
+    n, _, P, incidence = bnd.orbit_nd(q, n, m, args.steps, source)
     header = (["step"] + [f"P_{i + 1}" for i in range(d)]
               + [f"n_{i + 1}" for i in range(d)] + ["incidence_angle"])
     _write_csv(args.out, header, [np.arange(args.steps), *P.T, *n[1:].T, incidence])

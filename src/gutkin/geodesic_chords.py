@@ -74,7 +74,8 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
     exactly at s = length.  Each step ends with one Newton step of x along
     the gradient and v re-tangented and renormalized; a step whose
     |F(x)| then exceeds DRIFT_LIMIT, or is NaN, raises StepTooLarge.  The
-    steps run on Python floats, whose arithmetic on 3-vectors costs far
+    acceleration that ends a step reuses the gradient at the projected x.
+    The steps run on Python floats, whose arithmetic on 3-vectors costs far
     less than a numpy call each.
     """
     _check_space(q)
@@ -102,9 +103,12 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
         return (b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
                 b31 * x1 + b32 * x2 + b33 * x3)
 
-    def accel(x1, x2, x3, v1, v2, v3):
-        # x'' = -(<v, Hess F v>/|grad F|^2) grad F with grad F = 2 A^-1 x, Hess F = 2 A^-1
-        a1, a2, a3 = grad(x1, x2, x3)
+    def accel(x1, x2, x3, v1, v2, v3, a=None):
+        # x'' = -(<v, Hess F v>/|grad F|^2) grad F with grad F = 2 A^-1 x, Hess F = 2 A^-1;
+        # a is A^-1 x where the caller has it, else formed here: a call to
+        # grad would cost more than its products
+        a1, a2, a3 = a or (b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
+                           b31 * x1 + b32 * x2 + b33 * x3)
         c = -((v1 * b11 + v2 * b21 + v3 * b31) * v1 + (v1 * b12 + v2 * b22 + v3 * b32) * v2
               + (v1 * b13 + v2 * b23 + v3 * b33) * v3) / (a1 * a1 + a2 * a2 + a3 * a3)
         return c * a1, c * a2, c * a3
@@ -138,7 +142,8 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
         a1, a2, a3 = grad(x1, x2, x3)
         c = 0.5 * (x1 * a1 + x2 * a2 + x3 * a3 - 1.0) / (a1 * a1 + a2 * a2 + a3 * a3)
         x1, x2, x3 = x1 - c * a1, x2 - c * a2, x3 - c * a3
-        a1, a2, a3 = grad(x1, x2, x3)
+        a = grad(x1, x2, x3)
+        a1, a2, a3 = a
         c = (v1 * a1 + v2 * a2 + v3 * a3) / (a1 * a1 + a2 * a2 + a3 * a3)
         v1, v2, v3 = v1 - c * a1, v2 - c * a2, v3 - c * a3
         norm = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
@@ -148,7 +153,7 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
         # negated <=, so that a step whose stages overflowed to NaN fails
         if not drift <= DRIFT_LIMIT:
             raise StepTooLarge(f"constraint drift {drift:g} at step {i}")
-        acc = accel(x1, x2, x3, v1, v2, v3)
+        acc = accel(x1, x2, x3, v1, v2, v3, a)
         xs[i + 1], vs[i + 1], accs[i + 1] = (x1, x2, x3), (v1, v2, v3), acc
     return GeodesicTrajectory(s=np.arange(n_steps + 1) * h, x=np.array(xs),
                               v=np.array(vs), x_ddot=np.array(accs), step=h)

@@ -1,6 +1,8 @@
 import math
+import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,10 +18,11 @@ from conftest import pairwise_gradient_residual
 
 
 def reference_bounce(q, n, m):
-    """(n2, m2, P, incidence) of one bounce, with the arithmetic of the
-    one-bounce map as it was first written, and the incidence as
-    atan2(|<n2, nu>|, |n2 - <n2, nu> nu|); the reference that orbit_nd must
-    equal bit for bit."""
+    """(n2, m2, P, incidence) of one bounce of a line (n, m), with the
+    arithmetic of the one-bounce map as it was first written, and the
+    incidence as atan2(|<n2, nu>|, |n2 - <n2, nu> nu|): the fresh-line
+    reference, which a first bounce without a source matches in P bit for
+    bit, and every bounce to a stated tolerance."""
     a = float(n @ q.A_inv @ n)
     b = 2.0 * float(m @ q.A_inv @ n)
     c = float(m @ q.A_inv @ m) - 1.0
@@ -32,6 +35,49 @@ def reference_bounce(q, n, m):
     c = float(n2 @ nu)
     incidence = float(np.arctan2(abs(c), np.linalg.norm(n2 - c * nu)))
     return n2, P - float(P @ n2) * n2, P, incidence
+
+
+def reference_exit(q, P, n):
+    """The far end of the chord leaving the boundary point P along n, with
+    the arithmetic orbit_nd documents: P + s n for the larger root s of
+    f + 2 s beta + s^2 alpha = 0, g = A^-1 P, beta = <g, n>,
+    alpha = <A^-1 n, n> and f = <g, P> - 1."""
+    g = q.A_inv @ P
+    beta, alpha, f = float(g @ n), float(q.A_inv @ n @ n), float(g @ P) - 1.0
+    return P + (math.sqrt(max(beta * beta - alpha * f, 0.0)) - beta) / alpha * n
+
+
+def reference_reflection(q, n, P):
+    """(n2, m2, incidence) of the line along n mirrored at its exit point P
+    across g = A^-1 P, as orbit_nd mirrors it: n2 = n - (2 <n, g>/<g, g>) g,
+    normalized, with the incidence as in reference_bounce."""
+    g = q.A_inv @ P
+    gg = float(g @ g)
+    n2 = n - 2.0 * float(n @ g) / gg * g
+    n2 /= np.linalg.norm(n2)
+    nu = g / math.sqrt(gg)
+    c = float(n2 @ g) / math.sqrt(gg)
+    incidence = float(np.arctan2(abs(c), np.linalg.norm(n2 - c * nu)))
+    return n2, P - float(P @ n2) * n2, incidence
+
+
+def reference_orbit(q, n, source, steps):
+    """(n, m, P, incidence) rows of ``steps`` bounces chained by
+    reference_exit and reference_reflection from the line leaving source
+    along n; the reference that orbit_nd equals bit for bit."""
+    rows = []
+    P = source
+    for _ in range(steps):
+        P = reference_exit(q, P, n)
+        n, m, incidence = reference_reflection(q, n, P)
+        rows.append((n, m, P, incidence))
+    return [np.array(col) for col in zip(*rows)]
+
+
+def launched_orbit(q, nu, delta, steps):
+    """orbit_nd from the line launch_line gives, solved from its source."""
+    n, m, source = launch_line(q, nu, delta)
+    return orbit_nd(q, n, m, steps, source)
 
 
 def reference_boundary_point(q, nu):
@@ -336,7 +382,7 @@ class TestLineSkew:
         q = sphere_quadric(radius)
         rng = np.random.default_rng(91)
         for _ in range(10):
-            _, m, _, incidence = orbit_nd(q, *launch_line(q, random_unit(rng), math.pi / 2), 20)
+            _, m, _, incidence = launched_orbit(q, random_unit(rng), math.pi / 2, 20)
             assert np.abs(m).max() < 1e-14 * radius
             assert np.abs(incidence - math.pi / 2).max() < 1e-7
 
@@ -351,7 +397,7 @@ class TestIncidenceNearNormal:
         q = sphere_quadric(radius)
         rng = np.random.default_rng(91)
         for _ in range(50):
-            *_, incidence = orbit_nd(q, *launch_line(q, random_unit(rng), delta), 20)
+            *_, incidence = launched_orbit(q, random_unit(rng), delta, 20)
             assert np.abs(incidence - delta).max() < 4e-15
 
 
@@ -365,7 +411,7 @@ class TestReflect:
         q = sphere_quadric(1.0)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            n, _, P, _ = orbit_nd(q, *launch_line(q, random_unit(rng), 0.7), 1)
+            n, _, P, _ = launched_orbit(q, random_unit(rng), 0.7, 1)
             grad = q.A_inv @ P[0]
             nu = grad / np.linalg.norm(grad)
             assert abs(float(n[0] @ nu)) == pytest.approx(
@@ -399,48 +445,152 @@ class TestReflect:
         m = np.array([-0.004189549631558638, 0.690987976605847, 0.7228682134780698])
         n = n / np.linalg.norm(n)
         assert 8.9e-8 < reference_bounce(triaxial, n, m)[3] < 9.1e-8
-        with pytest.raises(TangentLine, match="grazes the quadric at incidence 8.97"):
-            orbit_nd(triaxial, n, m, 1)
-        with pytest.raises(TangentLine, match="grazes"):
-            orbit_nd(triaxial, n, m, 5)
+        for steps in (1, 5):
+            with pytest.raises(TangentLine, match=r"grazes the quadric at incidence 8\.97"
+                                                  r".*, below 1e-06, at bounce 0$"):
+                orbit_nd(triaxial, n, m, steps)
+
+    def test_refusal_names_the_bounce(self, triaxial):
+        # a glancing orbit whose incidence dips below the floor after some bounces
+        n, m, source = launch_line(triaxial, np.array([1.0, 0.0, 0.1]), 1.001e-6)
+        incidence = reference_orbit(triaxial, n, source, 200)[3]
+        k = int(np.argmax(incidence < MIN_CHORD_ANGLE))
+        assert k > 0 and incidence[k] < MIN_CHORD_ANGLE
+        with pytest.raises(TangentLine, match=re.escape(
+                f"incidence {incidence[k]:g}, below 1e-06, at bounce {k}") + "$"):
+            orbit_nd(triaxial, n, m, 200, source)
 
     @pytest.mark.parametrize("d", [3, 8, 16])
     def test_orbit_matches_reference_bounces(self, d):
         rng = np.random.default_rng(50 + d)
         q = random_spd(rng, d)
-        n0, m0 = launch_line(q, random_unit(rng, d), 0.9)
-        n, m, P, incidence = orbit_nd(q, n0, m0, 300)
+        n0, m0, source = launch_line(q, random_unit(rng, d), 0.9)
+        n, m, P, incidence = orbit_nd(q, n0, m0, 300, source)
         assert n.shape == m.shape == (301, d) and P.shape == (300, d)
         assert np.array_equal(n[0], n0) and np.array_equal(m[0], m0)
-        ln, lm = n0, m0
+        ref_n, ref_m, ref_P, ref_incidence = reference_orbit(q, n0, source, 300)
         for k in range(300):
-            ln, lm, lP, angle = reference_bounce(q, ln, lm)
-            assert np.array_equal(n[k + 1], ln) and np.array_equal(m[k + 1], lm)
-            assert np.array_equal(P[k], lP) and incidence[k] == angle
-        n1, m1, P1, incidence1 = orbit_nd(q, n0, m0, 1)
+            assert np.array_equal(n[k + 1], ref_n[k]) and np.array_equal(m[k + 1], ref_m[k])
+            assert np.array_equal(P[k], ref_P[k]) and incidence[k] == ref_incidence[k]
+        n1, m1, P1, incidence1 = orbit_nd(q, n0, m0, 1, source)
         assert np.array_equal(n1, n[:2]) and np.array_equal(m1, m[:2])
         assert np.array_equal(P1, P[:1]) and np.array_equal(incidence1, incidence[:1])
 
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_orbit_near_fresh_line_bounces(self, d):
+        # each bounce against the fresh-line map applied to the line before
+        # it; over 20 bodies per d the rows read at most 1.6e-15 apart (P and
+        # m in units of the body's half-width), so 4e-15 is the tolerance
+        for seed in range(50 + d, 20050 + d, 1000):
+            rng = np.random.default_rng(seed)
+            q = random_spd(rng, d)
+            n, m, P, incidence = launched_orbit(q, random_unit(rng, d), 0.9, 300)
+            for k in range(300):
+                n2, m2, P2, angle = reference_bounce(q, n[k], m[k])
+                assert np.abs(P[k] - P2).max() <= 4e-15 * q.half_width
+                assert np.abs(m[k + 1] - m2).max() <= 4e-15 * q.half_width
+                assert np.abs(n[k + 1] - n2).max() <= 4e-15
+                assert abs(incidence[k] - angle) <= 4e-15
+
+    def test_first_bounce_without_source(self, triaxial):
+        # a line built by a caller finds its exit point from (n, m), with
+        # the arithmetic of the fresh-line map
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = random_unit(rng)
+            m = rng.normal(size=3) * 0.2
+            m -= (m @ n) * n
+            lines, moments, P, incidence = orbit_nd(triaxial, n, m, 1)
+            assert np.array_equal(P[0], reference_bounce(triaxial, n, m)[2])
+            n2, m2, angle = reference_reflection(triaxial, n, P[0])
+            assert np.array_equal(lines[1], n2) and np.array_equal(moments[1], m2)
+            assert incidence[0] == angle
+
     def test_sphere_constant_chord_length(self):
         q = sphere_quadric(1.0)
-        _, _, points, _ = orbit_nd(q, *launch_line(q, np.array([0.2, 0.3, 0.9]), 0.5), 50)
+        _, _, points, _ = launched_orbit(q, np.array([0.2, 0.3, 0.9]), 0.5, 50)
         lengths = [np.linalg.norm(b - a) for a, b in zip(points[:-1], points[1:])]
         assert max(lengths) - min(lengths) < 1e-10
 
 
+class TestExitPointSolve:
+    """Each chord is solved from the boundary point it leaves, the first one
+    too when the line carries its source, as launched lines do."""
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_surface_residual_at_floor(self, d):
+        # |F(P)| over 20000 bounces; 8 bodies per d read at most 2.6e-15
+        # (the fresh-line map, solved from (n, m), read at most 1.1e-15, and
+        # the root without f, s = -2 beta / alpha, drifted to 4.7e-13)
+        rng = np.random.default_rng(300 + d)
+        q = random_spd(rng, d)
+        _, _, P, _ = launched_orbit(q, rng.normal(size=d), 0.3 + rng.random(), 20000)
+        F = np.abs(np.einsum("ij,ij->i", P @ q.A_inv, P) - 1.0)
+        assert F.max() <= 20 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("axes2", [(1e6, 1.0, 1.0), (1e4, 3.0, 0.5)],
+                             ids=["needle", "eccentric"])
+    @pytest.mark.parametrize("delta", [1.0000001e-6, 1e-5, 1e-3, 0.5])
+    def test_eccentric_launch_against_mpmath(self, axes2, delta):
+        # the far end of the launched chord in 50 digits, from the departure
+        # point along n, and the outgoing incidence there.  The library's
+        # exit point read at most 0.22 ulp of max |P_i| off it and its
+        # incidence 1.6e-16 off.  The fresh-line map refused three of these
+        # lines as missing or tangent, and read the incidence of two others
+        # 19 and 220 times too large
+        q = Quadric(np.diag(axes2))
+        n, m, source = launch_line(q, np.ones(3), delta)
+        with mpmath.workdps(50):
+            A_inv = mpmath.diag([1 / mpmath.mpf(a) for a in axes2])
+            P0, N = mpmath.matrix(source.tolist()), mpmath.matrix(n.tolist())
+            s = -2 * (P0.T * A_inv * N)[0] / (N.T * A_inv * N)[0]
+            X = P0 + s * N
+            nu = A_inv * X / mpmath.norm(A_inv * X)
+            N2 = N - 2 * (N.T * nu)[0] * nu
+            want = float(mpmath.asin(abs((N2.T * nu)[0]) / mpmath.norm(N2)))
+            X = np.array([float(x) for x in X])
+        if want < MIN_CHORD_ANGLE:
+            with pytest.raises(TangentLine, match="grazes .* at bounce 0$"):
+                orbit_nd(q, n, m, 1, source)
+            return
+        _, _, P, incidence = orbit_nd(q, n, m, 1, source)
+        assert np.abs(P[0] - X).max() <= np.spacing(np.abs(X).max())
+        assert abs(incidence[0] - want) <= 1e-15
+
+    def test_needle_refuses_only_below_the_floor(self):
+        # on the needle the chord launched at 1.0000001e-6 arrives at
+        # 0.9999995e-6, below the floor, and is refused; one launched at 1e-5
+        # is followed
+        q = Quadric(np.diag([1e6, 1.0, 1.0]))
+        with pytest.raises(TangentLine, match="grazes the quadric at incidence 1e-06, below"):
+            launched_orbit(q, np.ones(3), 1.0000001e-6, 1)
+        assert launched_orbit(q, np.ones(3), 1e-5, 1)[3][0] > MIN_CHORD_ANGLE
+
+    def test_source_checked(self, triaxial):
+        n, m, source = launch_line(triaxial, np.array([0.3, 0.5, 0.8]), 0.5)
+        elsewhere = triaxial.boundary_point(np.array([0.0, 0.0, 1.0]))
+        for bad, message in [(1.01 * source, "source is off the boundary: F"),
+                             (elsewhere, "source is off the line"),
+                             (source[:2], "source must be a finite vector of d = 3"),
+                             (np.full(3, math.nan), "source must be a finite vector")]:
+            with pytest.raises(ValueError, match=message):
+                orbit_nd(triaxial, n, m, 1, bad)
+
+
 class TestScaleFree:
     """The tangency test compares disc with 1e-14 a, a ratio that does not
-    change when the body is scaled, so a body scaled by 2^80 (lengths by
+    change when the body is scaled, and the root s of a chord from its exit
+    point scales with the lengths, so a body scaled by 2^80 (lengths by
     2^40) gives the unit body's orbit with P scaled exactly."""
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_orbit_scaled_by_power_of_two(self, d):
         rng = np.random.default_rng(70 + d)
         q = random_spd(rng, d)
-        n0, m0 = launch_line(q, random_unit(rng, d), 0.5)
-        n, m, P, incidence = orbit_nd(q, n0, m0, 200)
+        n0, m0, source = launch_line(q, random_unit(rng, d), 0.5)
+        n, m, P, incidence = orbit_nd(q, n0, m0, 200, source)
         n_big, m_big, P_big, incidence_big = orbit_nd(Quadric(q.A * 2.0 ** 80), n0,
-                                                      m0 * 2.0 ** 40, 200)
+                                                      m0 * 2.0 ** 40, 200, source * 2.0 ** 40)
         assert np.array_equal(n_big, n) and np.array_equal(incidence_big, incidence)
         assert np.array_equal(P_big, P * 2.0 ** 40) and np.array_equal(m_big, m * 2.0 ** 40)
 
@@ -448,7 +598,7 @@ class TestScaleFree:
     def test_large_sphere(self, radius):
         # a line at 0.5 rad and a diameter, refused as tangent by an absolute test
         q = sphere_quadric(radius)
-        *_, incidence = orbit_nd(q, *launch_line(q, np.array([0.0, 0.0, 1.0]), 0.5), 20)
+        *_, incidence = launched_orbit(q, np.array([0.0, 0.0, 1.0]), 0.5, 20)
         assert np.abs(incidence - 0.5).max() < 1e-12
         *_, incidence = orbit_nd(q, np.array([1.0, 0.0, 0.0]), np.zeros(3), 4)
         assert np.abs(incidence - math.pi / 2).max() < 1e-12
@@ -457,9 +607,9 @@ class TestScaleFree:
     def test_missing_and_tangent_lines(self, radius):
         q = sphere_quadric(radius)
         n = np.array([0.0, 1.0, 0.0])
-        with pytest.raises(NoIntersection, match="misses"):
+        with pytest.raises(NoIntersection, match="^line misses the quadric at bounce 0$"):
             orbit_nd(q, n, np.array([2.0 * radius, 0.0, 0.0]), 3)
-        with pytest.raises(TangentLine, match="tangent to the quadric"):
+        with pytest.raises(TangentLine, match="^line is tangent to the quadric at bounce 0$"):
             orbit_nd(q, n, np.array([radius, 0.0, 0.0]), 3)
 
 
@@ -474,13 +624,13 @@ class TestIncidenceFloor:
         q = random_spd(rng, d)
         followed = 0
         for _ in range(40):
-            line = launch_line(q, random_unit(rng, d), 1.0e-6 + 0.4e-6 * rng.random())
-            n2, m2, P, angle = reference_bounce(q, *line)
+            n0, m0, source = launch_line(q, random_unit(rng, d), 1.0e-6 + 0.4e-6 * rng.random())
+            (n2,), (m2,), (P,), (angle,) = reference_orbit(q, n0, source, 1)
             if angle < MIN_CHORD_ANGLE:
                 with pytest.raises(TangentLine, match="grazes"):
-                    orbit_nd(q, *line, 1)
+                    orbit_nd(q, n0, m0, 1, source)
                 continue
-            n, m, Ps, incidence = orbit_nd(q, *line, 1)
+            n, m, Ps, incidence = orbit_nd(q, n0, m0, 1, source)
             assert np.array_equal(n[1], n2) and np.array_equal(m[1], m2)
             assert np.array_equal(Ps[0], P) and incidence[0] == angle
             followed += 1
@@ -494,9 +644,10 @@ class TestIncidenceFloor:
         scaled = Quadric(q.A * scale ** 2)
         for _ in range(20):
             nu, delta = random_unit(rng, d), 4e-7 + 2e-7 * rng.random()
-            assert reference_bounce(q, *launch_line(q, nu, delta))[3] < MIN_CHORD_ANGLE
+            n, _, source = launch_line(q, nu, delta)
+            assert reference_orbit(q, n, source, 1)[3][0] < MIN_CHORD_ANGLE
             with pytest.raises(TangentLine, match="grazes"):
-                orbit_nd(scaled, *launch_line(scaled, nu, delta), 1)
+                launched_orbit(scaled, nu, delta, 1)
 
 
 class TestGradientContract:
@@ -604,18 +755,18 @@ class TestConstantAngleResidual:
 
     def test_sphere_invariant(self):
         q = sphere_quadric(1.0)
-        line = launch_line(q, np.array([0.1, -0.4, 0.91]), 0.6)
-        assert np.abs(orbit_nd(q, *line, 100)[3] - 0.6).max() < 1e-10
+        assert np.abs(launched_orbit(q, np.array([0.1, -0.4, 0.91]), 0.6, 100)[3]
+                      - 0.6).max() < 1e-10
 
     def test_triaxial_violates(self, triaxial):
-        line = launch_line(triaxial, np.array([0.3, 0.5, 0.8]), 0.5)
-        assert np.abs(orbit_nd(triaxial, *line, 50)[3] - 0.5).max() > 1e-2
+        assert np.abs(launched_orbit(triaxial, np.array([0.3, 0.5, 0.8]), 0.5, 50)[3]
+                      - 0.5).max() > 1e-2
 
     def test_scaling_invariance(self):
         for R in (1.0, 3.0):
             q = sphere_quadric(R)
-            line = launch_line(q, np.array([0.2, 0.4, 0.89]), 0.7)
-            assert np.abs(orbit_nd(q, *line, 20)[3] - 0.7).max() < 1e-10
+            assert np.abs(launched_orbit(q, np.array([0.2, 0.4, 0.89]), 0.7, 20)[3]
+                          - 0.7).max() < 1e-10
 
 
 class TestLaunchLine:
@@ -698,13 +849,14 @@ class TestLaunchDirection:
             line_nu = nu
             nu = nu / np.linalg.norm(nu)  # as launch_line normalizes
             drop = int(np.argmax(np.abs(nu)))
-            line_n, line_m = launch_line(q, line_nu, 0.9)
+            line_n, line_m, source = launch_line(q, line_nu, 0.9)
             j = [i for i in range(d) if i != drop][0]
             t = np.eye(d)[j] - nu[j] * nu
             t = t / np.linalg.norm(t)
             n = math.cos(0.9) * t - math.sin(0.9) * nu
             assert np.array_equal(line_n, n)
             P = q.boundary_point(nu)
+            assert np.array_equal(source, P)
             assert np.array_equal(line_m, P - float(P @ n) * n)
 
     @pytest.mark.parametrize("d", [3, 8, 16])

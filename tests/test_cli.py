@@ -709,13 +709,32 @@ class TestEllipsoid:
             written.append(out.read_bytes())
         assert written[0] == written[1]
 
+    @pytest.mark.parametrize("axes2, delta, steps", [((1e6, 1.0, 1.0), "1e-3", 50),
+                                                     ((1e6, 1.0, 1.0), "1e-5", 1),
+                                                     ((1e4, 3.0, 0.5), "1e-5", 50)],
+                             ids=["needle-1e-3", "needle-1e-5", "eccentric-1e-5"])
+    def test_eccentric_launch_followed(self, tmp_path, axes2, delta, steps):
+        # the launched line's first chord is solved from its departure
+        # point; solved from (n, m), these launches were refused at bounce 0
+        # as missing the quadric or tangent to it
+        spec, out = tmp_path / "e.json", tmp_path / "o.csv"
+        spec.write_text(json.dumps({"d": 3, "A": np.diag(axes2).ravel().tolist()}))
+        assert main(["ellipsoid", "--spec", str(spec), "--delta", delta,
+                     "--steps", str(steps), "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        P, incidence = rows[:, 1:4], rows[:, -1]
+        assert rows.shape == (steps, 8)
+        assert np.abs(np.einsum("ij,ij->i", P / axes2, P) - 1.0).max() <= 1e-15
+        assert abs(incidence[0] - float(delta)) <= 1e-3 * float(delta)
+        assert (incidence > 0.97 * float(delta)).all()
+
     def test_grazing_line(self, spheroid_spec, tmp_path, capsys):
         assert main(["ellipsoid", "--spec", str(spheroid_spec),
                      "--n=0.6873947407022538,0.5269927090470677,-0.4997671008240877",
                      "--m=-0.004189549631558638,0.690987976605847,0.7228682134780698",
                      "--steps", "1", "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err == ("error: line grazes the quadric at incidence "
-                                           "8.97017e-08, below 1e-06\n")
+                                           "8.97017e-08, below 1e-06, at bounce 0\n")
 
     @pytest.mark.parametrize("n, m, message", [
         ("nan,0,0", "0,0,0", "--n must be a nonzero finite vector"),

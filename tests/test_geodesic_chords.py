@@ -51,6 +51,63 @@ def numpy_rk4(q, x0, v0, length, step):
     return np.array(xs), np.array(vs), np.array(accs)
 
 
+def float_rk4(q, x0, v0, length, step):
+    """The float loop of integrate_geodesic as it was before each step's
+    last acceleration reused the projection's gradient, with A^-1 x taken
+    afresh for every acceleration; the reference the integrator must equal
+    bit for bit."""
+    (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = q.A_inv.tolist()
+
+    def grad(x1, x2, x3):
+        return (b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
+                b31 * x1 + b32 * x2 + b33 * x3)
+
+    def accel(x1, x2, x3, v1, v2, v3):
+        a1, a2, a3 = grad(x1, x2, x3)
+        c = -((v1 * b11 + v2 * b21 + v3 * b31) * v1 + (v1 * b12 + v2 * b22 + v3 * b32) * v2
+              + (v1 * b13 + v2 * b23 + v3 * b33) * v3) / (a1 * a1 + a2 * a2 + a3 * a3)
+        return c * a1, c * a2, c * a3
+
+    v = np.asarray(v0, dtype=float)
+    n_steps = max(1, round(length / step))
+    h = length / n_steps
+    h2, h6 = 0.5 * h, h / 6.0
+    x1, x2, x3 = np.asarray(x0, dtype=float).tolist()
+    v1, v2, v3 = (v / np.linalg.norm(v)).tolist()
+    acc = accel(x1, x2, x3, v1, v2, v3)
+    xs, vs, accs = [(x1, x2, x3)], [(v1, v2, v3)], [acc]
+    for _ in range(n_steps):
+        k1v1, k1v2, k1v3 = acc
+        k2x1, k2x2, k2x3 = v1 + h2 * k1v1, v2 + h2 * k1v2, v3 + h2 * k1v3
+        k2v1, k2v2, k2v3 = accel(x1 + h2 * v1, x2 + h2 * v2, x3 + h2 * v3,
+                                 k2x1, k2x2, k2x3)
+        k3x1, k3x2, k3x3 = v1 + h2 * k2v1, v2 + h2 * k2v2, v3 + h2 * k2v3
+        k3v1, k3v2, k3v3 = accel(x1 + h2 * k2x1, x2 + h2 * k2x2, x3 + h2 * k2x3,
+                                 k3x1, k3x2, k3x3)
+        k4x1, k4x2, k4x3 = v1 + h * k3v1, v2 + h * k3v2, v3 + h * k3v3
+        k4v1, k4v2, k4v3 = accel(x1 + h * k3x1, x2 + h * k3x2, x3 + h * k3x3,
+                                 k4x1, k4x2, k4x3)
+        x1, x2, x3 = (x1 + h6 * (v1 + 2 * k2x1 + 2 * k3x1 + k4x1),
+                      x2 + h6 * (v2 + 2 * k2x2 + 2 * k3x2 + k4x2),
+                      x3 + h6 * (v3 + 2 * k2x3 + 2 * k3x3 + k4x3))
+        v1, v2, v3 = (v1 + h6 * (k1v1 + 2 * k2v1 + 2 * k3v1 + k4v1),
+                      v2 + h6 * (k1v2 + 2 * k2v2 + 2 * k3v2 + k4v2),
+                      v3 + h6 * (k1v3 + 2 * k2v3 + 2 * k3v3 + k4v3))
+        a1, a2, a3 = grad(x1, x2, x3)
+        c = 0.5 * (x1 * a1 + x2 * a2 + x3 * a3 - 1.0) / (a1 * a1 + a2 * a2 + a3 * a3)
+        x1, x2, x3 = x1 - c * a1, x2 - c * a2, x3 - c * a3
+        a1, a2, a3 = grad(x1, x2, x3)
+        c = (v1 * a1 + v2 * a2 + v3 * a3) / (a1 * a1 + a2 * a2 + a3 * a3)
+        v1, v2, v3 = v1 - c * a1, v2 - c * a2, v3 - c * a3
+        norm = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+        v1, v2, v3 = v1 / norm, v2 / norm, v3 / norm
+        acc = accel(x1, x2, x3, v1, v2, v3)
+        xs.append((x1, x2, x3))
+        vs.append((v1, v2, v3))
+        accs.append(acc)
+    return np.array(xs), np.array(vs), np.array(accs)
+
+
 def start_on(q):
     """A point of q (L e_1 with A = L L^T) and a unit tangent there."""
     x0 = np.linalg.cholesky(q.A)[:, 0]
@@ -173,6 +230,18 @@ class TestIntegrateGeodesic:
         assert np.abs(traj.x - x).max() < 1e-14
         assert np.abs(traj.v - v).max() < 1e-14
         assert np.abs(traj.x_ddot - x_ddot).max() < 1e-14
+
+    @pytest.mark.parametrize("A", [np.eye(3), np.diag([4.0, 1.0, 1.0]), SPD,
+                                   np.diag([2.0 ** 80, 2.0 ** 80, 2.0 ** 78])],
+                             ids=["sphere", "spheroid", "spd", "scaled"])
+    @pytest.mark.parametrize("length, step", [(math.pi, 1e-3), (5.0, 0.05)])
+    def test_matches_float_loop_bit_for_bit(self, A, length, step):
+        q = Quadric(np.array(A))
+        x0, v0 = start_on(q)
+        traj = integrate_geodesic(q, x0, v0, length * q.half_width, step * q.half_width)
+        x, v, x_ddot = float_rk4(q, x0, v0, length * q.half_width, step * q.half_width)
+        assert np.array_equal(traj.x, x) and np.array_equal(traj.v, v)
+        assert np.array_equal(traj.x_ddot, x_ddot)
 
     @pytest.mark.parametrize("step", [0.7, 1.0, 2.0, 3.0])
     def test_coarse_step_refused(self, step):
