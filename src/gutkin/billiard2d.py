@@ -25,16 +25,15 @@ and variationally through the generating function
 
 whose mixed derivative S12 = rho(mid)*sin(alpha)/2 > 0 is the twist.  The
 next line solves p1 = -dS/dphi1, whose residual p1 + S1 is -f at psi =
-mid = phi1 + alpha, so one forward-end solve serves both maps.  The
-variational map reads it in phi2 = 2 psi - phi, with p2 =
-h cos(psi-phi) + h' sin(psi-phi) = S2; it solves no backward end, and
-refuses a line whose forward-end incidence, min(alpha, pi - alpha), is
-below MIN_CHORD_ANGLE, where the geometric map takes the lesser incidence
-of both ends.  The maps agree bit for bit on every line that both accept,
-so their agreement checks nothing; the independent oracles are the
-50-digit mpmath roots of TestMpmathOracle and the benchmark's bisection,
-oracles.planar_bounce.  Both maps take arrays of lines and advance them
-in lock-step; the scalar functions are wrappers around a batch of one.
+mid = phi1 + alpha, so one chord solve serves both maps.  The variational
+map reads its forward end in phi2 = 2 psi - phi, with p2 =
+h cos(psi-phi) + h' sin(psi-phi) = S2, and both maps refuse a line by one
+rule: the lesser incidence of its two chord ends below MIN_CHORD_ANGLE.
+The maps agree bit for bit on every line, so their agreement checks
+nothing; the independent oracles are the 50-digit mpmath roots of
+TestMpmathOracle and the benchmark's bisection, oracles.planar_bounce.
+Both maps take arrays of lines and advance them in lock-step; the scalar
+functions are wrappers around a batch of one.
 The strip functional integral of (S11+2*S12+S22) against the invariant
 measure S12 dphi1 dphi2 collapses, after reduction, to a weighted sum of
 squares of Fourier coefficients of h; both routes are provided.
@@ -116,22 +115,22 @@ class Strip:
                              f"got ({self.delta1}, {self.delta2})")
 
 
-def _raise_first_failure(status, p, phi, angles, bounces=False):
-    """Raise the error of the first line, in flat order, whose batched solve
-    failed, naming the line (p, phi) and, unless it missed, its incidence: the
-    least of ``angles`` there, a tuple of arrays of incidence angles.  Every
-    array is in the order of ``status``; with ``bounces`` its entries are the
-    bounces of one orbit, and the message also names the bounce."""
-    if not np.count_nonzero(status):  # SOLVED is 0
+def _raise_first_failure(chords: Chords, p, phi, bounces=False):
+    """Raise the error of the first line, in flat order, whose chord solve
+    failed, naming the line (p, phi) and, unless it missed, its incidence:
+    the lesser of its two chord ends.  p, phi and every field of ``chords``
+    are in one order; with ``bounces`` their entries are the bounces of one
+    orbit, and the message also names the bounce."""
+    if not np.count_nonzero(chords.status):  # SOLVED is 0
         return
-    i = np.flatnonzero(status)[0]
-    status = np.ravel(status)[i]
+    i = np.flatnonzero(chords.status)[0]
+    status = np.ravel(chords.status)[i]
     line = OrientedLine2D(np.ravel(p)[i], np.ravel(phi)[i])
     at = f" at bounce {i}" if bounces else ""
     if status == MISSES:
         raise NoIntersection(f"line (p={line.p:g}, phi={line.phi:g}) misses the table{at}")
-    failure = (f"line (p={line.p:g}, phi={line.phi:g}), "
-               f"incidence {min(np.ravel(a)[i] for a in angles):g}{at}")
+    incidence = min(np.ravel(chords.angle_back)[i], np.ravel(chords.angle_fwd)[i])
+    failure = f"line (p={line.p:g}, phi={line.phi:g}), incidence {incidence:g}{at}"
     if status == NEAR_TANGENT:
         raise TangentLine(f"near-tangent chord: {failure}")
     if status == NOT_CONVERGED:
@@ -172,8 +171,9 @@ def _flat(x):
 
 
 def _starts(curve: SupportCurve, p, phi, source):
-    """The starting offset of the forward endpoint from phi, which both maps
-    take as is, and the lines that miss; exact when the table is a circle.
+    """The starting offset of the forward endpoint from phi, which the chord
+    solve of both maps takes as is, and the lines that miss; exact when the
+    table is a circle.
 
     Lines that leave the boundary points ``source`` start at the mirror image
     of the source across phi, offset (phi - source) mod 2 pi, with no
@@ -232,22 +232,26 @@ def _newton(evaluate, lo, hi, x, done):
     return x, state, done
 
 
-def _status(misses, solved, incidence):
-    """Per-line status of a solve, one rule for both maps: MISSES, else
-    NOT_CONVERGED, else NEAR_TANGENT where the incidence is below
-    MIN_CHORD_ANGLE, else SOLVED (which is 0)."""
-    status = (incidence < MIN_CHORD_ANGLE) * NEAR_TANGENT
-    status[~solved] = NOT_CONVERGED
-    status[misses] = MISSES
-    return status
-
-
-def _forward_ends(curve: SupportCurve, p, phi, start, done):
-    """The one forward-end solve of both maps: the lines (p, phi), flat
-    arrays, start at phi + start, and lines in ``done`` stay there.  Returns
-    psi, the incidence min(b, pi - b) there, the p2 = h cos(b) + h' sin(b)
-    of the line reflected at psi, from the solver's last evaluation, with
-    b = psi - phi, and which lines converged."""
+def _solve_chords(curve: SupportCurve, p, phi, source=None):
+    """``solve_chords``, and the lines (p2, phi2) that the mirror law
+    reflects at the forward endpoints, valid where SOLVED: phi2 =
+    2 psi_fwd - phi, and p2 = h cos(b) + h' sin(b), b = psi_fwd - phi, from
+    the solver's last evaluation.  The one chord solve of both maps.  Lines
+    given a ``source`` (see ``_starts``) take it as their backward endpoint
+    and solve only the forward one."""
+    p, phi = _lines(p, phi)
+    n = p.size
+    source = None if source is None else _flat(source)
+    start, misses = _starts(curve, p, phi, source)
+    done = misses
+    if source is None:
+        # the first n entries solve the forward endpoints in [phi, phi+pi]; the
+        # last n the backward ones, as the forward endpoints of the reversed
+        # lines (-p, phi+pi), whose bracket values are those of the lines
+        # negated and swapped, so their start is pi - start.  One flat array
+        # of 2n keeps every numpy call on the fast 1-d path.
+        p, phi = np.concatenate((p, -p)), np.concatenate((phi, phi + _PI))
+        start, done = np.concatenate((start, _PI - start)), np.concatenate((misses, misses))
     noise = NOISE_REL * (curve.h_bound + np.abs(p))
 
     def evaluate(psi):
@@ -261,40 +265,18 @@ def _forward_ends(curve: SupportCurve, p, phi, start, done):
 
     psi, (h, hp, cb, sb), solved = _newton(evaluate, phi, phi + _PI, phi + start, done)
     b = psi - phi
-    return psi, np.minimum(b, _PI - b), h * cb + hp * sb, solved
-
-
-def _solve_chords(curve: SupportCurve, p, phi, source=None):
-    """``solve_chords``, and the lines (p2, phi2) that the mirror law
-    reflects at the forward endpoints, valid where SOLVED: phi2 =
-    2 psi_fwd - phi, and p2 from ``_forward_ends``.  Lines given a
-    ``source`` (see ``_starts``) take it as their backward endpoint and
-    solve only the forward one."""
-    p, phi = _lines(p, phi)
-    n = p.size
-    source = None if source is None else _flat(source)
-    start, misses = _starts(curve, p, phi, source)
+    angle = np.minimum(b, _PI - b)
+    psi = np.mod(psi, _TWO_PI)
+    psi_fwd, angle_fwd = psi[:n], angle[:n]
     if source is None:
-        # the first n entries solve the forward endpoints in [phi, phi+pi]; the
-        # last n the backward ones, as the forward endpoints of the reversed
-        # lines (-p, phi+pi), whose bracket values are those of the lines
-        # negated and swapped, so their start is pi - start.  One flat array
-        # of 2n keeps every numpy call on the fast 1-d path.
-        p_ends, phi_ends = np.concatenate((p, -p)), np.concatenate((phi, phi + _PI))
-        start, done = np.concatenate((start, _PI - start)), np.concatenate((misses, misses))
+        psi_back, angle_back, solved = psi[n:], angle[n:], solved[:n] & solved[n:]
     else:
-        p_ends, phi_ends, done = p, phi, misses
-    psi, angle, p2, solved = _forward_ends(curve, p_ends, phi_ends, start, done)
-    if source is None:
-        psi = np.mod(psi, _TWO_PI)
-        psi_fwd, psi_back, angle_fwd, angle_back = psi[:n], psi[n:], angle[:n], angle[n:]
-        solved, p2 = solved[:n] & solved[n:], p2[:n]
-    else:
-        psi_fwd, psi_back, angle_fwd = np.mod(psi, _TWO_PI), source, angle
-        angle_back = np.minimum(start, _PI - start)
-    status = _status(misses, solved, np.minimum(angle_back, angle_fwd))
+        psi_back, angle_back = source, np.minimum(start, _PI - start)
+    status = (np.minimum(angle_back, angle_fwd) < MIN_CHORD_ANGLE) * NEAR_TANGENT
+    status[~solved] = NOT_CONVERGED
+    status[misses] = MISSES
     return (Chords(psi_back, psi_fwd, angle_back, angle_fwd, status),
-            p2, _mod_two_pi(psi_fwd + psi_fwd - phi))
+            (h * cb + hp * sb)[:n], _mod_two_pi(psi_fwd + psi_fwd - phi[:n]))
 
 
 def solve_chords(curve: SupportCurve, p, phi) -> Chords:
@@ -310,58 +292,52 @@ def solve_chords(curve: SupportCurve, p, phi) -> Chords:
 
 
 class _Bounce(Chords):
-    """A one-line ``Chords`` that also holds ``outgoing``, the (p, phi) of the
-    line reflected at its forward endpoint, from the same solve."""
+    """A one-line ``Chords`` that also holds ``outgoing``, the line reflected
+    at its forward endpoint, from the same solve."""
+
+
+def _bounce(curve: SupportCurve, line: OrientedLine2D) -> _Bounce:
+    """The one-line path of both maps: the chord of ``line``, solved from the
+    boundary point it leaves if a bounce returned it, and the line reflected
+    at its forward endpoint, which leaves that endpoint.  Raises the error
+    of a line that the chord solve refuses."""
+    c, p2, phi2 = _solve_chords(curve, line.p, line.phi, line.source)
+    _raise_first_failure(c, line.p, line.phi)
+    chord = _Bounce(*c)
+    chord.outgoing = _bounced(p2[0], phi2[0], c.psi_fwd[0])
+    return chord
 
 
 def chord_incidence_angles(curve: SupportCurve, line: OrientedLine2D) -> Chords:
     """The chord of one line and its incidence angles at both endpoints, as a
     one-line ``Chords``.  A line that a bounce returned is solved from the
     boundary point it leaves."""
-    c, p2, phi2 = _solve_chords(curve, line.p, line.phi, line.source)
-    _raise_first_failure(c.status, line.p, line.phi, (c.angle_back, c.angle_fwd))
-    chord = _Bounce(*c)
-    chord.outgoing = p2[0], phi2[0]
-    return chord
+    return _bounce(curve, line)
 
 
 def reflect_geometric(curve: SupportCurve, line: OrientedLine2D):
     """One bounce by reflection at the forward endpoint; returns (next line, chord)."""
     chord = chord_incidence_angles(curve, line)
-    return _bounced(*chord.outgoing, chord.psi_fwd[0]), Chords(*chord)
-
-
-def _solve_variational(curve: SupportCurve, p, phi, source=None):
-    """``solve_variational``, and the point psi = phi + alpha in [0, 2 pi)
-    that the next line leaves, with the incidence min(alpha, pi - alpha)
-    there.  It is the geometric forward-end solve read in phi2 = 2 psi -
-    phi, from the same start (see ``_starts``), so where both maps solve a
-    line they give the same bits; it solves no backward end, and refuses a
-    line by its forward incidence alone."""
-    p, phi = _lines(p, phi)
-    start, misses = _starts(curve, p, phi, source)
-    psi, incidence, p2, solved = _forward_ends(curve, p, phi, start, misses)
-    psi = np.mod(psi, _TWO_PI)
-    return (p2, _mod_two_pi(psi + psi - phi), _status(misses, solved, incidence),
-            psi, incidence)
+    return chord.outgoing, Chords(*chord)
 
 
 def solve_variational(curve: SupportCurve, p, phi):
     """Next lines (p2, phi2, status) of the lines (p, phi) by the generating
     function: phi2 solves p = h(mid) cos(alpha) - h'(mid) sin(alpha), with
-    mid = (phi+phi2)/2 and alpha = (phi2-phi)/2, and p2 = +dS/dphi2."""
-    return _solve_variational(curve, p, phi)[:3]
+    mid = (phi+phi2)/2 and alpha = (phi2-phi)/2, and p2 = +dS/dphi2.  The
+    solve is the chord solve, in mid = phi + alpha, the forward chord end,
+    with its status."""
+    chords, p2, phi2 = _solve_chords(curve, p, phi)
+    return p2, phi2, chords.status
 
 
 def reflect_variational(curve: SupportCurve, line: OrientedLine2D) -> OrientedLine2D:
     """One bounce by solving p1 = -dS/dphi1 for phi2; twist makes it unique.
-    The solve is in mid = phi + alpha, the forward chord end, so the next
-    line, which leaves mid, equals ``reflect_geometric``'s bit for bit,
-    source included."""
-    p2, phi2, status, psi, incidence = _solve_variational(curve, line.p, line.phi,
-                                                          line.source)
-    _raise_first_failure(status, line.p, line.phi, (incidence,))
-    return _bounced(p2[0], phi2[0], psi[0])
+    It takes the one-line path of ``reflect_geometric``, whose solve is in
+    mid = phi + alpha, the forward chord end, so the next line, which leaves
+    mid, equals ``reflect_geometric``'s bit for bit, source included, and a
+    line is refused by the same rule with the same message."""
+    return _bounce(curve, line).outgoing
 
 
 def constant_angle_line(curve: SupportCurve, delta: float, psi: float) -> OrientedLine2D:
@@ -396,7 +372,7 @@ def verify_constant_angle(curve: SupportCurve, delta: float, grid_size: int = 36
     h, hp = support_grid(curve, grid_size, lambda k: 1, lambda k: 1j * k)
     p = h * math.cos(delta) + hp * math.sin(delta)
     c, _, _ = _solve_chords(curve, p, psi + delta, psi)
-    _raise_first_failure(c.status, p, psi + delta, (c.angle_back, c.angle_fwd))
+    _raise_first_failure(c, p, psi + delta)
     return float(np.max(np.abs(c.angle_fwd - delta)))
 
 
@@ -437,8 +413,7 @@ def orbit(curve: SupportCurve, line0: OrientedLine2D, steps: int):
     from (p, phi) alone: a source that line0 carries is not used."""
     ps, phis, chords = orbits(curve, line0.p, line0.phi, steps)
     chords = Chords._make(rows[:, 0] for rows in chords)
-    _raise_first_failure(chords.status, ps[:-1], phis[:-1],
-                         (chords.angle_back, chords.angle_fwd), bounces=True)
+    _raise_first_failure(chords, ps[:-1], phis[:-1], bounces=True)
     return ps[:, 0], phis[:, 0], chords
 
 

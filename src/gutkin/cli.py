@@ -5,8 +5,8 @@ flag value, an unreadable or malformed table or spec, an output path that
 is a directory, a line the map cannot follow, a phase portrait that keeps
 no orbit, a geodesic step too coarse to stay on the surface, or a run too
 large for the memory available).  All angles are radians.
-The environment variable GUTKIN_SEED overrides the default seed 0 for
-randomized sweeps.
+The environment variable GUTKIN_SEED, a non-negative integer, overrides
+the default seed 0 for randomized sweeps.
 """
 
 from __future__ import annotations
@@ -81,7 +81,16 @@ def _write_svg(path, xs, ys):
 
 
 def _seed() -> int:
-    return int(os.environ.get("GUTKIN_SEED", "0"))
+    """GUTKIN_SEED, default 0; anything but a non-negative integer raises
+    ValueError naming the variable and its value."""
+    text = os.environ.get("GUTKIN_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"GUTKIN_SEED must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def cmd_roots(args) -> dict:
@@ -154,8 +163,7 @@ def _parse_vec(text: str) -> np.ndarray:
 
 def _load_spec(path) -> tuple[int, np.ndarray]:
     """(d, A) from an ellipsoid spec; a malformed spec raises ValueError."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = sg._read_json(path, "spec")
     if not isinstance(doc, dict) or "d" not in doc or "A" not in doc:
         raise ValueError(f"spec {path} needs the keys 'd' and 'A'")
     d = doc["d"]

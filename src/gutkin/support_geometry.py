@@ -69,8 +69,10 @@ class SupportCurve:
         object.__setattr__(self, "h_bound",
                            abs(self.h.constant) + float(np.add.reduce((k + 1.0) * np.abs(c))))
         # support_grid never aliases; past CONVEXITY_GRID the grid grows to 2K + 2
-        # samples so that it resolves the degree-K radius
-        rho = support_grid(self, max(CONVEXITY_GRID, 2 * k.size + 2), lambda k: 1 - k * k)
+        # samples so that it resolves the degree-K radius.  On a table near the
+        # float range the spectrum overflows, and rho_min reads inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = support_grid(self, max(CONVEXITY_GRID, 2 * k.size + 2), lambda k: 1 - k * k)
         object.__setattr__(self, "rho_min", float(rho.min()))
 
 
@@ -130,8 +132,10 @@ def boundary_point(curve: SupportCurve, phi):
 
 
 def _convex(curve: SupportCurve) -> SupportCurve:
-    if curve.rho_min <= 0:
-        raise NonConvex(f"min curvature radius {curve.rho_min:g} <= 0")
+    """curve, unless its least curvature radius is not positive: a NaN one,
+    from curvature samples that overflow, is refused too."""
+    if not curve.rho_min > 0:
+        raise NonConvex(f"min curvature radius {curve.rho_min:g} is not positive")
     return curve
 
 
@@ -310,6 +314,16 @@ def save_table(path, curve: SupportCurve, gutkin: dict | None = None):
         f.write(text)
 
 
-def load_table(path) -> tuple[SupportCurve, dict | None]:
+def _read_json(path, what: str):
+    """The JSON document in the file at path, for the table and spec loaders;
+    a file that is not UTF-8 JSON raises ValueError naming ``what`` and the
+    path."""
     with open(path, encoding="utf-8") as f:
-        return table_from_dict(json.load(f))
+        try:
+            return json.load(f)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both
+            raise ValueError(f"{what} {path} is not UTF-8 JSON: {exc}") from None
+
+
+def load_table(path) -> tuple[SupportCurve, dict | None]:
+    return table_from_dict(_read_json(path, "table"))

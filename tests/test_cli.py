@@ -128,6 +128,24 @@ class TestTable:
         assert err.startswith("error: a0 and an must be finite") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_curvature_samples_overflow(self, tmp_path, capsys):
+        # the convexity grid's spectrum overflows and rho_min reads NaN: the
+        # table is refused with one line, writes nothing and warns nothing
+        out = tmp_path / "big.json"
+        assert main(["table", "--n", "5", "--a0", "1e308", "--an", "1e307",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: min curvature radius nan is not positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("a0", ["1e305", "1e200"])
+    def test_huge_table_still_verifies(self, tmp_path, capsys, a0):
+        # at 1e305 the convexity grid overflows to rho_min = inf, which passes
+        out = tmp_path / "t.json"
+        assert main(["table", "--n", "5", "--a0", a0, "--an", "1e100",
+                     "--out", str(out)]) == 0
+        assert main(["--json", "verify", "--table", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["pass"] is True
+
     def test_roundtrip_bitwise(self, table5, tmp_path):
         from gutkin.support_geometry import load_table, save_table
         curve, meta = load_table(table5)
@@ -861,6 +879,24 @@ class TestMalformedTable:
         assert err.startswith(f"error: table {key} must be ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content, cause", [
+    (b'{"a0": 1, "harmonics": [\xd0\x00]}', "'utf-8' codec can't decode byte 0xd0"),
+    (b"[1\n", "Expecting ',' delimiter"),
+])
+@pytest.mark.parametrize("flag", ["--table", "--spec"])
+def test_unparsable_file_named(tmp_path, capsys, content, cause, flag):
+    # a file that is not UTF-8 JSON exits 2 with one line naming the file
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    command = (["verify", "--delta", "0.8"] if flag == "--table"
+               else ["gradient-check", "--pairs", "3"])
+    assert main(command + [flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    what = flag[2:]
+    assert err.startswith(f"error: {what} {path} is not UTF-8 JSON: {cause}")
+    assert err.count("\n") == 1
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize("doc", [{"A": [1, 0, 0, 1]},
                                      {"d": 2, "A": [1, 0, 0]},
@@ -1043,6 +1079,13 @@ class TestGradientCheck:
         rng = np.random.default_rng(d)
         assert np.array_equal(cli._draw_pairs(rng, d, 50), np.array(want))
         assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", ["abc", "-1", "1.5", ""])
+    def test_malformed_seed_named(self, spheroid_spec, monkeypatch, capsys, seed):
+        monkeypatch.setenv("GUTKIN_SEED", seed)
+        assert main(["gradient-check", "--spec", str(spheroid_spec), "--pairs", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: GUTKIN_SEED must be a non-negative integer, got {seed!r}\n")
 
     def test_nan_residual_fails(self, spheroid_spec, monkeypatch, capsys):
         # a NaN residual fails the check instead of being skipped

@@ -436,6 +436,31 @@ class TestTableJson:
         with pytest.raises(NonConvex):
             table_from_dict({"a0": 1, "harmonics": [{"k": 2, "cos": 0.5, "sin": 0}]})
 
+    def test_overflowing_curvature_samples_rejected(self):
+        # finite coefficients whose convexity-grid spectrum overflows to
+        # inf - inf: rho_min reads NaN, and the table is refused without a
+        # warning, built or loaded
+        with pytest.raises(NonConvex, match="nan is not positive"):
+            build_gutkin_table(5, 0, 1e308, 1e307)
+        with pytest.raises(NonConvex, match="nan is not positive"):
+            table_from_dict({"a0": 1e308, "harmonics": [{"k": 2, "cos": 1e307}]})
+
+    @pytest.mark.parametrize("a0, rho_min", [(1e305, math.inf), (1e200, 1e200)])
+    def test_huge_tables_accepted(self, a0, rho_min):
+        # an a0 whose grid overflows to inf is still taken, with no warning
+        curve, _ = build_gutkin_table(5, 0, a0, 1e100)
+        assert curve.rho_min == pytest.approx(rho_min, rel=1e-12)
+
+    @pytest.mark.parametrize("content, cause", [
+        (b"\xd0\x00", "'utf-8' codec can't decode"),
+        (b'{"a0": 1,', "Expecting property name"),
+    ])
+    def test_unparsable_file_named(self, tmp_path, content, cause):
+        path = tmp_path / "t.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"table {path} is not UTF-8 JSON: {cause}")):
+            load_table(path)
+
     @pytest.mark.parametrize("doc", [
         {"a0": math.nan, "harmonics": []},
         {"a0": math.inf, "harmonics": [{"k": 2, "cos": 0.1, "sin": 0}]},
