@@ -433,7 +433,8 @@ def rigidity_integral(curve: SupportCurve, strip: Strip) -> float:
     K, the fewest on which it integrates the degree-2K phi integrand
     exactly.  Harmonics 0 and 1 add exactly 0 to the integral, so they are
     left out of both factors: a circle, translated or not, gives 0, and a
-    table near one keeps the bits of its small integral.
+    table near one keeps the bits of its small integral.  An integral that
+    overflows raises OverflowError.
     """
     nodes, weights = _gauss_legendre()
     a = 0.5 * (strip.delta2 - strip.delta1) * nodes + 0.5 * (strip.delta1 + strip.delta2)
@@ -441,9 +442,18 @@ def rigidity_integral(curve: SupportCurve, strip: Strip) -> float:
     phi_points = 2 * curve.h.cos_coeffs.size + 1
     hpp, rho = support_grid(curve, phi_points, lambda k: -k * k * (k > 1),
                             lambda k: (1 - k * k) * (k > 1))
-    phi_part = float(np.sum(hpp * rho)) * (TWO_PI / phi_points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_part = float(np.sum(hpp * rho)) * (TWO_PI / phi_points)
     alpha_part = float(np.sum(np.sin(a) ** 2 * wa))
-    return 2.0 * alpha_part * phi_part
+    return _finite_integral(2.0 * alpha_part * phi_part)
+
+
+def _finite_integral(value: float) -> float:
+    """value, a strip integral, unless it or a sum on the way to it left
+    the float range: then OverflowError."""
+    if not math.isfinite(value):
+        raise OverflowError("the strip integral overflows the float range")
+    return value
 
 
 def _sin2_integral(delta1: float, delta2: float) -> float:
@@ -464,8 +474,11 @@ def _sin2_integral(delta1: float, delta2: float) -> float:
 
 
 def rigidity_integral_closed(curve: SupportCurve, strip: Strip) -> float:
-    """Closed form: 2*int sin^2 da * pi*sum k^2(k^2-1)(a_k^2+b_k^2)."""
+    """Closed form: 2*int sin^2 da * pi*sum k^2(k^2-1)(a_k^2+b_k^2).  An
+    integral that overflows raises OverflowError."""
     k2 = np.arange(1, curve.h.cos_coeffs.size + 1, dtype=float) ** 2
-    power = curve.h.cos_coeffs ** 2 + curve.h.sin_coeffs ** 2
-    return (2.0 * _sin2_integral(strip.delta1, strip.delta2) * math.pi
-            * float(np.sum(k2 * (k2 - 1.0) * power)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = curve.h.cos_coeffs ** 2 + curve.h.sin_coeffs ** 2
+        harmonic_sum = float(np.sum(k2 * (k2 - 1.0) * power))
+    return _finite_integral(2.0 * _sin2_integral(strip.delta1, strip.delta2) * math.pi
+                            * harmonic_sum)

@@ -1,7 +1,9 @@
 """Billiards inside ellipsoids in R^d via the sphere-pair generating function.
 
-An oriented line is (n, m) with unit direction n and moment m = P - <P,n>n
-orthogonal to n.  For a strictly convex body with 1-homogeneous support
+An oriented line has a unit direction n and its moment m = x - <x,n>n,
+orthogonal to n, the same for every point x of the line.  ``orbit_nd``
+starts a line from any of its points and returns the moments of the lines
+it follows.  For a strictly convex body with 1-homogeneous support
 function H, the generating function of the billiard map is
 
     S(n1, n2) = H(n1 - n2),
@@ -93,15 +95,20 @@ def sphere_quadric(radius: float, d: int = 3) -> Quadric:
     return Quadric(radius ** 2 * np.eye(d))
 
 
-def _check_lines(n: np.ndarray, m: np.ndarray, size: float):
-    """|n| = 1, m finite and <m, n> = 0 to within 1e-12 of the larger of
-    max |m_i| and the body's size, over rows of lines: a line through the
-    centre has a moment of rounding size.  NaN fails every check."""
+def _check_directions(n: np.ndarray):
+    """|n| = 1 to within 1e-12 over rows of directions.  NaN fails."""
     norm = np.linalg.norm(n, axis=-1)
     # negated <=, so that NaN counts as a failure
     off_unit = ~(np.abs(norm - 1.0) <= 1e-12)
     if off_unit.any():
         raise NonUnit(f"|n| = {np.extract(off_unit, norm)[0]:.15g}")
+
+
+def _check_lines(n: np.ndarray, m: np.ndarray, size: float):
+    """|n| = 1, m finite and <m, n> = 0 to within 1e-12 of the larger of
+    max |m_i| and the body's size, over rows of lines: a line through the
+    centre has a moment of rounding size.  NaN fails every check."""
+    _check_directions(n)
     if not np.isfinite(m).all():
         raise ValueError("m must be finite")
     mn = np.einsum("...i,...i->...", m, n)
@@ -214,9 +221,9 @@ def twist_jacobian_min_sv(q: Quadric, n1, n2) -> float:
 
 
 def launch_line(q: Quadric, nu: np.ndarray, delta: float):
-    """(n, m, source) of the line leaving the boundary point source with
-    outward normal nu at angle delta; ``orbit_nd(q, n, m, steps, source)``
-    solves its first chord from source.
+    """(n, x) of the line leaving the boundary point x with outward normal
+    nu at angle delta; ``orbit_nd(q, n, x, steps)`` solves its first chord
+    from x.
 
     The direction is cos(delta)*t + sin(delta)*(-nu) for the unit tangent
     t = (e_j - nu_j nu)/|e_j - nu_j nu|, e_j the first axis other than the
@@ -228,13 +235,11 @@ def launch_line(q: Quadric, nu: np.ndarray, delta: float):
     nu = unit_vector(nu)
     if nu is None or nu.shape != (q.d,):
         raise ValueError(f"nu must be a nonzero finite vector of d = {q.d} entries")
-    P = q.boundary_point(nu)
     drop = int(np.argmax(np.abs(nu)))
     j = 1 if drop == 0 else 0
     t = np.eye(nu.size)[j] - nu[j] * nu
     t = t / np.linalg.norm(t)
-    n = math.cos(delta) * t - math.sin(delta) * nu
-    return n, _moment(P, n), P
+    return math.cos(delta) * t - math.sin(delta) * nu, q.boundary_point(nu)
 
 
 def _incidence(n, nu, dot):
@@ -244,78 +249,59 @@ def _incidence(n, nu, dot):
     return np.arctan2(np.abs(dot), np.sqrt((t[..., None, :] @ t[..., :, None])[..., 0, 0]))
 
 
-def _check_source(q: Quadric, n: np.ndarray, m: np.ndarray, source: np.ndarray):
-    """source is a finite point of shape (d,) on the boundary, |F| <= 1e-12,
-    and on the line (n, m), its moment within 1e-12 of the larger of
-    max |m_i| and the body's size, as the skew check reads."""
-    if source.shape != n.shape or not np.isfinite(source).all():
-        raise ValueError(f"source must be a finite vector of d = {q.d} entries")
-    F = source.dot(q.A_inv).dot(source) - 1.0
-    if not abs(F) <= 1e-12:
-        raise ValueError(f"source is off the boundary: F(source) = {F:g}")
-    off = np.abs(_moment(source, n) - m).max()
-    if not off <= 1e-12 * max(np.abs(m).max(), q.half_width):
-        raise ValueError(f"source is off the line: its moment is {off:g} from m")
-
-
-def orbit_nd(q: Quadric, n, m, steps: int, source=None):
-    """The billiard map iterated ``steps`` times from the line (n, m), which
-    leaves the boundary point ``source`` when one is given, as lines from
-    ``launch_line`` do.
+def orbit_nd(q: Quadric, n, x, steps: int):
+    """The billiard map iterated ``steps`` times from the line along the
+    unit direction n through the point x.  x is any point of the line: its
+    moment, or the boundary point it leaves, as ``launch_line`` gives.
 
     Returns (n, m, P, incidence): the directions and moments of the lines,
-    shape (steps+1, d), row 0 being the start line; the exit points P, shape
-    (steps, d); and the angle between each outgoing line and the tangent
-    plane at its exit point, shape (steps,).  Every line is checked, and a
-    source must lie on its line and on the boundary.
+    shape (steps+1, d), row 0 being the start line with the moment of x;
+    the exit points P, shape (steps, d); and the angle between each outgoing
+    line and the tangent plane at its exit point, shape (steps,).  n must
+    have |n| = 1 and x must be finite with d entries; every line out is
+    checked.
 
-    A line that leaves a boundary point P, so every line after the first and
-    a first line with a source, meets the boundary again at P + s n, s the
-    larger root of F(P + s n) = f + 2 s beta + s^2 alpha = 0 with g = A^-1 P,
-    beta = <g, n>, alpha = <A^-1 n, n> and f = <g, P> - 1, the rounding
-    left in F(P):
+    Every chord, the first included, runs from the point P the line is at,
+    x for the first, to P + s n, s the larger root of
+    F(P + s n) = f + 2 s beta + s^2 alpha = 0 with g = A^-1 P,
+    beta = <g, n>, alpha = <A^-1 n, n> and f = <g, P> - 1:
 
-        s = (sqrt(max(beta^2 - alpha f, 0)) - beta) / alpha.
+        s = (sqrt(max(disc, 0)) - beta) / alpha,   disc = beta^2 - alpha f.
 
-    Nothing cancels in it, as beta < 0 for a line leaving the body, and
-    taking f in keeps |F| at its rounding floor along the orbit.  Only a
-    glancing chord less deep than the rounding of P's coordinates can give
-    beta^2 < alpha f; s is then the chord's midpoint, where the outgoing
-    incidence is 0, and the bounce is refused.  A first line without a
-    source takes the larger root t of <A^-1(m + t n), m + t n> = 1 and
-    raises NoIntersection on a miss and TangentLine on a tangent line.  The
-    outward normal at an exit point is g/|g|, and n is mirrored across it.
-    A bounce is refused, with a TangentLine that names it, only where the
-    outgoing line meets the boundary at an incidence below MIN_CHORD_ANGLE,
-    the planar map's rule.  The moments are formed once, for all rows.
+    From an exit point f is the rounding left in F(P), and taking it in
+    keeps |F| at its rounding floor along the orbit; nothing cancels, as
+    beta < 0 for a line leaving the body.  The first chord is as accurate
+    as this quadratic from x, whose rounding grows as (|x| / size)^2: pass
+    the moment or the departure point.  Only a first line with
+    disc < -2.5e-15 alpha, a ratio that does not change when the body is
+    scaled, misses the body, and raises NoIntersection.  Any other negative
+    disc, from a tangent line or a glancing chord less deep than the
+    rounding of P, gives s = -beta / alpha, where the outgoing incidence is
+    0.  The outward normal at an exit point is g/|g|, and n is mirrored
+    across it.  A bounce is refused, with a TangentLine that names it,
+    only where the outgoing line meets the boundary at an incidence below
+    MIN_CHORD_ANGLE, the planar map's rule.  The moments are formed once,
+    for all rows.
     """
-    n, m = np.asarray(n, dtype=float), np.asarray(m, dtype=float)
-    _check_lines(n, m, q.half_width)
+    n, x = np.asarray(n, dtype=float), np.asarray(x, dtype=float)
+    _check_directions(n)
+    if x.shape != (q.d,) or not np.isfinite(x).all():
+        raise ValueError(f"x must be a finite vector of d = {q.d} entries")
     A_inv = q.A_inv
-    if source is None:
-        # disc / a does not change when the body is scaled
-        nA, mA = n.dot(A_inv), m.dot(A_inv)
-        a = nA.dot(n)
-        b = 2.0 * mA.dot(n)
-        disc = b * b - 4.0 * a * (mA.dot(m) - 1.0)
-        if disc < 1e-14 * a:
-            if abs(disc) < 1e-14 * a:
-                raise TangentLine("line is tangent to the quadric at bounce 0")
-            raise NoIntersection("line misses the quadric at bounce 0")
-        P = m + (-b + math.sqrt(disc)) / (2.0 * a) * n
-    else:
-        P = np.asarray(source, dtype=float)
-        _check_source(q, n, m, P)
-        g = A_inv.dot(P)
-        beta = g.dot(n)
+    P = x
+    g = A_inv.dot(P)
+    beta = g.dot(n)
     ns, Ps, gs, dots = [n], [], [], []
-    # x.dot(y) gives the bits of x @ y, and math.sqrt(x.dot(x)) those of
-    # np.linalg.norm(x), at a fraction of the call overhead on short vectors
+    # a.dot(b) gives the bits of a @ b, and math.sqrt(a.dot(a)) those of
+    # np.linalg.norm(a), at a fraction of the call overhead on short vectors
     for k in range(steps):
-        if k or source is not None:
-            alpha = A_inv.dot(n).dot(n)
-            f = g.dot(P) - 1.0
-            P = P + (math.sqrt(max(beta * beta - alpha * f, 0.0)) - beta) / alpha * n
+        alpha = A_inv.dot(n).dot(n)
+        disc = beta * beta - alpha * (g.dot(P) - 1.0)
+        # 4 disc < -1e-14 alpha: the test on the discriminant of
+        # <A^-1 (x + t n), x + t n> = 1 in t, in units that do not scale
+        if disc < -2.5e-15 * alpha and not k:
+            raise NoIntersection("line misses the quadric at bounce 0")
+        P = P + (math.sqrt(max(disc, 0.0)) - beta) / alpha * n
         g = A_inv.dot(P)
         gg = g.dot(g)
         n = n - 2.0 * n.dot(g) / gg * g
@@ -336,6 +322,6 @@ def orbit_nd(q: Quadric, n, m, steps: int, source=None):
     Ps, gs = (np.reshape(rows, (steps, q.d)) for rows in (Ps, gs))
     # |g| by matmul, so that each row's normal has the bits the loop's check used
     nus = gs / np.sqrt(gs[:, None, :] @ gs[:, :, None])[:, 0]
-    ms = np.concatenate([m[None], _moment(Ps, ns[1:])])
+    ms = _moment(np.concatenate([x[None], Ps]), ns)
     _check_lines(ns, ms, q.half_width)
     return ns, ms, Ps, _incidence(ns[1:], nus, np.array(dots))

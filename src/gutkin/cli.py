@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 invalid input (a bad
 flag value, an unreadable or malformed table or spec, an output path that
 is a directory, a line the map cannot follow, a phase portrait that keeps
-no orbit, a geodesic step too coarse to stay on the surface, or a run too
-large for the memory available).  All angles are radians.
+no orbit, a geodesic step too coarse to stay on the surface, a result that
+overflows the float range, or a run too large for the memory available).
+All angles are radians.
 The environment variable GUTKIN_SEED, a non-negative integer, overrides
 the default seed 0 for randomized sweeps.
 """
@@ -184,17 +185,18 @@ def cmd_ellipsoid(args) -> dict:
     if (args.n is None) != (args.m is None):
         raise ValueError("--n and --m must be given together")
     q = bnd.Quadric(A)
-    source = None
     if args.n is not None:
-        n, m = _parse_vec(args.n), _parse_vec(args.m)
-        if n.size != d or m.size != d:
+        n, x = _parse_vec(args.n), _parse_vec(args.m)
+        if n.size != d or x.size != d:
             raise ValueError(f"--n and --m need d = {d} entries")
         n = bnd.unit_vector(n)
         if n is None:
             raise ValueError(f"--n must be a nonzero finite vector, got {args.n}")
+        # --m is the moment, so it is finite and orthogonal to n
+        bnd._check_lines(n, x, q.half_width)
     else:
-        n, m, source = bnd.launch_line(q, np.ones(d) / math.sqrt(d), args.delta)
-    n, _, P, incidence = bnd.orbit_nd(q, n, m, args.steps, source)
+        n, x = bnd.launch_line(q, np.ones(d) / math.sqrt(d), args.delta)
+    n, _, P, incidence = bnd.orbit_nd(q, n, x, args.steps)
     header = (["step"] + [f"P_{i + 1}" for i in range(d)]
               + [f"n_{i + 1}" for i in range(d)] + ["incidence_angle"])
     _write_csv(args.out, header, [np.arange(args.steps), *P.T, *n[1:].T, incidence])
@@ -325,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ellipsoid", help="orbit inside an ellipsoid in R^d")
     p.add_argument("--spec", required=True)
     p.add_argument("--n", default=None, help="direction, comma separated")
-    p.add_argument("--m", default=None, help="moment, comma separated")
+    p.add_argument("--m", default=None,
+                   help="moment, comma separated: the point of the line nearest the centre")
     p.add_argument("--delta", type=float, default=0.5,
                    help="departure angle when no line is given")
     p.add_argument("--steps", type=int, default=100)
@@ -381,7 +384,7 @@ def main(argv=None) -> int:
     try:
         payload = args.func(args)
         _emit(args, payload)
-    except (GutkinError, IndexError, ValueError, OSError) as exc:
+    except (GutkinError, IndexError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -106,17 +106,22 @@ def support_grid(curve: SupportCurve, size: int, *symbols) -> np.ndarray:
     of h.  It runs on the least multiple of size above 2K and keeps every
     m-th sample, so no harmonic aliases, whatever the size.  A row's
     spectrum is the exact factor (n/2) s(k) times a_k - i b_k (2 h_0 for
-    the constant), rounded once; so scaling h by a power of two scales
-    every sample exactly.
+    the constant), rounded once.  The coefficients run scaled by 2^-e,
+    2 h_bound = f 2^e with 1/2 <= f < 1, and the samples are scaled back by
+    2^e: no spectrum overflows unless the table's width 2 h_bound does
+    (frexp(inf) leaves it unscaled), and scaling h by a power of two
+    scales every sample exactly.
     """
     degree = curve._ik.size
     n = size * (2 * degree // size + 1)
     k = np.arange(degree + 1.0)
+    e = math.frexp(2.0 * curve.h_bound)[1]
     c = np.concatenate(([2.0 * curve.h.constant], curve._coeffs[:, 0]))
+    c = np.ldexp(c.view(float), -e).view(complex)
     spectrum = np.zeros((len(symbols), n // 2 + 1), dtype=complex)
     for row, symbol in zip(spectrum, symbols):
         row[:degree + 1] = 0.5 * n * symbol(k) * c
-    return np.fft.irfft(spectrum, n)[:, ::n // size]
+    return np.ldexp(np.fft.irfft(spectrum, n)[:, ::n // size], e)
 
 
 def curvature_radius(curve: SupportCurve, phi):

@@ -163,11 +163,11 @@ def test_criterion_6_nd_gradient_contract():
 
 def test_criterion_7_sigma_delta_invariance():
     sphere = bnd.sphere_quadric(1.0)
-    n, m, source = bnd.launch_line(sphere, np.array([0.2, -0.3, 0.93]), 0.6)
-    sphere_res = np.abs(bnd.orbit_nd(sphere, n, m, 100, source)[3] - 0.6).max()
+    n, x = bnd.launch_line(sphere, np.array([0.2, -0.3, 0.93]), 0.6)
+    sphere_res = np.abs(bnd.orbit_nd(sphere, n, x, 100)[3] - 0.6).max()
     triax = bnd.Quadric(np.diag([4.0, 1.0, 1.0]))
-    n, m, source = bnd.launch_line(triax, np.array([0.3, 0.5, 0.8]), 0.5)
-    triax_res = np.abs(bnd.orbit_nd(triax, n, m, 50, source)[3] - 0.5).max()
+    n, x = bnd.launch_line(triax, np.array([0.3, 0.5, 0.8]), 0.5)
+    triax_res = np.abs(bnd.orbit_nd(triax, n, x, 50)[3] - 0.5).max()
     report(7, "sigma-delta-invariance", sphere_res < 1e-10 and triax_res > 1e-2)
 
 

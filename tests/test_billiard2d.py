@@ -613,6 +613,16 @@ class TestRigidity:
                       SupportCurve(TrigPolynomial(1.0, cos + 0.3 * first, sin - 0.2 * first))):
             assert (rigidity_integral(curve, strip), rigidity_integral_closed(curve, strip)) == want
 
+    @pytest.mark.parametrize("a0, an", [(1e200, 5e199), (1e306, 5e305)])
+    def test_overflow_raises(self, a0, an):
+        # the integral of these tables exceeds the float range: both routes
+        # raise, with no warning
+        curve, _ = build_gutkin_table(5, 0, a0, an)
+        for route in (rigidity_integral, rigidity_integral_closed):
+            with pytest.raises(OverflowError,
+                               match="^the strip integral overflows the float range$"):
+                route(curve, Strip(0.1, 0.5))
+
     def test_closed_bits_of_separate_sum(self):
         # the closed form keeps the bits of 2 int sin^2 * pi sum k^2 (k^2 - 1) |h_k|^2
         rng = np.random.default_rng(11)

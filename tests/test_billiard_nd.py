@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gutkin.billiard_nd import (Quadric, generating_value_nd,
+from gutkin.billiard_nd import (Quadric, _check_lines, generating_value_nd,
                                 gradient_contract_residual,
                                 launch_line, orbit_nd,
                                 sphere_quadric, tangent_basis,
@@ -21,8 +21,8 @@ def reference_bounce(q, n, m):
     """(n2, m2, P, incidence) of one bounce of a line (n, m), with the
     arithmetic of the one-bounce map as it was first written, and the
     incidence as atan2(|<n2, nu>|, |n2 - <n2, nu> nu|): the fresh-line
-    reference, which a first bounce without a source matches in P bit for
-    bit, and every bounce to a stated tolerance."""
+    reference, which a first bounce from the moment matches in P to 2 ulps,
+    and every bounce to a stated tolerance."""
     a = float(n @ q.A_inv @ n)
     b = 2.0 * float(m @ q.A_inv @ n)
     c = float(m @ q.A_inv @ m) - 1.0
@@ -61,12 +61,12 @@ def reference_reflection(q, n, P):
     return n2, P - float(P @ n2) * n2, incidence
 
 
-def reference_orbit(q, n, source, steps):
+def reference_orbit(q, n, x, steps):
     """(n, m, P, incidence) rows of ``steps`` bounces chained by
-    reference_exit and reference_reflection from the line leaving source
-    along n; the reference that orbit_nd equals bit for bit."""
+    reference_exit and reference_reflection from the line through x along
+    n; the reference that orbit_nd equals bit for bit."""
     rows = []
-    P = source
+    P = x
     for _ in range(steps):
         P = reference_exit(q, P, n)
         n, m, incidence = reference_reflection(q, n, P)
@@ -75,9 +75,9 @@ def reference_orbit(q, n, source, steps):
 
 
 def launched_orbit(q, nu, delta, steps):
-    """orbit_nd from the line launch_line gives, solved from its source."""
-    n, m, source = launch_line(q, nu, delta)
-    return orbit_nd(q, n, m, steps, source)
+    """orbit_nd from the line launch_line gives, solved from its departure
+    point."""
+    return orbit_nd(q, *launch_line(q, nu, delta), steps)
 
 
 def reference_boundary_point(q, nu):
@@ -356,16 +356,19 @@ class TestLineValidation:
         with pytest.raises(NonUnit):
             orbit_nd(triaxial, [math.nan, 0.0, 0.0], [0.0, 0.0, 0.0], 1)
 
+    # the start point x may be any point of the line, but it must be finite
+    # and have d entries
     @pytest.mark.parametrize("m", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0],
-                                   [-math.inf, 0.0, 0.0]])
+                                   [-math.inf, 0.0, 0.0], [0.0, 0.5], [0.0, 0.5, 0.0, 0.0]])
     def test_non_finite_moment(self, triaxial, m):
-        with pytest.raises(ValueError, match="m must be finite"):
+        with pytest.raises(ValueError, match="^x must be a finite vector of d = 3 entries$"):
             orbit_nd(triaxial, [1.0, 0.0, 0.0], m, 1)
 
 
 class TestLineSkew:
-    """<m, n> = 0 is checked where a line meets a body, against the body's
-    size, so the check reads the same at every scale."""
+    """<m, n> = 0 is checked against the body's size, so the check reads the
+    same at every scale: on the lines orbit_nd returns, and on a moment that
+    the CLI is given."""
 
     @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
     def test_skewed_moment_refused_at_any_scale(self, scale):
@@ -373,7 +376,8 @@ class TestLineSkew:
         m = np.array([0.8, -0.6, 0.0]) + 0.3 * n
         q = Quadric(scale ** 2 * np.diag([4.0, 1.0, 1.0]))
         with pytest.raises(ValueError, match=r"<m, n> = .* != 0"):
-            orbit_nd(q, n, scale * m, 1)
+            _check_lines(n, scale * m, q.half_width)
+        _check_lines(n, scale * np.array([0.8, -0.6, 0.0]), q.half_width)
 
     @pytest.mark.parametrize("radius", [1e-100, 1.0, 1e100])
     def test_lines_through_centre_followed_at_any_scale(self, radius):
@@ -452,27 +456,27 @@ class TestReflect:
 
     def test_refusal_names_the_bounce(self, triaxial):
         # a glancing orbit whose incidence dips below the floor after some bounces
-        n, m, source = launch_line(triaxial, np.array([1.0, 0.0, 0.1]), 1.001e-6)
-        incidence = reference_orbit(triaxial, n, source, 200)[3]
+        n, x = launch_line(triaxial, np.array([1.0, 0.0, 0.1]), 1.001e-6)
+        incidence = reference_orbit(triaxial, n, x, 200)[3]
         k = int(np.argmax(incidence < MIN_CHORD_ANGLE))
         assert k > 0 and incidence[k] < MIN_CHORD_ANGLE
         with pytest.raises(TangentLine, match=re.escape(
                 f"incidence {incidence[k]:g}, below 1e-06, at bounce {k}") + "$"):
-            orbit_nd(triaxial, n, m, 200, source)
+            orbit_nd(triaxial, n, x, 200)
 
     @pytest.mark.parametrize("d", [3, 8, 16])
     def test_orbit_matches_reference_bounces(self, d):
         rng = np.random.default_rng(50 + d)
         q = random_spd(rng, d)
-        n0, m0, source = launch_line(q, random_unit(rng, d), 0.9)
-        n, m, P, incidence = orbit_nd(q, n0, m0, 300, source)
+        n0, x = launch_line(q, random_unit(rng, d), 0.9)
+        n, m, P, incidence = orbit_nd(q, n0, x, 300)
         assert n.shape == m.shape == (301, d) and P.shape == (300, d)
-        assert np.array_equal(n[0], n0) and np.array_equal(m[0], m0)
-        ref_n, ref_m, ref_P, ref_incidence = reference_orbit(q, n0, source, 300)
+        assert np.array_equal(n[0], n0) and np.array_equal(m[0], x - float(x @ n0) * n0)
+        ref_n, ref_m, ref_P, ref_incidence = reference_orbit(q, n0, x, 300)
         for k in range(300):
             assert np.array_equal(n[k + 1], ref_n[k]) and np.array_equal(m[k + 1], ref_m[k])
             assert np.array_equal(P[k], ref_P[k]) and incidence[k] == ref_incidence[k]
-        n1, m1, P1, incidence1 = orbit_nd(q, n0, m0, 1, source)
+        n1, m1, P1, incidence1 = orbit_nd(q, n0, x, 1)
         assert np.array_equal(n1, n[:2]) and np.array_equal(m1, m[:2])
         assert np.array_equal(P1, P[:1]) and np.array_equal(incidence1, incidence[:1])
 
@@ -493,15 +497,17 @@ class TestReflect:
                 assert abs(incidence[k] - angle) <= 4e-15
 
     def test_first_bounce_without_source(self, triaxial):
-        # a line built by a caller finds its exit point from (n, m), with
-        # the arithmetic of the fresh-line map
+        # a line given by its moment finds its exit point by the chord
+        # formula from m, within 2 ulps of max |P_i| of the quadratic in t
+        # of <A^-1 (m + t n), m + t n> = 1 that the fresh-line map solved
         rng = np.random.default_rng(7)
         for _ in range(20):
             n = random_unit(rng)
             m = rng.normal(size=3) * 0.2
             m -= (m @ n) * n
             lines, moments, P, incidence = orbit_nd(triaxial, n, m, 1)
-            assert np.array_equal(P[0], reference_bounce(triaxial, n, m)[2])
+            want = reference_bounce(triaxial, n, m)[2]
+            assert np.abs(P[0] - want).max() <= 2 * np.spacing(np.abs(want).max())
             n2, m2, angle = reference_reflection(triaxial, n, P[0])
             assert np.array_equal(lines[1], n2) and np.array_equal(moments[1], m2)
             assert incidence[0] == angle
@@ -515,7 +521,7 @@ class TestReflect:
 
 class TestExitPointSolve:
     """Each chord is solved from the boundary point it leaves, the first one
-    too when the line carries its source, as launched lines do."""
+    too when the line starts from its departure point, as launched lines do."""
 
     @pytest.mark.parametrize("d", [3, 8, 16])
     def test_surface_residual_at_floor(self, d):
@@ -539,10 +545,10 @@ class TestExitPointSolve:
         # lines as missing or tangent, and read the incidence of two others
         # 19 and 220 times too large
         q = Quadric(np.diag(axes2))
-        n, m, source = launch_line(q, np.ones(3), delta)
+        n, x = launch_line(q, np.ones(3), delta)
         with mpmath.workdps(50):
             A_inv = mpmath.diag([1 / mpmath.mpf(a) for a in axes2])
-            P0, N = mpmath.matrix(source.tolist()), mpmath.matrix(n.tolist())
+            P0, N = mpmath.matrix(x.tolist()), mpmath.matrix(n.tolist())
             s = -2 * (P0.T * A_inv * N)[0] / (N.T * A_inv * N)[0]
             X = P0 + s * N
             nu = A_inv * X / mpmath.norm(A_inv * X)
@@ -551,9 +557,9 @@ class TestExitPointSolve:
             X = np.array([float(x) for x in X])
         if want < MIN_CHORD_ANGLE:
             with pytest.raises(TangentLine, match="grazes .* at bounce 0$"):
-                orbit_nd(q, n, m, 1, source)
+                orbit_nd(q, n, x, 1)
             return
-        _, _, P, incidence = orbit_nd(q, n, m, 1, source)
+        _, _, P, incidence = orbit_nd(q, n, x, 1)
         assert np.abs(P[0] - X).max() <= np.spacing(np.abs(X).max())
         assert abs(incidence[0] - want) <= 1e-15
 
@@ -566,31 +572,57 @@ class TestExitPointSolve:
             launched_orbit(q, np.ones(3), 1.0000001e-6, 1)
         assert launched_orbit(q, np.ones(3), 1e-5, 1)[3][0] > MIN_CHORD_ANGLE
 
-    def test_source_checked(self, triaxial):
-        n, m, source = launch_line(triaxial, np.array([0.3, 0.5, 0.8]), 0.5)
-        elsewhere = triaxial.boundary_point(np.array([0.0, 0.0, 1.0]))
-        for bad, message in [(1.01 * source, "source is off the boundary: F"),
-                             (elsewhere, "source is off the line"),
-                             (source[:2], "source must be a finite vector of d = 3"),
-                             (np.full(3, math.nan), "source must be a finite vector")]:
-            with pytest.raises(ValueError, match=message):
-                orbit_nd(triaxial, n, m, 1, bad)
+
+class TestStartPoint:
+    """orbit_nd starts a line from any of its points, by one chord formula."""
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_any_point_of_the_line(self, d):
+        # the departure point, the moment, and points before, inside and on
+        # the chord: over these 20 bodies per d at delta 0.5 the first exit
+        # points read at most 3.9 eps of the body's half-width apart, and the
+        # moments 1.4 eps
+        eps = np.finfo(float).eps
+        for seed in range(20):
+            rng = np.random.default_rng(seed * 7 + d)
+            q = random_spd(rng, d)
+            n, x = launch_line(q, rng.normal(size=d), 0.5)
+            m, P = (rows[0] for rows in orbit_nd(q, n, x, 1)[1:3])
+            chord = np.linalg.norm(P - x)
+            for start in [m] + [x + t * chord * n for t in (-0.5, 0.3, 0.7)]:
+                _, ms, Ps, _ = orbit_nd(q, n, start, 1)
+                assert np.abs(Ps[0] - P).max() <= 8 * eps * q.half_width
+                assert np.abs(ms[0] - m).max() <= 8 * eps * q.half_width
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_glancing_launches_never_miss(self, d):
+        # launches at 1e-14 to 1e-5 leave a discriminant of rounding size,
+        # negative on many of them: each is followed or refused as grazing,
+        # never as a miss, as disc < 0 alone would read them
+        rng = np.random.default_rng(1000 + d)
+        for k in range(60):
+            q = random_spd(rng, d) if k % 2 else Quadric(np.diag(np.exp(rng.uniform(-4, 4, d))))
+            n, x = launch_line(q, rng.normal(size=d), 10.0 ** rng.uniform(-14, -5))
+            try:
+                orbit_nd(q, n, x, 1)
+            except TangentLine:
+                pass
 
 
 class TestScaleFree:
-    """The tangency test compares disc with 1e-14 a, a ratio that does not
-    change when the body is scaled, and the root s of a chord from its exit
-    point scales with the lengths, so a body scaled by 2^80 (lengths by
-    2^40) gives the unit body's orbit with P scaled exactly."""
+    """The miss test compares disc with -2.5e-15 alpha, a ratio that does
+    not change when the body is scaled, and the root s of a chord scales
+    with the lengths, so a body scaled by 2^80 (lengths by 2^40) gives the
+    unit body's orbit with P scaled exactly."""
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_orbit_scaled_by_power_of_two(self, d):
         rng = np.random.default_rng(70 + d)
         q = random_spd(rng, d)
-        n0, m0, source = launch_line(q, random_unit(rng, d), 0.5)
-        n, m, P, incidence = orbit_nd(q, n0, m0, 200, source)
+        n0, x = launch_line(q, random_unit(rng, d), 0.5)
+        n, m, P, incidence = orbit_nd(q, n0, x, 200)
         n_big, m_big, P_big, incidence_big = orbit_nd(Quadric(q.A * 2.0 ** 80), n0,
-                                                      m0 * 2.0 ** 40, 200, source * 2.0 ** 40)
+                                                      x * 2.0 ** 40, 200)
         assert np.array_equal(n_big, n) and np.array_equal(incidence_big, incidence)
         assert np.array_equal(P_big, P * 2.0 ** 40) and np.array_equal(m_big, m * 2.0 ** 40)
 
@@ -605,12 +637,20 @@ class TestScaleFree:
 
     @pytest.mark.parametrize("radius", [2.0 ** -40, 1.0, 2.0 ** 40])
     def test_missing_and_tangent_lines(self, radius):
+        # a line misses only where disc < -2.5e-15 alpha; on the sphere that
+        # is a moment more than about 1.25e-15 of the radius outside it.  A
+        # tangent line and one nearer than that are refused by the incidence
+        # floor, at incidence 0
         q = sphere_quadric(radius)
         n = np.array([0.0, 1.0, 0.0])
-        with pytest.raises(NoIntersection, match="^line misses the quadric at bounce 0$"):
-            orbit_nd(q, n, np.array([2.0 * radius, 0.0, 0.0]), 3)
-        with pytest.raises(TangentLine, match="^line is tangent to the quadric at bounce 0$"):
+        for offset in (2.0, 1.0 + 1e-14):
+            with pytest.raises(NoIntersection, match="^line misses the quadric at bounce 0$"):
+                orbit_nd(q, n, np.array([offset * radius, 0.0, 0.0]), 3)
+        with pytest.raises(TangentLine, match="^line grazes the quadric at incidence 0, "
+                                              "below 1e-06, at bounce 0$"):
             orbit_nd(q, n, np.array([radius, 0.0, 0.0]), 3)
+        with pytest.raises(TangentLine, match="at bounce 0$"):
+            orbit_nd(q, n, np.array([radius * (1.0 + 1e-15), 0.0, 0.0]), 3)
 
 
 class TestIncidenceFloor:
@@ -624,13 +664,13 @@ class TestIncidenceFloor:
         q = random_spd(rng, d)
         followed = 0
         for _ in range(40):
-            n0, m0, source = launch_line(q, random_unit(rng, d), 1.0e-6 + 0.4e-6 * rng.random())
-            (n2,), (m2,), (P,), (angle,) = reference_orbit(q, n0, source, 1)
+            n0, x = launch_line(q, random_unit(rng, d), 1.0e-6 + 0.4e-6 * rng.random())
+            (n2,), (m2,), (P,), (angle,) = reference_orbit(q, n0, x, 1)
             if angle < MIN_CHORD_ANGLE:
                 with pytest.raises(TangentLine, match="grazes"):
-                    orbit_nd(q, n0, m0, 1, source)
+                    orbit_nd(q, n0, x, 1)
                 continue
-            n, m, Ps, incidence = orbit_nd(q, n0, m0, 1, source)
+            n, m, Ps, incidence = orbit_nd(q, n0, x, 1)
             assert np.array_equal(n[1], n2) and np.array_equal(m[1], m2)
             assert np.array_equal(Ps[0], P) and incidence[0] == angle
             followed += 1
@@ -644,8 +684,8 @@ class TestIncidenceFloor:
         scaled = Quadric(q.A * scale ** 2)
         for _ in range(20):
             nu, delta = random_unit(rng, d), 4e-7 + 2e-7 * rng.random()
-            n, _, source = launch_line(q, nu, delta)
-            assert reference_orbit(q, n, source, 1)[3][0] < MIN_CHORD_ANGLE
+            n, x = launch_line(q, nu, delta)
+            assert reference_orbit(q, n, x, 1)[3][0] < MIN_CHORD_ANGLE
             with pytest.raises(TangentLine, match="grazes"):
                 launched_orbit(scaled, nu, delta, 1)
 
@@ -849,15 +889,13 @@ class TestLaunchDirection:
             line_nu = nu
             nu = nu / np.linalg.norm(nu)  # as launch_line normalizes
             drop = int(np.argmax(np.abs(nu)))
-            line_n, line_m, source = launch_line(q, line_nu, 0.9)
+            line_n, x = launch_line(q, line_nu, 0.9)
             j = [i for i in range(d) if i != drop][0]
             t = np.eye(d)[j] - nu[j] * nu
             t = t / np.linalg.norm(t)
             n = math.cos(0.9) * t - math.sin(0.9) * nu
             assert np.array_equal(line_n, n)
-            P = q.boundary_point(nu)
-            assert np.array_equal(source, P)
-            assert np.array_equal(line_m, P - float(P @ n) * n)
+            assert np.array_equal(x, q.boundary_point(nu))
 
     @pytest.mark.parametrize("d", [3, 8, 16])
     def test_first_gram_schmidt_vector(self, d):

@@ -445,9 +445,10 @@ class TestTableJson:
         with pytest.raises(NonConvex, match="nan is not positive"):
             table_from_dict({"a0": 1e308, "harmonics": [{"k": 2, "cos": 1e307}]})
 
-    @pytest.mark.parametrize("a0, rho_min", [(1e305, math.inf), (1e200, 1e200)])
+    @pytest.mark.parametrize("a0, rho_min", [(1e305, 1e305), (1e200, 1e200)])
     def test_huge_tables_accepted(self, a0, rho_min):
-        # an a0 whose grid overflows to inf is still taken, with no warning
+        # taken with no warning, and the convexity grid, run at the scale of
+        # h_bound, reads the true least curvature radius
         curve, _ = build_gutkin_table(5, 0, a0, 1e100)
         assert curve.rho_min == pytest.approx(rho_min, rel=1e-12)
 
