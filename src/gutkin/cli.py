@@ -26,6 +26,7 @@ from . import billiard2d as b2
 from . import billiard_nd as bnd
 from . import geodesic_chords as gc
 from . import support_geometry as sg
+from .csvtext import write_csv as _write_csv
 from .errors import GutkinError
 
 FMT = "{:.17g}"
@@ -51,16 +52,6 @@ def _emit(args, payload: dict):
                 print(f"{key} = " + FMT.format(val))
             else:
                 print(f"{key} = {val}")
-
-
-def _write_csv(path, header: list[str], columns):
-    """CSV of equal-length columns: integer columns as %d, float columns with
-    17 significant digits, the same bytes as ``FMT.format`` per value."""
-    columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\n")
-        f.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 def _write_svg(path, xs, ys):

@@ -102,26 +102,41 @@ def support_grid(curve: SupportCurve, size: int, *symbols) -> np.ndarray:
     k = 0..K as floats: 1 gives h, 1j * k gives h', -k * k gives h'' and
     1 - k * k the curvature radius h'' + h.  Shape (len(symbols), size).
 
+    The samples of support_grid_scaled, scaled back by 2^e: no sample
+    overflows unless it exceeds the float range itself, and scaling h by a
+    power of two scales every sample exactly.
+    """
+    samples, e = support_grid_scaled(curve, size, *symbols)
+    return np.ldexp(samples, e)
+
+
+def support_grid_scaled(curve: SupportCurve, size: int, *symbols) -> tuple[np.ndarray, int]:
+    """(samples / 2^e, e) for the samples of support_grid, where
+    2 h_bound = f 2^e with 1/2 <= f < 1 (e = 0 where the width overflows).
+
     One inverse real FFT over all rows: the one home of uniform-grid samples
     of h.  It runs on the least multiple of size above 2K and keeps every
     m-th sample, so no harmonic aliases, whatever the size.  A row's
     spectrum is the exact factor (n/2) s(k) times a_k - i b_k (2 h_0 for
-    the constant), rounded once.  The coefficients run scaled by 2^-e,
-    2 h_bound = f 2^e with 1/2 <= f < 1, and the samples are scaled back by
-    2^e: no spectrum overflows unless the table's width 2 h_bound does
-    (frexp(inf) leaves it unscaled), and scaling h by a power of two
-    scales every sample exactly.
+    the constant), rounded once, from the coefficients scaled by 2^-e, so
+    no spectrum overflows unless the table's width 2 h_bound does.
     """
     degree = curve._ik.size
     n = size * (2 * degree // size + 1)
     k = np.arange(degree + 1.0)
-    e = math.frexp(2.0 * curve.h_bound)[1]
+    e = _width_exponent(curve)
     c = np.concatenate(([2.0 * curve.h.constant], curve._coeffs[:, 0]))
     c = np.ldexp(c.view(float), -e).view(complex)
     spectrum = np.zeros((len(symbols), n // 2 + 1), dtype=complex)
     for row, symbol in zip(spectrum, symbols):
         row[:degree + 1] = 0.5 * n * symbol(k) * c
-    return np.ldexp(np.fft.irfft(spectrum, n)[:, ::n // size], e)
+    return np.fft.irfft(spectrum, n)[:, ::n // size], e
+
+
+def _width_exponent(curve: SupportCurve) -> int:
+    """e with 2 h_bound = f 2^e, 1/2 <= f < 1: the scale of the table's
+    width (frexp leaves an infinite width unscaled, e = 0)."""
+    return math.frexp(2.0 * curve.h_bound)[1]
 
 
 def curvature_radius(curve: SupportCurve, phi):
@@ -137,8 +152,11 @@ def boundary_point(curve: SupportCurve, phi):
 
 
 def _convex(curve: SupportCurve) -> SupportCurve:
-    """curve, unless its least curvature radius is not positive: a NaN one,
-    from curvature samples that overflow, is refused too."""
+    """curve, unless its width 2 h_bound overflows the float range
+    (OverflowError), which every sample of it would need, or its least
+    curvature radius is not positive (NonConvex)."""
+    if not math.isfinite(2.0 * curve.h_bound):
+        raise OverflowError("the table's width 2 h_bound overflows the float range")
     if not curve.rho_min > 0:
         raise NonConvex(f"min curvature radius {curve.rho_min:g} is not positive")
     return curve

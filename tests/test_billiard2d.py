@@ -623,6 +623,35 @@ class TestRigidity:
                                match="^the strip integral overflows the float range$"):
                 route(curve, Strip(0.1, 0.5))
 
+    @pytest.mark.parametrize("a0, k, strip", [
+        (math.ldexp(1e200, -300), 300, Strip(1e-40, 2e-40)),
+        (math.ldexp(1e200, -500), 500, Strip(1e-100, 1.5e-100)),
+        (3.0, -200, Strip(0.3, 1.2)),
+    ])
+    def test_scaled_by_power_of_two(self, a0, k, strip):
+        # both sums run at the scale of the table's width, so the table
+        # scaled by 2^k has its integral scaled by exactly 2^(2k), also where
+        # the sums at the scaled table's own scale overflow (a0 = 1e200 on a
+        # thin strip)
+        table, _ = build_gutkin_table(5, 0, a0, 0.5 * a0)
+        scaled, _ = build_gutkin_table(5, 0, math.ldexp(a0, k), math.ldexp(0.5 * a0, k))
+        for route in (rigidity_integral, rigidity_integral_closed):
+            value = route(table, strip)
+            assert math.isfinite(value) and value > 0
+            assert route(scaled, strip) == math.ldexp(value, 2 * k)
+
+    def test_thin_strip_on_huge_table(self):
+        # the integral is about 3.8e280, while the phi sum at the table's own
+        # scale (1e400) overflows: the same table scaled to a0 = 1e50 gives
+        # 3.8e-20, times 1e300
+        curve, _ = build_gutkin_table(5, 0, 1e200, 5e199)
+        strip = Strip(1e-40, 2e-40)
+        quad, closed = rigidity_integral(curve, strip), rigidity_integral_closed(curve, strip)
+        assert closed == pytest.approx(3.8179077387375946e280, rel=1e-14)
+        assert quad == pytest.approx(closed, rel=1e-14)
+        small, _ = build_gutkin_table(5, 0, 1e50, 5e49)
+        assert rigidity_integral_closed(small, strip) * 1e300 == pytest.approx(closed, rel=1e-14)
+
     def test_closed_bits_of_separate_sum(self):
         # the closed form keeps the bits of 2 int sin^2 * pi sum k^2 (k^2 - 1) |h_k|^2
         rng = np.random.default_rng(11)

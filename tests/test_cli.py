@@ -7,12 +7,15 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gutkin import billiard_nd as bnd
-from gutkin import cli
+from gutkin import cli, csvtext
 from gutkin.cli import main
 
 FMT = "{:.17g}"
+WIDTH_OVERFLOW = "error: the table's width 2 h_bound overflows the float range\n"
 
 
 def reference_write_csv(path, header, rows):
@@ -73,6 +76,143 @@ class TestWriters:
                             zip(*(c.tolist() for c in columns)))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    @staticmethod
+    def assert_reference_bytes(path, columns, header=None):
+        """cli._write_csv writes the bytes of reference_write_csv."""
+        header = header or [f"c{j}" for j in range(len(columns))]
+        cli._write_csv(path / "new.csv", header, columns)
+        reference_write_csv(path / "ref.csv", header,
+                            zip(*(np.asarray(c).tolist() for c in columns)))
+        assert (path / "new.csv").read_bytes() == (path / "ref.csv").read_bytes()
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        # every 10^k from the subnormal 1e-323 to 1e308, and the floats on
+        # either side of it, at both signs: the decades the scaling passes
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        cells = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        self.assert_reference_bytes(tmp_path, [cells, -cells, cells[::-1]])
+
+    def test_fixed_and_exponent_switch(self, tmp_path):
+        # '%.17g' writes X = -4..16 in fixed form: around 1e-5, 1e-4, 1e16 and
+        # 1e17, a few ulps each way, and values whose 17-digit rounding
+        # carries into the next decade
+        cells = []
+        for p in (1e-5, 1e-4, 1e16, 1e17):
+            ulps = np.arange(-8, 9)
+            cells += [p + ulps * np.spacing(p), p * (1.0 - np.arange(1, 40) * 1e-18),
+                      p * (1.0 - np.arange(1, 40) * 1e-16)]
+        cells = np.concatenate(cells)
+        self.assert_reference_bytes(tmp_path, [cells, -cells])
+
+    def test_ties_of_the_17th_digit(self, tmp_path):
+        # m 2^-j with m 5^j of 18 digits ending in 5 is a tie at the 17th
+        # digit (2^-25 = 2.98023223876953125e-8 is one), and its neighbours
+        # are near-ties: round half to even and both sides of it
+        rng = np.random.default_rng(12)
+        ties = [2.0 ** -25, 2.0 ** -24 * 3]
+        for j in range(1, 26):
+            lo = max(1, -(-10 ** 17 // 5 ** j))
+            hi = min(2 ** 53, 10 ** 18 // 5 ** j)
+            if lo < hi:
+                m = rng.integers(lo, hi, 40) | 1
+                ties += list(np.ldexp(m.astype(float), -j))
+        ties = np.array(ties)
+        near = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+        assert ('%.17g' % 2.0 ** -25) == "2.9802322387695312e-08"
+        self.assert_reference_bytes(tmp_path, [near, -near, near * 2.0 ** 200, near * 2.0 ** -200])
+
+    def test_zeros_subnormals_and_non_finite(self, tmp_path):
+        tiny = np.finfo(float).tiny
+        cells = np.array([0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, np.nextafter(tiny, 0.0),
+                          2.0 ** -960, np.nextafter(2.0 ** -960, 0.0), 2.0 ** 960,
+                          np.nextafter(2.0 ** 960, np.inf), np.finfo(float).max,
+                          -np.finfo(float).max, np.inf, -np.inf, np.nan, 1.0, -1.0])
+        self.assert_reference_bytes(tmp_path, [cells, cells[::-1]])
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_block_boundaries(self, tmp_path, extra):
+        # rows filling one kernel block less a row, exactly and plus a row,
+        # integer and float columns mixed
+        width = 7
+        rows = csvtext.CSV_BLOCK_CELLS // width + extra
+        rng = np.random.default_rng(13 + extra)
+        floats = rng.normal(size=(5, rows)) * 10.0 ** rng.integers(-20, 20, (5, rows))
+        self.assert_reference_bytes(tmp_path, [np.arange(rows), *floats[:3],
+                                               rng.integers(-10 ** 6, 10 ** 6, rows), *floats[3:]])
+
+    def test_empty_and_single_rows(self, tmp_path):
+        for rows in (0, 1, 2):
+            self.assert_reference_bytes(tmp_path, [np.arange(rows), np.linspace(0.0, 1.0, rows)])
+
+    def test_float_only_columns(self, tmp_path):
+        rng = np.random.default_rng(14)
+        bits = rng.integers(-2 ** 63, 2 ** 63 - 1, (3, 3000), dtype=np.int64).view(float)
+        self.assert_reference_bytes(tmp_path, list(bits))
+
+    def test_integer_only_columns(self, tmp_path):
+        # '%d' of every magnitude: the kernel's 17 digits, and past them
+        big = [0, 1, -1, 9, 10, 10 ** 16 - 1, 10 ** 16, 10 ** 17 - 1, 10 ** 17,
+               -(10 ** 17 - 1), -(10 ** 17), 2 ** 53 + 1, 2 ** 63 - 1, -2 ** 63]
+        rng = np.random.default_rng(15)
+        ints = np.concatenate([np.array(big, dtype=np.int64),
+                               rng.integers(-2 ** 63, 2 ** 63 - 1, 2000, dtype=np.int64),
+                               10 ** rng.integers(0, 19, 500), -(10 ** rng.integers(0, 19, 500))])
+        edges = np.array([0, 2 ** 64 - 1, 10 ** 17 - 1, 10 ** 17], dtype=np.uint64)
+        unsigned = np.concatenate([edges, rng.integers(0, 2 ** 64 - 1, ints.size - 4,
+                                                       dtype=np.uint64)])
+        self.assert_reference_bytes(tmp_path, [ints, unsigned, ints.astype(np.int32)])
+
+    def test_misjudged_decades_left_to_reference(self, tmp_path, monkeypatch):
+        # a decade one off either way puts the scaled value outside
+        # [10^16, 10^17), or rounds it up to 10^17: those cells go to
+        # '%.17g', so the bytes hold.  The doubles nearest 1e-14 and 1e98 lie
+        # below those powers and round up to them at 17 digits: one decade
+        # down, they would carry
+        rng = np.random.default_rng(16)
+        carries = np.array([1e-305, 1e-14, 1e98, 1e220, 0.0, -0.0, 1.0, 0.1, 1e23])
+        cells = np.concatenate([rng.normal(size=1500) * 10.0 ** rng.integers(-280, 280, 1500),
+                                carries, carries, carries])
+        shift = np.concatenate([rng.integers(-1, 2, 1500), np.repeat([-1, 0, 1], carries.size)])
+        assert cells.size <= csvtext.CSV_BLOCK_CELLS  # one block: each cell keeps its shift
+        decades = csvtext._decades
+        monkeypatch.setattr(csvtext, "_decades", lambda a: decades(a) + shift[:a.size])
+        self.assert_reference_bytes(tmp_path, [cells])
+
+    def test_inexact_near_ties_left_to_reference(self, tmp_path, monkeypatch):
+        # with 10^s_lo off by 2^-30 of itself the scaled value is off by
+        # about 1e-8, inside the tie margin: exact ties beyond the exact
+        # powers 10^0..10^22 then go to '%.17g', so the bytes hold
+        rng = np.random.default_rng(18)
+        tables = dict(csvtext._tables())
+        tables["lo"] = tables["lo"] * (1.0 + 2.0 ** -30)
+        monkeypatch.setattr(csvtext, "_tables", lambda: tables)
+        m = (rng.integers(1, 2 ** 20, 400) | 1).astype(float)
+        ties = np.concatenate([np.ldexp(m, -rng.integers(25, 60, 400)),
+                               np.ldexp(1.0, -np.arange(25, 60)), [2.0 ** -25 * 3]])
+        cells = np.concatenate([ties, ties * 2.0 ** 200, ties * 2.0 ** -200,
+                                rng.normal(size=2000) * 10.0 ** rng.integers(-280, 280, 2000)])
+        self.assert_reference_bytes(tmp_path, [cells, -cells])
+
+    def test_ordinary_values_stay_in_the_kernel(self):
+        # finite normal values that are no ties and no powers of ten that
+        # round up take the kernel, not '%.17g'
+        rng = np.random.default_rng(17)
+        block = rng.normal(size=(512, 8)) * 10.0 ** rng.integers(-280, 280, (512, 8))
+        ints = [(0, np.arange(512) * 7919 - 10 ** 6)]
+        sep = np.zeros(block.size, dtype=np.intp)
+        text, left, _ = csvtext._kernel(csvtext._tables(), block, ints, sep)
+        assert left.size == 0 and text.count(b",") == block.size
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    def test_every_field_is_percent_17g(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("csv") / "f.csv"
+        cli._write_csv(path, ["a", "b"], [np.array(values), np.array(values[::-1])])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "a,b"
+        assert [line.split(",") for line in lines[1:]] == [
+            ["%.17g" % a, "%.17g" % b] for a, b in zip(values, values[::-1])]
+
     def test_svg_matches_per_point_writer(self, tmp_path):
         rng = np.random.default_rng(9)
         xs = rng.uniform(0.0, 2 * math.pi, 5000)
@@ -131,13 +271,29 @@ class TestTable:
         assert not out.exists()
 
     def test_curvature_samples_overflow(self, tmp_path, capsys):
-        # the convexity grid's spectrum overflows and rho_min reads NaN: the
-        # table is refused with one line, writes nothing and warns nothing
+        # the convexity grid's spectrum overflows, as the table's width does:
+        # the table is refused with one line, writes nothing and warns nothing
         out = tmp_path / "big.json"
         assert main(["table", "--n", "5", "--a0", "1e308", "--an", "1e307",
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: min curvature radius nan is not positive\n"
+        assert capsys.readouterr().err == WIDTH_OVERFLOW
         assert not out.exists()
+
+    def test_width_overflow_refused(self, tmp_path, capsys):
+        # every curvature sample reads +inf here: the table is refused at
+        # build, and a file of it at load, by one line naming the overflow
+        out = tmp_path / "big.json"
+        assert main(["table", "--n", "5", "--a0", "1e308", "--an", "1e300",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", WIDTH_OVERFLOW)
+        assert not out.exists()
+        out.write_text(json.dumps({"a0": 1e308, "harmonics": [], "gutkin": {"n": 5, "delta": 0.9}}))
+        for argv in (["verify", "--table", str(out)],
+                     ["orbit", "--table", str(out), "--p", "0", "--phi", "0",
+                      "--out", str(tmp_path / "o.csv")],
+                     ["rigidity", "--table", str(out), "--delta1", "0.1", "--delta2", "0.5"]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", WIDTH_OVERFLOW)
 
     @pytest.mark.parametrize("a0", ["1e305", "1e200", "1e306"])
     def test_huge_table_still_verifies(self, tmp_path, capsys, a0):
@@ -418,6 +574,19 @@ class TestRigidity:
         assert main(["--json", "rigidity", "--table", str(path),
                      "--delta1", "0.1", "--delta2", "0.5"]) == 2
         assert capsys.readouterr() == ("", "error: the strip integral overflows the float range\n")
+
+    def test_thin_strip_on_huge_table(self, tmp_path, capsys):
+        # the phi sum of this table overflows at its own scale, the integral
+        # does not: both routes give it, formed at the scale of the width
+        path = tmp_path / "t.json"
+        assert main(["table", "--n", "5", "--a0", "1e200", "--an", "5e199",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["--json", "rigidity", "--table", str(path),
+                     "--delta1", "1e-40", "--delta2", "2e-40"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["closed_form"] == pytest.approx(3.8179077387375946e280, rel=1e-14)
+        assert doc["relative_gap"] < 1e-14
 
     def test_bad_strip(self, table5):
         assert main(["rigidity", "--table", str(table5),

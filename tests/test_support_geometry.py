@@ -438,12 +438,39 @@ class TestTableJson:
 
     def test_overflowing_curvature_samples_rejected(self):
         # finite coefficients whose convexity-grid spectrum overflows to
-        # inf - inf: rho_min reads NaN, and the table is refused without a
-        # warning, built or loaded
-        with pytest.raises(NonConvex, match="nan is not positive"):
+        # inf - inf, as their width 2 h_bound does: the table is refused by
+        # the width rule without a warning, built or loaded
+        width = "^the table's width 2 h_bound overflows the float range$"
+        with pytest.raises(OverflowError, match=width):
             build_gutkin_table(5, 0, 1e308, 1e307)
-        with pytest.raises(NonConvex, match="nan is not positive"):
+        with pytest.raises(OverflowError, match=width):
             table_from_dict({"a0": 1e308, "harmonics": [{"k": 2, "cos": 1e307}]})
+
+    @pytest.mark.parametrize("a0, an", [(1e308, 1e300), (1e308, 1e-300), (9e307, 1e300)])
+    def test_overflowing_width_rejected(self, a0, an):
+        # every curvature sample reads +inf, which the convexity test alone
+        # passed; 2 h_bound is not finite, so the table is refused built and
+        # loaded, with or without harmonics
+        width = "^the table's width 2 h_bound overflows the float range$"
+        with pytest.raises(OverflowError, match=width):
+            build_gutkin_table(5, 0, a0, an)
+        for doc in ({"a0": a0, "harmonics": [{"k": 4, "cos": an / -24}]},
+                    {"a0": a0, "harmonics": []}):
+            with pytest.raises(OverflowError, match=width):
+                table_from_dict(doc)
+
+    @pytest.mark.parametrize("a0", [8.98e307, 1e307, 1e-300])
+    def test_finite_width_loads_bit_for_bit(self, a0):
+        # 2 h_bound = 2 a0 is finite up to a0 = 8.98e307: the table loads,
+        # reads its radius as rho_min and round-trips bit for bit
+        doc = {"a0": a0, "harmonics": [], "gutkin": None}
+        curve, _ = table_from_dict(doc)
+        assert math.isfinite(2.0 * curve.h_bound) and curve.rho_min == a0
+        assert table_to_dict(curve) == doc
+        curve, _ = build_gutkin_table(5, 0, a0, a0 * 1e-8)
+        again, _ = table_from_dict(table_to_dict(curve))
+        assert np.array_equal(again.h.cos_coeffs, curve.h.cos_coeffs)
+        assert again.rho_min == curve.rho_min
 
     @pytest.mark.parametrize("a0, rho_min", [(1e305, 1e305), (1e200, 1e200)])
     def test_huge_tables_accepted(self, a0, rho_min):
