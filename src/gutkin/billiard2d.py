@@ -50,8 +50,7 @@ import numpy as np
 
 from .errors import (MIN_CHORD_ANGLE, ConvergenceFailure, DegenerateChord,
                      NoIntersection, TangentLine)
-from .support_geometry import (SupportCurve, _width_exponent, eval_support, support_grid,
-                               support_grid_scaled)
+from .support_geometry import SupportCurve, eval_support, support_grid, support_grid_scaled
 
 TWO_PI = 2 * math.pi
 PSI_TOL = 1e-14
@@ -435,19 +434,33 @@ def rigidity_integral(curve: SupportCurve, strip: Strip) -> float:
     exactly.  Harmonics 0 and 1 add exactly 0 to the integral, so they are
     left out of both factors: a circle, translated or not, gives 0, and a
     table near one keeps the bits of its small integral.  The phi sum runs
-    on the samples at the scale 2^-e of the table's width, and the integral
-    is scaled back by 2^(2e); one that overflows raises OverflowError.
+    on the samples at the scale 2^-e of harmonics 2..K (_harmonic_exponent),
+    and the integral is scaled back by 2^(2e); one that overflows raises
+    OverflowError.
     """
     nodes, weights = _gauss_legendre()
     a = 0.5 * (strip.delta2 - strip.delta1) * nodes + 0.5 * (strip.delta1 + strip.delta2)
     wa = 0.5 * (strip.delta2 - strip.delta1) * weights
     phi_points = 2 * curve.h.cos_coeffs.size + 1
-    (hpp, rho), e = support_grid_scaled(curve, phi_points, lambda k: -k * k * (k > 1),
-                                        lambda k: (1 - k * k) * (k > 1))
+    e = _harmonic_exponent(curve)
+    hpp, rho = support_grid_scaled(curve, phi_points, e, lambda k: -k * k,
+                                   lambda k: 1 - k * k, low=2)
     with np.errstate(over="ignore", invalid="ignore"):
         phi_part = float(np.sum(hpp * rho)) * (TWO_PI / phi_points)
     alpha_part = float(np.sum(np.sin(a) ** 2 * wa))
     return _finite_integral(2.0 * alpha_part * phi_part, e)
+
+
+def _harmonic_exponent(curve: SupportCurve) -> int:
+    """e with sum_{k>=2} (1 + k) |a_k - i b_k| = f 2^e, 1/2 <= f < 1 (e = 0
+    for a circle, or where the sum overflows): the scale of the harmonics
+    of the strip integral.  At it every term of the phi sums is at most K^2,
+    and the largest one does not underflow, whatever the size of harmonics
+    0 and 1."""
+    k = curve._ik.imag[1:]
+    with np.errstate(over="ignore"):
+        bound = float(np.add.reduce((k + 1.0) * np.abs(curve._coeffs[1:, 0])))
+    return math.frexp(bound)[1]
 
 
 def _finite_integral(value: float, e: int) -> float:
@@ -480,12 +493,13 @@ def _sin2_integral(delta1: float, delta2: float) -> float:
 
 
 def rigidity_integral_closed(curve: SupportCurve, strip: Strip) -> float:
-    """Closed form: 2*int sin^2 da * pi*sum k^2(k^2-1)(a_k^2+b_k^2), the sum
-    formed at the scale 2^-e of the table's width and scaled back by
-    2^(2e).  An integral that overflows raises OverflowError."""
-    e = _width_exponent(curve)
-    k2 = np.arange(1, curve.h.cos_coeffs.size + 1, dtype=float) ** 2
-    a, b = np.ldexp(curve.h.cos_coeffs, -e), np.ldexp(curve.h.sin_coeffs, -e)
+    """Closed form: 2*int sin^2 da * pi*sum k^2(k^2-1)(a_k^2+b_k^2) over
+    k >= 2, the sum formed at the scale 2^-e of those harmonics
+    (_harmonic_exponent) and scaled back by 2^(2e).  An integral that
+    overflows raises OverflowError."""
+    e = _harmonic_exponent(curve)
+    k2 = np.arange(2, curve.h.cos_coeffs.size + 1, dtype=float) ** 2
+    a, b = np.ldexp(curve.h.cos_coeffs[1:], -e), np.ldexp(curve.h.sin_coeffs[1:], -e)
     with np.errstate(over="ignore", invalid="ignore"):
         harmonic_sum = float(np.sum(k2 * (k2 - 1.0) * (a ** 2 + b ** 2)))
     return _finite_integral(2.0 * _sin2_integral(strip.delta1, strip.delta2) * math.pi

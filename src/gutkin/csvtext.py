@@ -45,9 +45,7 @@ INT_LIMIT = 10 ** 17
 #   32-47  d1..d16, the digits after the point
 #   48-55  'e', the exponent's sign and 2 or 3 digits, then the separator;
 #          the separator alone in the fixed forms
-# a block without a fixed form of X >= 1 writes the last NARROW bytes only
 ROW_BYTES = 56
-NARROW = 32
 # X is the decimal exponent of the rounded value: the fixed form is used for
 # -4 <= X <= 16, as '%.17g' does
 FIXED = (-4, 16)
@@ -130,7 +128,6 @@ def _tables() -> dict:
     return dict(hi=hi.copy(), hi_hi=hi_hi, hi_lo=hi_lo, lo=lo.copy(), digits=digits,
                 trailing=trailing, head=head, lead=lead, tail=tail, form_of=form_of,
                 tens=np.array([10 ** k for k in range(1, 17)]), mask=mask,
-                narrow=np.ascontiguousarray(mask[:, ROW_BYTES - NARROW:]),
                 length=mask.sum(axis=1))
 
 
@@ -201,20 +198,15 @@ def _kernel(t, block, ints, sep):
     g1 = top // 10 ** 4
     g3 = bottom // 10 ** 4
     groups = (g1, top - g1 * 10 ** 4, g3, bottom - g3 * 10 ** 4)
-    # the fixed forms with X >= 1 need the whole row, every other form the
-    # last NARROW bytes
-    wide = X.max() >= 1
-    row = np.empty((v.size, ROW_BYTES if wide else NARROW), dtype=np.uint8)
+    row = np.empty((v.size, ROW_BYTES), dtype=np.uint8)
     words, quads = row.view(np.uint64), row.view(np.uint32)
-    skip = 0 if wide else (ROW_BYTES - NARROW) // 8
     x = X + _X0
-    words[:, 3 - skip] = t["lead"][x * 10 + d0]
-    words[:, 6 - skip] = t["tail"][x + sep]
+    words[:, 0] = t["head"][d0]
+    words[:, 3] = t["lead"][x * 10 + d0]
+    words[:, 6] = t["tail"][x + sep]
     for k, g in enumerate(groups):
-        quads[:, 8 - 2 * skip + k] = t["digits"][g]
-    if wide:
-        words[:, 0] = t["head"][d0]
-        words[:, 1:3] = words[:, 4:6]
+        quads[:, 8 + k] = t["digits"][g]
+    words[:, 1:3] = words[:, 4:6]
     trailing = t["trailing"]
     zeros = trailing[groups[3]]
     if (zeros == 8).any():
@@ -226,7 +218,7 @@ def _kernel(t, block, ints, sep):
         layout2[:, j] = _INT + 2 * np.searchsorted(t["tens"], n2[:, j], "right") + (values < 0)
     left = np.flatnonzero(~ok) if not ok.all() else np.empty(0, np.intp)
     layout[left] = _EMPTY
-    keep = np.take(t["mask"] if wide else t["narrow"], layout, axis=0)
+    keep = np.take(t["mask"], layout, axis=0)
     return row[keep].tobytes(), left, layout
 
 

@@ -102,35 +102,36 @@ def support_grid(curve: SupportCurve, size: int, *symbols) -> np.ndarray:
     k = 0..K as floats: 1 gives h, 1j * k gives h', -k * k gives h'' and
     1 - k * k the curvature radius h'' + h.  Shape (len(symbols), size).
 
-    The samples of support_grid_scaled, scaled back by 2^e: no sample
-    overflows unless it exceeds the float range itself, and scaling h by a
-    power of two scales every sample exactly.
+    The samples of support_grid_scaled at the scale 2^-e of the table's
+    width 2 h_bound = f 2^e, 1/2 <= f < 1, scaled back by 2^e: no spectrum
+    overflows unless the width does (frexp leaves an infinite width
+    unscaled, e = 0), no sample unless it exceeds the float range itself,
+    and scaling h by a power of two scales every sample exactly.
     """
-    samples, e = support_grid_scaled(curve, size, *symbols)
-    return np.ldexp(samples, e)
+    e = _width_exponent(curve)
+    return np.ldexp(support_grid_scaled(curve, size, e, *symbols), e)
 
 
-def support_grid_scaled(curve: SupportCurve, size: int, *symbols) -> tuple[np.ndarray, int]:
-    """(samples / 2^e, e) for the samples of support_grid, where
-    2 h_bound = f 2^e with 1/2 <= f < 1 (e = 0 where the width overflows).
+def support_grid_scaled(curve: SupportCurve, size: int, e: int, *symbols,
+                        low: int = 0) -> np.ndarray:
+    """The samples of support_grid times 2^-e, from harmonics low..K only.
 
     One inverse real FFT over all rows: the one home of uniform-grid samples
     of h.  It runs on the least multiple of size above 2K and keeps every
     m-th sample, so no harmonic aliases, whatever the size.  A row's
     spectrum is the exact factor (n/2) s(k) times a_k - i b_k (2 h_0 for
-    the constant), rounded once, from the coefficients scaled by 2^-e, so
-    no spectrum overflows unless the table's width 2 h_bound does.
+    the constant), rounded once, from the coefficients scaled by 2^-e; the
+    harmonics below low are never scaled, so they cannot overflow.
     """
     degree = curve._ik.size
     n = size * (2 * degree // size + 1)
-    k = np.arange(degree + 1.0)
-    e = _width_exponent(curve)
-    c = np.concatenate(([2.0 * curve.h.constant], curve._coeffs[:, 0]))
+    k = np.arange(low, degree + 1.0)
+    c = np.concatenate(([2.0 * curve.h.constant], curve._coeffs[:, 0]))[low:]
     c = np.ldexp(c.view(float), -e).view(complex)
     spectrum = np.zeros((len(symbols), n // 2 + 1), dtype=complex)
     for row, symbol in zip(spectrum, symbols):
-        row[:degree + 1] = 0.5 * n * symbol(k) * c
-    return np.fft.irfft(spectrum, n)[:, ::n // size], e
+        row[low:degree + 1] = 0.5 * n * symbol(k) * c
+    return np.fft.irfft(spectrum, n)[:, ::n // size]
 
 
 def _width_exponent(curve: SupportCurve) -> int:

@@ -601,7 +601,10 @@ class TestRigidity:
     @pytest.mark.parametrize("eps", [1e-4, 1e-12, 1e-20])
     def test_bits_kept_under_harmonics_0_and_1(self, eps):
         # doubling a0 or adding a first harmonic leaves both routes' bits as
-        # they are: those harmonics add exactly 0 to the integral
+        # they are: those harmonics add exactly 0 to the integral, and the
+        # sums run at the scale of harmonics 2..K, so neither a radius of
+        # 1e200 (whose scale would underflow the squares) nor a translation
+        # of 1e300 (which would overflow at the scale of harmonic 5) enters
         cos = np.array([0.0, 0.0, 0.0, 0.0, eps, 0.0, 0.5 * eps])
         sin = np.array([0.0, 0.0, 0.0, 0.0, 0.3 * eps, 0.0, 0.0])
         strip = Strip(0.3, 1.2)
@@ -610,7 +613,9 @@ class TestRigidity:
         assert want[0] > 0 and want[1] > 0
         first = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         for curve in (SupportCurve(TrigPolynomial(2.0, cos, sin)),
-                      SupportCurve(TrigPolynomial(1.0, cos + 0.3 * first, sin - 0.2 * first))):
+                      SupportCurve(TrigPolynomial(1.0, cos + 0.3 * first, sin - 0.2 * first)),
+                      SupportCurve(TrigPolynomial(1e200, cos, sin)),
+                      SupportCurve(TrigPolynomial(1.0, cos + 1e300 * first, sin))):
             assert (rigidity_integral(curve, strip), rigidity_integral_closed(curve, strip)) == want
 
     @pytest.mark.parametrize("a0, an", [(1e200, 5e199), (1e306, 5e305)])

@@ -575,17 +575,24 @@ class TestRigidity:
                      "--delta1", "0.1", "--delta2", "0.5"]) == 2
         assert capsys.readouterr() == ("", "error: the strip integral overflows the float range\n")
 
-    def test_thin_strip_on_huge_table(self, tmp_path, capsys):
+    @pytest.mark.parametrize("an, delta1, delta2, closed", [
         # the phi sum of this table overflows at its own scale, the integral
-        # does not: both routes give it, formed at the scale of the width
+        # does not
+        ("5e199", "1e-40", "2e-40", 3.8179077387375946e280),
+        # squares of its harmonics at the scale of its width underflow
+        ("1e-10", "0.1", "0.5", 2.572151921404912e-21),
+    ])
+    def test_huge_table_integral(self, tmp_path, capsys, an, delta1, delta2, closed):
+        # both routes give the finite integral, formed at the scale of
+        # harmonics 2..K
         path = tmp_path / "t.json"
-        assert main(["table", "--n", "5", "--a0", "1e200", "--an", "5e199",
+        assert main(["table", "--n", "5", "--a0", "1e200", "--an", an,
                      "--out", str(path)]) == 0
         capsys.readouterr()
         assert main(["--json", "rigidity", "--table", str(path),
-                     "--delta1", "1e-40", "--delta2", "2e-40"]) == 0
+                     "--delta1", delta1, "--delta2", delta2]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["closed_form"] == pytest.approx(3.8179077387375946e280, rel=1e-14)
+        assert doc["closed_form"] == pytest.approx(closed, rel=1e-14)
         assert doc["relative_gap"] < 1e-14
 
     def test_bad_strip(self, table5):
@@ -634,16 +641,16 @@ class TestRigidity:
         assert doc["relative_gap"] == 0.0
 
     def test_strip_whose_closed_form_underflows(self, tmp_path, capsys):
-        # k = 1000 at 1e-163: the closed form's |h_k|^2 = 1e-326 underflows
-        # to 0, while the quadrature's products of samples of about 1e-157
-        # keep a subnormal positive integral; the gap stays finite
+        # k = 1000 at 1e-163: |h_k|^2 = 1e-326 underflows at the scale 1, but
+        # both routes form their sums at the scale of harmonic k and keep
+        # the subnormal integral, 2.6533539751405455e-314 in 40 digits
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"a0": 1.0, "harmonics": [{"k": 1000, "cos": 1e-163}]}))
         assert main(["--json", "rigidity", "--table", str(path),
                      "--delta1", "0.3", "--delta2", "1.2"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["closed_form"] == 0.0 != doc["quadrature"]
-        assert doc["quadrature"] > 0
+        assert doc["closed_form"] == pytest.approx(2.6533539751405455e-314, rel=1e-9)
+        assert doc["quadrature"] == pytest.approx(doc["closed_form"], rel=1e-9)
         assert math.isfinite(doc["relative_gap"])
 
     @pytest.mark.parametrize("first", [False, True], ids=["no-k1", "k1"])
