@@ -6,7 +6,7 @@ Submodules:
     billiard_nd       -- ellipsoid billiards in R^d, gradient contract, twist
     geodesic_chords   -- geodesics on a quadric, Frenet data, chord curves
     cli               -- command-line front end
-    csvtext           -- the CLI's CSV text, '%.17g' and '%d' per field
+    csvtext           -- the CLI's CSV text, '%.17g' per field
 """
 
 from .errors import GutkinError

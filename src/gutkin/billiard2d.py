@@ -17,9 +17,9 @@ solve needs neither bracket values nor a backward solve, and starts the
 forward endpoint at that point's mirror image across phi.  The departure
 lines of verify_constant_angle carry their departure points the same way.
 
-The map is implemented twice: geometrically (locate the chord, reflect
-across the tangent, which sends the normal angle phi to 2 psi_fwd - phi)
-and variationally through the generating function
+The map has two readings: geometric (locate the chord, reflect across
+the tangent, which sends the normal angle phi to 2 psi_fwd - phi) and
+variational, through the generating function
 
     S(phi1, phi2) = 2 h((phi1+phi2)/2) sin((phi2-phi1)/2),
 

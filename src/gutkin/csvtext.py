@@ -1,5 +1,6 @@
-"""CSV text of the CLI's artifacts: each float cell reads as Python's
-``'%.17g' % v`` and each integer cell as ``'%d' % n``, byte for byte.
+"""CSV text of the CLI's artifacts: each cell reads as Python's ``'%.17g' %
+float(v)``, byte for byte, so an integer counter below 2^53 reads as
+``'%d' % n``.
 
 The cells are formatted by a numpy kernel, ``CSV_BLOCK_CELLS`` at a time.
 A float ``v`` with ``|v|`` in ``FAST_RANGE`` is scaled to its 17-digit
@@ -9,17 +10,16 @@ split in 26-bit halves (Dekker), so ``|v| 10^s_hi`` is exact as a sum of two
 floats, and ``10^s = 10^s_hi + 10^s_lo`` holds to ``2^-106`` of itself.  The
 scaled value is exact where ``10^s`` is a float (``s = 0..22``, so ``1e-6 <=
 |v| < 1e17``), and known to about ``1e-14`` elsewhere, far inside the margin
-``TIE_MARGIN`` of a rounding tie.  An integer ``n`` with ``|n| < INT_LIMIT``
-is its own ``N``.  ``N`` becomes ASCII through a table of the 10^4 four-digit
-groups, and each cell is laid out on a fixed-width byte row, of which a mask
-per layout keeps the sign, the fixed or exponent form, the decimal point,
-the digits up to the last nonzero one and the separator.  Zero is the fixed
-form of ``N = 0``.  Every other cell is formatted by ``'%.17g'`` (or
-``'%d'``) itself: a subnormal, infinite or NaN value, one outside the range,
-an inexact scaled value within the margin of a tie, one outside ``[10^16,
-10^17)`` before or after rounding (``log10`` misjudged the decade, or the
-value rounds up to a power of ten), and an integer of 18 digits or more.  So
-the text equals the reference formatting on every value by construction.
+``TIE_MARGIN`` of a rounding tie.  ``N`` becomes ASCII through a table of
+the 10^4 four-digit groups, and each cell is laid out on a fixed-width byte
+row, of which a mask per layout keeps the sign, the fixed or exponent form,
+the decimal point, the digits up to the last nonzero one and the separator.
+Zero is the fixed form of ``N = 0``.  Every other cell is formatted by
+``'%.17g'`` itself: a subnormal, infinite or NaN value, one outside the
+range, an inexact scaled value within the margin of a tie, and one outside
+``[10^16, 10^17)`` before or after rounding (``log10`` misjudged the decade,
+or the value rounds up to a power of ten).  So the text equals the reference
+formatting on every value by construction.
 """
 
 from __future__ import annotations
@@ -35,13 +35,11 @@ FAST_RANGE = (2.0 ** -960, 2.0 ** 960)
 # decades floor(log10 |v|) of the power table: those of FAST_RANGE, +-1
 DECADES = (-290, 289)
 TIE_MARGIN = 2.0 ** -20
-INT_LIMIT = 10 ** 17
 # the byte row of a cell, d0..d16 the digits of N:
 #   0-7    '-' at 6, d0 at 7: the integer part of a fixed form with X >= 1 ...
 #   8-23   ... d1..d16
 #   24-31  '-' at 29, d0 at 30, '.' at 31 (X >= 0 and the exponent forms), or
-#          '-0.' and -X-1 zeros ending at 30, d0 at 31 (X < 0 and integers,
-#          whose '-' is at 28 and whose digits end at 47)
+#          '-0.' and -X-1 zeros ending at 30, d0 at 31 (X < 0)
 #   32-47  d1..d16, the digits after the point
 #   48-55  'e', the exponent's sign and 2 or 3 digits, then the separator;
 #          the separator alone in the fixed forms
@@ -51,11 +49,9 @@ ROW_BYTES = 56
 FIXED = (-4, 16)
 _X0 = -DECADES[0]  # X + _X0 indexes the tables by exponent
 _SPAN = DECADES[1] + 2 + _X0  # exponents -290..290
-# layouts (form * 17 + last) * 2 + sign: the fixed forms X = -4..16, the
-# exponent forms of 2 and of 3 digits, with digits d0..d<last>, and
-# integers of last + 1 digits
-_FORMS = FIXED[1] - FIXED[0] + 4
-_INT = (_FORMS - 1) * 34
+# layouts (form * 17 + last) * 2 + sign: the fixed forms X = -4..16 and
+# the exponent forms of 2 and of 3 digits, with digits d0..d<last>
+_FORMS = FIXED[1] - FIXED[0] + 3
 _EMPTY = _FORMS * 34  # the layout of a cell formatted outside the kernel
 
 
@@ -72,8 +68,6 @@ def _power(s: int) -> tuple[float, float]:
 
 def _layout(form: int, last: int) -> tuple[int, list[int]]:
     """(byte of the minus sign, bytes kept) of a layout."""
-    if form == _FORMS - 1:  # an integer of last + 1 digits
-        return 28, [*range(47 - last, 49)]
     X = form + FIXED[0]
     if X < 0:
         zeros = -X - 1
@@ -86,7 +80,7 @@ def _layout(form: int, last: int) -> tuple[int, list[int]]:
         sign, keep = 29, [30]
         if last:
             keep += [31, *range(32, 32 + last)]
-    tail = 1 if X <= FIXED[1] else 5 + (form == _FORMS - 2)
+    tail = 1 if X <= FIXED[1] else 5 + (form == _FORMS - 1)
     return sign, keep + [*range(48, 48 + tail)]
 
 
@@ -115,7 +109,7 @@ def _tables() -> dict:
                      for x, f in zip(exps.tolist(), fixed.tolist())], dtype=np.uint64)
     # the layout of a positive value with all 17 digits, by exponent; each
     # trailing zero of N takes 2 off it
-    form_of = np.where(fixed, exps - FIXED[0], _FORMS - 3 + (np.abs(exps) >= 100)) * 34 + 32
+    form_of = np.where(fixed, exps - FIXED[0], _FORMS - 2 + (np.abs(exps) >= 100)) * 34 + 32
     rows, cols = [], []
     for form in range(_FORMS):
         for last in range(17):
@@ -127,8 +121,7 @@ def _tables() -> dict:
     mask[rows, cols] = True
     return dict(hi=hi.copy(), hi_hi=hi_hi, hi_lo=hi_lo, lo=lo.copy(), digits=digits,
                 trailing=trailing, head=head, lead=lead, tail=tail, form_of=form_of,
-                tens=np.array([10 ** k for k in range(1, 17)]), mask=mask,
-                length=mask.sum(axis=1))
+                mask=mask, length=mask.sum(axis=1))
 
 
 def _split_hi(x):
@@ -144,11 +137,10 @@ def _decades(a):
     return np.floor(np.log10(a)).astype(np.intp)
 
 
-def _kernel(t, block, ints, sep):
+def _kernel(t, block, sep):
     """The text of the cells of ``block`` (float64, rows by columns), and
     the indices and layouts of the cells it left out for the reference
-    formatting.  ``ints`` pairs each integer column's index with its values
-    in the block; ``sep`` is, per cell, 0 where a comma follows it and
+    formatting.  ``sep`` is, per cell, 0 where a comma follows it and
     ``_SPAN`` where a newline does."""
     v = block.ravel()
     a = np.abs(v)
@@ -183,13 +175,6 @@ def _kernel(t, block, ints, sep):
     n *= ok
     X = np.where(zero, 0, e10)
     ok |= zero
-    rows = block.shape[0]
-    n2, X2, ok2 = n.reshape(rows, -1), X.reshape(rows, -1), ok.reshape(rows, -1)
-    for j, values in ints:
-        inside = (values > -INT_LIMIT) & (values < INT_LIMIT)
-        n2[:, j] = np.where(inside, np.abs(values), 0)
-        X2[:, j] = -1
-        ok2[:, j] = inside
     # the 17 digits: d0 and four groups of four
     d0 = n // 10 ** 16
     rest = n - d0 * 10 ** 16
@@ -213,9 +198,6 @@ def _kernel(t, block, ints, sep):
         z1, z2, z3 = (trailing[g] for g in groups[:3])
         zeros = zeros + (zeros == 8) * (z3 + (z3 == 8) * (z2 + (z2 == 8) * z1))
     layout = t["form_of"][x] + np.signbit(v) - zeros
-    layout2 = layout.reshape(rows, -1)
-    for j, values in ints:
-        layout2[:, j] = _INT + 2 * np.searchsorted(t["tens"], n2[:, j], "right") + (values < 0)
     left = np.flatnonzero(~ok) if not ok.all() else np.empty(0, np.intp)
     layout[left] = _EMPTY
     keep = np.take(t["mask"], layout, axis=0)
@@ -223,13 +205,12 @@ def _kernel(t, block, ints, sep):
 
 
 def write_csv(path, header: list[str], columns):
-    """CSV of equal-length columns: integer columns as %d, every other column
-    as float with 17 significant digits, the bytes of ``'%.17g' % v``."""
+    """CSV of equal-length columns, each cell the bytes of ``'%.17g' %
+    float(v)``."""
     t = _tables()
     columns = [np.asarray(c) for c in columns]
     width = len(columns)
     rows = min((c.shape[0] for c in columns), default=0)
-    ints = [j for j, c in enumerate(columns) if c.dtype.kind in "iu"]
     step = max(1, CSV_BLOCK_CELLS // max(width, 1))
     sep = np.tile(np.where(np.arange(width) == width - 1, _SPAN, 0), step)
     with open(path, "wb") as f:
@@ -237,22 +218,20 @@ def write_csv(path, header: list[str], columns):
         for start in range(0, rows, step):
             stop = min(start + step, rows)
             block = np.stack([c[start:stop] for c in columns], axis=1, dtype=float)
-            text, left, layout = _kernel(t, block, [(j, columns[j][start:stop]) for j in ints],
-                                         sep[:block.size])
+            text, left, layout = _kernel(t, block, sep[:block.size])
             if left.size:
-                text = _splice(text, left, t["length"][layout], columns, start, width)
+                text = _splice(text, left, t["length"][layout], block)
             f.write(text)
 
 
-def _splice(text, left, length, columns, start, width):
-    """``text`` with the cells ``left`` formatted by '%.17g' or '%d' put in."""
+def _splice(text, left, length, block):
+    """``text`` with the cells ``left`` of ``block`` formatted by '%.17g' put in."""
     ends = np.cumsum(length)
+    width = block.shape[1]
     pieces, done = [], 0
-    for i in left.tolist():
-        row, j = divmod(i, width)
-        value = columns[j][start + row]
-        cell = "%d" % int(value) if columns[j].dtype.kind in "iu" else "%.17g" % float(value)
-        pieces += [text[done:ends[i]], cell.encode(), b"\n" if j == width - 1 else b","]
+    for i, value in zip(left.tolist(), block.ravel()[left].tolist()):
+        sep = b"\n" if i % width == width - 1 else b","
+        pieces += [text[done:ends[i]], b"%.17g" % value, sep]
         done = ends[i]
     pieces.append(text[done:])
     return b"".join(pieces)

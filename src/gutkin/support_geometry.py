@@ -63,11 +63,14 @@ class SupportCurve:
         k = np.arange(1, self.h.cos_coeffs.size + 1, dtype=float)
         c = self.h.cos_coeffs - 1j * self.h.sin_coeffs
         object.__setattr__(self, "_ik", 1j * k)
-        object.__setattr__(self, "_coeffs",
-                           np.stack([c, 1j * k * c, -k * k * c, -1j * k ** 3 * c], axis=1))
         object.__setattr__(self, "_h0", np.array(self.h.constant, dtype=float))
-        object.__setattr__(self, "h_bound",
-                           abs(self.h.constant) + float(np.add.reduce((k + 1.0) * np.abs(c))))
+        # on a table near the float range a derivative column or the width
+        # overflows; _convex refuses such a table
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "_coeffs",
+                               np.stack([c, 1j * k * c, -k * k * c, -1j * k ** 3 * c], axis=1))
+            object.__setattr__(self, "h_bound",
+                               abs(self.h.constant) + float(np.add.reduce((k + 1.0) * np.abs(c))))
         # support_grid never aliases; past CONVEXITY_GRID the grid grows to 2K + 2
         # samples so that it resolves the degree-K radius.  On a table near the
         # float range the spectrum overflows, and rho_min reads inf or NaN
@@ -153,11 +156,15 @@ def boundary_point(curve: SupportCurve, phi):
 
 
 def _convex(curve: SupportCurve) -> SupportCurve:
-    """curve, unless its width 2 h_bound overflows the float range
-    (OverflowError), which every sample of it would need, or its least
+    """curve, unless its width 2 h_bound overflows the float range, which
+    every sample of it would need, or one of its derivative columns (i k)^j
+    c_k does, which eval_support would need (OverflowError), or its least
     curvature radius is not positive (NonConvex)."""
     if not math.isfinite(2.0 * curve.h_bound):
         raise OverflowError("the table's width 2 h_bound overflows the float range")
+    if not np.isfinite(curve._coeffs).all():
+        raise OverflowError("the table's derivative columns (i k)^j c_k overflow "
+                            "the float range")
     if not curve.rho_min > 0:
         raise NonConvex(f"min curvature radius {curve.rho_min:g} is not positive")
     return curve

@@ -459,6 +459,19 @@ class TestTableJson:
             with pytest.raises(OverflowError, match=width):
                 table_from_dict(doc)
 
+    def test_overflowing_derivative_columns_rejected(self):
+        # the width is finite, but k^3 |c_k| = 1e310 is not: eval_support
+        # would read h''' = -inf, so the table is refused without a warning,
+        # loaded or built
+        columns = r"^the table's derivative columns \(i k\)\^j c_k overflow the float range$"
+        with pytest.raises(OverflowError, match=columns):
+            table_from_dict({"a0": 1e307, "harmonics": [{"k": 1000, "cos": 1e301}]})
+        with pytest.raises(OverflowError, match=columns):
+            build_gutkin_table(1000, 0, 1e307, 1e306)
+        # 100 times smaller, every column is finite and the table loads
+        curve, _ = table_from_dict({"a0": 1e307, "harmonics": [{"k": 1000, "cos": 1e299}]})
+        assert np.isfinite(curve._coeffs).all()
+
     @pytest.mark.parametrize("a0", [8.98e307, 1e307, 1e-300])
     def test_finite_width_loads_bit_for_bit(self, a0):
         # 2 h_bound = 2 a0 is finite up to a0 = 8.98e307: the table loads,
