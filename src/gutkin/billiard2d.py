@@ -31,9 +31,9 @@ h cos(psi-phi) + h' sin(psi-phi) = S2, and both maps refuse a line by one
 rule: the lesser incidence of its two chord ends below MIN_CHORD_ANGLE.
 The maps agree bit for bit on every line, so their agreement checks
 nothing; the independent oracles are the 50-digit mpmath roots of
-TestMpmathOracle and the benchmark's bisection, oracles.planar_bounce.
-Both maps take arrays of lines and advance them in lock-step; the scalar
-functions are wrappers around a batch of one.
+TestMpmathOracle, the benchmark's bisection, oracles.planar_bounce, and
+the generating relation p1 = -S1, p2 = S2 of acceptance criterion 3.
+orbits is the one batched entry of the map; one bounce is steps = 1.
 The strip functional integral of (S11+2*S12+S22) against the invariant
 measure S12 dphi1 dphi2 collapses, after reduction, to a weighted sum of
 squares of Fourier coefficients of h; both routes are provided.
@@ -85,15 +85,15 @@ class OrientedLine2D:
         object.__setattr__(self, "p", float(self.p))
 
 
-def _bounced(p, phi, source) -> OrientedLine2D:
-    """The line (p, phi) leaving the boundary point of Gauss parameter source."""
-    line = OrientedLine2D(p, phi)
-    object.__setattr__(line, "source", float(source))
-    return line
-
-
 class Chords(NamedTuple):
-    """Chords of a batch of lines, one entry per line; valid where status == SOLVED."""
+    """Chords of a batch of lines, one entry per line; valid where status == SOLVED.
+
+    Endpoints are Gauss parameters in [0, 2*pi); the incidence angle at an
+    endpoint psi is the angle between the line and the tangent there,
+    min(b, pi - b) for b = psi - phi reduced mod pi.  Incidence at least
+    MIN_CHORD_ANGLE puts both ends strictly inside their disjoint brackets,
+    so a SOLVED chord has positive length on a table of any size.
+    """
 
     psi_back: np.ndarray
     psi_fwd: np.ndarray
@@ -233,8 +233,8 @@ def _newton(evaluate, lo, hi, x, done):
 
 
 def _solve_chords(curve: SupportCurve, p, phi, source=None):
-    """``solve_chords``, and the lines (p2, phi2) that the mirror law
-    reflects at the forward endpoints, valid where SOLVED: phi2 =
+    """The ``Chords`` of the lines (p, phi), and the lines (p2, phi2) that
+    the mirror law reflects at the forward endpoints, valid where SOLVED: phi2 =
     2 psi_fwd - phi, and p2 = h cos(b) + h' sin(b), b = psi_fwd - phi, from
     the solver's last evaluation.  The one chord solve of both maps.  Lines
     given a ``source`` (see ``_starts``) take it as their backward endpoint
@@ -279,18 +279,6 @@ def _solve_chords(curve: SupportCurve, p, phi, source=None):
             (h * cb + hp * sb)[:n], _mod_two_pi(psi_fwd + psi_fwd - phi[:n]))
 
 
-def solve_chords(curve: SupportCurve, p, phi) -> Chords:
-    """Chords of the lines (p, phi), equal-size arrays or scalars, solved in lock-step.
-
-    Endpoints are Gauss parameters in [0, 2*pi); the incidence angle at an
-    endpoint psi is the angle between the line and the tangent there,
-    min(b, pi - b) for b = psi - phi reduced mod pi.  Incidence at least
-    MIN_CHORD_ANGLE puts both ends strictly inside their disjoint brackets,
-    so a SOLVED chord has positive length on a table of any size.
-    """
-    return _solve_chords(curve, p, phi)[0]
-
-
 class _Bounce(Chords):
     """A one-line ``Chords`` that also holds ``outgoing``, the line reflected
     at its forward endpoint, from the same solve."""
@@ -304,7 +292,8 @@ def _bounce(curve: SupportCurve, line: OrientedLine2D) -> _Bounce:
     c, p2, phi2 = _solve_chords(curve, line.p, line.phi, line.source)
     _raise_first_failure(c, line.p, line.phi)
     chord = _Bounce(*c)
-    chord.outgoing = _bounced(p2[0], phi2[0], c.psi_fwd[0])
+    chord.outgoing = OrientedLine2D(p2[0], phi2[0])
+    object.__setattr__(chord.outgoing, "source", float(c.psi_fwd[0]))
     return chord
 
 
@@ -319,16 +308,6 @@ def reflect_geometric(curve: SupportCurve, line: OrientedLine2D):
     """One bounce by reflection at the forward endpoint; returns (next line, chord)."""
     chord = chord_incidence_angles(curve, line)
     return chord.outgoing, Chords(*chord)
-
-
-def solve_variational(curve: SupportCurve, p, phi):
-    """Next lines (p2, phi2, status) of the lines (p, phi) by the generating
-    function: phi2 solves p = h(mid) cos(alpha) - h'(mid) sin(alpha), with
-    mid = (phi+phi2)/2 and alpha = (phi2-phi)/2, and p2 = +dS/dphi2.  The
-    solve is the chord solve, in mid = phi + alpha, the forward chord end,
-    with its status."""
-    chords, p2, phi2 = _solve_chords(curve, p, phi)
-    return p2, phi2, chords.status
 
 
 def reflect_variational(curve: SupportCurve, line: OrientedLine2D) -> OrientedLine2D:
@@ -377,7 +356,8 @@ def verify_constant_angle(curve: SupportCurve, delta: float, grid_size: int = 36
 
 
 def orbits(curve: SupportCurve, p0, phi0, steps: int):
-    """Iterate the geometric map on many lines in lock-step.
+    """Iterate the geometric map on many lines in lock-step: the one batched
+    entry of the map, whose one bounce is steps = 1.
 
     Returns (p, phi, chords): p and phi of shape (steps+1, lines), and the
     chord of every bounce as ``Chords`` fields of shape (steps, lines).  From

@@ -176,7 +176,7 @@ def deriv_samples(y: np.ndarray, h: float) -> np.ndarray:
 def frenet_apparatus(traj: GeodesicTrajectory) -> FrenetData:
     """Curvature, torsion and (v, n, w) frames from sampled accelerations."""
     if traj.s.size < 5:
-        raise ValueError("need at least 5 samples")
+        raise ValueError(f"need at least 5 samples, got {traj.s.size}")
     k = np.linalg.norm(traj.x_ddot, axis=1)
     # k |x| is scale-free: it is 1 on a sphere of any radius centred at 0
     if (k * np.linalg.norm(traj.x, axis=1)).min() < 1e-8:

@@ -24,10 +24,6 @@ def report(num: int, name: str, ok: bool):
     assert ok, f"criterion {num:02d} {name} failed"
 
 
-def angle_diff(a, b):
-    return abs((a - b + math.pi) % TWO_PI - math.pi)
-
-
 @pytest.fixture(scope="module")
 def gutkin5():
     return sg.build_gutkin_table(5, 0, 1.0, 0.05)
@@ -65,23 +61,14 @@ def test_criterion_2_gutkin_invariance(gutkin5):
 
 
 def test_criterion_3_generating_equivalence(test_tables):
+    # every bounce (p1, phi1) -> (p2, phi2) of the geometric map obeys the
+    # generating relation p1 = -S1(phi1, phi2), p2 = S2(phi1, phi2), with S1
+    # and S2 central differences of a long-double S, independent of the
+    # chord solve
     rng = np.random.default_rng(2024)
     ok = True
+    step = np.longdouble(1e-6)
     for curve in test_tables:
-        h_min = float(np.min(trig_eval(curve.h, np.linspace(0, TWO_PI, 512, endpoint=False))))
-        count = 0
-        while count < 200:
-            line = b2.OrientedLine2D(rng.uniform(-0.85, 0.85) * h_min,
-                                     rng.uniform(0, TWO_PI))
-            try:
-                geo, _ = b2.reflect_geometric(curve, line)
-            except b2.TangentLine:
-                continue
-            var = b2.reflect_variational(curve, line)
-            ok &= abs(geo.p - var.p) < 1e-9
-            ok &= angle_diff(geo.phi, var.phi) < 1e-9
-            count += 1
-        # derivative consistency and twist on random chords
         const = np.longdouble(curve.h.constant)
         a_k = curve.h.cos_coeffs.astype(np.longdouble)
         b_k = curve.h.sin_coeffs.astype(np.longdouble)
@@ -93,6 +80,23 @@ def test_criterion_3_generating_equivalence(test_tables):
             h = const + np.sum(a_k * np.cos(k * mid)) + np.sum(b_k * np.sin(k * mid))
             return 2 * h * np.sin(alpha)
 
+        h_min = float(np.min(trig_eval(curve.h, np.linspace(0, TWO_PI, 512, endpoint=False))))
+        count = 0
+        while count < 200:
+            line = b2.OrientedLine2D(rng.uniform(-0.85, 0.85) * h_min,
+                                     rng.uniform(0, TWO_PI))
+            try:
+                nxt, _ = b2.reflect_geometric(curve, line)
+            except b2.TangentLine:
+                continue
+            phi1 = np.longdouble(line.phi)
+            phi2 = phi1 + (nxt.phi - line.phi) % TWO_PI
+            s1 = (S(phi1 + step, phi2) - S(phi1 - step, phi2)) / (2 * step)
+            s2 = (S(phi1, phi2 + step) - S(phi1, phi2 - step)) / (2 * step)
+            ok &= abs(line.p + float(s1)) < 1e-10
+            ok &= abs(nxt.p - float(s2)) < 1e-10
+            count += 1
+        # derivative consistency and twist on random chords
         eps = 1e-5
         for _ in range(20):
             phi1 = rng.uniform(0, TWO_PI)

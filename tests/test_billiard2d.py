@@ -6,12 +6,12 @@ import pytest
 
 from conftest import trig_derivative, trig_eval
 from gutkin import billiard2d
-from gutkin.billiard2d import (MISSES, NEAR_TANGENT, SOLVED, OrientedLine2D, Strip,
-                               chord_incidence_angles, constant_angle_line,
+from gutkin.billiard2d import (MISSES, NEAR_TANGENT, SOLVED, Chords, OrientedLine2D,
+                               Strip, chord_incidence_angles, constant_angle_line,
                                generating_function, orbit, orbits,
                                reflect_geometric, reflect_variational,
                                rigidity_integral, rigidity_integral_closed,
-                               solve_chords, solve_variational, verify_constant_angle)
+                               verify_constant_angle)
 from gutkin.errors import (MIN_CHORD_ANGLE, ConvergenceFailure, DegenerateChord,
                            NoIntersection, TangentLine)
 from gutkin.support_geometry import (SupportCurve, TrigPolynomial,
@@ -28,6 +28,13 @@ def gutkin5():
 
 def angle_diff(a, b):
     return abs((a - b + math.pi) % TWO_PI - math.pi)
+
+
+def one_bounce(curve, p, phi):
+    """orbits(curve, p, phi, 1) with the bounce axis dropped: the next lines
+    (p2, phi2), NaN where the chord solve failed, and the chords."""
+    ps, phis, chords = orbits(curve, p, phi, 1)
+    return ps[1], phis[1], Chords._make(rows[0] for rows in chords)
 
 
 class TestGeneratingValue:
@@ -219,10 +226,7 @@ class TestReflectVariational:
         rng = np.random.default_rng(23)
         phi = rng.uniform(0, TWO_PI, 40)
         p = rng.uniform(-0.9, 0.9, 40) * trig_eval(curve.h, phi)
-        p2, phi2, status = solve_variational(curve, p, phi)
-        chords, geo_p2, geo_phi2 = billiard2d._solve_chords(curve, p, phi)
-        assert (status == SOLVED).all() and (chords.status == SOLVED).all()
-        assert np.array_equal(p2, geo_p2) and np.array_equal(phi2, geo_phi2)
+        assert (one_bounce(curve, p, phi)[2].status == SOLVED).all()
         for line in map(OrientedLine2D, p, phi):
             var = geo = line
             for _ in range(30):
@@ -233,7 +237,7 @@ class TestReflectVariational:
     def test_incidence_floor(self, gutkin5, table):
         # lines leaving the boundary at incidences from 1e-8 to 1e-5, a factor
         # 2 clear of MIN_CHORD_ANGLE: both maps refuse the same lines, with
-        # the same message; their batched solves give the same status
+        # the same message, and the batched bounce gives them its status
         curve = circle(1.0) if table == "circle" else gutkin5[0]
         deltas = np.array([d for d in np.geomspace(1e-8, 1e-5, 16)
                            if not 0.5 * MIN_CHORD_ANGLE < d < 2 * MIN_CHORD_ANGLE])
@@ -258,8 +262,7 @@ class TestReflectVariational:
                 assert float(incidence) < MIN_CHORD_ANGLE
             refused.append(isinstance(geo, TangentLine))
         p, phi = np.array([(line.p, line.phi) for line in lines]).T
-        status = solve_variational(curve, p, phi)[2]
-        assert np.array_equal(status, solve_chords(curve, p, phi).status)
+        status = one_bounce(curve, p, phi)[2].status
         assert np.array_equal(status == NEAR_TANGENT, refused)
         below = np.repeat(deltas < MIN_CHORD_ANGLE, psis.size)
         assert np.isin(status[below], [NEAR_TANGENT, MISSES]).all()
@@ -411,7 +414,7 @@ class TestVerifyConstantAngle:
         _, p, phi = self.departures(curve, delta, size)
         floor = (2 * np.finfo(float).eps * (curve.h_bound + np.max(np.abs(p)))
                  / (curve.rho_min * math.sin(delta)))
-        two_ended = float(np.max(np.abs(solve_chords(curve, p, phi).angle_fwd - delta)))
+        two_ended = float(np.max(np.abs(one_bounce(curve, p, phi)[2].angle_fwd - delta)))
         assert abs(residual - two_ended) <= floor
         support = TestMpmathOracle.mp_support(curve)
         worst = 0.0
@@ -436,7 +439,7 @@ class TestVerifyConstantAngle:
         delta = meta["delta"] if delta is None else delta
         psi = np.linspace(0.0, TWO_PI, 8, endpoint=False)
         h, hp, _, _ = eval_support(curve, psi)
-        c = solve_chords(curve, h * math.cos(delta) + hp * math.sin(delta), psi + delta)
+        c = one_bounce(curve, h * math.cos(delta) + hp * math.sin(delta), psi + delta)[2]
         want = float(np.max(np.abs(c.angle_fwd - delta)))
         assert abs(verify_constant_angle(curve, delta, 8) - want) <= 1e-15
 
@@ -721,7 +724,7 @@ class TestBatchedSolves:
 
     def test_chords(self, gutkin5, lines):
         curve, _ = gutkin5
-        batch = solve_chords(curve, *lines)
+        batch = one_bounce(curve, *lines)[2]
         assert batch.status[8] == MISSES
         for i, (p, phi) in enumerate(zip(*lines)):
             if batch.status[i] != SOLVED:
@@ -734,9 +737,9 @@ class TestBatchedSolves:
 
     def test_variational(self, gutkin5, lines):
         curve, _ = gutkin5
-        p2, phi2, status = solve_variational(curve, *lines)
+        p2, phi2, batch = one_bounce(curve, *lines)
         for i, (p, phi) in enumerate(zip(*lines)):
-            if status[i] != SOLVED:
+            if batch.status[i] != SOLVED:
                 continue
             nxt = reflect_variational(curve, OrientedLine2D(p, phi))
             assert (nxt.p, nxt.phi) == (p2[i], phi2[i])
@@ -859,9 +862,8 @@ class TestMpmathOracle:
         p = lo + (hi - lo) * rng.uniform(0.02, 0.98, 40)
         offset = 10.0 ** -np.linspace(6, 9, 5)
         p[:5], p[5:10] = hi[:5] - offset, lo[5:10] + offset
-        chords = solve_chords(curve, p, phi)
-        p2, phi2, status = solve_variational(curve, p, phi)
-        assert (chords.status == SOLVED).all() and (status == SOLVED).all()
+        p2, phi2, chords = one_bounce(curve, p, phi)
+        assert (chords.status == SOLVED).all()
         support = self.mp_support(curve)
         with mpmath.workdps(50):
             for i in range(40):
@@ -987,19 +989,18 @@ class TestEvaluationBudget:
     @pytest.mark.parametrize("table", ["gutkin5", "degree32"])
     def test_step_tolerance_read_per_solve(self, gutkin5, evaluations, monkeypatch, table):
         # a solve reads PSI_TOL when it starts, so a coarser tolerance set
-        # after import ends the passes sooner on both maps
+        # after import ends the passes sooner
         curve = gutkin5[0] if table == "gutkin5" else degree32_table()
         rng = np.random.default_rng(7)
         lines = rng.uniform(-0.9, 0.9, 20), rng.uniform(0.0, TWO_PI, 20)
         counts = []
         for tol in (billiard2d.PSI_TOL, 1e-3):
             monkeypatch.setattr(billiard2d, "PSI_TOL", tol)
-            for solve in (solve_chords, solve_variational):
-                evaluations[0] = 0
-                for p, phi in zip(*lines):
-                    solve(curve, p, phi)
-                counts.append(evaluations[0])
-        assert counts[2] < counts[0] and counts[3] < counts[1]
+            evaluations[0] = 0
+            for p, phi in zip(*lines):
+                orbits(curve, p, phi, 1)
+            counts.append(evaluations[0])
+        assert counts[1] < counts[0]
 
     @pytest.mark.parametrize("table", ["gutkin5", "degree32"])
     def test_no_bracket_or_outgoing_pass(self, gutkin5, evaluations, monkeypatch, table):
@@ -1137,8 +1138,7 @@ class TestOneLinePath:
         deltas = MIN_CHORD_ANGLE * (1 + np.linspace(-2e-4, 2e-4, 81))
         lines = [constant_angle_line(curve, d, psi) for psi in psis for d in deltas]
         p, phi = np.array([(line.p, line.phi) for line in lines]).T
-        chords = solve_chords(curve, p, phi)
-        assert np.array_equal(solve_variational(curve, p, phi)[2], chords.status)
+        chords = one_bounce(curve, p, phi)[2]
         straddle = np.flatnonzero((chords.angle_back < MIN_CHORD_ANGLE)
                                   & (MIN_CHORD_ANGLE <= chords.angle_fwd))
         assert straddle.size > 0
@@ -1175,7 +1175,7 @@ class TestOneLinePath:
             line = reflect_variational(curve, line)
         with pytest.raises(NoIntersection):
             reflect_variational(curve, OrientedLine2D(2.0, 0.0))
-        solve_variational(curve, [0.3, -0.2], [0.2, 1.0])
+        orbits(curve, [0.3, -0.2], [0.2, 1.0], 1)
         orbits(curve, [0.3, -0.2], [0.2, 1.0], 10)
         orbit(curve, OrientedLine2D(0.3, 0.2), 10)
         assert calls[0] == 0

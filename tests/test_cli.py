@@ -1416,7 +1416,7 @@ class TestChords:
         # the RK4 stages overflow, and a NaN drift must fail the drift test
         (["sphere"], "6e150", "1e150", "constraint drift nan at step 0"),
         (["ellipsoid", "--axes", "2,1,1"], "6e100", "1e100", "constraint drift nan at step 0"),
-        (["sphere"], "0.003", "1e-3", "need at least 5 samples"),
+        (["sphere"], "0.003", "1e-3", "need at least 5 samples, got 4"),
     ])
     def test_refused_run(self, tmp_path, capsys, surface, length, step, message):
         out = tmp_path / "chords.csv"
