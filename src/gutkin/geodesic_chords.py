@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -76,7 +77,15 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
     |F(x)| then exceeds DRIFT_LIMIT, or is NaN, raises StepTooLarge.  The
     acceleration that ends a step reuses the gradient at the projected x.
     The steps run on Python floats, whose arithmetic on 3-vectors costs far
-    less than a numpy call each.
+    less than a numpy call each.  When the six off-diagonal entries of A^-1
+    are 0, as for `sphere_quadric` and `Quadric(np.diag(axes**2))`, A^-1 x
+    and <v, A^-1 v> take only the three diagonal products, in the order the
+    nine-term sums add them; each dropped product is a zero that leaves the
+    sum's bits alone, so x, v and x_ddot equal the nine-term loop's bit for
+    bit, signs of zero included.  The one exception is a kept product of
+    -0.0, which a dropped +0.0 would turn into +0.0: a start with a -0.0
+    coordinate takes the nine terms, and a coordinate so near 0 that its
+    product underflows is not guarded.
     """
     _check_space(q)
     if not (0.0 < length < math.inf and 0.0 < step < math.inf):
@@ -97,21 +106,31 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
     v = v / np.linalg.norm(v)
 
     (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = A_inv.tolist()
+    # checking the start suffices: a stage coordinate is -0.0 only where the
+    # start's is, x + y being -0.0 only when x and y are
+    if b12 == b13 == b21 == b23 == b31 == b32 == 0.0 and not np.signbit(x[x == 0.0]).any():
+        def grad(x1, x2, x3):
+            # A^-1 x, half the gradient of F
+            return b11 * x1, b22 * x2, b33 * x3
 
-    def grad(x1, x2, x3):
-        # A^-1 x, half the gradient of F
-        return (b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
-                b31 * x1 + b32 * x2 + b33 * x3)
+        def accel(x1, x2, x3, v1, v2, v3, a=None):
+            # x'' = -(<v, Hess F v>/|grad F|^2) grad F with grad F = 2 A^-1 x,
+            # Hess F = 2 A^-1; a is A^-1 x where the caller has it, else formed
+            # here: a call to grad would cost more than its products
+            a1, a2, a3 = a or (b11 * x1, b22 * x2, b33 * x3)
+            c = -(v1 * b11 * v1 + v2 * b22 * v2 + v3 * b33 * v3) / (a1 * a1 + a2 * a2 + a3 * a3)
+            return c * a1, c * a2, c * a3
+    else:
+        def grad(x1, x2, x3):
+            return (b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
+                    b31 * x1 + b32 * x2 + b33 * x3)
 
-    def accel(x1, x2, x3, v1, v2, v3, a=None):
-        # x'' = -(<v, Hess F v>/|grad F|^2) grad F with grad F = 2 A^-1 x, Hess F = 2 A^-1;
-        # a is A^-1 x where the caller has it, else formed here: a call to
-        # grad would cost more than its products
-        a1, a2, a3 = a or (b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
-                           b31 * x1 + b32 * x2 + b33 * x3)
-        c = -((v1 * b11 + v2 * b21 + v3 * b31) * v1 + (v1 * b12 + v2 * b22 + v3 * b32) * v2
-              + (v1 * b13 + v2 * b23 + v3 * b33) * v3) / (a1 * a1 + a2 * a2 + a3 * a3)
-        return c * a1, c * a2, c * a3
+        def accel(x1, x2, x3, v1, v2, v3, a=None):
+            a1, a2, a3 = a or (b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
+                               b31 * x1 + b32 * x2 + b33 * x3)
+            c = -((v1 * b11 + v2 * b21 + v3 * b31) * v1 + (v1 * b12 + v2 * b22 + v3 * b32) * v2
+                  + (v1 * b13 + v2 * b23 + v3 * b33) * v3) / (a1 * a1 + a2 * a2 + a3 * a3)
+            return c * a1, c * a2, c * a3
 
     n_steps = max(1, round(length / step))
     h = length / n_steps
@@ -155,13 +174,18 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
             raise StepTooLarge(f"constraint drift {drift:g} at step {i}")
         acc = accel(x1, x2, x3, v1, v2, v3, a)
         xs[i + 1], vs[i + 1], accs[i + 1] = (x1, x2, x3), (v1, v2, v3), acc
-    return GeodesicTrajectory(s=np.arange(n_steps + 1) * h, x=np.array(xs),
-                              v=np.array(vs), x_ddot=np.array(accs), step=h)
+    size = 3 * (n_steps + 1)
+    x, v, x_ddot = (np.fromiter(chain.from_iterable(rows), float, size).reshape(-1, 3)
+                    for rows in (xs, vs, accs))
+    return GeodesicTrajectory(s=np.arange(n_steps + 1) * h, x=x, v=v, x_ddot=x_ddot, step=h)
 
 
 def deriv_samples(y: np.ndarray, h: float) -> np.ndarray:
     """4th-order first derivative on a uniform grid (one-sided at the edges)."""
     y = np.asarray(y, dtype=float)
+    # the one-sided stencils span 5 samples
+    if y.shape[0] < 5:
+        raise ValueError(f"need at least 5 samples, got {y.shape[0]}")
     out = np.empty_like(y)
     out[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
     first = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
@@ -175,11 +199,10 @@ def deriv_samples(y: np.ndarray, h: float) -> np.ndarray:
 
 def frenet_apparatus(traj: GeodesicTrajectory) -> FrenetData:
     """Curvature, torsion and (v, n, w) frames from sampled accelerations."""
-    if traj.s.size < 5:
-        raise ValueError(f"need at least 5 samples, got {traj.s.size}")
     k = np.linalg.norm(traj.x_ddot, axis=1)
-    # k |x| is scale-free: it is 1 on a sphere of any radius centred at 0
-    if (k * np.linalg.norm(traj.x, axis=1)).min() < 1e-8:
+    # k |x| is scale-free: it is 1 on a sphere of any radius centred at 0;
+    # the initial value lets a run of no samples reach deriv_samples' count
+    if (k * np.linalg.norm(traj.x, axis=1)).min(initial=math.inf) < 1e-8:
         raise DegenerateCurvature(f"min curvature {k.min():g}")
     n = traj.x_ddot / k[:, None]
     w = np.cross(traj.v, n)

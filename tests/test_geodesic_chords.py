@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gutkin.billiard_nd import Quadric, sphere_quadric
+from gutkin.cli import AXIS_RANGE
 from gutkin.errors import DegenerateCurvature, OffSurface, StepTooLarge
 from gutkin.geodesic_chords import (DRIFT_LIMIT, angle_condition_residuals,
                                     chord_correspondence, deriv_samples,
@@ -13,6 +14,7 @@ from gutkin.geodesic_chords import (DRIFT_LIMIT, angle_condition_residuals,
 
 INTERIOR = slice(2, -2)
 SPD = [[2.0, 0.3, -0.2], [0.3, 1.5, 0.4], [-0.2, 0.4, 1.1]]
+TRIAXIAL = np.diag([1.93 ** 2, 0.81 ** 2, 0.55 ** 2])
 
 
 def numpy_rk4(q, x0, v0, length, step):
@@ -117,6 +119,36 @@ def start_on(q):
     return x0, v0 / np.linalg.norm(v0)
 
 
+def generic_start_on(q):
+    """A point of q off every coordinate plane and a unit tangent there
+    that is parallel to none of them."""
+    x0 = np.linalg.cholesky(q.A) @ np.array([0.6, -0.48, 0.64])
+    a = q.A_inv @ x0
+    v0 = np.array([-0.5, 0.2, 0.9])
+    v0 = v0 - (v0 @ a) / (a @ a) * a
+    return x0, v0 / np.linalg.norm(v0)
+
+
+def chords_start(q):
+    """The start of the chords command, (a1, 0, 0) along (0, 1, 0): x3 stays
+    0.0 and the third column of x_ddot -0.0 along the run."""
+    return np.array([math.sqrt(q.A[0, 0]), 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+
+
+def negative_zero_start(q):
+    """chords_start with -0.0 for x2 and v3: a dropped +0.0 product would
+    turn the -0.0 that A^-1 x takes from x2 into +0.0."""
+    return np.array([math.sqrt(q.A[0, 0]), -0.0, 0.0]), np.array([0.0, 1.0, -0.0])
+
+
+def assert_same_bits(traj, ref):
+    """traj's x, v and x_ddot equal ref's, and so do their signs: array_equal
+    takes -0.0 for 0.0, and a flipped sign of zero changes a CSV cell."""
+    for got, want in zip((traj.x, traj.v, traj.x_ddot), ref):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def great_circle_phase_error(length, step):
     """max |phase - s| of the unit sphere's geodesic from (1, 0, 0) along
     (0, 1, 0), whose closed form is the great circle (cos s, sin s, 0)."""
@@ -158,6 +190,17 @@ class TestDerivSamples:
         y = np.stack([np.sin(s), np.cos(s)], axis=1)
         d = deriv_samples(y, s[1] - s[0])
         assert np.abs(d[INTERIOR, 0] - np.cos(s[INTERIOR])).max() < 1e-8
+
+    @pytest.mark.parametrize("stage", ["frenet", "chords"])
+    def test_short_run_refused(self, stage):
+        # each stage's stencils span 5 samples, and the run has 3
+        sp = sphere_quadric(1.0)
+        traj = integrate_geodesic(sp, [1.0, 0, 0], [0, 1.0, 0], 0.002, 1e-3)
+        with pytest.raises(ValueError, match="^need at least 5 samples, got 3$"):
+            if stage == "frenet":
+                frenet_apparatus(traj)
+            else:
+                chord_correspondence(sp, traj, 0.5)
 
 
 class TestIntegrateGeodesic:
@@ -231,17 +274,34 @@ class TestIntegrateGeodesic:
         assert np.abs(traj.v - v).max() < 1e-14
         assert np.abs(traj.x_ddot - x_ddot).max() < 1e-14
 
-    @pytest.mark.parametrize("A", [np.eye(3), np.diag([4.0, 1.0, 1.0]), SPD,
-                                   np.diag([2.0 ** 80, 2.0 ** 80, 2.0 ** 78])],
-                             ids=["sphere", "spheroid", "spd", "scaled"])
+    @pytest.mark.parametrize("A, start", [
+        (np.eye(3), start_on), (np.diag([4.0, 1.0, 1.0]), start_on), (SPD, start_on),
+        (np.diag([2.0 ** 80, 2.0 ** 80, 2.0 ** 78]), start_on),
+        # every coordinate of x and v changes sign along the run
+        (TRIAXIAL, generic_start_on), (SPD, generic_start_on),
+        (TRIAXIAL, chords_start), (TRIAXIAL, negative_zero_start),
+        (np.eye(3), negative_zero_start),
+    ], ids=["sphere", "spheroid", "spd", "scaled", "triaxial-generic", "spd-generic",
+            "triaxial-chords", "triaxial-negative-zero", "sphere-negative-zero"])
     @pytest.mark.parametrize("length, step", [(math.pi, 1e-3), (5.0, 0.05)])
-    def test_matches_float_loop_bit_for_bit(self, A, length, step):
+    def test_matches_float_loop_bit_for_bit(self, A, start, length, step):
+        # a diagonal A^-1 takes three products where float_rk4 takes nine
         q = Quadric(np.array(A))
-        x0, v0 = start_on(q)
+        x0, v0 = start(q)
         traj = integrate_geodesic(q, x0, v0, length * q.half_width, step * q.half_width)
-        x, v, x_ddot = float_rk4(q, x0, v0, length * q.half_width, step * q.half_width)
-        assert np.array_equal(traj.x, x) and np.array_equal(traj.v, v)
-        assert np.array_equal(traj.x_ddot, x_ddot)
+        assert_same_bits(traj, float_rk4(q, x0, v0, length * q.half_width,
+                                         step * q.half_width))
+
+    @pytest.mark.parametrize("axes", [(AXIS_RANGE[0],) * 3, (AXIS_RANGE[1],) * 3,
+                                      (AXIS_RANGE[0], 1.0, AXIS_RANGE[1]), (1.93, 0.81, 0.55)])
+    def test_chords_bodies_have_diagonal_inverse(self, axes):
+        # the bodies of the chords command take the three-product steps only
+        # if inv gives their off-diagonal entries as exact zeros
+        off = ~np.eye(3, dtype=bool)
+        axes = np.array(axes)
+        assert (Quadric(np.diag(axes ** 2)).A_inv[off] == 0.0).all()
+        for radius in axes:
+            assert (sphere_quadric(radius).A_inv[off] == 0.0).all()
 
     @pytest.mark.parametrize("step", [0.7, 1.0, 2.0, 3.0])
     def test_coarse_step_refused(self, step):
