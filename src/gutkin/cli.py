@@ -236,8 +236,8 @@ def cmd_chords(args) -> dict:
     q = bnd.Quadric(np.diag(axes ** 2))
     traj = gc.integrate_geodesic(q, [axes[0], 0.0, 0.0], [0.0, 1.0, 0.0],
                                  args.length, args.step)
-    frenet = gc.frenet_apparatus(traj)
-    cc = gc.chord_correspondence(q, traj, args.delta)
+    frenet = gc.frenet_apparatus(q, traj)
+    cc = gc.chord_correspondence(q, traj, frenet, args.delta)
     _write_csv(args.out, ["s", "k", "tau", "l", "ldot", "R5", "R6", "R9",
                           "D_numeric", "D_analytic", "A_coeff"],
                [traj.s, frenet.k, frenet.tau, cc.l, cc.l_dot,
@@ -356,6 +356,9 @@ def _flag_error(args) -> str | None:
             return f"--{flag} must be positive and finite"
     if not AXIS_RANGE[0] <= getattr(args, "radius", 1.0) <= AXIS_RANGE[1]:
         return "--radius must be in [2^-511, 2^511]"
+    # the library refuses it too, but only after the whole geodesic is integrated
+    if args.command == "chords" and not 0.0 < args.delta <= math.pi / 2:
+        return "--delta must be in (0, pi/2]"
     for flag in ("p", "phi"):
         if not math.isfinite(getattr(args, flag, 0.0)):
             return f"--{flag} must be finite"

@@ -11,7 +11,7 @@ the chord construction
 with n the inner surface normal and l the closed-form far root of the ray,
 and the identity checks on |Gamma'|^2, <Gamma', z>, the constant-angle
 balance, and the planarity determinant det[z, Gamma', Gamma''] together
-with its frame-coordinate expansion.
+with its frame-coordinate expansion, all from derivatives in closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .billiard_nd import Quadric
 from .errors import DegenerateCurvature, NoExit, OffSurface, StepTooLarge
 
 DRIFT_LIMIT = 1e-6
-VANISH_TRIM = 2
 
 
 def _check_space(q: Quadric):
@@ -43,7 +42,6 @@ class GeodesicTrajectory:
     x: np.ndarray
     v: np.ndarray
     x_ddot: np.ndarray
-    step: float
 
 
 @dataclass(frozen=True)
@@ -53,6 +51,11 @@ class FrenetData:
     v: np.ndarray
     n: np.ndarray
     w: np.ndarray
+    k_dot: np.ndarray
+    tau_dot: np.ndarray
+    x_dddot: np.ndarray
+    n_dot: np.ndarray
+    n_ddot: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,8 @@ class ChordCorrespondence:
     Gamma_dot: np.ndarray
     Gamma_ddot: np.ndarray
     l_dot: np.ndarray
+    l_ddot: np.ndarray
     delta: float
-    step: float
 
 
 def integrate_geodesic(q: Quadric, x0, v0, length: float,
@@ -177,38 +180,44 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
     size = 3 * (n_steps + 1)
     x, v, x_ddot = (np.fromiter(chain.from_iterable(rows), float, size).reshape(-1, 3)
                     for rows in (xs, vs, accs))
-    return GeodesicTrajectory(s=np.arange(n_steps + 1) * h, x=x, v=v, x_ddot=x_ddot, step=h)
+    return GeodesicTrajectory(s=np.arange(n_steps + 1) * h, x=x, v=v, x_ddot=x_ddot)
 
 
-def deriv_samples(y: np.ndarray, h: float) -> np.ndarray:
-    """4th-order first derivative on a uniform grid (one-sided at the edges)."""
-    y = np.asarray(y, dtype=float)
-    # the one-sided stencils span 5 samples
-    if y.shape[0] < 5:
-        raise ValueError(f"need at least 5 samples, got {y.shape[0]}")
-    out = np.empty_like(y)
-    out[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
-    first = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
-    second = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12 * h)
-    out[0] = np.tensordot(first, y[:5], axes=(0, 0))
-    out[1] = np.tensordot(second, y[:5], axes=(0, 0))
-    out[-1] = -np.tensordot(first, y[::-1][:5], axes=(0, 0))
-    out[-2] = -np.tensordot(second, y[::-1][:5], axes=(0, 0))
-    return out
+def _dot(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", p, r)
 
 
-def frenet_apparatus(traj: GeodesicTrajectory) -> FrenetData:
-    """Curvature, torsion and (v, n, w) frames from sampled accelerations."""
+def frenet_apparatus(q: Quadric, traj: GeodesicTrajectory) -> FrenetData:
+    """Curvature, torsion, (v, n, w) frames, their rates and the jet
+    (x''', n', n''), in closed form at each sample.
+
+    A geodesic's principal normal is the inner normal -a/r, a = B x, B = A^-1,
+    r = |a|, and x'' = c a, c = -<v, Bv>/r^2.  With g = <a, Bv>/r^2:
+        n'   = (g a - Bv)/r
+        n''  = (g' a + 2g Bv - g^2 a - Bx'')/r,  g' = (<Bv, Bv> + <a, Bx''>)/r^2 - 2g^2
+        x''' = c' a + c Bv,                      c' = -2<x'', Bv>/r^2 - 2cg
+    and tau = <n', w>, k' = <x''', n>, tau' = <n'', w>.
+    """
+    _check_space(q)
     k = np.linalg.norm(traj.x_ddot, axis=1)
     # k |x| is scale-free: it is 1 on a sphere of any radius centred at 0;
-    # the initial value lets a run of no samples reach deriv_samples' count
+    # the initial value lets a run of no samples through
     if (k * np.linalg.norm(traj.x, axis=1)).min(initial=math.inf) < 1e-8:
         raise DegenerateCurvature(f"min curvature {k.min():g}")
     n = traj.x_ddot / k[:, None]
     w = np.cross(traj.v, n)
-    n_dot = deriv_samples(n, traj.step)
-    tau = np.einsum("ij,ij->i", n_dot, w)
-    return FrenetData(k=k, tau=tau, v=traj.v, n=n, w=w)
+    a, Bv, Bx2 = (y @ q.A_inv for y in (traj.x, traj.v, traj.x_ddot))
+    r2 = _dot(a, a)
+    r = np.sqrt(r2)[:, None]
+    g, c = _dot(a, Bv) / r2, -_dot(traj.v, Bv) / r2
+    g_dot = (_dot(Bv, Bv) + _dot(a, Bx2)) / r2 - 2.0 * g * g
+    c_dot = -2.0 * _dot(traj.x_ddot, Bv) / r2 - 2.0 * c * g
+    n_dot = (g[:, None] * a - Bv) / r
+    n_ddot = ((g_dot - g * g)[:, None] * a + 2.0 * g[:, None] * Bv - Bx2) / r
+    x_dddot = c_dot[:, None] * a + c[:, None] * Bv
+    return FrenetData(k=k, tau=_dot(n_dot, w), v=traj.v, n=n, w=w,
+                      k_dot=_dot(x_dddot, n), tau_dot=_dot(n_ddot, w),
+                      x_dddot=x_dddot, n_dot=n_dot, n_ddot=n_ddot)
 
 
 def _rowdot(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -217,31 +226,43 @@ def _rowdot(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (p[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
-def chord_correspondence(q: Quadric, traj: GeodesicTrajectory,
+def chord_correspondence(q: Quadric, traj: GeodesicTrajectory, frenet: FrenetData,
                          delta: float) -> ChordCorrespondence:
     """Far endpoint of the ray at angle delta below the tangent, per sample.
 
-    On the quadric the ray x + t z meets F = 0 again at
-    t = -2 <A^-1 x, z> / <A^-1 z, z>, taken for all samples at once.
+    On the quadric the ray x + t z meets F = 0 again at t = l = -2 P / Q,
+    P = <A^-1 x, z>, Q = <A^-1 z, z>, for all samples at once.  l' and l''
+    differentiate l Q = -2 P along frenet's jet, in ambient coordinates.
     """
     _check_space(q)
     if not 0.0 < delta <= math.pi / 2:
         raise ValueError("delta must be in (0, pi/2]")
+    cd, sd = math.cos(delta), math.sin(delta)
     a = traj.x @ q.A_inv  # half the gradient; A^-1 is symmetric
     inner = -a / np.sqrt(_rowdot(a, a))[:, None]
-    z = math.cos(delta) * traj.v + math.sin(delta) * inner
+    z = cd * traj.v + sd * inner
     z /= np.sqrt(_rowdot(z, z))[:, None]
-    l = -2.0 * _rowdot(a, z) / _rowdot(z @ q.A_inv, z)
+    Bz = z @ q.A_inv
+    Q = _rowdot(Bz, z)
+    l = -2.0 * _rowdot(a, z) / Q
     # l / |x| is scale-free, the quadric being centred at the origin
     bad = np.flatnonzero(l <= 1e-12 * np.sqrt(_rowdot(traj.x, traj.x)))
     if bad.size:
         raise NoExit(f"ray at sample {bad[0]} does not re-enter the surface")
-    Gamma = traj.x + l[:, None] * z
-    Gamma_dot = deriv_samples(Gamma, traj.step)
-    Gamma_ddot = deriv_samples(Gamma_dot, traj.step)
-    return ChordCorrespondence(Gamma=Gamma, l=l, z=z, Gamma_dot=Gamma_dot,
-                               Gamma_ddot=Gamma_ddot, l_dot=deriv_samples(l, traj.step),
-                               delta=delta, step=traj.step)
+    # |z| = 1, so rescaling z adds no rate
+    z_dot = cd * traj.x_ddot + sd * frenet.n_dot
+    z_ddot = cd * frenet.x_dddot + sd * frenet.n_ddot
+    Bz_dot = z_dot @ q.A_inv
+    Q_dot = 2.0 * _dot(Bz, z_dot)
+    l_dot = -(2.0 * (_dot(traj.v, Bz) + _dot(a, z_dot)) + l * Q_dot) / Q
+    P_ddot = _dot(traj.x_ddot, Bz) + 2.0 * _dot(traj.v, Bz_dot) + _dot(a, z_ddot)
+    Q_ddot = 2.0 * (_dot(Bz_dot, z_dot) + _dot(Bz, z_ddot))
+    l_ddot = -(2.0 * P_ddot + 2.0 * l_dot * Q_dot + l * Q_ddot) / Q
+    lc, lc_dot = l[:, None], l_dot[:, None]
+    return ChordCorrespondence(
+        Gamma=traj.x + lc * z, l=l, z=z, Gamma_dot=traj.v + lc_dot * z + lc * z_dot,
+        Gamma_ddot=traj.x_ddot + l_ddot[:, None] * z + 2.0 * lc_dot * z_dot + lc * z_ddot,
+        l_dot=l_dot, l_ddot=l_ddot, delta=delta)
 
 
 def angle_condition_residuals(cc: ChordCorrespondence, frenet: FrenetData):
@@ -255,9 +276,9 @@ def angle_condition_residuals(cc: ChordCorrespondence, frenet: FrenetData):
     l_dot = cc.l_dot
     kl = frenet.k * cc.l
     aux = (kl - sd) ** 2 + frenet.tau ** 2 * cc.l ** 2 * sd ** 2
-    speed2 = np.einsum("ij,ij->i", cc.Gamma_dot, cc.Gamma_dot)
+    speed2 = _dot(cc.Gamma_dot, cc.Gamma_dot)
     r5 = np.abs(speed2 - ((l_dot + cd) ** 2 + aux))
-    r6 = np.abs(np.einsum("ij,ij->i", cc.Gamma_dot, cc.z) - (l_dot + cd))
+    r6 = np.abs(_dot(cc.Gamma_dot, cc.z) - (l_dot + cd))
     r9 = np.abs((l_dot + cd) - (cd / sd) * np.sqrt(aux))
     return r5, r6, r9
 
@@ -265,21 +286,16 @@ def angle_condition_residuals(cc: ChordCorrespondence, frenet: FrenetData):
 def planarity_residuals(cc: ChordCorrespondence, frenet: FrenetData):
     """det[z, Gamma', Gamma''] two ways, plus the torsion-rate coefficient.
 
-    D_numeric uses the ambient R^3 coordinates; D_analytic expands the same
-    rows in the (v, n, w) frame with the chain-rule coefficients of Gamma''
-    (the frame is right-handed, so the two determinants agree exactly in
-    exact arithmetic).  A_coeff = l sin(delta) (kl - sin(delta)) multiplies
-    tau' in the expansion of D.
+    D_numeric takes Gamma' and Gamma'' in ambient R^3 coordinates, built from
+    x''' and n''; D_analytic expands the same rows in the (v, n, w) frame
+    with k', tau' and l'', so their gap tests the Frenet-Serret relations
+    (in exact arithmetic it is 0).  A_coeff = l sin(delta) (kl - sin(delta))
+    multiplies tau' in the expansion of D.
     """
     sd, cd = math.sin(cc.delta), math.cos(cc.delta)
-    h = cc.step
-    l, k, tau, l_dot = cc.l, frenet.k, frenet.tau, cc.l_dot
-    l_ddot = deriv_samples(l_dot, h)
-    k_dot = deriv_samples(k, h)
-    tau_dot = deriv_samples(tau, h)
-
+    l, k, tau, l_dot, l_ddot = cc.l, frenet.k, frenet.tau, cc.l_dot, cc.l_ddot
+    k_dot, tau_dot = frenet.k_dot, frenet.tau_dot
     D_num = np.linalg.det(np.stack([cc.z, cc.Gamma_dot, cc.Gamma_ddot], axis=1))
-
     c1 = 1.0 + l_dot * cd - k * l * sd
     c2 = l_dot * sd + k * l * cd
     c3 = tau * l * sd
@@ -297,8 +313,5 @@ def planarity_residuals(cc: ChordCorrespondence, frenet: FrenetData):
 
 
 def simultaneous_vanish_check(cc: ChordCorrespondence, frenet: FrenetData) -> float:
-    """min over s of (kl - sin(delta))^2 + tau^2, VANISH_TRIM samples off each
-    end, where the one-sided stencils hold tau; positive for valid tables."""
-    sl = slice(VANISH_TRIM, -VANISH_TRIM)
-    vals = (frenet.k[sl] * cc.l[sl] - math.sin(cc.delta)) ** 2 + frenet.tau[sl] ** 2
-    return float(vals.min())
+    """min over s of (kl - sin(delta))^2 + tau^2; positive for valid tables."""
+    return float(((frenet.k * cc.l - math.sin(cc.delta)) ** 2 + frenet.tau ** 2).min())

@@ -1416,7 +1416,6 @@ class TestChords:
         # the RK4 stages overflow, and a NaN drift must fail the drift test
         (["sphere"], "6e150", "1e150", "constraint drift nan at step 0"),
         (["ellipsoid", "--axes", "2,1,1"], "6e100", "1e100", "constraint drift nan at step 0"),
-        (["sphere"], "0.003", "1e-3", "need at least 5 samples, got 4"),
     ])
     def test_refused_run(self, tmp_path, capsys, surface, length, step, message):
         out = tmp_path / "chords.csv"
@@ -1425,6 +1424,30 @@ class TestChords:
             assert main(["chords", "--surface", *surface, "--delta", "0.5",
                          "--length", length, "--step", step, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_short_run(self, tmp_path):
+        # every column is a closed form at its own sample, so 4 samples suffice
+        out = tmp_path / "chords.csv"
+        assert main(["chords", "--surface", "sphere", "--delta", "0.5", "--length", "0.003",
+                     "--step", "1e-3", "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (4, 11)
+        assert np.abs(rows[:, 3] - 2 * math.sin(0.5)).max() < 1e-15
+        assert np.abs(rows[:, 5:8]).max() < 1e-15
+
+    @pytest.mark.parametrize("delta", ["2", "0", "-0.5", "nan", "inf"])
+    def test_delta_refused_before_integration(self, tmp_path, capsys, monkeypatch, delta):
+        from gutkin import geodesic_chords
+
+        def integrate(*args, **kwargs):
+            pytest.fail("the geodesic was integrated for a --delta out of range")
+
+        monkeypatch.setattr(geodesic_chords, "integrate_geodesic", integrate)
+        out = tmp_path / "chords.csv"
+        assert main(["chords", "--surface", "sphere", "--delta", delta, "--length", "30",
+                     "--step", "1e-4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --delta must be in (0, pi/2]\n"
         assert not out.exists()
 
     def test_ellipsoid_report_by_bisection(self, tmp_path):

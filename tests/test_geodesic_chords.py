@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -7,14 +8,18 @@ from gutkin.billiard_nd import Quadric, sphere_quadric
 from gutkin.cli import AXIS_RANGE
 from gutkin.errors import DegenerateCurvature, OffSurface, StepTooLarge
 from gutkin.geodesic_chords import (DRIFT_LIMIT, angle_condition_residuals,
-                                    chord_correspondence, deriv_samples,
-                                    frenet_apparatus, integrate_geodesic,
-                                    planarity_residuals,
+                                    chord_correspondence, frenet_apparatus,
+                                    integrate_geodesic, planarity_residuals,
                                     simultaneous_vanish_check)
 
-INTERIOR = slice(2, -2)
 SPD = [[2.0, 0.3, -0.2], [0.3, 1.5, 0.4], [-0.2, 0.4, 1.1]]
 TRIAXIAL = np.diag([1.93 ** 2, 0.81 ** 2, 0.55 ** 2])
+
+
+def stencil(y, h):
+    """4th-order central differences of uniform samples, at all but the two
+    samples at each end: the reference route for the closed-form rates."""
+    return (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
 
 
 def numpy_rk4(q, x0, v0, length, step):
@@ -166,8 +171,8 @@ def great_circle():
 @pytest.fixture(scope="module")
 def sphere_chords(great_circle):
     sp, traj = great_circle
-    frenet = frenet_apparatus(traj)
-    cc = chord_correspondence(sp, traj, math.pi / 6)
+    frenet = frenet_apparatus(sp, traj)
+    cc = chord_correspondence(sp, traj, frenet, math.pi / 6)
     return sp, traj, frenet, cc
 
 
@@ -179,28 +184,21 @@ def generic_spheroid():
 
 
 class TestDerivSamples:
+    """The reference stencil itself, on functions with known derivatives."""
+
     def test_fourth_order_interior(self):
         s = np.linspace(0, 1, 201)
         h = s[1] - s[0]
-        err = np.abs(deriv_samples(np.sin(3 * s), h) - 3 * np.cos(3 * s))
-        assert err[INTERIOR].max() < 1e-8
+        err = np.abs(stencil(np.sin(3 * s), h) - 3 * np.cos(3 * s[2:-2]))
+        assert err.max() < 1e-8
 
     def test_vector_samples(self):
         s = np.linspace(0, 1, 101)
         y = np.stack([np.sin(s), np.cos(s)], axis=1)
-        d = deriv_samples(y, s[1] - s[0])
-        assert np.abs(d[INTERIOR, 0] - np.cos(s[INTERIOR])).max() < 1e-8
-
-    @pytest.mark.parametrize("stage", ["frenet", "chords"])
-    def test_short_run_refused(self, stage):
-        # each stage's stencils span 5 samples, and the run has 3
-        sp = sphere_quadric(1.0)
-        traj = integrate_geodesic(sp, [1.0, 0, 0], [0, 1.0, 0], 0.002, 1e-3)
-        with pytest.raises(ValueError, match="^need at least 5 samples, got 3$"):
-            if stage == "frenet":
-                frenet_apparatus(traj)
-            else:
-                chord_correspondence(sp, traj, 0.5)
+        d = stencil(y, s[1] - s[0])
+        assert d.shape == (97, 2)
+        assert np.abs(d[:, 0] - np.cos(s[2:-2])).max() < 1e-8
+        assert np.abs(d[:, 1] + np.sin(s[2:-2])).max() < 1e-8
 
 
 class TestIntegrateGeodesic:
@@ -337,51 +335,99 @@ class TestIntegrateGeodesic:
             integrate_geodesic(sphere_quadric(1.0), [1.0, 0, 0], [0, 1.0, 0],
                                length, step)
 
-    def test_other_dimension_rejected(self, great_circle):
+    def test_other_dimension_rejected(self, sphere_chords):
+        _, traj, frenet, _ = sphere_chords
         q = sphere_quadric(1.0, d=2)
         with pytest.raises(ValueError):
             integrate_geodesic(q, [1.0, 0], [0, 1.0], 1.0, 1e-3)
         with pytest.raises(ValueError):
-            chord_correspondence(q, great_circle[1], 0.5)
+            frenet_apparatus(q, traj)
+        with pytest.raises(ValueError):
+            chord_correspondence(q, traj, frenet, 0.5)
+
+
+def chords_of(q, traj, delta):
+    """The Frenet data and chords of a trajectory, formed as the chords
+    command forms them."""
+    frenet = frenet_apparatus(q, traj)
+    return frenet, chord_correspondence(q, traj, frenet, delta)
+
+
+@pytest.fixture(scope="module")
+def tilted_triaxial():
+    """A geodesic of diag(4, 2.25, 1) that leaves every principal plane."""
+    q = Quadric(np.diag([4.0, 2.25, 1.0]))
+    v0 = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
+    return q, integrate_geodesic(q, [0.0, 1.5, 0.0], v0, 6.0, 1e-3)
+
+
+@pytest.fixture(scope="module")
+def near_sphere_run():
+    """A geodesic of I + 0.3 B, B a fixed random symmetric matrix, from a
+    generic start: A^-1 has nonzero off-diagonal entries, so the run takes
+    the nine-product steps."""
+    m = np.random.default_rng(3).standard_normal((3, 3))
+    q = Quadric(np.eye(3) + 0.3 * (m + m.T) / 2)
+    return q, integrate_geodesic(q, *generic_start_on(q), 2 * math.pi, 1e-3)
+
+
+@pytest.fixture(scope="module")
+def readme_spheroid():
+    """The geodesic of `chords --surface ellipsoid --axes 2,1,1`, a principal
+    section, at the README's delta."""
+    q = Quadric(np.diag([4.0, 1.0, 1.0]))
+    return q, integrate_geodesic(q, [2.0, 0, 0], [0, 1.0, 0], 2 * math.pi, 1e-3)
+
+
+# each run with a delta; with the round sphere, the three runs with torsion
+# and the README's principal section
+RUNS = [("great_circle", math.pi / 6), ("generic_spheroid", 0.8), ("tilted_triaxial", 0.7),
+        ("near_sphere_run", 0.7), ("readme_spheroid", 0.5236)]
 
 
 class TestFrenet:
     def test_great_circle(self, great_circle):
-        _, traj = great_circle
-        frenet = frenet_apparatus(traj)
+        sp, traj = great_circle
+        frenet = frenet_apparatus(sp, traj)
         assert np.abs(frenet.k - 1.0).max() < 1e-6
-        assert np.abs(frenet.tau[INTERIOR]).max() < 1e-6
+
+    @pytest.mark.parametrize("run", ["great_circle", "readme_spheroid"])
+    def test_principal_section_torsion_is_positive_zero(self, request, run):
+        # tau = <n', w> adds products of zeros, whatever their signs, to +0.0
+        q, traj = request.getfixturevalue(run)
+        frenet = frenet_apparatus(q, traj)
+        assert (frenet.tau == 0.0).all() and not np.signbit(frenet.tau).any()
+        assert (frenet.tau_dot == 0.0).all()
 
     def test_sphere_radius_2(self):
         sp = sphere_quadric(2.0)
         traj = integrate_geodesic(sp, [2.0, 0, 0], [0, 1.0, 0], 4.0, 1e-3)
-        assert np.abs(frenet_apparatus(traj).k - 0.5).max() < 1e-6
+        assert np.abs(frenet_apparatus(sp, traj).k - 0.5).max() < 1e-6
 
     def test_frame_orthonormal(self, generic_spheroid):
-        _, traj = generic_spheroid
-        frenet = frenet_apparatus(traj)
+        el, traj = generic_spheroid
+        frenet = frenet_apparatus(el, traj)
         for a, b in [(frenet.v, frenet.n), (frenet.v, frenet.w), (frenet.n, frenet.w)]:
             assert np.abs(np.einsum("ij,ij->i", a, b)).max() < 1e-8
 
     def test_generic_torsion_nonzero(self, generic_spheroid):
-        _, traj = generic_spheroid
-        frenet = frenet_apparatus(traj)
-        assert np.abs(frenet.tau[INTERIOR]).max() > 1e-3
+        el, traj = generic_spheroid
+        frenet = frenet_apparatus(el, traj)
+        assert np.abs(frenet.tau).max() > 1e-3
 
     def test_frenet_identity(self, generic_spheroid):
-        # ndot = -k v + tau w pointwise
-        _, traj = generic_spheroid
-        frenet = frenet_apparatus(traj)
-        n_dot = deriv_samples(frenet.n, traj.step)
+        # n' = -k v + tau w at every sample; 8.6e-16 measured
+        el, traj = generic_spheroid
+        frenet = frenet_apparatus(el, traj)
         recon = -frenet.k[:, None] * frenet.v + frenet.tau[:, None] * frenet.w
-        assert np.linalg.norm(n_dot - recon, axis=1)[INTERIOR].max() < 1e-5
+        assert np.linalg.norm(frenet.n_dot - recon, axis=1).max() < 3e-15
 
     def test_ndot_v_projection(self, great_circle):
-        _, traj = great_circle
-        frenet = frenet_apparatus(traj)
-        n_dot = deriv_samples(frenet.n, traj.step)
-        proj = np.einsum("ij,ij->i", n_dot, frenet.v)
-        assert np.abs(proj + frenet.k)[INTERIOR].max() < 1e-5
+        # 2.2e-16 measured
+        sp, traj = great_circle
+        frenet = frenet_apparatus(sp, traj)
+        proj = np.einsum("ij,ij->i", frenet.n_dot, frenet.v)
+        assert np.abs(proj + frenet.k).max() < 1e-15
 
     def test_degenerate_rejected(self):
         from gutkin.geodesic_chords import GeodesicTrajectory
@@ -389,9 +435,29 @@ class TestFrenet:
         x = np.zeros((6, 3))
         x[:, 0] = s
         traj = GeodesicTrajectory(s=s, x=x, v=np.tile([1.0, 0, 0], (6, 1)),
-                                  x_ddot=np.zeros((6, 3)), step=0.1)
+                                  x_ddot=np.zeros((6, 3)))
         with pytest.raises(DegenerateCurvature):
-            frenet_apparatus(traj)
+            frenet_apparatus(sphere_quadric(1.0), traj)
+
+
+class TestShortRun:
+    @pytest.mark.parametrize("stage", ["frenet", "chords"])
+    def test_three_samples(self, stage):
+        # every rate is taken at its own sample, so a run of 3 samples gets
+        # every column, at rounding as on a long run
+        sp = sphere_quadric(1.0)
+        traj = integrate_geodesic(sp, [1.0, 0, 0], [0, 1.0, 0], 0.002, 1e-3)
+        assert traj.s.size == 3
+        if stage == "frenet":
+            frenet = frenet_apparatus(sp, traj)
+            assert frenet.tau_dot.shape == (3,)
+            assert np.abs(frenet.k - 1.0).max() < 1e-15
+            assert (frenet.tau == 0.0).all()
+        else:
+            frenet, cc = chords_of(sp, traj, 0.5)
+            assert cc.l_ddot.shape == (3,)
+            assert np.abs(cc.l - 2 * math.sin(0.5)).max() < 1e-15
+            assert max(r.max() for r in angle_condition_residuals(cc, frenet)) < 1e-15
 
 
 class TestChordCorrespondence:
@@ -401,7 +467,7 @@ class TestChordCorrespondence:
 
     def test_diameters_at_right_angle(self, great_circle):
         sp, traj = great_circle
-        cc = chord_correspondence(sp, traj, math.pi / 2)
+        _, cc = chords_of(sp, traj, math.pi / 2)
         assert np.abs(cc.l - 2.0).max() < 1e-8
 
     def test_image_is_great_circle(self, sphere_chords):
@@ -410,18 +476,19 @@ class TestChordCorrespondence:
         assert np.linalg.svd(centered, compute_uv=False)[-1] < 1e-7
 
     def test_image_angle(self, sphere_chords):
+        # 1.0e-15 measured
         _, _, _, cc = sphere_chords
         cosang = (np.einsum("ij,ij->i", cc.Gamma_dot, cc.z)
                   / np.linalg.norm(cc.Gamma_dot, axis=1))
         ang = np.arccos(np.clip(cosang, -1, 1))
-        assert np.abs(ang - math.pi / 6)[INTERIOR].max() < 1e-6
+        assert np.abs(ang - math.pi / 6).max() < 4e-15
 
     def test_ellipsoid_chord_length_by_bisection(self):
         # oracle: bisect <A^-1 p, p> - 1 along each ray, A^-1 = diag(1/4, 1, 1)
         q = Quadric(np.diag([4.0, 1.0, 1.0]))
         traj = integrate_geodesic(q, [2.0, 0, 0], [0, 1.0, 0], 6.0, 1e-2)
         delta = 0.7
-        cc = chord_correspondence(q, traj, delta)
+        _, cc = chords_of(q, traj, delta)
         a_inv = np.array([0.25, 1.0, 1.0])
         normal = traj.x * a_inv
         normal /= np.linalg.norm(normal, axis=1)[:, None]
@@ -442,10 +509,68 @@ class TestChordCorrespondence:
         assert max(abs(g @ sp.A_inv @ g - 1) for g in cc.Gamma) < 1e-9
 
     @pytest.mark.parametrize("delta", [0.0, -0.2, math.pi / 2 + 1e-9, math.nan])
-    def test_delta_out_of_range(self, great_circle, delta):
-        sp, traj = great_circle
+    def test_delta_out_of_range(self, sphere_chords, delta):
+        sp, traj, frenet, _ = sphere_chords
         with pytest.raises(ValueError, match="delta"):
-            chord_correspondence(sp, traj, delta)
+            chord_correspondence(sp, traj, frenet, delta)
+
+    @pytest.mark.parametrize("run, delta", RUNS[2:])
+    def test_rates_match_stencils(self, request, run, delta):
+        # the closed forms against 4th-order differences of the samples at
+        # h = 1e-3, away from the two samples at each end; each bound is about
+        # 2-3 times the largest difference measured over the three runs, whose
+        # maxima were 1.8e-11, 3.5e-10, 1.1e-10, 1.8e-10, 1.9e-9, 2.2e-10 and
+        # 2.5e-9 in the order below
+        q, traj = request.getfixturevalue(run)
+        frenet, cc = chords_of(q, traj, delta)
+        h, inner = traj.s[1], slice(2, -2)
+        pairs = {"tau": (np.einsum("ij,ij->i", stencil(frenet.n, h), frenet.w[inner]),
+                         frenet.tau, 5e-11),
+                 "k_dot": (stencil(frenet.k, h), frenet.k_dot, 1e-9),
+                 "tau_dot": (stencil(frenet.tau, h), frenet.tau_dot, 3e-10),
+                 "l_dot": (stencil(cc.l, h), cc.l_dot, 5e-10),
+                 "l_ddot": (stencil(cc.l_dot, h), cc.l_ddot, 5e-9),
+                 "Gamma_dot": (stencil(cc.Gamma, h), cc.Gamma_dot, 5e-10),
+                 "Gamma_ddot": (stencil(cc.Gamma_dot, h), cc.Gamma_ddot, 6e-9)}
+        for name, (differenced, closed, bound) in pairs.items():
+            assert np.abs(differenced - closed[inner]).max() < bound, name
+
+    @pytest.mark.parametrize("run", ["tilted_triaxial", "near_sphere_run"])
+    def test_jet_matches_mpmath(self, request, run):
+        # every 750th sample; the largest errors measured over both runs were
+        # 6.7e-16 (x'''), 1.6e-15 (l') and 8.0e-15 (l'')
+        q, traj = request.getfixturevalue(run)
+        frenet, cc = chords_of(q, traj, 0.7)
+        for i in range(0, traj.s.size, 750):
+            x_dddot, l_dot, l_ddot = mpmath_chord_jet(q, traj.x[i], traj.v[i], 0.7)
+            assert np.abs(frenet.x_dddot[i] - x_dddot).max() < 2e-15
+            assert abs(cc.l_dot[i] - l_dot) < 4e-15
+            assert abs(cc.l_ddot[i] - l_ddot) < 2e-14
+
+
+def mpmath_chord_jet(q, x, v, delta):
+    """x''', l' and l'' at the sample (x, v), in 60 digits: x''' differentiates
+    x'' = -(<v, B v>/|B x|^2) B x, B = A^-1, along (x, v) -> (v, x''), and l'
+    and l'' differentiate the far root of the ray along the geodesic's
+    second-order Taylor arc, which is all that l'' depends on."""
+    with mp.workdps(60):
+        B = mp.matrix(q.A_inv.tolist())
+        x, v = mp.matrix(x.tolist()), mp.matrix(v.tolist())
+
+        def accel(x, v):
+            a = B * x
+            return -mp.fdot(v, B * v) / mp.fdot(a, a) * a
+
+        x2 = accel(x, v)
+        x3 = mp.matrix([mp.diff(lambda t: accel(x + t * v, v + t * x2)[i], 0) for i in range(3)])
+
+        def chord_length(t):
+            a = B * (x + t * v + t ** 2 / 2 * x2)
+            z = mp.cos(delta) * (v + t * x2 + t ** 2 / 2 * x3) - mp.sin(delta) * a / mp.norm(a)
+            return -2 * mp.fdot(a, z) / mp.fdot(B * z, z)
+
+        return (np.array([float(c) for c in x3]), float(mp.diff(chord_length, 0, 1)),
+                float(mp.diff(chord_length, 0, 2)))
 
 
 def chord_report(axes, scale):
@@ -454,8 +579,7 @@ def chord_report(axes, scale):
     axes = np.asarray(axes, dtype=float) * scale
     q = Quadric(np.diag(axes ** 2))
     traj = integrate_geodesic(q, [axes[0], 0, 0], [0, 1.0, 0], 2.0 * scale, 1e-3 * scale)
-    frenet = frenet_apparatus(traj)
-    cc = chord_correspondence(q, traj, 0.5236)
+    frenet, cc = chords_of(q, traj, 0.5236)
     return {"s": traj.s, "k": frenet.k, "tau": frenet.tau, "l": cc.l, "ldot": cc.l_dot,
             **dict(zip(("R5", "R6", "R9"), angle_condition_residuals(cc, frenet))),
             **dict(zip(("D_numeric", "D_analytic", "A_coeff"), planarity_residuals(cc, frenet)))}
@@ -477,44 +601,53 @@ class TestScaleFree:
             assert np.array_equal(scaled[name], unit[name] * scale ** power), name
 
 
-
 class TestAngleConditions:
     def test_sphere_residuals(self, sphere_chords):
+        # 8.9e-16, 5.6e-16 and 1.2e-15 measured, ends included
         _, _, frenet, cc = sphere_chords
         r5, r6, r9 = angle_condition_residuals(cc, frenet)
-        assert r5[INTERIOR].max() < 1e-6
-        assert r6[INTERIOR].max() < 1e-6
-        assert r9[INTERIOR].max() < 1e-6
+        assert r5.max() < 3e-15
+        assert r6.max() < 2e-15
+        assert r9.max() < 4e-15
+
+    @pytest.mark.parametrize("run, delta", RUNS)
+    def test_consistency_at_rounding(self, request, run, delta):
+        # R5, R6 and D_numeric - D_analytic restate the closed forms in the
+        # frame, so they are at rounding at every sample, ends included: the
+        # largest over the runs were 1.8e-14, 2.7e-15 and 9.2e-15
+        q, traj = request.getfixturevalue(run)
+        frenet, cc = chords_of(q, traj, delta)
+        r5, r6, _ = angle_condition_residuals(cc, frenet)
+        d_num, d_ana, _ = planarity_residuals(cc, frenet)
+        assert r5.max() < 5e-14
+        assert r6.max() < 8e-15
+        assert np.abs(d_num - d_ana).max() < 3e-14
 
     def test_ellipsoid_negative_control(self, generic_spheroid):
         el, traj = generic_spheroid
-        frenet = frenet_apparatus(traj)
-        delta = 0.9117382909684876
-        cc = chord_correspondence(el, traj, delta)
+        frenet, cc = chords_of(el, traj, 0.9117382909684876)
         _, _, r9 = angle_condition_residuals(cc, frenet)
-        assert r9[INTERIOR].max() > 1e-2
+        assert r9.max() > 1e-2
 
 
 class TestPlanarity:
     def test_sphere_determinants_vanish(self, sphere_chords):
+        # every row lies in the plane x3 = 0, whose third entries are zeros
         _, _, frenet, cc = sphere_chords
         d_num, d_ana, a_coeff = planarity_residuals(cc, frenet)
-        assert np.abs(d_num[INTERIOR]).max() < 1e-7
-        assert np.abs(d_ana[INTERIOR]).max() < 1e-7
-        assert np.abs(a_coeff - 2 * math.sin(math.pi / 6) ** 3)[INTERIOR].max() < 1e-6
+        assert (d_num == 0.0).all() and (d_ana == 0.0).all()
+        assert np.abs(a_coeff - 2 * math.sin(math.pi / 6) ** 3).max() < 2e-15  # 5.0e-16 measured
 
     def test_principal_section_coplanar(self):
         el = Quadric(np.diag([4.0, 1.0, 1.0]))
         traj = integrate_geodesic(el, [2.0, 0, 0], [0, 1.0, 0], 6.0, 1e-3)
-        frenet = frenet_apparatus(traj)
-        cc = chord_correspondence(el, traj, 0.6)
+        frenet, cc = chords_of(el, traj, 0.6)
         d_num, _, _ = planarity_residuals(cc, frenet)
-        assert np.abs(d_num[INTERIOR]).max() < 1e-6
+        assert (d_num == 0.0).all()
 
     def test_stacked_determinant_matches_per_sample(self, generic_spheroid):
         el, traj = generic_spheroid
-        frenet = frenet_apparatus(traj)
-        cc = chord_correspondence(el, traj, 0.8)
+        frenet, cc = chords_of(el, traj, 0.8)
         d_num, _, _ = planarity_residuals(cc, frenet)
         want = [np.linalg.det(np.array([z, g1, g2]))
                 for z, g1, g2 in zip(cc.z, cc.Gamma_dot, cc.Gamma_ddot)]
@@ -523,27 +656,23 @@ class TestPlanarity:
     def test_determinant_expansion_matches(self, generic_spheroid):
         # on a genuinely non-planar curve both determinant routes must agree
         el, traj = generic_spheroid
-        frenet = frenet_apparatus(traj)
-        cc = chord_correspondence(el, traj, 0.8)
+        frenet, cc = chords_of(el, traj, 0.8)
         d_num, d_ana, _ = planarity_residuals(cc, frenet)
-        big = np.abs(d_num[INTERIOR]) > 1e-10
+        big = np.abs(d_num) > 1e-10
         assert big.any()
-        rel = (np.abs(d_num[INTERIOR] - d_ana[INTERIOR])[big]
-               / np.abs(d_num[INTERIOR])[big])
-        assert rel.max() < 1e-5
+        rel = np.abs(d_num - d_ana)[big] / np.abs(d_num)[big]
+        assert rel.max() < 5e-12  # 1.35e-12 measured
 
 
 class TestSimultaneousVanish:
     @pytest.mark.parametrize("delta", [math.pi / 6, math.pi / 3])
     def test_sphere_closed_form(self, great_circle, delta):
         sp, traj = great_circle
-        frenet = frenet_apparatus(traj)
-        cc = chord_correspondence(sp, traj, delta)
+        frenet, cc = chords_of(sp, traj, delta)
         val = simultaneous_vanish_check(cc, frenet)
-        assert val == pytest.approx(math.sin(delta) ** 2, abs=1e-6)
+        assert val == pytest.approx(math.sin(delta) ** 2, abs=5e-15)  # 1.6e-15 measured
 
     def test_nonnegative(self, generic_spheroid):
         el, traj = generic_spheroid
-        frenet = frenet_apparatus(traj)
-        cc = chord_correspondence(el, traj, 0.5)
+        frenet, cc = chords_of(el, traj, 0.5)
         assert simultaneous_vanish_check(cc, frenet) >= 0.0
