@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -81,19 +80,22 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
     acceleration that ends a step reuses the gradient at the projected x.
     The steps run on Python floats, whose arithmetic on 3-vectors costs far
     less than a numpy call each.  When the six off-diagonal entries of A^-1
-    are 0, as for `sphere_quadric` and `Quadric(np.diag(axes**2))`, A^-1 x
-    and <v, A^-1 v> take only the three diagonal products, in the order the
+    are 0, as for `sphere_quadric` and `Quadric(np.diag(axes**2))`, the
+    steps are written out with no call per stage, and A^-1 x and
+    <v, A^-1 v> take only the three diagonal products, in the order the
     nine-term sums add them; each dropped product is a zero that leaves the
     sum's bits alone, so x, v and x_ddot equal the nine-term loop's bit for
     bit, signs of zero included.  The one exception is a kept product of
     -0.0, which a dropped +0.0 would turn into +0.0: a start with a -0.0
     coordinate takes the nine terms, and a coordinate so near 0 that its
-    product underflows is not guarded.
+    product underflows is not guarded.  The samples go in one list sized
+    before the first step, so a run too long to store raises MemoryError at
+    once.
     """
     _check_space(q)
     if not (0.0 < length < math.inf and 0.0 < step < math.inf):
         raise ValueError("length and step must be positive and finite")
-    # the step count must fit a Python index, or the sample lists cannot be sized
+    # the step count must fit a Python index, or the sample list cannot be sized
     if not length / step < sys.maxsize:
         raise ValueError(f"length/step = {length:g}/{step:g} overflows the step count")
     A_inv = q.A_inv
@@ -108,44 +110,104 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
         raise OffSurface("v0 is not a nonzero vector tangent to the surface")
     v = v / np.linalg.norm(v)
 
-    (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = A_inv.tolist()
+    n_steps = max(1, round(length / step))
+    h = length / n_steps
+    # (x, v, x'') of every sample, nine floats each; repeating the nine-float
+    # list n + 1 times raises MemoryError for a size past an index, where
+    # [0.0] * (9 * (n + 1)) would raise OverflowError
+    samples = [0.0] * 9 * (n_steps + 1)
+    samples[:6] = *x.tolist(), *v.tolist()
+    rows = A_inv.tolist()
+    (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = rows
     # checking the start suffices: a stage coordinate is -0.0 only where the
     # start's is, x + y being -0.0 only when x and y are
     if b12 == b13 == b21 == b23 == b31 == b32 == 0.0 and not np.signbit(x[x == 0.0]).any():
-        def grad(x1, x2, x3):
-            # A^-1 x, half the gradient of F
-            return b11 * x1, b22 * x2, b33 * x3
-
-        def accel(x1, x2, x3, v1, v2, v3, a=None):
-            # x'' = -(<v, Hess F v>/|grad F|^2) grad F with grad F = 2 A^-1 x,
-            # Hess F = 2 A^-1; a is A^-1 x where the caller has it, else formed
-            # here: a call to grad would cost more than its products
-            a1, a2, a3 = a or (b11 * x1, b22 * x2, b33 * x3)
-            c = -(v1 * b11 * v1 + v2 * b22 * v2 + v3 * b33 * v3) / (a1 * a1 + a2 * a2 + a3 * a3)
-            return c * a1, c * a2, c * a3
+        _diagonal_steps(samples, h, b11, b22, b33)
     else:
-        def grad(x1, x2, x3):
-            return (b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
-                    b31 * x1 + b32 * x2 + b33 * x3)
+        _nine_product_steps(samples, h, rows)
+    # one conversion; the copy makes each of x, v and x_ddot contiguous
+    x, v, x_ddot = (np.fromiter(samples, float, len(samples))
+                    .reshape(-1, 3, 3).transpose(1, 0, 2).copy())
+    return GeodesicTrajectory(s=np.arange(n_steps + 1) * h, x=x, v=v, x_ddot=x_ddot)
 
-        def accel(x1, x2, x3, v1, v2, v3, a=None):
-            a1, a2, a3 = a or (b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
-                               b31 * x1 + b32 * x2 + b33 * x3)
-            c = -((v1 * b11 + v2 * b21 + v3 * b31) * v1 + (v1 * b12 + v2 * b22 + v3 * b32) * v2
-                  + (v1 * b13 + v2 * b23 + v3 * b33) * v3) / (a1 * a1 + a2 * a2 + a3 * a3)
-            return c * a1, c * a2, c * a3
 
-    n_steps = max(1, round(length / step))
-    h = length / n_steps
+def _diagonal_steps(samples: list, h: float, b11: float, b22: float, b33: float):
+    """The RK4 steps of integrate_geodesic on a diagonal A^-1 = diag(b11, b22,
+    b33), written out: each stage forms A^-1 y, <k, A^-1 k> and c from the
+    three diagonal products, in the order of the nine-product sums.  Reads
+    the start from samples[:6] and fills in the rest of samples."""
+    sqrt = math.sqrt
     h2, h6 = 0.5 * h, h / 6.0
-    x1, x2, x3 = x.tolist()
-    v1, v2, v3 = v.tolist()
-    acc = accel(x1, x2, x3, v1, v2, v3)
-    # sized up front, so a step count too large to store fails at once
-    xs, vs, accs = ([None] * (n_steps + 1) for _ in range(3))
-    xs[0], vs[0], accs[0] = (x1, x2, x3), (v1, v2, v3), acc
-    for i in range(n_steps):
-        k1v1, k1v2, k1v3 = acc
+    x1, x2, x3, v1, v2, v3 = samples[:6]
+    a1, a2, a3 = b11 * x1, b22 * x2, b33 * x3
+    c = -(v1 * b11 * v1 + v2 * b22 * v2 + v3 * b33 * v3) / (a1 * a1 + a2 * a2 + a3 * a3)
+    k1v1, k1v2, k1v3 = c * a1, c * a2, c * a3
+    samples[6:9] = k1v1, k1v2, k1v3
+    for j in range(9, len(samples), 9):
+        k2x1, k2x2, k2x3 = v1 + h2 * k1v1, v2 + h2 * k1v2, v3 + h2 * k1v3
+        a1, a2, a3 = b11 * (x1 + h2 * v1), b22 * (x2 + h2 * v2), b33 * (x3 + h2 * v3)
+        c = (-(k2x1 * b11 * k2x1 + k2x2 * b22 * k2x2 + k2x3 * b33 * k2x3)
+             / (a1 * a1 + a2 * a2 + a3 * a3))
+        k2v1, k2v2, k2v3 = c * a1, c * a2, c * a3
+        k3x1, k3x2, k3x3 = v1 + h2 * k2v1, v2 + h2 * k2v2, v3 + h2 * k2v3
+        a1, a2, a3 = b11 * (x1 + h2 * k2x1), b22 * (x2 + h2 * k2x2), b33 * (x3 + h2 * k2x3)
+        c = (-(k3x1 * b11 * k3x1 + k3x2 * b22 * k3x2 + k3x3 * b33 * k3x3)
+             / (a1 * a1 + a2 * a2 + a3 * a3))
+        k3v1, k3v2, k3v3 = c * a1, c * a2, c * a3
+        k4x1, k4x2, k4x3 = v1 + h * k3v1, v2 + h * k3v2, v3 + h * k3v3
+        a1, a2, a3 = b11 * (x1 + h * k3x1), b22 * (x2 + h * k3x2), b33 * (x3 + h * k3x3)
+        c = (-(k4x1 * b11 * k4x1 + k4x2 * b22 * k4x2 + k4x3 * b33 * k4x3)
+             / (a1 * a1 + a2 * a2 + a3 * a3))
+        x1, x2, x3 = (x1 + h6 * (v1 + 2.0 * k2x1 + 2.0 * k3x1 + k4x1),
+                      x2 + h6 * (v2 + 2.0 * k2x2 + 2.0 * k3x2 + k4x2),
+                      x3 + h6 * (v3 + 2.0 * k2x3 + 2.0 * k3x3 + k4x3))
+        v1, v2, v3 = (v1 + h6 * (k1v1 + 2.0 * k2v1 + 2.0 * k3v1 + c * a1),
+                      v2 + h6 * (k1v2 + 2.0 * k2v2 + 2.0 * k3v2 + c * a2),
+                      v3 + h6 * (k1v3 + 2.0 * k2v3 + 2.0 * k3v3 + c * a3))
+        a1, a2, a3 = b11 * x1, b22 * x2, b33 * x3
+        c = 0.5 * (x1 * a1 + x2 * a2 + x3 * a3 - 1.0) / (a1 * a1 + a2 * a2 + a3 * a3)
+        x1, x2, x3 = x1 - c * a1, x2 - c * a2, x3 - c * a3
+        a1, a2, a3 = b11 * x1, b22 * x2, b33 * x3
+        aa = a1 * a1 + a2 * a2 + a3 * a3
+        c = (v1 * a1 + v2 * a2 + v3 * a3) / aa
+        v1, v2, v3 = v1 - c * a1, v2 - c * a2, v3 - c * a3
+        norm = sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+        v1, v2, v3 = v1 / norm, v2 / norm, v3 / norm
+        # |v| is 1 to rounding after the division, so F(x) is the drift
+        drift = abs(x1 * a1 + x2 * a2 + x3 * a3 - 1.0)
+        # negated <=, so that a step whose stages overflowed to NaN fails
+        if not drift <= DRIFT_LIMIT:
+            raise StepTooLarge(f"constraint drift {drift:g} at step {j // 9 - 1}")
+        # the acceleration at the projected x, whose A^-1 x is a
+        c = -(v1 * b11 * v1 + v2 * b22 * v2 + v3 * b33 * v3) / aa
+        k1v1, k1v2, k1v3 = c * a1, c * a2, c * a3
+        samples[j:j + 9] = x1, x2, x3, v1, v2, v3, k1v1, k1v2, k1v3
+
+
+def _nine_product_steps(samples: list, h: float, A_inv: list):
+    """_diagonal_steps for any A^-1, each product of A^-1 taken."""
+    (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = A_inv
+
+    def grad(x1, x2, x3):
+        # A^-1 x, half the gradient of F
+        return (b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
+                b31 * x1 + b32 * x2 + b33 * x3)
+
+    def accel(x1, x2, x3, v1, v2, v3, a=None):
+        # x'' = -(<v, Hess F v>/|grad F|^2) grad F with grad F = 2 A^-1 x,
+        # Hess F = 2 A^-1; a is A^-1 x where the caller has it, else formed
+        # here: a call to grad would cost more than its products
+        a1, a2, a3 = a or (b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
+                           b31 * x1 + b32 * x2 + b33 * x3)
+        c = -((v1 * b11 + v2 * b21 + v3 * b31) * v1 + (v1 * b12 + v2 * b22 + v3 * b32) * v2
+              + (v1 * b13 + v2 * b23 + v3 * b33) * v3) / (a1 * a1 + a2 * a2 + a3 * a3)
+        return c * a1, c * a2, c * a3
+
+    h2, h6 = 0.5 * h, h / 6.0
+    x1, x2, x3, v1, v2, v3 = samples[:6]
+    k1v1, k1v2, k1v3 = accel(x1, x2, x3, v1, v2, v3)
+    samples[6:9] = k1v1, k1v2, k1v3
+    for j in range(9, len(samples), 9):
         k2x1, k2x2, k2x3 = v1 + h2 * k1v1, v2 + h2 * k1v2, v3 + h2 * k1v3
         k2v1, k2v2, k2v3 = accel(x1 + h2 * v1, x2 + h2 * v2, x3 + h2 * v3,
                                  k2x1, k2x2, k2x3)
@@ -170,17 +232,11 @@ def integrate_geodesic(q: Quadric, x0, v0, length: float,
         v1, v2, v3 = v1 - c * a1, v2 - c * a2, v3 - c * a3
         norm = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
         v1, v2, v3 = v1 / norm, v2 / norm, v3 / norm
-        # |v| is 1 to rounding after the division, so F(x) is the drift
         drift = abs(x1 * a1 + x2 * a2 + x3 * a3 - 1.0)
-        # negated <=, so that a step whose stages overflowed to NaN fails
         if not drift <= DRIFT_LIMIT:
-            raise StepTooLarge(f"constraint drift {drift:g} at step {i}")
-        acc = accel(x1, x2, x3, v1, v2, v3, a)
-        xs[i + 1], vs[i + 1], accs[i + 1] = (x1, x2, x3), (v1, v2, v3), acc
-    size = 3 * (n_steps + 1)
-    x, v, x_ddot = (np.fromiter(chain.from_iterable(rows), float, size).reshape(-1, 3)
-                    for rows in (xs, vs, accs))
-    return GeodesicTrajectory(s=np.arange(n_steps + 1) * h, x=x, v=v, x_ddot=x_ddot)
+            raise StepTooLarge(f"constraint drift {drift:g} at step {j // 9 - 1}")
+        k1v1, k1v2, k1v3 = accel(x1, x2, x3, v1, v2, v3, a)
+        samples[j:j + 9] = x1, x2, x3, v1, v2, v3, k1v1, k1v2, k1v3
 
 
 def _dot(p: np.ndarray, r: np.ndarray) -> np.ndarray:

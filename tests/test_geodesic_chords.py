@@ -140,6 +140,12 @@ def chords_start(q):
     return np.array([math.sqrt(q.A[0, 0]), 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
 
 
+def waist_start(q):
+    """(0, a2, 0) along (1, 0, 0): on a prolate spheroid diag(a1^2, a2^2,
+    a2^2), a meridian from the waist towards the tip."""
+    return np.array([0.0, math.sqrt(q.A[1, 1]), 0.0]), np.array([1.0, 0.0, 0.0])
+
+
 def negative_zero_start(q):
     """chords_start with -0.0 for x2 and v3: a dropped +0.0 product would
     turn the -0.0 that A^-1 x takes from x2 into +0.0."""
@@ -301,14 +307,24 @@ class TestIntegrateGeodesic:
         for radius in axes:
             assert (sphere_quadric(radius).A_inv[off] == 0.0).all()
 
-    @pytest.mark.parametrize("step", [0.7, 1.0, 2.0, 3.0])
-    def test_coarse_step_refused(self, step):
-        q = Quadric(np.array(SPD))
-        x0, v0 = start_on(q)
+    @pytest.mark.parametrize("A, start, length, step", [
+        *(pytest.param(SPD, start_on, 6.0, step, id=str(step)) for step in (0.7, 1.0, 2.0, 3.0)),
+        # diagonal bodies, whose steps are written out: the sphere is refused
+        # at step 0 (at 0.7 it runs), the prolate spheroid from its waist
+        # at steps 17 and 12
+        pytest.param(np.eye(3), start_on, 6.0, 1.0, id="sphere-1.0"),
+        pytest.param(np.eye(3), start_on, 6.0, 2.0, id="sphere-2.0"),
+        pytest.param(np.diag([25.0, 1.0, 1.0]), waist_start, 12.0, 0.3, id="prolate-0.3"),
+        pytest.param(np.diag([25.0, 1.0, 1.0]), waist_start, 12.0, 0.4, id="prolate-0.4"),
+    ])
+    def test_coarse_step_refused(self, A, start, length, step):
+        # the text names the drift and the step index, so both must agree
+        q = Quadric(np.array(A))
+        x0, v0 = start(q)
         with pytest.raises(StepTooLarge) as ref:
-            numpy_rk4(q, x0, v0, 6.0, step)
+            numpy_rk4(q, x0, v0, length, step)
         with pytest.raises(StepTooLarge) as got:
-            integrate_geodesic(q, x0, v0, 6.0, step)
+            integrate_geodesic(q, x0, v0, length, step)
         assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize("axes, step", [((1.0, 1.0, 1.0), 1e150), ((2.0, 1.0, 1.0), 1e100)])
@@ -332,6 +348,14 @@ class TestIntegrateGeodesic:
                                               (1e20, 1e-2)])
     def test_step_count_overflow(self, length, step):
         with pytest.raises(ValueError, match="overflows the step count"):
+            integrate_geodesic(sphere_quadric(1.0), [1.0, 0, 0], [0, 1.0, 0],
+                               length, step)
+
+    @pytest.mark.parametrize("length, step", [(1e12, 1e-3), (2e18, 1.0)])
+    def test_unstorable_run_fails_at_once(self, length, step):
+        # both counts fit an index; the second one's nine floats a sample
+        # do not, which must still read as a shortage of memory
+        with pytest.raises(MemoryError):
             integrate_geodesic(sphere_quadric(1.0), [1.0, 0, 0], [0, 1.0, 0],
                                length, step)
 
