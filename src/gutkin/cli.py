@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 invalid input (a bad
 flag value, an unreadable or malformed table or spec, an output path that
 is a directory, a line the map cannot follow, a phase portrait that keeps
-no orbit, a geodesic step too coarse to stay on the surface, a result that
-overflows the float range, or a run too large for the memory available).
+no orbit, a geodesic that would take too many series steps or whose step
+ends leave the surface, a result that overflows the float range, or a run
+too large for the memory available).
 All angles are radians.
 The environment variable GUTKIN_SEED, a non-negative integer, overrides
 the default seed 0 for randomized sweeps.
@@ -243,7 +244,8 @@ def cmd_chords(args) -> dict:
                [traj.s, frenet.k, frenet.tau, cc.l, cc.l_dot,
                 *gc.angle_condition_residuals(cc, frenet),
                 *gc.planarity_residuals(cc, frenet)])
-    return {"out": args.out, "samples": traj.s.size}
+    return {"out": args.out, "samples": traj.s.size, "series_steps": traj.series_steps,
+            "max_drift": traj.max_drift}
 
 
 class _Parser(argparse.ArgumentParser):

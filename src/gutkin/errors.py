@@ -50,7 +50,8 @@ class OffSurface(GutkinError):
 
 
 class StepTooLarge(GutkinError):
-    """Integration step produced constraint drift beyond tolerance."""
+    """A geodesic run would take more series steps than a run may, or one of
+    its steps ended off the surface after projection."""
 
 
 class DegenerateCurvature(GutkinError):

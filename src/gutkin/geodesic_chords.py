@@ -2,9 +2,11 @@
 
 The surface is a `billiard_nd.Quadric` with d = 3, the ellipsoid
 F(x) = <A^-1 x, x> - 1 = 0 (F < 0 inside), with gradient 2 A^-1 x and
-constant Hessian 2 A^-1.  A geodesic gamma(s) is integrated with RK4 plus
-per-step projection.  Its Frenet data (k, tau, frames v, n, w = v x n) feed
-the chord construction
+constant Hessian 2 A^-1.  A geodesic gamma(s) is integrated by Taylor
+series steps whose length the decay of their coefficients sets, with each
+step end projected on the surface, and sampled from the step polynomials
+(dense output), so the sample spacing does not set the error.  Its Frenet
+data (k, tau, frames v, n, w = v x n) feed the chord construction
 
     Gamma(s) = gamma(s) + l(s) z(s),   z = cos(delta) v + sin(delta) n,
 
@@ -19,6 +21,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from math import fsum
+from operator import mul
 
 import numpy as np
 
@@ -26,6 +30,11 @@ from .billiard_nd import Quadric
 from .errors import DegenerateCurvature, NoExit, OffSurface, StepTooLarge
 
 DRIFT_LIMIT = 1e-6
+# the order of each series step, and its truncation tolerance relative to |x0|
+ORDER = 24
+TOLERANCE = 1e-17
+# the most series steps a run may take
+MAX_STEPS = 100_000
 
 
 def _check_space(q: Quadric):
@@ -35,12 +44,16 @@ def _check_space(q: Quadric):
 
 @dataclass(frozen=True)
 class GeodesicTrajectory:
-    """Arc-length samples (x, v, x_ddot) of a geodesic, uniform step."""
+    """Arc-length samples (x, v, x_ddot) of a geodesic, uniform step, with the
+    number of series steps that made them and the largest |F(x)| at a step
+    end before its projection."""
 
     s: np.ndarray
     x: np.ndarray
     v: np.ndarray
     x_ddot: np.ndarray
+    series_steps: int = 0
+    max_drift: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -71,172 +84,159 @@ class ChordCorrespondence:
 
 def integrate_geodesic(q: Quadric, x0, v0, length: float,
                        step: float) -> GeodesicTrajectory:
-    """RK4 integration of x'' = -(<v, Hess F v>/|grad F|^2) grad F on q.
+    """Taylor-series integration of x'' = c A^-1 x, c = -<v, A^-1 v>/|A^-1 x|^2,
+    on q, sampled from the step polynomials.
 
-    The actual step is length/round(length/step) so the final sample lands
-    exactly at s = length.  Each step ends with one Newton step of x along
-    the gradient and v re-tangented and renormalized; a step whose
-    |F(x)| then exceeds DRIFT_LIMIT, or is NaN, raises StepTooLarge.  The
-    acceleration that ends a step reuses the gradient at the projected x.
-    The steps run on Python floats, whose arithmetic on 3-vectors costs far
-    less than a numpy call each.  When the six off-diagonal entries of A^-1
-    are 0, as for `sphere_quadric` and `Quadric(np.diag(axes**2))`, the
-    steps are written out with no call per stage, and A^-1 x and
-    <v, A^-1 v> take only the three diagonal products, in the order the
-    nine-term sums add them; each dropped product is a zero that leaves the
-    sum's bits alone, so x, v and x_ddot equal the nine-term loop's bit for
-    bit, signs of zero included.  The one exception is a kept product of
-    -0.0, which a dropped +0.0 would turn into +0.0: a start with a -0.0
-    coordinate takes the nine terms, and a coordinate so near 0 that its
-    product underflows is not guarded.  The samples go in one list sized
-    before the first step, so a run too long to store raises MemoryError at
-    once.
+    Each series step expands x about its start to order ORDER = 24, by the
+    recurrences of _series.  Its length is the least of (tol/|X_j|)^(1/j)
+    over its last two coefficients, j = 23 and 24, with tol = TOLERANCE |x0|
+    = 1e-17 |x0|, so that the first term left out is below rounding; a zero
+    coefficient sets no bound, and a length that is not positive raises
+    StepTooLarge.  Each step end is
+    projected: one Newton step of x along the gradient, and v made tangent
+    and unit again; an end whose |F(x)| then exceeds DRIFT_LIMIT, or is NaN,
+    raises StepTooLarge.  The largest |F(x)| at a step end before its
+    projection, the last end included, is the trajectory's max_drift.
+
+    The samples lie at s = i length/round(length/step), the last at length.
+    Each is its step's polynomial and that polynomial's derivative, taken for
+    all of a step's samples by one power matrix; then its v is made tangent
+    and unit, and its x'' is the equation at its (x, v), for all samples in
+    one pass.  So step sets only the spacing of the samples, and the number
+    of series steps grows with length over the radii of curvature the
+    geodesic meets.  A run that would take more than MAX_STEPS = 100000 of
+    them at the mean length of its steps so far raises StepTooLarge as soon
+    as that is seen: at the first step for a run far too long, and in any
+    case before a step past the MAX_STEPS-th.
+
+    The run is taken in units of the power of two 2^e with max |x0_i| in
+    [2^(e-1), 2^e), and scaled back exactly, so a body and a start scaled by
+    a power of two give every sample scaled alike, bit for bit.  x and v are
+    stored in arrays sized before the first step, so a run too long to store
+    raises MemoryError at once.
     """
     _check_space(q)
     if not (0.0 < length < math.inf and 0.0 < step < math.inf):
         raise ValueError("length and step must be positive and finite")
-    # the step count must fit a Python index, or the sample list cannot be sized
+    # the step count must fit a Python index, or the samples cannot be sized
     if not length / step < sys.maxsize:
         raise ValueError(f"length/step = {length:g}/{step:g} overflows the step count")
-    A_inv = q.A_inv
     x = np.asarray(x0, dtype=float)
     v = np.asarray(v0, dtype=float)
-    F0 = x @ A_inv @ x - 1.0
+    F0 = x @ q.A_inv @ x - 1.0
     # negated comparisons, so that a NaN x0 or a zero or NaN v0 fails
     if not abs(F0) <= 1e-10:
         raise OffSurface(f"F(x0) = {F0:g}")
-    a = A_inv @ x
+    a = q.A_inv @ x
     if not abs(v @ a) < 1e-10 * np.linalg.norm(v) * np.linalg.norm(a):
         raise OffSurface("v0 is not a nonzero vector tangent to the surface")
-    v = v / np.linalg.norm(v)
-
-    n_steps = max(1, round(length / step))
-    h = length / n_steps
-    # (x, v, x'') of every sample, nine floats each; repeating the nine-float
-    # list n + 1 times raises MemoryError for a size past an index, where
-    # [0.0] * (9 * (n + 1)) would raise OverflowError
-    samples = [0.0] * 9 * (n_steps + 1)
-    samples[:6] = *x.tolist(), *v.tolist()
-    rows = A_inv.tolist()
-    (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = rows
-    # checking the start suffices: a stage coordinate is -0.0 only where the
-    # start's is, x + y being -0.0 only when x and y are
-    if b12 == b13 == b21 == b23 == b31 == b32 == 0.0 and not np.signbit(x[x == 0.0]).any():
-        _diagonal_steps(samples, h, b11, b22, b33)
-    else:
-        _nine_product_steps(samples, h, rows)
-    # one conversion; the copy makes each of x, v and x_ddot contiguous
-    x, v, x_ddot = (np.fromiter(samples, float, len(samples))
-                    .reshape(-1, 3, 3).transpose(1, 0, 2).copy())
-    return GeodesicTrajectory(s=np.arange(n_steps + 1) * h, x=x, v=v, x_ddot=x_ddot)
-
-
-def _diagonal_steps(samples: list, h: float, b11: float, b22: float, b33: float):
-    """The RK4 steps of integrate_geodesic on a diagonal A^-1 = diag(b11, b22,
-    b33), written out: each stage forms A^-1 y, <k, A^-1 k> and c from the
-    three diagonal products, in the order of the nine-product sums.  Reads
-    the start from samples[:6] and fills in the rest of samples."""
-    sqrt = math.sqrt
-    h2, h6 = 0.5 * h, h / 6.0
-    x1, x2, x3, v1, v2, v3 = samples[:6]
-    a1, a2, a3 = b11 * x1, b22 * x2, b33 * x3
-    c = -(v1 * b11 * v1 + v2 * b22 * v2 + v3 * b33 * v3) / (a1 * a1 + a2 * a2 + a3 * a3)
-    k1v1, k1v2, k1v3 = c * a1, c * a2, c * a3
-    samples[6:9] = k1v1, k1v2, k1v3
-    for j in range(9, len(samples), 9):
-        k2x1, k2x2, k2x3 = v1 + h2 * k1v1, v2 + h2 * k1v2, v3 + h2 * k1v3
-        a1, a2, a3 = b11 * (x1 + h2 * v1), b22 * (x2 + h2 * v2), b33 * (x3 + h2 * v3)
-        c = (-(k2x1 * b11 * k2x1 + k2x2 * b22 * k2x2 + k2x3 * b33 * k2x3)
-             / (a1 * a1 + a2 * a2 + a3 * a3))
-        k2v1, k2v2, k2v3 = c * a1, c * a2, c * a3
-        k3x1, k3x2, k3x3 = v1 + h2 * k2v1, v2 + h2 * k2v2, v3 + h2 * k2v3
-        a1, a2, a3 = b11 * (x1 + h2 * k2x1), b22 * (x2 + h2 * k2x2), b33 * (x3 + h2 * k2x3)
-        c = (-(k3x1 * b11 * k3x1 + k3x2 * b22 * k3x2 + k3x3 * b33 * k3x3)
-             / (a1 * a1 + a2 * a2 + a3 * a3))
-        k3v1, k3v2, k3v3 = c * a1, c * a2, c * a3
-        k4x1, k4x2, k4x3 = v1 + h * k3v1, v2 + h * k3v2, v3 + h * k3v3
-        a1, a2, a3 = b11 * (x1 + h * k3x1), b22 * (x2 + h * k3x2), b33 * (x3 + h * k3x3)
-        c = (-(k4x1 * b11 * k4x1 + k4x2 * b22 * k4x2 + k4x3 * b33 * k4x3)
-             / (a1 * a1 + a2 * a2 + a3 * a3))
-        x1, x2, x3 = (x1 + h6 * (v1 + 2.0 * k2x1 + 2.0 * k3x1 + k4x1),
-                      x2 + h6 * (v2 + 2.0 * k2x2 + 2.0 * k3x2 + k4x2),
-                      x3 + h6 * (v3 + 2.0 * k2x3 + 2.0 * k3x3 + k4x3))
-        v1, v2, v3 = (v1 + h6 * (k1v1 + 2.0 * k2v1 + 2.0 * k3v1 + c * a1),
-                      v2 + h6 * (k1v2 + 2.0 * k2v2 + 2.0 * k3v2 + c * a2),
-                      v3 + h6 * (k1v3 + 2.0 * k2v3 + 2.0 * k3v3 + c * a3))
-        a1, a2, a3 = b11 * x1, b22 * x2, b33 * x3
-        c = 0.5 * (x1 * a1 + x2 * a2 + x3 * a3 - 1.0) / (a1 * a1 + a2 * a2 + a3 * a3)
-        x1, x2, x3 = x1 - c * a1, x2 - c * a2, x3 - c * a3
-        a1, a2, a3 = b11 * x1, b22 * x2, b33 * x3
-        aa = a1 * a1 + a2 * a2 + a3 * a3
-        c = (v1 * a1 + v2 * a2 + v3 * a3) / aa
-        v1, v2, v3 = v1 - c * a1, v2 - c * a2, v3 - c * a3
-        norm = sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-        v1, v2, v3 = v1 / norm, v2 / norm, v3 / norm
-        # |v| is 1 to rounding after the division, so F(x) is the drift
-        drift = abs(x1 * a1 + x2 * a2 + x3 * a3 - 1.0)
-        # negated <=, so that a step whose stages overflowed to NaN fails
+    n = max(1, round(length / step)) + 1
+    # an array of more bytes than an index can count cannot be made at all,
+    # which is a shortage of memory too
+    if n > sys.maxsize // 24:
+        raise MemoryError(f"{n} samples cannot be stored")
+    xs, vs = np.empty((n, 3)), np.empty((n, 3))
+    e = math.frexp(float(np.abs(x).max()))[1]
+    unit = math.ldexp(1.0, e)
+    B = np.ldexp(q.A_inv, 2 * e)
+    b = B.ravel().tolist()
+    s = np.arange(n) * (length / (n - 1))
+    t, end = s / unit, length / unit
+    y, w = x / unit, v / np.linalg.norm(v)
+    tol = TOLERANCE * math.hypot(*y.tolist())
+    orders = np.arange(1.0, ORDER + 1.0)[:, None]
+    start, lo, steps, worst = 0.0, 0, 0, 0.0
+    while True:
+        X = _series(y.tolist(), w.tolist(), b)
+        h = math.inf
+        for j in (ORDER - 1, ORDER):
+            size = math.hypot(*X[3 * j:3 * j + 3])
+            if size:
+                h = min(h, (tol / size) ** (1.0 / j))
+        steps += 1
+        # the steps the run would take at the mean length of its steps so far,
+        # and at least those taken
+        need = steps * max(1.0, end / (start + h)) if h > 0.0 else math.inf
+        if not need <= MAX_STEPS:
+            raise StepTooLarge(f"length {length:g} would take {need:.3g} series steps of the "
+                               f"mean length so far, {(start + h) * unit / steps:g}; a run may "
+                               f"take at most {MAX_STEPS}")
+        last = not start + h < end
+        hi = n if last else int(np.searchsorted(t, start + h))
+        # the powers of the offsets of the step's samples and of its end, a
+        # row per power, by doubling: t^(k+i) = t^k t^i
+        T = np.empty((ORDER + 1, hi - lo + 1))
+        T[0] = 1.0
+        np.subtract(t[lo:hi], start, out=T[1, :-1])
+        T[1, -1] = end - start if last else h
+        k = 2
+        while k <= ORDER:
+            width = min(k, ORDER + 1 - k)
+            np.multiply(T[:width], T[k - 1] * T[1], out=T[k:k + width])
+            k += width
+        C = np.array(X).reshape(ORDER + 1, 3)
+        ys, ws = T.T @ C, T[:-1].T @ (C[1:] * orders)
+        xs[lo:hi], vs[lo:hi] = ys[:-1], ws[:-1]
+        y, w = ys[-1], ws[-1]
+        a = B @ y
+        worst = max(worst, abs(y @ a - 1.0))
+        y = y - 0.5 * (y @ a - 1.0) / (a @ a) * a
+        a = B @ y
+        w = w - (w @ a) / (a @ a) * a
+        w = w / np.linalg.norm(w)
+        drift = abs(y @ a - 1.0)
+        # negated <=, so that a step end that overflowed to NaN fails
         if not drift <= DRIFT_LIMIT:
-            raise StepTooLarge(f"constraint drift {drift:g} at step {j // 9 - 1}")
-        # the acceleration at the projected x, whose A^-1 x is a
-        c = -(v1 * b11 * v1 + v2 * b22 * v2 + v3 * b33 * v3) / aa
-        k1v1, k1v2, k1v3 = c * a1, c * a2, c * a3
-        samples[j:j + 9] = x1, x2, x3, v1, v2, v3, k1v1, k1v2, k1v3
+            raise StepTooLarge(f"constraint drift {drift:g} at series step {steps - 1}")
+        if last:
+            break
+        start, lo = start + h, hi
+    # every sample's v tangent and unit, and its x'' from the equation
+    a = xs @ B
+    aa = _dot(a, a)
+    vs -= (_dot(vs, a) / aa)[:, None] * a
+    vs /= np.sqrt(_dot(vs, vs))[:, None]
+    x_ddot = (-_dot(vs, vs @ B) / (aa * unit))[:, None] * a
+    return GeodesicTrajectory(s=s, x=xs * unit, v=vs, x_ddot=x_ddot,
+                              series_steps=steps, max_drift=float(worst))
 
 
-def _nine_product_steps(samples: list, h: float, A_inv: list):
-    """_diagonal_steps for any A^-1, each product of A^-1 taken."""
-    (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = A_inv
+def _series(x: list, v: list, b: list) -> list:
+    """The Taylor coefficients X_0 .. X_ORDER of the geodesic through x with
+    velocity v, with B = A^-1 row-major in b, as one flat list of floats.
 
-    def grad(x1, x2, x3):
-        # A^-1 x, half the gradient of F
-        return (b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
-                b31 * x1 + b32 * x2 + b33 * x3)
-
-    def accel(x1, x2, x3, v1, v2, v3, a=None):
-        # x'' = -(<v, Hess F v>/|grad F|^2) grad F with grad F = 2 A^-1 x,
-        # Hess F = 2 A^-1; a is A^-1 x where the caller has it, else formed
-        # here: a call to grad would cost more than its products
-        a1, a2, a3 = a or (b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
-                           b31 * x1 + b32 * x2 + b33 * x3)
-        c = -((v1 * b11 + v2 * b21 + v3 * b31) * v1 + (v1 * b12 + v2 * b22 + v3 * b32) * v2
-              + (v1 * b13 + v2 * b23 + v3 * b33) * v3) / (a1 * a1 + a2 * a2 + a3 * a3)
-        return c * a1, c * a2, c * a3
-
-    h2, h6 = 0.5 * h, h / 6.0
-    x1, x2, x3, v1, v2, v3 = samples[:6]
-    k1v1, k1v2, k1v3 = accel(x1, x2, x3, v1, v2, v3)
-    samples[6:9] = k1v1, k1v2, k1v3
-    for j in range(9, len(samples), 9):
-        k2x1, k2x2, k2x3 = v1 + h2 * k1v1, v2 + h2 * k1v2, v3 + h2 * k1v3
-        k2v1, k2v2, k2v3 = accel(x1 + h2 * v1, x2 + h2 * v2, x3 + h2 * v3,
-                                 k2x1, k2x2, k2x3)
-        k3x1, k3x2, k3x3 = v1 + h2 * k2v1, v2 + h2 * k2v2, v3 + h2 * k2v3
-        k3v1, k3v2, k3v3 = accel(x1 + h2 * k2x1, x2 + h2 * k2x2, x3 + h2 * k2x3,
-                                 k3x1, k3x2, k3x3)
-        k4x1, k4x2, k4x3 = v1 + h * k3v1, v2 + h * k3v2, v3 + h * k3v3
-        k4v1, k4v2, k4v3 = accel(x1 + h * k3x1, x2 + h * k3x2, x3 + h * k3x3,
-                                 k4x1, k4x2, k4x3)
-        x1, x2, x3 = (x1 + h6 * (v1 + 2 * k2x1 + 2 * k3x1 + k4x1),
-                      x2 + h6 * (v2 + 2 * k2x2 + 2 * k3x2 + k4x2),
-                      x3 + h6 * (v3 + 2 * k2x3 + 2 * k3x3 + k4x3))
-        v1, v2, v3 = (v1 + h6 * (k1v1 + 2 * k2v1 + 2 * k3v1 + k4v1),
-                      v2 + h6 * (k1v2 + 2 * k2v2 + 2 * k3v2 + k4v2),
-                      v3 + h6 * (k1v3 + 2 * k2v3 + 2 * k3v3 + k4v3))
-        a1, a2, a3 = grad(x1, x2, x3)
-        c = 0.5 * (x1 * a1 + x2 * a2 + x3 * a3 - 1.0) / (a1 * a1 + a2 * a2 + a3 * a3)
-        x1, x2, x3 = x1 - c * a1, x2 - c * a2, x3 - c * a3
-        a = grad(x1, x2, x3)
-        a1, a2, a3 = a
-        c = (v1 * a1 + v2 * a2 + v3 * a3) / (a1 * a1 + a2 * a2 + a3 * a3)
-        v1, v2, v3 = v1 - c * a1, v2 - c * a2, v3 - c * a3
-        norm = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-        v1, v2, v3 = v1 / norm, v2 / norm, v3 / norm
-        drift = abs(x1 * a1 + x2 * a2 + x3 * a3 - 1.0)
-        if not drift <= DRIFT_LIMIT:
-            raise StepTooLarge(f"constraint drift {drift:g} at step {j // 9 - 1}")
-        k1v1, k1v2, k1v3 = accel(x1, x2, x3, v1, v2, v3, a)
-        samples[j:j + 9] = x1, x2, x3, v1, v2, v3, k1v1, k1v2, k1v3
+    With A_k = B X_k, Q = |B x|^2 and c = -<v, B v>/Q, the equation is
+    x'' = c B x.  Along it <v, B v>' = 2 c <B x, B v> = c Q', so (c Q)' =
+    -c Q', that is c' Q = -2 c Q' (c Q^2 is Joachimsthal's integral).  At
+    each order K >= 1 this gives
+        Q_K = sum_(i=0..K) <A_i, A_(K-i)>,
+        K Q_0 c_K = -sum_(i=0..K-1) (2K - i) c_i Q_(K-i),
+        X_(K+2) = sum_(i=0..K) c_i A_(K-i) / ((K+1) (K+2)),
+    each sum taken by math.fsum, so correctly rounded over its products.
+    The lists ending in _rev hold A and Q from the highest order down.
+    """
+    b11, b12, b13, b21, b22, b23, b31, b32, b33 = b
+    X = [*x, *v]
+    A, A_rev, c, Q_rev = [], [], [], []
+    for K in range(ORDER):
+        x1, x2, x3 = X[3 * K:3 * K + 3]
+        a = [b11 * x1 + b12 * x2 + b13 * x3, b21 * x1 + b22 * x2 + b23 * x3,
+             b31 * x1 + b32 * x2 + b33 * x3]
+        A += a
+        A_rev = a + A_rev
+        Q_rev.insert(0, fsum(map(mul, A, A_rev)))
+        if K:
+            c.append(-fsum(map(mul, map(mul, range(2 * K, K, -1), c), Q_rev)) / (K * Q_rev[-1]))
+        else:
+            v1, v2, v3 = v
+            c.append(-fsum(map(mul, v, (b11 * v1 + b12 * v2 + b13 * v3,
+                                         b21 * v1 + b22 * v2 + b23 * v3,
+                                         b31 * v1 + b32 * v2 + b33 * v3))) / Q_rev[0])
+        if K < ORDER - 1:
+            d = (K + 1.0) * (K + 2.0)
+            X += (fsum(map(mul, c, A_rev[0::3])) / d, fsum(map(mul, c, A_rev[1::3])) / d,
+                  fsum(map(mul, c, A_rev[2::3])) / d)
+    return X
 
 
 def _dot(p: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import warnings
 
 import mpmath
@@ -1412,19 +1413,35 @@ class TestChords:
         assert err.startswith("error: length/step") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("surface, length, step, message", [
-        # the RK4 stages overflow, and a NaN drift must fail the drift test
-        (["sphere"], "6e150", "1e150", "constraint drift nan at step 0"),
-        (["ellipsoid", "--axes", "2,1,1"], "6e100", "1e100", "constraint drift nan at step 0"),
-    ])
-    def test_refused_run(self, tmp_path, capsys, surface, length, step, message):
+    @pytest.mark.parametrize("surface, length, step, steps", [
+        # more series steps than a run may take, refused at the first,
+        # however few the samples
+        (["sphere"], "6e150", "1e150", "3.49e+150"),
+        (["ellipsoid", "--axes", "2,1,1"], "6e100", "1e100", "5.51e+101"),
+        (["sphere"], "1e8", "1e4", "5.82e+07"),
+    ], ids=["sphere-6e150", "ellipsoid-6e100", "sphere-1e8"])
+    def test_refused_run(self, tmp_path, capsys, surface, length, step, steps):
         out = tmp_path / "chords.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["chords", "--surface", *surface, "--delta", "0.5",
                          "--length", length, "--step", step, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        err = capsys.readouterr().err
+        head = re.escape(f"error: length {float(length):g} would take {steps} series steps")
+        assert re.fullmatch(head + r" of the mean length so far, [0-9.]+; "
+                            r"a run may take at most 100000\n", err)
         assert not out.exists()
+
+    def test_json_reports_series_steps(self, tmp_path, capsys):
+        # the series steps and their worst drift do not depend on --step
+        docs = []
+        for step in ("1e-3", "0.1"):
+            docs.append(_json_run(capsys, ["chords", "--surface", "ellipsoid", "--axes", "2,1,1",
+                                           "--delta", "0.5", "--step", step,
+                                           "--out", str(tmp_path / "c.csv")]))
+        assert docs[0]["samples"] == 6284 and docs[1]["samples"] == 64
+        assert docs[0]["series_steps"] == docs[1]["series_steps"] > 1
+        assert docs[0]["max_drift"] == docs[1]["max_drift"] < 1e-14
 
     def test_short_run(self, tmp_path):
         # every column is a closed form at its own sample, so 4 samples suffice
