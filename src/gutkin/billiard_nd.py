@@ -278,10 +278,17 @@ def orbit_nd(q: Quadric, n, x, steps: int):
     disc, from a tangent line or a glancing chord less deep than the
     rounding of P, gives s = -beta / alpha, where the outgoing incidence is
     0.  The outward normal at an exit point is g/|g|, and n is mirrored
-    across it.  A bounce is refused, with a TangentLine that names it,
-    only where the outgoing line meets the boundary at an incidence below
-    MIN_CHORD_ANGLE, the planar map's rule.  The moments are formed once,
-    for all rows.
+    across it, n - (2 <n, g>/<g, g>) g.  A bounce is refused, with a
+    TangentLine that names it, only where the outgoing line meets the
+    boundary at an incidence below MIN_CHORD_ANGLE, the planar map's rule.
+
+    The mirrored n is carried to the next chord unnormalized.  The root s
+    is homogeneous of degree -1 in n and the mirror of degree 1, so P and
+    g do not depend on |n|, and the mirror keeps |n| to rounding.  The
+    returned directions, rows 1 to steps, are normalized once after the
+    loop, and each incidence is formed from its row as <n, g>/|g|, so a
+    one-bounce orbit has the bits of a map that normalizes every bounce.
+    The moments are formed once, for all rows.
     """
     n, x = np.asarray(n, dtype=float), np.asarray(x, dtype=float)
     _check_directions(n)
@@ -290,38 +297,43 @@ def orbit_nd(q: Quadric, n, x, steps: int):
     A_inv = q.A_inv
     P = x
     g = A_inv.dot(P)
-    beta = g.dot(n)
-    ns, Ps, gs, dots = [n], [], [], []
+    beta = float(g.dot(n))
+    ns, Ps, gs = [n], [], []
     # a.dot(b) gives the bits of a @ b, and math.sqrt(a.dot(a)) those of
-    # np.linalg.norm(a), at a fraction of the call overhead on short vectors
+    # np.linalg.norm(a), at a fraction of the call overhead on short vectors;
+    # the scalars are Python floats, whose arithmetic costs less than numpy's
     for k in range(steps):
-        alpha = A_inv.dot(n).dot(n)
-        disc = beta * beta - alpha * (g.dot(P) - 1.0)
+        alpha = float(A_inv.dot(n).dot(n))
+        disc = beta * beta - alpha * (float(g.dot(P)) - 1.0)
         # 4 disc < -1e-14 alpha: the test on the discriminant of
         # <A^-1 (x + t n), x + t n> = 1 in t, in units that do not scale
         if disc < -2.5e-15 * alpha and not k:
             raise NoIntersection("line misses the quadric at bounce 0")
         P = P + (math.sqrt(max(disc, 0.0)) - beta) / alpha * n
         g = A_inv.dot(P)
-        gg = g.dot(g)
-        n = n - 2.0 * n.dot(g) / gg * g
-        n /= math.sqrt(n.dot(n))
-        beta = n.dot(g)
-        dot = beta / math.sqrt(gg)
-        # the incidence is at least |dot|: only a bounce with a small |dot| grazes
-        if abs(dot) < MIN_CHORD_ANGLE:
-            angle = _incidence(n, g / math.sqrt(gg), dot)
+        gg = float(g.dot(g))
+        n = n - 2.0 * float(n.dot(g)) / gg * g
+        beta = float(n.dot(g))
+        # the incidence is at least |<n, g>| / (|n| |g|) and |n| is 1 to
+        # rounding, so only a bounce with a small |beta| can graze; those are
+        # checked on unit copies, as the returned rows are formed
+        if abs(beta) < 2.0 * MIN_CHORD_ANGLE * math.sqrt(gg):
+            unit, root = n / math.sqrt(n.dot(n)), math.sqrt(gg)
+            angle = _incidence(unit, g / root, unit.dot(g) / root)
             if angle < MIN_CHORD_ANGLE:
                 raise TangentLine(f"line grazes the quadric at incidence {angle:g}, "
                                   f"below {MIN_CHORD_ANGLE:g}, at bounce {k}")
         ns.append(n)
         Ps.append(P)
         gs.append(g)
-        dots.append(dot)
     ns = np.array(ns)
     Ps, gs = (np.reshape(rows, (steps, q.d)) for rows in (Ps, gs))
-    # |g| by matmul, so that each row's normal has the bits the loop's check used
-    nus = gs / np.sqrt(gs[:, None, :] @ gs[:, :, None])[:, 0]
+    # the carried directions normalized once, and the incidences formed from
+    # them; the dots by matmul, so that each row has the bits of the loop's
+    # check on one vector
+    ns[1:] /= np.sqrt(ns[1:, None, :] @ ns[1:, :, None])[:, 0]
+    roots = np.sqrt(gs[:, None, :] @ gs[:, :, None])[:, 0]
+    dots = (ns[1:, None, :] @ gs[:, :, None])[:, 0] / roots
     ms = _moment(np.concatenate([x[None], Ps]), ns)
     _check_lines(ns, ms, q.half_width)
-    return ns, ms, Ps, _incidence(ns[1:], nus, np.array(dots))
+    return ns, ms, Ps, _incidence(ns[1:], gs / roots, dots[:, 0])

@@ -55,72 +55,90 @@ _FORMS = FIXED[1] - FIXED[0] + 3
 _EMPTY = _FORMS * 34  # the layout of a cell formatted outside the kernel
 
 
-def _power(s: int) -> tuple[float, float]:
-    """10^s = hi + lo, each term correctly rounded, from Python integers."""
-    if s >= 0:
-        hi = float(10 ** s)
-        return hi, float(10 ** s - int(hi))
-    t = 10 ** -s
-    hi = 1 / t
-    num, den = hi.as_integer_ratio()
-    return hi, (den - num * t) / (den * t)
+def _words(text: bytes) -> np.ndarray:
+    """The little-endian uint64 words of ``text``, 8 bytes each."""
+    return np.frombuffer(text, "<u8").astype(np.uint64)
 
 
-def _layout(form: int, last: int) -> tuple[int, list[int]]:
-    """(byte of the minus sign, bytes kept) of a layout."""
-    X = form + FIXED[0]
-    if X < 0:
-        zeros = -X - 1
-        sign, keep = 28 - zeros, [*range(29 - zeros, 32), *range(32, 32 + last)]
-    elif 0 < X <= FIXED[1]:
-        sign, keep = 6, [*range(7, 8 + X)]
-        if last > X:
-            keep += [31, *range(32 + X, 32 + last)]
-    else:
-        sign, keep = 29, [30]
-        if last:
-            keep += [31, *range(32, 32 + last)]
-    tail = 1 if X <= FIXED[1] else 5 + (form == _FORMS - 1)
-    return sign, keep + [*range(48, 48 + tail)]
+def _powers() -> tuple[np.ndarray, np.ndarray]:
+    """10^s = hi + lo for s = 16 - e10 over the decades, each term
+    correctly rounded: Python integers in object arrays, exact up to the
+    one rounding of a true division."""
+    s = 16 - np.arange(DECADES[0], DECADES[1] + 1)
+    tens = np.cumprod(np.full(np.abs(s).max() + 1, 10, dtype=object)) // 10
+    up, down = tens[np.maximum(s, 0)], tens[np.maximum(-s, 0)]
+    hi = (up / down).astype(float)
+    # hi = n 2^(e - 53) for an integer n, so up/down - hi has the
+    # denominator down 2^max(53 - e, 0)
+    m, e = np.frexp(hi)
+    n = np.ldexp(m, 53).astype(np.int64).astype(object)
+    a, b = (np.maximum(k, 0).astype(object) for k in (53 - e, e - 53))
+    return hi, (((up << a) - (n << b) * down) / (down << a)).astype(float)
+
+
+def _masks() -> np.ndarray:
+    """The bytes kept by each layout, one row of ROW_BYTES per layout; the
+    last row, that of a cell formatted outside the kernel, keeps none."""
+    # X = -4..16 in the fixed forms, 17 and 18 in the exponent forms of 2
+    # and of 3 digits
+    X = np.arange(_FORMS)[:, None, None] + FIXED[0]
+    last = np.arange(17)[:, None]
+    byte = np.arange(ROW_BYTES)
+    whole = (0 < X) & (X <= FIXED[1])
+    # the point follows d<X> in a fixed form with X > 0, else d0, and the
+    # digits after it run to d<last>
+    point = np.where(whole, X, 0)
+    keep = ((32 + point <= byte) & (byte < 32 + last)) | ((byte == 31) & (last > point))
+    # '0.' and the zeros before d0 (X < 0), the integer part (X > 0), or d0
+    keep |= np.where(X < 0, (30 + X <= byte) & (byte < 32),
+                     np.where(whole, (7 <= byte) & (byte < 8 + X), byte == 30))
+    # the separator, after 'e', the sign and the exponent's digits if any
+    keep |= (48 <= byte) & (byte < 48 + np.where(X <= FIXED[1], 1, X - 12))
+    sign = byte == np.where(X < 0, 29 + X, np.where(whole, 6, 29))
+    mask = np.zeros((_EMPTY + 1, ROW_BYTES), dtype=bool)
+    mask[:-1] = np.stack([keep, keep | sign], axis=2).reshape(_EMPTY, ROW_BYTES)
+    return mask
 
 
 @functools.cache
 def _tables() -> dict:
     """The tables of the kernel, built on first use."""
-    hi, lo = np.array([_power(16 - e10) for e10 in range(DECADES[0], DECADES[1] + 1)]).T
+    hi, lo = _powers()
     # hi = hi_hi + hi_lo in 26-bit halves: Veltkamp's split of its significand
     m, e = np.frexp(hi)
     m_hi = _split_hi(m)
     hi_hi, hi_lo = np.ldexp(m_hi, e), np.ldexp(m - m_hi, e)
     # the four-digit groups as little-endian ASCII, and twice their trailing zeros
-    g = np.arange(10 ** 4, dtype=np.uint32)
-    digits = sum((g // 10 ** (3 - k) % 10 + 48) << (8 * k) for k in range(4)).astype(np.uint32)
-    trailing = (2 * sum(g % 10 ** k == 0 for k in range(1, 5))).astype(np.uint8)
-    word = lambda b: int.from_bytes(b.ljust(8, b"\0"), "little")  # noqa: E731
-    head = np.array([word(b"\0" * 6 + b"-%d" % d) for d in range(10)], dtype=np.uint64)
+    group = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    digits = np.frombuffer((group.T + 48).tobytes(), "<u4").astype(np.uint32)
+    trailing = np.zeros((10,) * 4, dtype=np.uint8)
+    for k in range(1, 5):
+        trailing[(...,) + (0,) * k] += 2
+    head = _words(b"".join(b"\0" * 6 + b"-%d" % d for d in range(10)))
     exps = np.arange(-_X0, _SPAN - _X0)
     fixed = (FIXED[0] <= exps) & (exps <= FIXED[1])
     # bytes 24-31 by exponent and d0, of X >= 0 or exponent forms, then of X = -1..-4
-    leads = np.array([[word(b"\0" * 5 + b"-%d." % d) for d in range(10)]]
-                     + [[word(b"\0" * (4 - z) + b"-0." + b"0" * z + b"%d" % d) for d in range(10)]
-                        for z in range(4)], dtype=np.uint64)
+    leads = _words(b"".join([b"\0" * 5 + b"-%d." % d for d in range(10)]
+                            + [b"\0" * (4 - z) + b"-0." + b"0" * z + b"%d" % d
+                               for z in range(4) for d in range(10)])).reshape(5, 10)
     lead = leads[np.where(fixed & (exps < 0), -exps, 0)].ravel()
-    tail = np.array([word((b"" if f else b"e%+03d" % x) + sep) for sep in (b",", b"\n")
-                     for x, f in zip(exps.tolist(), fixed.tolist())], dtype=np.uint64)
+    # bytes 48-55 by separator and exponent: 'e', the sign and the digits of
+    # an exponent form, whose width is 4 or 5 bytes, then the separator
+    magnitude = np.abs(exps)[:, None]
+    width = np.where(fixed[:, None], 0, 4 + (magnitude >= 100))
+    j = np.arange(8)
+    chars = np.where(j == 0, ord("e"),
+                     np.where(j == 1, np.where(exps < 0, ord("-"), ord("+"))[:, None],
+                              magnitude // 10 ** np.clip(width - 1 - j, 0, 2) % 10 + 48))
+    chars = np.where(j < width, chars, 0)
+    tail = _words(np.concatenate([np.where(j == width, ord(sep), chars) for sep in ",\n"])
+                  .astype(np.uint8).tobytes())
     # the layout of a positive value with all 17 digits, by exponent; each
     # trailing zero of N takes 2 off it
     form_of = np.where(fixed, exps - FIXED[0], _FORMS - 2 + (np.abs(exps) >= 100)) * 34 + 32
-    rows, cols = [], []
-    for form in range(_FORMS):
-        for last in range(17):
-            sign, keep = _layout(form, last)
-            row = (form * 17 + last) * 2
-            rows += [row] * len(keep) + [row + 1] * (len(keep) + 1)
-            cols += keep + keep + [sign]
-    mask = np.zeros((_EMPTY + 1, ROW_BYTES), dtype=bool)
-    mask[rows, cols] = True
-    return dict(hi=hi.copy(), hi_hi=hi_hi, hi_lo=hi_lo, lo=lo.copy(), digits=digits,
-                trailing=trailing, head=head, lead=lead, tail=tail, form_of=form_of,
+    mask = _masks()
+    return dict(hi=hi, hi_hi=hi_hi, hi_lo=hi_lo, lo=lo, digits=digits,
+                trailing=trailing.ravel(), head=head, lead=lead, tail=tail, form_of=form_of,
                 mask=mask, length=mask.sum(axis=1))
 
 

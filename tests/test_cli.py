@@ -30,6 +30,70 @@ def reference_write_csv(path, header, rows):
                              for v in row) + "\n")
 
 
+def reference_tables():
+    """The kernel's tables as the CSV writer first built them, one decade,
+    one exponent and one layout at a time, kept as the reference of
+    csvtext._tables."""
+    from gutkin.csvtext import (_EMPTY, _FORMS, _SPAN, _X0, DECADES, FIXED, ROW_BYTES,
+                                _split_hi)
+
+    def power(s):
+        if s >= 0:
+            hi = float(10 ** s)
+            return hi, float(10 ** s - int(hi))
+        t = 10 ** -s
+        hi = 1 / t
+        num, den = hi.as_integer_ratio()
+        return hi, (den - num * t) / (den * t)
+
+    def layout(form, last):
+        X = form + FIXED[0]
+        if X < 0:
+            zeros = -X - 1
+            sign, keep = 28 - zeros, [*range(29 - zeros, 32), *range(32, 32 + last)]
+        elif 0 < X <= FIXED[1]:
+            sign, keep = 6, [*range(7, 8 + X)]
+            if last > X:
+                keep += [31, *range(32 + X, 32 + last)]
+        else:
+            sign, keep = 29, [30]
+            if last:
+                keep += [31, *range(32, 32 + last)]
+        tail = 1 if X <= FIXED[1] else 5 + (form == _FORMS - 1)
+        return sign, keep + [*range(48, 48 + tail)]
+
+    hi, lo = np.array([power(16 - e10) for e10 in range(DECADES[0], DECADES[1] + 1)]).T
+    m, e = np.frexp(hi)
+    m_hi = _split_hi(m)
+    hi_hi, hi_lo = np.ldexp(m_hi, e), np.ldexp(m - m_hi, e)
+    g = np.arange(10 ** 4, dtype=np.uint32)
+    digits = sum((g // 10 ** (3 - k) % 10 + 48) << (8 * k) for k in range(4)).astype(np.uint32)
+    trailing = (2 * sum(g % 10 ** k == 0 for k in range(1, 5))).astype(np.uint8)
+    word = lambda b: int.from_bytes(b.ljust(8, b"\0"), "little")  # noqa: E731
+    head = np.array([word(b"\0" * 6 + b"-%d" % d) for d in range(10)], dtype=np.uint64)
+    exps = np.arange(-_X0, _SPAN - _X0)
+    fixed = (FIXED[0] <= exps) & (exps <= FIXED[1])
+    leads = np.array([[word(b"\0" * 5 + b"-%d." % d) for d in range(10)]]
+                     + [[word(b"\0" * (4 - z) + b"-0." + b"0" * z + b"%d" % d) for d in range(10)]
+                        for z in range(4)], dtype=np.uint64)
+    lead = leads[np.where(fixed & (exps < 0), -exps, 0)].ravel()
+    tail = np.array([word((b"" if f else b"e%+03d" % x) + sep) for sep in (b",", b"\n")
+                     for x, f in zip(exps.tolist(), fixed.tolist())], dtype=np.uint64)
+    form_of = np.where(fixed, exps - FIXED[0], _FORMS - 2 + (np.abs(exps) >= 100)) * 34 + 32
+    rows, cols = [], []
+    for form in range(_FORMS):
+        for last in range(17):
+            sign, keep = layout(form, last)
+            row = (form * 17 + last) * 2
+            rows += [row] * len(keep) + [row + 1] * (len(keep) + 1)
+            cols += keep + keep + [sign]
+    mask = np.zeros((_EMPTY + 1, ROW_BYTES), dtype=bool)
+    mask[rows, cols] = True
+    return dict(hi=hi.copy(), hi_hi=hi_hi, hi_lo=hi_lo, lo=lo.copy(), digits=digits,
+                trailing=trailing, head=head, lead=lead, tail=tail, form_of=form_of,
+                mask=mask, length=mask.sum(axis=1))
+
+
 def reference_write_svg(path, xs, ys, size=640, margin=20):
     """The per-point SVG writer the array writer replaced, kept as its reference."""
     xs = np.asarray(xs)
@@ -86,6 +150,15 @@ class TestWriters:
         reference_write_csv(path / "ref.csv", header,
                             zip(*(np.asarray(c).tolist() for c in columns)))
         assert (path / "new.csv").read_bytes() == (path / "ref.csv").read_bytes()
+
+    def test_tables_bits_of_the_reference(self):
+        # every array of the kernel, dtype and shape too, against the tables
+        # built one entry at a time
+        tables, want = csvtext._tables(), reference_tables()
+        assert tables.keys() == want.keys()
+        for key, array in want.items():
+            assert tables[key].dtype == array.dtype and tables[key].shape == array.shape, key
+            assert np.array_equal(tables[key], array), key
 
     def test_powers_of_ten_and_neighbours(self, tmp_path):
         # every 10^k from the subnormal 1e-323 to 1e308, and the floats on
