@@ -13,7 +13,7 @@ normal along n1 - n2.  For the ellipsoid <A^-1 x, x> = 1 these are
 ``Quadric.support``, H(x) = sqrt(<A x, x>), and ``Quadric.boundary_point``,
 A x / H(x).  The map contract is m1 = D1 S, m2 = -D2 S with derivatives
 taken tangentially on the sphere of directions; both are checked here by
-great-circle finite differences.
+great-circle finite differences.  The twist D12 S is in closed form.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ import numpy as np
 from .errors import (MIN_CHORD_ANGLE, CoincidentDirections, NoIntersection, NonUnit,
                      TangentLine)
 
-# great-circle steps of the first-derivative and the mixed-Hessian stencils
+# great-circle step of the gradient check's central differences
 FD_STEP = 1e-5
-FD_STEP_NESTED = 1e-4
 
 
 @dataclass(frozen=True)
@@ -152,15 +151,6 @@ def tangent_basis(n) -> np.ndarray:
     return H[~top].reshape(n.shape[:-1] + (d - 1, d))
 
 
-def _great_circle_steps(n: np.ndarray, step: float):
-    """(points, basis) for rows n of shape (..., d): points[..., k, i] =
-    cos(step) n +- sin(step) basis[..., i], shape (..., 2, d-1, d), on great
-    circles through n; basis = tangent_basis(n)."""
-    basis = tangent_basis(n)
-    signed = np.array([[[math.sin(step)]], [[-math.sin(step)]]])
-    return math.cos(step) * n[..., None, None, :] + signed * basis[..., None, :, :], basis
-
-
 def _moment(P: np.ndarray, n: np.ndarray) -> np.ndarray:
     """P - <P, n> n over the last axis; <P, n> by matmul, so that each row
     gets the bits of one vector's P @ n."""
@@ -191,14 +181,18 @@ def gradient_contract_residual(q: Quadric, n1, n2):
     n1; analytically it equals the projection of the bounce point P
     orthogonally along n1, which is exactly the moment m1.
     """
-    n1 = np.asarray(n1, dtype=float)
-    n2 = np.asarray(n2, dtype=float)
+    n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
+    _check_directions(n1)
+    _check_directions(n2)
     P = q.boundary_point(_diff(n1, n2))
 
     def fd_grad(base, other):
-        # D1 S(base, other); D2 S(n1, n2) is fd_grad(n2, n1) as S is symmetric
-        points, basis = _great_circle_steps(base, FD_STEP)
-        s = generating_value_nd(q, points, other[..., None, None, :])
+        # D1 S(base, other); D2 S(n1, n2) is fd_grad(n2, n1) as S is symmetric.
+        # The points go straight into S: a name for them costs page faults at d = 16
+        basis = tangent_basis(base)
+        s = generating_value_nd(q, math.cos(FD_STEP) * base[..., None, None, :]
+                                + np.array([[[math.sin(FD_STEP)]], [[-math.sin(FD_STEP)]]])
+                                * basis[..., None, :, :], other[..., None, None, :])
         slope = (s[..., 0, :] - s[..., 1, :]) / (2.0 * FD_STEP)
         return (slope[..., None, :] @ basis)[..., 0, :]
 
@@ -210,14 +204,19 @@ def gradient_contract_residual(q: Quadric, n1, n2):
 
 
 def twist_jacobian_min_sv(q: Quadric, n1, n2) -> float:
-    """Smallest singular value of the mixed tangential Hessian D12 S; its four
-    stencils come from one S call on shape (2, 2, d-1, d-1, d)."""
-    points1, _ = _great_circle_steps(np.asarray(n1, dtype=float), FD_STEP_NESTED)
-    points2, _ = _great_circle_steps(np.asarray(n2, dtype=float), FD_STEP_NESTED)
-    (spp, spm), (smp, smm) = generating_value_nd(
-        q, points1[:, None, :, None], points2[None, :, None])
-    M = (spp - spm - smp + smm) / (4.0 * FD_STEP_NESTED * FD_STEP_NESTED)
-    return float(np.linalg.svd(M, compute_uv=False)[-1])
+    """Smallest singular value of D12 S for two unit directions.  Along the
+    great circles n1(s) = cos(s) n1 + sin(s) xi, n2(t) = cos(t) n2 + sin(t) eta
+    (xi, eta rows of the tangent bases), d2/ds dt H(n1(s) - n2(t)) at 0 is
+    -xi^T Hess H(w) eta, w = n1 - n2, as each argument moves with one parameter:
+    the circles' curvature enters only pure second derivatives.  The sign is
+    dropped; Hess H(w) = (A - g g^T/<g, w>) / H(w), g = A w, on A / 4^k, times 2^k."""
+    pair = np.array([n1, n2], dtype=float)
+    _check_directions(pair)
+    w = _diff(*pair)
+    g = q._A_unit @ w
+    hess = (q._A_unit - np.outer(g, g) / (w @ g)) / math.sqrt(w @ g)
+    xi, eta = tangent_basis(pair)
+    return q._root_scale * float(np.linalg.svd(xi @ hess @ eta.T, compute_uv=False)[-1])
 
 
 def launch_line(q: Quadric, nu: np.ndarray, delta: float):

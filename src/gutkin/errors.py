@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the incidence floor."""
 
 # every billiard map, the two planar ones and the ellipsoid's, raises
-# TangentLine on a line meeting the boundary at less
+# TangentLine on a line meeting the boundary at an incidence below this, in radians
 MIN_CHORD_ANGLE = 1e-6
 
 

@@ -831,24 +831,98 @@ class TestTwist:
         n2 = np.array([math.cos(th2), math.sin(th2)])
         mixed = twist_jacobian_min_sv(q, n1, n2)
         _, _, s12, _ = generating_function(circle(1.0), phi1, phi2)
-        assert mixed == pytest.approx(s12, abs=1e-6)
+        # measured gap 1.1e-16, on S12 = 0.322
+        assert mixed == pytest.approx(s12, abs=1e-15)
 
     @pytest.mark.parametrize("d", [3, 8, 16])
     def test_matches_closed_form(self, d):
         # D12 S on orthonormal tangent bases xi at n1, eta at n2, w = n1 - n2:
-        # -(xi A eta^T)/S + (xi.Aw)(eta.Aw)^T/S^3; singular values do not
-        # depend on the choice of bases
+        # -(xi A eta^T)/S + (xi.Aw)(eta.Aw)^T/S^3.  The bases here are the
+        # library's turned by random rotations of the tangent spaces, as
+        # singular values do not depend on the choice of bases; measured
+        # relative gap at most 2.9e-15
         rng = np.random.default_rng(30 + d)
         q = random_spd(rng, d)
         for _ in range(5):
             n1, n2 = random_pair(rng, d, min_gap=0.5)
             w = n1 - n2
             S = math.sqrt(w @ q.A @ w)
-            xi, eta = tangent_basis(n1), tangent_basis(n2)
+            turn1, turn2 = (np.linalg.qr(rng.normal(size=(d - 1, d - 1)))[0] for _ in "12")
+            xi, eta = turn1 @ tangent_basis(n1), turn2 @ tangent_basis(n2)
             Aw = q.A @ w
             M = -(xi @ q.A @ eta.T) / S + np.outer(xi @ Aw, eta @ Aw) / S ** 3
             want = np.linalg.svd(M, compute_uv=False)[-1]
-            assert twist_jacobian_min_sv(q, n1, n2) == pytest.approx(want, rel=1e-6)
+            assert twist_jacobian_min_sv(q, n1, n2) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("d, pairs", [(3, 12), (8, 6)])
+    def test_against_mpmath_mixed_partials(self, d, pairs):
+        # each entry of D12 S is the mixed partial d2/ds dt at 0 of
+        # f(s, t) = H(n1(s) - n2(t)) along the great circles through a pair
+        # of tangent-basis vectors, by 40-digit numerical differentiation;
+        # measured relative gap at most 5.5e-15 at d = 3 and 7.2e-16 at d = 8
+        rng = np.random.default_rng(40 + d)
+        for _ in range(pairs):
+            q = random_spd(rng, d)
+            n1, n2 = random_pair(rng, d, min_gap=0.3)
+            with mpmath.workdps(40):
+                A = mpmath.matrix(q.A.tolist())
+                a, b = mpmath.matrix(n1.tolist()), mpmath.matrix(n2.tolist())
+
+                def mixed(x, y):
+                    def f(s, t):
+                        w = (mpmath.cos(s) * a + mpmath.sin(s) * x
+                             - mpmath.cos(t) * b - mpmath.sin(t) * y)
+                        return mpmath.sqrt((w.T * A * w)[0])
+                    return mpmath.diff(f, (0, 0), (1, 1))
+
+                xi, eta = ([mpmath.matrix(row.tolist()) for row in tangent_basis(n)]
+                           for n in (n1, n2))
+                M = mpmath.matrix([[mixed(x, y) for y in eta] for x in xi])
+                want = float(min(mpmath.svd_r(M, compute_uv=False)))
+            assert twist_jacobian_min_sv(q, n1, n2) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("j", [-250, -1, 1, 250])
+    def test_scale_free(self, j):
+        # S is 1-homogeneous in the square root of A: Quadric(4^j A) has
+        # exactly 2^j times the twist
+        rng = np.random.default_rng(50)
+        q = random_spd(rng, 4)
+        for _ in range(5):
+            n1, n2 = random_pair(rng, 4, min_gap=0.3)
+            assert (twist_jacobian_min_sv(Quadric(4.0 ** j * q.A), n1, n2)
+                    == 2.0 ** j * twist_jacobian_min_sv(q, n1, n2))
+
+    def test_body_near_float_limit(self):
+        q = Quadric(np.diag([1e300, 3e299, 1e298]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sv = twist_jacobian_min_sv(q, np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.6, -0.8]))
+        assert math.isfinite(sv) and sv > 0
+
+
+class TestNonUnitDirections:
+    """The R^d derivative checks take unit directions only: the tangent bases
+    assume |n| = 1, so a scaled pair would give a wrong twist and report a
+    broken contract."""
+
+    n1 = np.array([0.6, 0.8, 0.0])
+    n2 = np.array([0.0, 0.6, -0.8])
+
+    @pytest.mark.parametrize("check", [twist_jacobian_min_sv, gradient_contract_residual])
+    @pytest.mark.parametrize("scale", [3.0, 1.001, math.nan])
+    def test_refused_on_either_side(self, check, scale):
+        q = Quadric(np.diag([4.0, 1.0, 0.25]))
+        with pytest.raises(NonUnit):
+            check(q, scale * self.n1, self.n2)
+        with pytest.raises(NonUnit):
+            check(q, self.n1, scale * self.n2)
+
+    def test_refused_in_a_batch(self, triaxial):
+        rng = np.random.default_rng(60)
+        n1, n2 = random_units(rng, 3, (6,)), random_units(rng, 3, (6,))
+        n2[3] *= 1 + 1e-9
+        with pytest.raises(NonUnit):
+            gradient_contract_residual(triaxial, n1, n2)
 
 
 class TestConstantAngleResidual:
