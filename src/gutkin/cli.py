@@ -380,7 +380,7 @@ def main(argv=None) -> int:
     try:
         payload = args.func(args)
         _emit(args, payload)
-    except (GutkinError, IndexError, ValueError, OSError, OverflowError) as exc:
+    except (GutkinError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

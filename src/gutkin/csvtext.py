@@ -14,12 +14,12 @@ scaled value is exact where ``10^s`` is a float (``s = 0..22``, so ``1e-6 <=
 the 10^4 four-digit groups, and each cell is laid out on a fixed-width byte
 row, of which a mask per layout keeps the sign, the fixed or exponent form,
 the decimal point, the digits up to the last nonzero one and the separator.
-Zero is the fixed form of ``N = 0``.  Every other cell is formatted by
-``'%.17g'`` itself: a subnormal, infinite or NaN value, one outside the
-range, an inexact scaled value within the margin of a tie, and one outside
-``[10^16, 10^17)`` before or after rounding (``log10`` misjudged the decade,
-or the value rounds up to a power of ten).  So the text equals the reference
-formatting on every value by construction.
+Zero is the fixed form of ``N = 0``.  A block with any other cell is
+formatted by ``'%.17g'`` itself, whole: a subnormal, infinite or NaN value,
+one outside the range, an inexact scaled value within the margin of a tie,
+and one outside ``[10^16, 10^17)`` before or after rounding (``log10``
+misjudged the decade, or the value rounds up to a power of ten).  So the
+text equals the reference formatting on every value by construction.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ _SPAN = DECADES[1] + 2 + _X0  # exponents -290..290
 # layouts (form * 17 + last) * 2 + sign: the fixed forms X = -4..16 and
 # the exponent forms of 2 and of 3 digits, with digits d0..d<last>
 _FORMS = FIXED[1] - FIXED[0] + 3
-_EMPTY = _FORMS * 34  # the layout of a cell formatted outside the kernel
 
 
 def _words(text: bytes) -> np.ndarray:
@@ -77,8 +76,7 @@ def _powers() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _masks() -> np.ndarray:
-    """The bytes kept by each layout, one row of ROW_BYTES per layout; the
-    last row, that of a cell formatted outside the kernel, keeps none."""
+    """The bytes kept by each layout, one row of ROW_BYTES per layout."""
     # X = -4..16 in the fixed forms, 17 and 18 in the exponent forms of 2
     # and of 3 digits
     X = np.arange(_FORMS)[:, None, None] + FIXED[0]
@@ -95,9 +93,7 @@ def _masks() -> np.ndarray:
     # the separator, after 'e', the sign and the exponent's digits if any
     keep |= (48 <= byte) & (byte < 48 + np.where(X <= FIXED[1], 1, X - 12))
     sign = byte == np.where(X < 0, 29 + X, np.where(whole, 6, 29))
-    mask = np.zeros((_EMPTY + 1, ROW_BYTES), dtype=bool)
-    mask[:-1] = np.stack([keep, keep | sign], axis=2).reshape(_EMPTY, ROW_BYTES)
-    return mask
+    return np.stack([keep, keep | sign], axis=2).reshape(_FORMS * 34, ROW_BYTES)
 
 
 @functools.cache
@@ -136,10 +132,9 @@ def _tables() -> dict:
     # the layout of a positive value with all 17 digits, by exponent; each
     # trailing zero of N takes 2 off it
     form_of = np.where(fixed, exps - FIXED[0], _FORMS - 2 + (np.abs(exps) >= 100)) * 34 + 32
-    mask = _masks()
     return dict(hi=hi, hi_hi=hi_hi, hi_lo=hi_lo, lo=lo, digits=digits,
                 trailing=trailing.ravel(), head=head, lead=lead, tail=tail, form_of=form_of,
-                mask=mask, length=mask.sum(axis=1))
+                mask=_masks())
 
 
 def _split_hi(x):
@@ -156,10 +151,9 @@ def _decades(a):
 
 
 def _kernel(t, block, sep):
-    """The text of the cells of ``block`` (float64, rows by columns), and
-    the indices and layouts of the cells it left out for the reference
-    formatting.  ``sep`` is, per cell, 0 where a comma follows it and
-    ``_SPAN`` where a newline does."""
+    """The text of the cells of ``block`` (float64, rows by columns), or
+    None if it cannot decide one of them.  ``sep`` is, per cell, 0 where a
+    comma follows it and ``_SPAN`` where a newline does."""
     v = block.ravel()
     a = np.abs(v)
     ok = (a >= FAST_RANGE[0]) & (a <= FAST_RANGE[1])
@@ -184,15 +178,16 @@ def _kernel(t, block, sep):
     up = np.rint(lo) > floor
     # 10^16 <= n before rounding and n < 10^17 after it; outside that the
     # decade was misjudged, or the value rounds up to a power of ten, and
-    # the reference formatting takes it, as it does an inexact near-tie
+    # the kernel leaves it to the reference formatting, as it does an
+    # inexact near-tie
     ok &= (((n - 10 ** 16).view(np.uint64) < np.uint64(9 * 10 ** 16) - up)
            & ((np.abs(frac - 0.5) >= TIE_MARGIN) | (low == 0)))
+    if not (ok | zero).all():
+        return None
     n += up
-    # a cell left out reads as 0, which keeps its digits in the tables; zero
-    # is the fixed form of N = 0
+    # zero, the one cell not ok here, is the fixed form of N = 0
     n *= ok
     X = np.where(zero, 0, e10)
-    ok |= zero
     # the 17 digits: d0 and four groups of four
     d0 = n // 10 ** 16
     rest = n - d0 * 10 ** 16
@@ -215,41 +210,27 @@ def _kernel(t, block, sep):
     if (zeros == 8).any():
         z1, z2, z3 = (trailing[g] for g in groups[:3])
         zeros = zeros + (zeros == 8) * (z3 + (z3 == 8) * (z2 + (z2 == 8) * z1))
-    layout = t["form_of"][x] + np.signbit(v) - zeros
-    left = np.flatnonzero(~ok) if not ok.all() else np.empty(0, np.intp)
-    layout[left] = _EMPTY
-    keep = np.take(t["mask"], layout, axis=0)
-    return row[keep].tobytes(), left, layout
+    keep = np.take(t["mask"], t["form_of"][x] + np.signbit(v) - zeros, axis=0)
+    return row[keep].tobytes()
 
 
 def write_csv(path, header: list[str], columns):
     """CSV of equal-length columns, each cell the bytes of ``'%.17g' %
-    float(v)``."""
+    float(v)``; a block the kernel cannot decide is formatted by
+    ``'%.17g'`` itself."""
     t = _tables()
     columns = [np.asarray(c) for c in columns]
     width = len(columns)
     rows = min((c.shape[0] for c in columns), default=0)
     step = max(1, CSV_BLOCK_CELLS // max(width, 1))
     sep = np.tile(np.where(np.arange(width) == width - 1, _SPAN, 0), step)
+    row = (",".join(["%.17g"] * width) + "\n").encode()
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
         for start in range(0, rows, step):
             stop = min(start + step, rows)
             block = np.stack([c[start:stop] for c in columns], axis=1, dtype=float)
-            text, left, layout = _kernel(t, block, sep[:block.size])
-            if left.size:
-                text = _splice(text, left, t["length"][layout], block)
+            text = _kernel(t, block, sep[:block.size])
+            if text is None:
+                text = row * (stop - start) % tuple(block.ravel().tolist())
             f.write(text)
-
-
-def _splice(text, left, length, block):
-    """``text`` with the cells ``left`` of ``block`` formatted by '%.17g' put in."""
-    ends = np.cumsum(length)
-    width = block.shape[1]
-    pieces, done = [], 0
-    for i, value in zip(left.tolist(), block.ravel()[left].tolist()):
-        sep = b"\n" if i % width == width - 1 else b","
-        pieces += [text[done:ends[i]], b"%.17g" % value, sep]
-        done = ends[i]
-    pieces.append(text[done:])
-    return b"".join(pieces)

@@ -59,4 +59,5 @@ class DegenerateCurvature(GutkinError):
 
 
 class NoExit(GutkinError):
-    """Interior ray failed to re-intersect the surface (sign error upstream)."""
+    """An interior ray's chord to the surface is no longer than 1e-12 |x|,
+    the floor below which its far endpoint is not resolved."""

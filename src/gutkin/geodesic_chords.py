@@ -302,9 +302,12 @@ def chord_correspondence(q: Quadric, traj: GeodesicTrajectory, frenet: FrenetDat
     Q = _rowdot(Bz, z)
     l = -2.0 * _rowdot(a, z) / Q
     # l / |x| is scale-free, the quadric being centred at the origin
-    bad = np.flatnonzero(l <= 1e-12 * np.sqrt(_rowdot(traj.x, traj.x)))
+    floor = 1e-12 * np.sqrt(_rowdot(traj.x, traj.x))
+    bad = np.flatnonzero(l <= floor)
     if bad.size:
-        raise NoExit(f"ray at sample {bad[0]} does not re-enter the surface")
+        k = bad[0]
+        raise NoExit(f"chord at sample {k} has length {l[k]:.6g}, not above the floor "
+                     f"1e-12 |x| = {floor[k]:.6g}")
     # |z| = 1, so rescaling z adds no rate
     z_dot = cd * traj.x_ddot + sd * frenet.n_dot
     z_ddot = cd * frenet.x_dddot + sd * frenet.n_ddot

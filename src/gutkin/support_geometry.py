@@ -247,7 +247,7 @@ def build_gutkin_table(n: int, root_index: int, a0: float,
         raise NonConvex(f"need a0 > |an| > 0, got a0={a0}, an={an}")
     roots = solve_gutkin_angles(n)
     if not 0 <= root_index < len(roots):
-        raise IndexError(f"root_index {root_index} out of range for n={n} "
+        raise ValueError(f"root_index {root_index} out of range for n={n} "
                          f"({len(roots)} roots)")
     cos_coeffs = np.zeros(n)
     cos_coeffs[n - 1] = an

@@ -2,7 +2,10 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gutkin
 from gutkin import billiard_nd as bnd
 from gutkin import cli, csvtext
 from gutkin.cli import main
@@ -34,8 +38,7 @@ def reference_tables():
     """The kernel's tables as the CSV writer first built them, one decade,
     one exponent and one layout at a time, kept as the reference of
     csvtext._tables."""
-    from gutkin.csvtext import (_EMPTY, _FORMS, _SPAN, _X0, DECADES, FIXED, ROW_BYTES,
-                                _split_hi)
+    from gutkin.csvtext import _FORMS, _SPAN, _X0, DECADES, FIXED, ROW_BYTES, _split_hi
 
     def power(s):
         if s >= 0:
@@ -87,11 +90,11 @@ def reference_tables():
             row = (form * 17 + last) * 2
             rows += [row] * len(keep) + [row + 1] * (len(keep) + 1)
             cols += keep + keep + [sign]
-    mask = np.zeros((_EMPTY + 1, ROW_BYTES), dtype=bool)
+    mask = np.zeros((_FORMS * 34, ROW_BYTES), dtype=bool)
     mask[rows, cols] = True
     return dict(hi=hi.copy(), hi_hi=hi_hi, hi_lo=hi_lo, lo=lo.copy(), digits=digits,
                 trailing=trailing, head=head, lead=lead, tail=tail, form_of=form_of,
-                mask=mask, length=mask.sum(axis=1))
+                mask=mask)
 
 
 def reference_write_svg(path, xs, ys, size=640, margin=20):
@@ -236,39 +239,53 @@ class TestWriters:
         self.assert_reference_bytes(tmp_path, counters)
         block = np.stack(counters, axis=1, dtype=float)
         sep = np.tile([0, csvtext._SPAN], kept * per_orbit)
-        _, left, _ = csvtext._kernel(csvtext._tables(), block, sep)
-        assert left.size == 0
+        assert csvtext._kernel(csvtext._tables(), block, sep) is not None
 
-    def test_misjudged_decades_left_to_reference(self, tmp_path, monkeypatch):
+    @staticmethod
+    def assert_cells_exact_or_left(texts, cells, ordinary):
+        """Each cell's one-cell kernel text is its '%.17g' line or None (left
+        to the reference formatting), and every ordinary cell has text."""
+        for v, text in zip(cells.tolist(), texts):
+            assert text in (None, b"%.17g\n" % v), v
+        assert all(text is not None for text, o in zip(texts, ordinary.tolist()) if o)
+
+    def test_misjudged_decades_left_to_reference(self, monkeypatch):
         # a decade one off either way puts the scaled value outside
-        # [10^16, 10^17), or rounds it up to 10^17: those cells go to
-        # '%.17g', so the bytes hold.  The doubles nearest 1e-14 and 1e98 lie
-        # below those powers and round up to them at 17 digits: one decade
-        # down, they would carry
+        # [10^16, 10^17), or rounds it up to 10^17: the kernel leaves those
+        # cells to '%.17g'.  Each cell is its own block, so one cell the
+        # check misses shows.  The doubles nearest 1e-14, 1e23, 1e98 and
+        # 1e220 lie below those powers and round up to them at 17 digits, so
+        # the kernel leaves them at any decade, as it does 1e-305, out of range
         rng = np.random.default_rng(16)
-        carries = np.array([1e-305, 1e-14, 1e98, 1e220, 0.0, -0.0, 1.0, 0.1, 1e23])
+        left = [1e-305, 1e-14, 1e23, 1e98, 1e220]
+        carries = np.array(left + [0.0, -0.0, 1.0, 0.1])
         cells = np.concatenate([rng.normal(size=1500) * 10.0 ** rng.integers(-280, 280, 1500),
                                 carries, carries, carries])
         shift = np.concatenate([rng.integers(-1, 2, 1500), np.repeat([-1, 0, 1], carries.size)])
-        assert cells.size <= csvtext.CSV_BLOCK_CELLS  # one block: each cell keeps its shift
-        decades = csvtext._decades
-        monkeypatch.setattr(csvtext, "_decades", lambda a: decades(a) + shift[:a.size])
-        self.assert_reference_bytes(tmp_path, [cells])
+        tables, decades, sep = csvtext._tables(), csvtext._decades, np.array([csvtext._SPAN])
+        texts = []
+        for v, k in zip(cells.tolist(), shift.tolist()):
+            monkeypatch.setattr(csvtext, "_decades", lambda a, k=k: decades(a) + k)
+            texts.append(csvtext._kernel(tables, np.array([[v]]), sep))
+        self.assert_cells_exact_or_left(texts, cells, (shift == 0) & ~np.isin(cells, left))
 
-    def test_inexact_near_ties_left_to_reference(self, tmp_path, monkeypatch):
+    def test_inexact_near_ties_left_to_reference(self):
         # with 10^s_lo off by 2^-30 of itself the scaled value is off by
         # about 1e-8, inside the tie margin: exact ties beyond the exact
-        # powers 10^0..10^22 then go to '%.17g', so the bytes hold
+        # powers 10^0..10^22 then go to '%.17g', each cell its own block
         rng = np.random.default_rng(18)
         tables = dict(csvtext._tables())
         tables["lo"] = tables["lo"] * (1.0 + 2.0 ** -30)
-        monkeypatch.setattr(csvtext, "_tables", lambda: tables)
         m = (rng.integers(1, 2 ** 20, 400) | 1).astype(float)
         ties = np.concatenate([np.ldexp(m, -rng.integers(25, 60, 400)),
                                np.ldexp(1.0, -np.arange(25, 60)), [2.0 ** -25 * 3]])
-        cells = np.concatenate([ties, ties * 2.0 ** 200, ties * 2.0 ** -200,
-                                rng.normal(size=2000) * 10.0 ** rng.integers(-280, 280, 2000)])
-        self.assert_reference_bytes(tmp_path, [cells, -cells])
+        ordinary = rng.normal(size=2000) * 10.0 ** rng.integers(-280, 280, 2000)
+        cells = np.concatenate([ties, ties * 2.0 ** 200, ties * 2.0 ** -200, ordinary])
+        cells = np.concatenate([cells, -cells])
+        sep = np.array([csvtext._SPAN])
+        texts = [csvtext._kernel(tables, np.array([[v]]), sep) for v in cells.tolist()]
+        assert None in texts
+        self.assert_cells_exact_or_left(texts, cells, np.isin(np.abs(cells), np.abs(ordinary)))
 
     def test_ordinary_values_stay_in_the_kernel(self):
         # finite normal values that are no ties and no powers of ten that
@@ -276,8 +293,8 @@ class TestWriters:
         rng = np.random.default_rng(17)
         block = rng.normal(size=(512, 8)) * 10.0 ** rng.integers(-280, 280, (512, 8))
         sep = np.zeros(block.size, dtype=np.intp)
-        text, left, _ = csvtext._kernel(csvtext._tables(), block, sep)
-        assert left.size == 0 and text.count(b",") == block.size
+        text = csvtext._kernel(csvtext._tables(), block, sep)
+        assert text is not None and text.count(b",") == block.size
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
@@ -326,6 +343,29 @@ class TestRoots:
         assert main(["roots", "--n", "3"]) == 2
 
 
+class TestModuleEntry:
+    """``python -m gutkin.cli``, the form in which CI runs the README block."""
+
+    @staticmethod
+    def run(*argv):
+        src = os.path.dirname(os.path.dirname(gutkin.__file__))
+        return subprocess.run([sys.executable, "-m", "gutkin.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+    def test_json_roots(self):
+        done = self.run("--json", "roots", "--n", "5")
+        assert done.returncode == 0 and done.stderr == "" and done.stdout.count("\n") == 1
+        assert json.loads(done.stdout)["roots"] == pytest.approx([math.atan(math.sqrt(5 / 3))])
+
+    def test_refused_flag(self, table5, tmp_path):
+        out = tmp_path / "o.csv"
+        done = self.run("orbit", "--table", str(table5), "--p", "0.5", "--phi", "0",
+                        "--steps", "0", "--out", str(out))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == "error: --steps must be at least 1\n"
+        assert not out.exists()
+
+
 class TestTable:
     def test_writes_delta(self, table5):
         doc = json.loads(table5.read_text())
@@ -335,6 +375,13 @@ class TestTable:
     def test_nonconvex(self, tmp_path):
         assert main(["table", "--n", "5", "--a0", "1", "--an", "2",
                      "--out", str(tmp_path / "bad.json")]) == 2
+
+    def test_root_index_out_of_range(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert main(["table", "--n", "5", "--a0", "1", "--an", "0.05", "--root-index", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: root_index 1 out of range for n=5 (1 roots)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("a0, an", [("inf", "0.05"), ("nan", "0.05"),
                                         ("1", "nan"), ("1", "-inf")])
@@ -1503,6 +1550,15 @@ class TestChords:
         head = re.escape(f"error: length {float(length):g} would take {steps} series steps")
         assert re.fullmatch(head + r" of the mean length so far, [0-9.]+; "
                             r"a run may take at most 100000\n", err)
+        assert not out.exists()
+
+    def test_chord_below_floor_refused(self, tmp_path, capsys):
+        # the chord 2 sin(1e-13) is below the floor 1e-12 |x|: one line, no CSV
+        out = tmp_path / "chords.csv"
+        assert main(["chords", "--surface", "sphere", "--delta", "1e-13", "--length", "0.01",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: chord at sample 0 has length 2e-13, not above "
+                                           "the floor 1e-12 |x| = 1e-12\n")
         assert not out.exists()
 
     def test_json_reports_series_steps(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from gutkin.billiard_nd import Quadric, sphere_quadric
 from gutkin.cli import AXIS_RANGE
-from gutkin.errors import DegenerateCurvature, OffSurface, StepTooLarge
+from gutkin.errors import DegenerateCurvature, NoExit, OffSurface, StepTooLarge
 from gutkin import geodesic_chords
 from gutkin.geodesic_chords import (DRIFT_LIMIT, MAX_STEPS, angle_condition_residuals,
                                     chord_correspondence, frenet_apparatus,
@@ -674,6 +674,20 @@ class TestChordCorrespondence:
     def test_image_on_surface(self, sphere_chords):
         sp, _, _, cc = sphere_chords
         assert max(abs(g @ sp.A_inv @ g - 1) for g in cc.Gamma) < 1e-9
+
+    @pytest.mark.parametrize("radius", [1.0, 2.0 ** 300])
+    def test_chord_below_floor_refused(self, radius):
+        # at delta 1e-13 the ray re-enters after a chord of 2 R sin(delta) =
+        # 2e-13 R, below the floor 1e-12 |x| under which it is not resolved;
+        # at 1e-12 the chord, 2e-12 R, is above it
+        q = sphere_quadric(radius)
+        traj = integrate_geodesic(q, [radius, 0, 0], [0, 1.0, 0], 0.01 * radius, 1e-3 * radius)
+        frenet = frenet_apparatus(q, traj)
+        message = (f"chord at sample 0 has length {2e-13 * radius:.6g}, not above the floor "
+                   f"1e-12 |x| = {1e-12 * radius:.6g}")
+        with pytest.raises(NoExit, match=f"^{re.escape(message)}$"):
+            chord_correspondence(q, traj, frenet, 1e-13)
+        assert (chord_correspondence(q, traj, frenet, 1e-12).l > 1e-12 * radius).all()
 
     @pytest.mark.parametrize("delta", [0.0, -0.2, math.pi / 2 + 1e-9, math.nan])
     def test_delta_out_of_range(self, sphere_chords, delta):

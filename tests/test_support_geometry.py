@@ -380,7 +380,7 @@ class TestBuildGutkinTable:
             build_gutkin_table(5, 0, a0, an)
 
     def test_bad_root_index(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match=r"^root_index 3 out of range for n=5 \(1 roots\)$"):
             build_gutkin_table(5, 3, 1.0, 0.05)
 
 
