@@ -97,6 +97,29 @@ def reference_tables():
                 mask=mask)
 
 
+def decided(v):
+    """Whether the kernel must decide the float v: zero, or a value in
+    FAST_RANGE whose scaled value at the kernel's decade lies in [10^16,
+    10^17) before and after rounding half to even, and is exact (10^s a
+    float, s = 0..22) or 2 TIE_MARGIN or more away from a tie and above
+    10^16 (an exact 1e20 scales to 10^16, which the inexact product may
+    put just below it)."""
+    a = abs(v)
+    if a == 0:
+        return True
+    if not csvtext.FAST_RANGE[0] <= a <= csvtext.FAST_RANGE[1]:
+        return False
+    s = 16 - int(csvtext._decades(a))
+    num, den = a.as_integer_ratio()
+    num, den = num * 10 ** max(s, 0), den * 10 ** max(-s, 0)
+    n, r = divmod(num, den)
+    rounded = n + (2 * r > den or (2 * r == den and n % 2 == 1))
+    far = int(0.5 / csvtext.TIE_MARGIN)
+    return (10 ** 16 <= n and rounded < 10 ** 17
+            and (0 <= s <= 22 or (abs(2 * r - den) * far >= 2 * den
+                                  and (n > 10 ** 16 or r * far >= den))))
+
+
 def reference_write_svg(path, xs, ys, size=640, margin=20):
     """The per-point SVG writer the array writer replaced, kept as its reference."""
     xs = np.asarray(xs)
@@ -139,20 +162,24 @@ class TestWriters:
         floats = np.concatenate(
             [special, rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, 2000)])
         columns = [np.arange(floats.size), floats, floats[::-1], -floats]
-        header = ["i", "a", "b", "c"]
-        cli._write_csv(tmp_path / "new.csv", header, columns)
-        reference_write_csv(tmp_path / "ref.csv", header,
-                            zip(*(c.tolist() for c in columns)))
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        self.assert_reference_bytes(tmp_path, columns, ["i", "a", "b", "c"])
 
-    @staticmethod
-    def assert_reference_bytes(path, columns, header=None):
-        """cli._write_csv writes the bytes of reference_write_csv."""
+    def assert_reference_bytes(self, path, columns, header=None):
+        """cli._write_csv writes the bytes of reference_write_csv, and the
+        kernel, given each distinct cell as a one-cell block, writes its
+        '%.17g' text or leaves it, and decides every ordinary cell: a block
+        that falls back whole would otherwise hide its other cells."""
         header = header or [f"c{j}" for j in range(len(columns))]
         cli._write_csv(path / "new.csv", header, columns)
         reference_write_csv(path / "ref.csv", header,
                             zip(*(np.asarray(c).tolist() for c in columns)))
         assert (path / "new.csv").read_bytes() == (path / "ref.csv").read_bytes()
+        cells = np.concatenate([np.asarray(c, dtype=float) for c in columns])
+        cells = np.unique(cells.view(np.int64)).view(float)
+        tables, sep = csvtext._tables(), np.array([csvtext._SPAN])
+        texts = [csvtext._kernel(tables, np.array([[v]]), sep) for v in cells.tolist()]
+        ordinary = np.array([decided(v) for v in cells.tolist()], dtype=bool)
+        self.assert_cells_exact_or_left(texts, cells, ordinary)
 
     def test_tables_bits_of_the_reference(self):
         # every array of the kernel, dtype and shape too, against the tables
@@ -1557,8 +1584,10 @@ class TestChords:
         out = tmp_path / "chords.csv"
         assert main(["chords", "--surface", "sphere", "--delta", "1e-13", "--length", "0.01",
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("error: chord at sample 0 has length 2e-13, not above "
-                                           "the floor 1e-12 |x| = 1e-12\n")
+        err = capsys.readouterr().err
+        length = re.fullmatch(r"error: chord at sample 0 has length ([0-9.e+-]+), not above "
+                              r"the floor 1e-12 \|x\| = 1e-12\n", err).group(1)
+        assert float(length) == pytest.approx(2e-13, rel=1e-4)
         assert not out.exists()
 
     def test_json_reports_series_steps(self, tmp_path, capsys):
