@@ -1,11 +1,11 @@
 """Command-line front end: reproducible experiments emitting CSV/JSON/SVG.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input (a bad
-flag value, an unreadable or malformed table or spec, an output path that
-is a directory, a line the map cannot follow, a phase portrait that keeps
-no orbit, a geodesic that would take too many series steps or whose step
-ends leave the surface, a result that overflows the float range, or a run
-too large for the memory available).
+Exit codes: 0 success, 1 verification failure, 2 invalid input (a bad flag
+value, such as a chords --delta below 2^-510, an unreadable or malformed
+table or spec, an output path that is a directory, a line the map cannot
+follow, a phase portrait that keeps no orbit, a geodesic that would take
+too many series steps or whose step ends leave the surface, a result that
+overflows the float range, or a run too large for the memory available).
 All angles are radians.
 The environment variable GUTKIN_SEED, a non-negative integer, overrides
 the default seed 0 for randomized sweeps.
@@ -361,6 +361,8 @@ def _flag_error(args) -> str | None:
     # the library refuses it too, but only after the whole geodesic is integrated
     if args.command == "chords" and not 0.0 < args.delta <= math.pi / 2:
         return "--delta must be in (0, pi/2]"
+    if args.command == "chords" and args.delta < gc.MIN_DELTA:
+        return "--delta must be at least 2^-510, or a chord may not be a normal float"
     for flag in ("p", "phi"):
         if not math.isfinite(getattr(args, flag, 0.0)):
             return f"--{flag} must be finite"

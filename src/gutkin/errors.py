@@ -56,8 +56,3 @@ class StepTooLarge(GutkinError):
 
 class DegenerateCurvature(GutkinError):
     """Geodesic curvature too small for a Frenet frame."""
-
-
-class NoExit(GutkinError):
-    """An interior ray's chord to the surface is no longer than 1e-12 |x|,
-    the floor below which its far endpoint is not resolved."""

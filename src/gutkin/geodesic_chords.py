@@ -10,10 +10,10 @@ data (k, tau, frames v, n, w = v x n) feed the chord construction
 
     Gamma(s) = gamma(s) + l(s) z(s),   z = cos(delta) v + sin(delta) n,
 
-with n the inner surface normal and l the closed-form far root of the ray,
-and the identity checks on |Gamma'|^2, <Gamma', z>, the constant-angle
-balance, and the planarity determinant det[z, Gamma', Gamma''] together
-with its frame-coordinate expansion, all from derivatives in closed form.
+with n the inner surface normal and l = 2 sin(delta) |A^-1 x| / <A^-1 z, z>
+the far root of the ray, and the identity checks on |Gamma'|^2, <Gamma', z>,
+the constant-angle balance, and the planarity determinant det[z, Gamma',
+Gamma''] with its frame-coordinate expansion, all from closed-form derivatives.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from operator import mul
 import numpy as np
 
 from .billiard_nd import Quadric
-from .errors import DegenerateCurvature, NoExit, OffSurface, StepTooLarge
+from .errors import DegenerateCurvature, OffSurface, StepTooLarge
 
 DRIFT_LIMIT = 1e-6
 # the order of each series step, and its truncation tolerance relative to |x0|
@@ -35,6 +35,9 @@ ORDER = 24
 TOLERANCE = 1e-17
 # the most series steps a run may take
 MAX_STEPS = 100_000
+# the least chord angle: a chord is at least about 2 sin(delta) / k, and the Frenet data
+# resolve only k < 2^512, so from 2^-510 up every chord is a normal float, > 2^-1021
+MIN_DELTA = 2.0 ** -510
 
 
 def _check_space(q: Quadric):
@@ -262,66 +265,66 @@ def frenet_apparatus(q: Quadric, traj: GeodesicTrajectory) -> FrenetData:
         raise DegenerateCurvature(f"min curvature {k.min():g}")
     n = traj.x_ddot / k[:, None]
     w = np.cross(traj.v, n)
-    a, Bv, Bx2 = (y @ q.A_inv for y in (traj.x, traj.v, traj.x_ddot))
+    # in units of the power of two u, where B = A^-1 u^2 is of order 1, so that
+    # no product of four inverse lengths overflows; scaling back is exact
+    u = q._root_scale
+    B = q.A_inv * (u * u)
+    x_ddot = traj.x_ddot * u
+    a, Bv, Bx2 = (traj.x / u) @ B, traj.v @ B, x_ddot @ B
     r2 = _dot(a, a)
     r = np.sqrt(r2)[:, None]
     g, c = _dot(a, Bv) / r2, -_dot(traj.v, Bv) / r2
     g_dot = (_dot(Bv, Bv) + _dot(a, Bx2)) / r2 - 2.0 * g * g
-    c_dot = -2.0 * _dot(traj.x_ddot, Bv) / r2 - 2.0 * c * g
-    n_dot = (g[:, None] * a - Bv) / r
-    n_ddot = ((g_dot - g * g)[:, None] * a + 2.0 * g[:, None] * Bv - Bx2) / r
-    x_dddot = c_dot[:, None] * a + c[:, None] * Bv
+    c_dot = -2.0 * _dot(x_ddot, Bv) / r2 - 2.0 * c * g
+    n_dot = (g[:, None] * a - Bv) / (r * u)
+    n_ddot = ((g_dot - g * g)[:, None] * a + 2.0 * g[:, None] * Bv - Bx2) / (r * (u * u))
+    x_dddot = (c_dot[:, None] * a + c[:, None] * Bv) / (u * u)
     return FrenetData(k=k, tau=_dot(n_dot, w), v=traj.v, n=n, w=w,
                       k_dot=_dot(x_dddot, n), tau_dot=_dot(n_ddot, w),
                       x_dddot=x_dddot, n_dot=n_dot, n_ddot=n_ddot)
-
-
-def _rowdot(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # <p_i, r_i> per row, by matmul as for one sample's p_i @ r_i, so each
-    # value is the one the per-sample formula gives
-    return (p[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
 def chord_correspondence(q: Quadric, traj: GeodesicTrajectory, frenet: FrenetData,
                          delta: float) -> ChordCorrespondence:
     """Far endpoint of the ray at angle delta below the tangent, per sample.
 
-    On the quadric the ray x + t z meets F = 0 again at t = l = -2 P / Q,
-    P = <A^-1 x, z>, Q = <A^-1 z, z>, for all samples at once.  l' and l''
-    differentiate l Q = -2 P along frenet's jet, in ambient coordinates.
+    With a = A^-1 x and z = cos(delta) v - sin(delta) a/|a|, the ray x + t z
+    meets F = 0 again at t = -2 <a, z> / Q, Q = <A^-1 z, z>.  F = 0 along
+    the geodesic, so <a, v> = F'/2 = 0 and l = 2 sin(delta) |a| / Q, a
+    product that loses no digits at small delta.  l' and l'' differentiate
+    l Q = 2 sin(delta) |a|, with |a|' = <a, A^-1 v>/|a|, along frenet's jet,
+    for all samples at once, in frenet_apparatus's units.
     """
     _check_space(q)
-    if not 0.0 < delta <= math.pi / 2:
-        raise ValueError("delta must be in (0, pi/2]")
+    if not MIN_DELTA <= delta <= math.pi / 2:
+        raise ValueError("delta must be in [2^-510, pi/2]")
     cd, sd = math.cos(delta), math.sin(delta)
-    a = traj.x @ q.A_inv  # half the gradient; A^-1 is symmetric
-    inner = -a / np.sqrt(_rowdot(a, a))[:, None]
-    z = cd * traj.v + sd * inner
-    z /= np.sqrt(_rowdot(z, z))[:, None]
-    Bz = z @ q.A_inv
-    Q = _rowdot(Bz, z)
-    l = -2.0 * _rowdot(a, z) / Q
-    # l / |x| is scale-free, the quadric being centred at the origin
-    floor = 1e-12 * np.sqrt(_rowdot(traj.x, traj.x))
-    bad = np.flatnonzero(l <= floor)
-    if bad.size:
-        k = bad[0]
-        raise NoExit(f"chord at sample {k} has length {l[k]:.6g}, not above the floor "
-                     f"1e-12 |x| = {floor[k]:.6g}")
+    # in units of u: x / u, l / u, l', l'' u, x'' u and each rate of z alike
+    u = q._root_scale
+    B = q.A_inv * (u * u)
+    a = (traj.x / u) @ B  # half the gradient; A^-1 is symmetric
+    ra = np.sqrt(_dot(a, a))
+    z = cd * traj.v - sd * (a / ra[:, None])
+    z /= np.sqrt(_dot(z, z))[:, None]
+    Bz, Bv = z @ B, traj.v @ B
+    Q = _dot(Bz, z)
+    l = 2.0 * sd * ra / Q
     # |z| = 1, so rescaling z adds no rate
-    z_dot = cd * traj.x_ddot + sd * frenet.n_dot
-    z_ddot = cd * frenet.x_dddot + sd * frenet.n_ddot
-    Bz_dot = z_dot @ q.A_inv
+    x_ddot = traj.x_ddot * u
+    z_dot = cd * x_ddot + sd * (frenet.n_dot * u)
+    z_ddot = (cd * frenet.x_dddot + sd * frenet.n_ddot) * (u * u)
+    Bz_dot = z_dot @ B
     Q_dot = 2.0 * _dot(Bz, z_dot)
-    l_dot = -(2.0 * (_dot(traj.v, Bz) + _dot(a, z_dot)) + l * Q_dot) / Q
-    P_ddot = _dot(traj.x_ddot, Bz) + 2.0 * _dot(traj.v, Bz_dot) + _dot(a, z_ddot)
+    ra_dot = _dot(a, Bv) / ra
+    l_dot = (2.0 * sd * ra_dot - l * Q_dot) / Q
+    ra_ddot = (_dot(Bv, Bv) + _dot(a, x_ddot @ B) - ra_dot * ra_dot) / ra
     Q_ddot = 2.0 * (_dot(Bz_dot, z_dot) + _dot(Bz, z_ddot))
-    l_ddot = -(2.0 * P_ddot + 2.0 * l_dot * Q_dot + l * Q_ddot) / Q
+    l_ddot = (2.0 * sd * ra_ddot - 2.0 * l_dot * Q_dot - l * Q_ddot) / Q
     lc, lc_dot = l[:, None], l_dot[:, None]
     return ChordCorrespondence(
-        Gamma=traj.x + lc * z, l=l, z=z, Gamma_dot=traj.v + lc_dot * z + lc * z_dot,
-        Gamma_ddot=traj.x_ddot + l_ddot[:, None] * z + 2.0 * lc_dot * z_dot + lc * z_ddot,
-        l_dot=l_dot, l_ddot=l_ddot, delta=delta)
+        Gamma=traj.x + (lc * u) * z, l=l * u, z=z, Gamma_dot=traj.v + lc_dot * z + lc * z_dot,
+        Gamma_ddot=(x_ddot + l_ddot[:, None] * z + 2.0 * lc_dot * z_dot + lc * z_ddot) / u,
+        l_dot=l_dot, l_ddot=l_ddot / u, delta=delta)
 
 
 def angle_condition_residuals(cc: ChordCorrespondence, frenet: FrenetData):
@@ -333,28 +336,30 @@ def angle_condition_residuals(cc: ChordCorrespondence, frenet: FrenetData):
     """
     sd, cd = math.sin(cc.delta), math.cos(cc.delta)
     l_dot = cc.l_dot
-    kl = frenet.k * cc.l
-    aux = (kl - sd) ** 2 + frenet.tau ** 2 * cc.l ** 2 * sd ** 2
+    # hypot: at small delta the terms are of the order of sin d or below, and
+    # their squares can underflow
+    arm = np.hypot(frenet.k * cc.l - sd, frenet.tau * cc.l * sd)
     speed2 = _dot(cc.Gamma_dot, cc.Gamma_dot)
-    r5 = np.abs(speed2 - ((l_dot + cd) ** 2 + aux))
+    r5 = np.abs(speed2 - ((l_dot + cd) ** 2 + arm ** 2))
     r6 = np.abs(_dot(cc.Gamma_dot, cc.z) - (l_dot + cd))
-    r9 = np.abs((l_dot + cd) - (cd / sd) * np.sqrt(aux))
+    r9 = np.abs((l_dot + cd) - (cd / sd) * arm)
     return r5, r6, r9
 
 
 def planarity_residuals(cc: ChordCorrespondence, frenet: FrenetData):
     """det[z, Gamma', Gamma''] two ways, plus the torsion-rate coefficient.
 
-    D_numeric takes Gamma' and Gamma'' in ambient R^3 coordinates, built from
-    x''' and n''; D_analytic expands the same rows in the (v, n, w) frame
-    with k', tau' and l'', so their gap tests the Frenet-Serret relations
-    (in exact arithmetic it is 0).  A_coeff = l sin(delta) (kl - sin(delta))
-    multiplies tau' in the expansion of D.
+    D_numeric is the triple product <z, Gamma' x Gamma''>, with Gamma' and
+    Gamma'' in ambient R^3 coordinates, built from x''' and n''; D_analytic
+    expands the same rows in the (v, n, w) frame with k', tau' and l'', along
+    their first row (cos(delta), sin(delta), 0), so their gap tests the
+    Frenet-Serret relations (in exact arithmetic it is 0).  A_coeff =
+    l sin(delta) (kl - sin(delta)) multiplies tau' in the expansion of D.
     """
     sd, cd = math.sin(cc.delta), math.cos(cc.delta)
     l, k, tau, l_dot, l_ddot = cc.l, frenet.k, frenet.tau, cc.l_dot, cc.l_ddot
     k_dot, tau_dot = frenet.k_dot, frenet.tau_dot
-    D_num = np.linalg.det(np.stack([cc.z, cc.Gamma_dot, cc.Gamma_ddot], axis=1))
+    D_num = _dot(cc.z, np.cross(cc.Gamma_dot, cc.Gamma_ddot))
     c1 = 1.0 + l_dot * cd - k * l * sd
     c2 = l_dot * sd + k * l * cd
     c3 = tau * l * sd
@@ -362,11 +367,7 @@ def planarity_residuals(cc: ChordCorrespondence, frenet: FrenetData):
     a2 = l_ddot * sd + k_dot * l * cd + 2.0 * k * l_dot * cd + k \
         - (k ** 2 + tau ** 2) * l * sd
     a3 = tau_dot * l * sd + 2.0 * tau * l_dot * sd + tau * k * l * cd
-    D_ana = np.linalg.det(np.array([
-        [np.full_like(l, cd), np.full_like(l, sd), np.zeros_like(l)],
-        [c1, c2, c3],
-        [a1, a2, a3],
-    ]).transpose(2, 0, 1))
+    D_ana = cd * (c2 * a3 - c3 * a2) - sd * (c1 * a3 - c3 * a1)
     A_coeff = l * sd * (k * l - sd)
     return D_num, D_ana, A_coeff
 

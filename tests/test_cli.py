@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import gutkin
 from gutkin import billiard_nd as bnd
 from gutkin import cli, csvtext
-from gutkin.cli import main
+from gutkin.cli import AXIS_RANGE, main
+from gutkin.geodesic_chords import MIN_DELTA
 
 FMT = "{:.17g}"
 WIDTH_OVERFLOW = "error: the table's width 2 h_bound overflows the float range\n"
@@ -1579,16 +1580,32 @@ class TestChords:
                             r"a run may take at most 100000\n", err)
         assert not out.exists()
 
-    def test_chord_below_floor_refused(self, tmp_path, capsys):
-        # the chord 2 sin(1e-13) is below the floor 1e-12 |x|: one line, no CSV
+    @pytest.mark.parametrize("delta", [math.nextafter(MIN_DELTA, 0.0), 1e-300, 5e-324])
+    def test_delta_below_least_refused(self, tmp_path, capsys, delta):
+        # below 2^-510 a chord may not be a normal float: one line, no CSV
         out = tmp_path / "chords.csv"
-        assert main(["chords", "--surface", "sphere", "--delta", "1e-13", "--length", "0.01",
+        assert main(["chords", "--surface", "sphere", "--delta", repr(delta), "--length", "0.01",
                      "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        length = re.fullmatch(r"error: chord at sample 0 has length ([0-9.e+-]+), not above "
-                              r"the floor 1e-12 \|x\| = 1e-12\n", err).group(1)
-        assert float(length) == pytest.approx(2e-13, rel=1e-4)
+        assert capsys.readouterr().err == ("error: --delta must be at least 2^-510, or a chord "
+                                           "may not be a normal float\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("delta", [MIN_DELTA, 1e-13, 0.5, math.pi / 2])
+    @pytest.mark.parametrize("radius", [AXIS_RANGE[0], 1.0, AXIS_RANGE[1]])
+    def test_every_delta_at_every_radius(self, tmp_path, radius, delta):
+        # the jet and the chord are formed in units of the quadric's size, so
+        # at both ends of the radius range every column is finite, with no
+        # RuntimeWarning, and l = 2 r sin(delta) to rounding (at most 5.6e-16
+        # relative measured)
+        out = tmp_path / "chords.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["chords", "--surface", "sphere", "--radius", repr(radius),
+                         "--delta", repr(delta), "--length", repr(2 * radius),
+                         "--step", repr(radius / 64), "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.isfinite(rows).all()
+        assert np.abs(rows[:, 3] / (2 * radius * math.sin(delta)) - 1).max() < 1e-15
 
     def test_json_reports_series_steps(self, tmp_path, capsys):
         # the series steps and their worst drift do not depend on --step

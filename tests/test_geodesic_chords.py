@@ -7,9 +7,9 @@ import pytest
 
 from gutkin.billiard_nd import Quadric, sphere_quadric
 from gutkin.cli import AXIS_RANGE
-from gutkin.errors import DegenerateCurvature, NoExit, OffSurface, StepTooLarge
+from gutkin.errors import DegenerateCurvature, OffSurface, StepTooLarge
 from gutkin import geodesic_chords
-from gutkin.geodesic_chords import (DRIFT_LIMIT, MAX_STEPS, angle_condition_residuals,
+from gutkin.geodesic_chords import (DRIFT_LIMIT, MAX_STEPS, MIN_DELTA, angle_condition_residuals,
                                     chord_correspondence, frenet_apparatus,
                                     integrate_geodesic, planarity_residuals,
                                     simultaneous_vanish_check)
@@ -676,24 +676,18 @@ class TestChordCorrespondence:
         assert max(abs(g @ sp.A_inv @ g - 1) for g in cc.Gamma) < 1e-9
 
     @pytest.mark.parametrize("radius", [1.0, 2.0 ** 300])
-    def test_chord_below_floor_refused(self, radius):
-        # at delta 1e-13 the ray re-enters after a chord of 2 R sin(delta) =
-        # 2e-13 R, below the floor 1e-12 |x| under which it is not resolved;
-        # at 1e-12 the chord, 2e-12 R, is above it
+    def test_small_delta_chord(self, radius):
+        # l = 2 sin(delta) |A^-1 x| / Q is a product, so the chord 2 R sin(delta)
+        # reads rounding at delta 1e-13 (which -2 <A^-1 x, z> / Q got to about
+        # 4 digits) and at the least delta: at most 3.3e-16 relative measured
         q = sphere_quadric(radius)
         traj = integrate_geodesic(q, [radius, 0, 0], [0, 1.0, 0], 0.01 * radius, 1e-3 * radius)
         frenet = frenet_apparatus(q, traj)
-        with pytest.raises(NoExit) as info:
-            chord_correspondence(q, traj, frenet, 1e-13)
-        # the length loses digits to cancellation at small delta, so it is
-        # checked to 1e-4 rather than as text
-        floor = re.escape(f"{1e-12 * radius:.6g}")
-        length = re.fullmatch(r"chord at sample 0 has length ([0-9.e+-]+), not above the floor "
-                              rf"1e-12 \|x\| = {floor}", str(info.value)).group(1)
-        assert float(length) == pytest.approx(2e-13 * radius, rel=1e-4)
-        assert (chord_correspondence(q, traj, frenet, 1e-12).l > 1e-12 * radius).all()
+        for delta in (1e-13, MIN_DELTA):
+            l = chord_correspondence(q, traj, frenet, delta).l
+            assert np.abs(l / (2 * radius * math.sin(delta)) - 1).max() < 1e-15
 
-    @pytest.mark.parametrize("delta", [0.0, -0.2, math.pi / 2 + 1e-9, math.nan])
+    @pytest.mark.parametrize("delta", [0.0, -0.2, math.pi / 2 + 1e-9, math.nan, MIN_DELTA / 2])
     def test_delta_out_of_range(self, sphere_chords, delta):
         sp, traj, frenet, _ = sphere_chords
         with pytest.raises(ValueError, match="delta"):
@@ -771,9 +765,10 @@ def chord_report(axes, scale):
 
 
 class TestScaleFree:
-    """Both refusal thresholds compare scale-free ratios (l / |x| and k |x|),
-    so a quadric scaled by a power of two gives every column of the unit
-    one, scaled exactly by the power of length it carries."""
+    """The curvature refusal compares the scale-free k |x|, and the jet and
+    the chord are formed in units of the quadric's power of two, so a
+    quadric scaled by a power of two gives every column of the unit one,
+    scaled exactly by the power of length it carries."""
 
     POWERS = {"s": 1, "k": -1, "tau": -1, "l": 1, "ldot": 0, "R5": 0, "R6": 0, "R9": 0,
               "D_numeric": -1, "D_analytic": -1, "A_coeff": 1}
@@ -785,6 +780,45 @@ class TestScaleFree:
         for name, power in self.POWERS.items():
             assert np.array_equal(scaled[name], unit[name] * scale ** power), name
 
+    # the power of length each output of the chord layer carries
+    LAYER_POWERS = {"k": -1, "tau": -1, "v": 0, "n": 0, "w": 0, "k_dot": -2, "tau_dot": -2,
+                    "x_dddot": -2, "n_dot": -1, "n_ddot": -2, "Gamma": 1, "l": 1, "z": 0,
+                    "Gamma_dot": 0, "Gamma_ddot": -1, "l_dot": 0, "l_ddot": -1, "R5": 0,
+                    "R6": 0, "R9": 0, "D_numeric": -1, "D_analytic": -1, "A_coeff": 1}
+
+    @staticmethod
+    def chord_layer(scale):
+        """Every output of the chord layer on the twisted geodesic of
+        diag(2, 1, 0.8)^2 scale^2 from (0, scale, 0) along (1, 0, 1)/sqrt(2)."""
+        q = Quadric(np.diag([2.0, 1.0, 0.8]) ** 2 * scale ** 2)
+        traj = integrate_geodesic(q, [0, scale, 0], np.array([1.0, 0, 1.0]) / math.sqrt(2),
+                                  3 * scale, 1e-3 * scale)
+        frenet, cc = chords_of(q, traj, 0.7)
+        return {**vars(frenet), **vars(cc),
+                **dict(zip(("R5", "R6", "R9"), angle_condition_residuals(cc, frenet))),
+                **dict(zip(("D_numeric", "D_analytic", "A_coeff"), planarity_residuals(cc, frenet)))}
+
+    @pytest.mark.parametrize("power", [300, -300, 500, -500])
+    def test_chord_layer_scales_exactly(self, power):
+        # products of four inverse lengths, such as <A^-1 v, A^-1 v>, would
+        # overflow at 2^-300 and underflow at 2^300 in the body's own units
+        scale = 2.0 ** power
+        unit, scaled = self.chord_layer(1.0), self.chord_layer(scale)
+        for name, p in self.LAYER_POWERS.items():
+            assert np.array_equal(scaled[name], unit[name] * scale ** p), name
+
+
+def slope_body():
+    """A^-1 = I + 0.01 B, B the symmetric part of a normal matrix from numpy
+    seed 3, and a geodesic of length 3 on it from its point on the x1 axis
+    along the tangent part of (0, 0.6, 0.8)."""
+    m = np.random.default_rng(3).standard_normal((3, 3))
+    q = Quadric(np.linalg.inv(np.eye(3) + 0.01 * (m + m.T) / 2))
+    x0 = np.array([1.0, 0, 0]) / math.sqrt(q.A_inv[0, 0])
+    a = q.A_inv @ x0
+    v0 = np.array([0, 0.6, 0.8])
+    return q, integrate_geodesic(q, x0, v0 - (v0 @ a) / (a @ a) * a, 3.0, 1e-3)
+
 
 class TestAngleConditions:
     def test_sphere_residuals(self, sphere_chords):
@@ -794,6 +828,36 @@ class TestAngleConditions:
         assert r5.max() < 3e-15
         assert r6.max() < 2e-15
         assert r9.max() < 4e-15
+
+    @pytest.mark.parametrize("v0", [(0, 1.0, 0), (0, 0.6, 0.8)], ids=["axis", "tilted"])
+    @pytest.mark.parametrize("delta", [1e-13, 1e-12, 1e-8, 1e-4, 0.7])
+    def test_sphere_at_every_delta(self, delta, v0):
+        # the bounds above at small delta too, where R9's factor cos/sin
+        # multiplies the error of kl - sin(delta); the chord from a sample x
+        # is 2 sin(delta) |x|.  The largest over both starts were 6.7e-16 (l,
+        # relative), 1.1e-15 (R5), 6.7e-16 (R6) and 1.7e-15 (R9)
+        sp = sphere_quadric(1.0)
+        traj = integrate_geodesic(sp, [1.0, 0, 0], v0, 3.0, 1e-3)
+        frenet, cc = chords_of(sp, traj, delta)
+        r5, r6, r9 = angle_condition_residuals(cc, frenet)
+        chord = 2 * math.sin(delta) * np.linalg.norm(traj.x, axis=1)
+        assert np.abs(cc.l / chord - 1).max() < 1e-15
+        assert r5.max() < 3e-15
+        assert r6.max() < 2e-15
+        assert r9.max() < 4e-15
+
+    def test_small_delta_slope(self):
+        # R9 is this body's defect, about 0.04324 delta at small delta: within
+        # 0.34% of that from 1e-4 down to 1e-11 (measured).  A chord formed
+        # as a difference of nearly equal terms adds noise of about
+        # 3e-16 / delta to R9, which hides the slope below about 1e-7
+        q, traj = slope_body()
+        frenet = frenet_apparatus(q, traj)
+        slopes = [angle_condition_residuals(chord_correspondence(q, traj, frenet, delta),
+                                            frenet)[2].max() / delta
+                  for delta in (1e-4, 1e-6, 1e-8, 1e-11)]
+        assert slopes[0] == pytest.approx(0.04324, rel=1e-3)
+        assert max(abs(slope / slopes[0] - 1) for slope in slopes) < 1e-2
 
     @pytest.mark.parametrize("run, delta", RUNS)
     def test_consistency_at_rounding(self, request, run, delta):
@@ -834,7 +898,7 @@ class TestPlanarity:
         el, traj = generic_spheroid
         frenet, cc = chords_of(el, traj, 0.8)
         d_num, _, _ = planarity_residuals(cc, frenet)
-        want = [np.linalg.det(np.array([z, g1, g2]))
+        want = [np.einsum("i,i->", z, np.cross(g1, g2))
                 for z, g1, g2 in zip(cc.z, cc.Gamma_dot, cc.Gamma_ddot)]
         assert np.array_equal(d_num, want)
 
